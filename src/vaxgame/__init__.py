@@ -13,6 +13,8 @@ Three mutually validating layers over one model:
 :mod:`vaxgame.cli` exposes the ``vaxgame`` command.
 """
 
+__version__ = "0.1.0"
+
 from . import errors
 from .attractor import (
     Attractor,
@@ -85,5 +87,3 @@ from .params import (
     validate,
 )
 from .policy import Family, Policy, accept_prob, fc, fr, mutant, propensity, static, vfc1, vfc2
-
-__version__ = "0.1.0"

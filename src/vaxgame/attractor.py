@@ -24,6 +24,20 @@ returned.  Note the deadly no-vaccination level is 1 - 1/rho_e, and the
 deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*; both follow from
 setting the field to zero.
 
+Each returned point names its catalogue row in ``table_row`` (the
+``regime_row`` column of the atlas), labelled ``<family>[-deadly]/<row>``:
+
+  row                      kind           clamp  families
+  nvdf                     BOUNDARY_NVDF  no     fc, fr, vfc1, fc-deadly, fr-deadly
+  origin                   ORIGIN         no     fc, fr, vfc1, fc-deadly, fr-deadly
+  disease-free             DISEASE_FREE   no     fc, fr, fc-deadly, fr-deadly
+  disease-free-saturated   DISEASE_FREE   yes    fc, fr, fc-deadly, fr-deadly
+  interior                 INTERIOR       no     fr, vfc1, fc-deadly, fr-deadly
+  coexistence              INTERIOR       yes    fc, fr, vfc1, fc-deadly, fr-deadly
+
+Every ``-deadly`` row is conjectured.  ``vfc1/interior`` is returned with
+``proven=False`` when beta > 2*mu*rho^2, outside the proven regime.
+
 Stability certification combines a finite-difference Jacobian (one-sided at
 simplex faces) with sampling of a quadratic Lyapunov form V(x) =
 (x-x_hat)' P (x-x_hat), P solving J'P + PJ = -I.  The derivative of plain
@@ -37,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +63,7 @@ from .errors import (
     RegimeMismatch,
 )
 from .ode import OdeState, _fd_jacobian, _g, varrho
-from .params import ModelParams, derive_ratios
+from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, propensity
 
 #: Relative tolerance deciding that parameters sit on a regime boundary.
@@ -263,6 +277,13 @@ def _closed_form_vfc1(params, rho, mu, beta, tol) -> Attractor:
     return _make(th, ps, params, AttractorKind.INTERIOR, "vfc1/coexistence", True)
 
 
+_CLOSED_FORMS = {
+    Family.FC: _closed_form_fc,
+    Family.FR: _closed_form_fr,
+    Family.VFC1: _closed_form_vfc1,
+}
+
+
 # --------------------------------------------------------------------------
 # dispatch, deadly (d_e > 0) -- conjectural, always residual-verified
 # --------------------------------------------------------------------------
@@ -305,178 +326,130 @@ def deadly_coexistence_exact(params: ModelParams) -> tuple[float, float]:
     if disc < 0.0:
         raise ComplexRoot(f"discriminant {disc!r} < 0")
     psi = (-b_coef + math.sqrt(disc)) / (2.0 * p.lam * p.d_e)
-    rho_e = (p.lam - p.d_e) / (p.r + p.b)
+    rho_e = derive_ratios(p).rho_e
     theta = 1.0 - 1.0 / rho_e - p.lam * psi / (p.lam - p.d_e)
     return (theta, psi)
 
 
-def _nvdf_deadly_stable(params: ModelParams, beta: float) -> float:
+def _nvdf_deadly_stable(params: ModelParams, ratios: Ratios, beta: float) -> float:
     """Signed margin: positive when the deadly no-vaccination level is stable.
 
     Transverse vaccination growth at (1 - 1/rho_e, 0) is governed by
     beta*nu - d_e vs rho_e*(b - d_e); the union of conditions
     'rho_e*mu_e > 1 or beta*nu < b - d_e' collapses to this inequality.
     """
-    rho_e = (params.lam - params.d_e) / (params.r + params.b)
-    return rho_e * (params.b - params.d_e) - (beta * params.nu - params.d_e)
+    return ratios.rho_e * (params.b - params.d_e) - (beta * params.nu - params.d_e)
 
 
-def _deadly_fc_interior_point(params: ModelParams, beta: float) -> tuple[float, float]:
+def _deadly_fc_interior_point(
+    params: ModelParams, ratios: Ratios, beta: float
+) -> tuple[float, float]:
     p = params
     theta = (p.lam * p.b - beta * p.nu * (p.r + p.b + p.d_e)) / (
         p.d_e * (p.lam - beta * p.nu)
     )
-    rho = p.lam / (p.r + p.b + p.d_e)
-    psi = 1.0 - theta * (1.0 - p.d_e / p.lam) - 1.0 / rho
+    psi = 1.0 - theta * (1.0 - p.d_e / p.lam) - 1.0 / ratios.rho
     return theta, psi
 
 
-def _deadly_fr_interior_point(params: ModelParams, beta: float) -> tuple[float, float]:
+def _deadly_fr_interior_point(
+    params: ModelParams, ratios: Ratios, beta: float
+) -> tuple[float, float]:
     quad = DeadlyQuadratic.from_params(params, beta)
     x_lo, x_hi = quad.roots()
     p = params
-    rho_e = (p.lam - p.d_e) / (p.r + p.b)
     for x in (x_lo, x_hi):
         psi = 1.0 - x
-        theta = 1.0 - 1.0 / rho_e - p.lam * psi / (p.lam - p.d_e)
+        theta = 1.0 - 1.0 / ratios.rho_e - p.lam * psi / (p.lam - p.d_e)
         if 0.0 < psi < 1.0 and 0.0 < theta and theta + psi < 1.0:
             return theta, psi
     raise RegimeMismatch("no admissible root of the deadly interior quadratic")
 
 
-def _verify_conjectured(attr: Attractor, params: ModelParams, policy: Policy) -> Attractor:
-    ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
-    if not ok:
-        raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
-    return attr
+@dataclass(frozen=True)
+class _DeadlyFamily:
+    """What distinguishes one family's deadly catalogue from another's.
+
+    ``propensity`` is the bare formula, not :func:`policy.propensity`: an
+    interior point off the simplex must reach ``_make`` and its
+    RegimeMismatch, not the policy's DomainError.
+    """
+
+    interior_point: Callable[[ModelParams, Ratios, float], tuple[float, float]]
+    propensity: Callable[[float, float], float]  # raw q~ at (beta, psi)
+    disease_free: Callable[[float, float], tuple[float, float]]  # (psi, q~) at (mu, beta)
+    mid_band: bool  # the interior also covers mu*rho <= beta < rho^2*mu
 
 
-def _deadly_saturated(params, rho, mu, tol, prefix) -> tuple[float, float, str]:
+_DEADLY_FAMILIES = {
+    Family.FC: _DeadlyFamily(
+        interior_point=_deadly_fc_interior_point,
+        propensity=lambda beta, psi: beta * psi,
+        disease_free=lambda mu, beta: (1.0 - mu / beta, beta - mu),
+        mid_band=False,
+    ),
+    Family.FR: _DeadlyFamily(
+        interior_point=_deadly_fr_interior_point,
+        propensity=lambda beta, psi: beta * psi * (1.0 - psi),
+        disease_free=lambda mu, beta: (1.0 - math.sqrt(mu / beta), math.sqrt(mu * beta) - mu),
+        mid_band=True,
+    ),
+}
+
+_DEADLY_KINDS = {
+    "nvdf": AttractorKind.BOUNDARY_NVDF,
+    "origin": AttractorKind.ORIGIN,
+    "interior": AttractorKind.INTERIOR,
+    "disease-free": AttractorKind.DISEASE_FREE,
+    "disease-free-saturated": AttractorKind.DISEASE_FREE,
+    "coexistence": AttractorKind.INTERIOR,
+}
+
+
+def _deadly_saturated(params, ratios, tol) -> tuple[float, float, str, bool]:
     """Pick between the saturated disease-free point and the deadly coexistence."""
     theta, psi = deadly_coexistence_exact(params)
     _guard(theta, 0.0, tol, "deadly coexistence theta_E vs 0")
     if theta > 0.0:
-        return theta, psi, f"{prefix}/coexistence"
-    _guard(mu * rho, mu + 1.0, tol, "mu*rho vs mu+1")
-    return 0.0, 1.0 / (mu + 1.0), f"{prefix}/disease-free-saturated"
+        return theta, psi, "coexistence", True
+    mu = ratios.mu
+    _guard(mu * ratios.rho, mu + 1.0, tol, "mu*rho vs mu+1")
+    return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated", True
 
 
-def _closed_form_fc_deadly(params, rho, mu, beta, tol, policy) -> Attractor:
-    prefix = "fc-deadly"
+def _deadly_interior_row(spec, params, ratios, beta, tol) -> tuple[float, float, str, bool]:
+    theta, psi = spec.interior_point(params, ratios, beta)
+    q_tilde = spec.propensity(beta, psi)
+    _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
+    if q_tilde < 1.0:
+        return theta, psi, "interior", False
+    return _deadly_saturated(params, ratios, tol)
+
+
+def _deadly_row(spec, params, ratios, beta, tol) -> tuple[float, float, str, bool]:
+    """Deadly (theta, psi, row, clamp) under one family's spec."""
+    rho, mu = ratios.rho, ratios.mu
     if rho > 1.0:
         _guard(beta, mu * rho, tol, "beta vs mu*rho")
         if beta < mu * rho:
-            margin = _nvdf_deadly_stable(params, beta)
+            margin = _nvdf_deadly_stable(params, ratios, beta)
             _guard(margin, 0.0, tol, "deadly nvdf transverse margin")
-            rho_e = (params.lam - params.d_e) / (params.r + params.b)
             if margin > 0.0:
-                attr = _make(
-                    1.0 - 1.0 / rho_e,
-                    0.0,
-                    params,
-                    AttractorKind.BOUNDARY_NVDF,
-                    f"{prefix}/nvdf",
-                    False,
-                    conjectured=True,
-                )
-                return _verify_conjectured(attr, params, policy)
-            theta, psi = _deadly_fc_interior_point(params, beta)
-            q_tilde = beta * psi
-            _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
-            if q_tilde < 1.0:
-                attr = _make(
-                    theta, psi, params, AttractorKind.INTERIOR, f"{prefix}/interior", False,
-                    conjectured=True,
-                )
-                return _verify_conjectured(attr, params, policy)
-            th, ps, row = _deadly_saturated(params, rho, mu, tol, prefix)
-            kind = AttractorKind.INTERIOR if th > 0 else AttractorKind.DISEASE_FREE
-            attr = _make(th, ps, params, kind, row, True, conjectured=True)
-            return _verify_conjectured(attr, params, policy)
+                return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf", False
+            return _deadly_interior_row(spec, params, ratios, beta, tol)
+        if spec.mid_band:
+            _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
+            if beta < rho * rho * mu:
+                return _deadly_interior_row(spec, params, ratios, beta, tol)
     else:
         _guard(beta, mu, tol, "beta vs mu")
         if beta < mu:
-            attr = _make(
-                0.0, 0.0, params, AttractorKind.ORIGIN, f"{prefix}/origin", False,
-                conjectured=True,
-            )
-            return _verify_conjectured(attr, params, policy)
-    q_df = beta - mu
+            return 0.0, 0.0, "origin", False
+    psi, q_df = spec.disease_free(mu, beta)
     _guard(q_df, 1.0, tol, "disease-free acceptance vs clamp")
     if q_df < 1.0:
-        attr = _make(
-            0.0, 1.0 - mu / beta, params, AttractorKind.DISEASE_FREE,
-            f"{prefix}/disease-free", False, conjectured=True,
-        )
-        return _verify_conjectured(attr, params, policy)
-    th, ps, row = _deadly_saturated(params, rho, mu, tol, prefix)
-    kind = AttractorKind.INTERIOR if th > 0 else AttractorKind.DISEASE_FREE
-    attr = _make(th, ps, params, kind, row, True, conjectured=True)
-    return _verify_conjectured(attr, params, policy)
-
-
-def _closed_form_fr_deadly(params, rho, mu, beta, tol, policy) -> Attractor:
-    prefix = "fr-deadly"
-    if rho > 1.0:
-        _guard(beta, mu * rho, tol, "beta vs mu*rho")
-        if beta < mu * rho:
-            margin = _nvdf_deadly_stable(params, beta)
-            _guard(margin, 0.0, tol, "deadly nvdf transverse margin")
-            rho_e = (params.lam - params.d_e) / (params.r + params.b)
-            if margin > 0.0:
-                attr = _make(
-                    1.0 - 1.0 / rho_e, 0.0, params, AttractorKind.BOUNDARY_NVDF,
-                    f"{prefix}/nvdf", False, conjectured=True,
-                )
-                return _verify_conjectured(attr, params, policy)
-            theta, psi = _deadly_fr_interior_point(params, beta)
-            q_tilde = beta * psi * (1.0 - psi)
-            _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
-            if q_tilde < 1.0:
-                attr = _make(
-                    theta, psi, params, AttractorKind.INTERIOR, f"{prefix}/interior",
-                    False, conjectured=True,
-                )
-                return _verify_conjectured(attr, params, policy)
-            th, ps, row = _deadly_saturated(params, rho, mu, tol, prefix)
-            kind = AttractorKind.INTERIOR if th > 0 else AttractorKind.DISEASE_FREE
-            attr = _make(th, ps, params, kind, row, True, conjectured=True)
-            return _verify_conjectured(attr, params, policy)
-        _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
-        if beta < rho * rho * mu:
-            theta, psi = _deadly_fr_interior_point(params, beta)
-            q_tilde = beta * psi * (1.0 - psi)
-            _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
-            if q_tilde < 1.0:
-                attr = _make(
-                    theta, psi, params, AttractorKind.INTERIOR, f"{prefix}/interior",
-                    False, conjectured=True,
-                )
-                return _verify_conjectured(attr, params, policy)
-            th, ps, row = _deadly_saturated(params, rho, mu, tol, prefix)
-            kind = AttractorKind.INTERIOR if th > 0 else AttractorKind.DISEASE_FREE
-            attr = _make(th, ps, params, kind, row, True, conjectured=True)
-            return _verify_conjectured(attr, params, policy)
-    else:
-        _guard(beta, mu, tol, "beta vs mu")
-        if beta < mu:
-            attr = _make(
-                0.0, 0.0, params, AttractorKind.ORIGIN, f"{prefix}/origin", False,
-                conjectured=True,
-            )
-            return _verify_conjectured(attr, params, policy)
-    q_df = math.sqrt(mu * beta) - mu
-    _guard(q_df, 1.0, tol, "disease-free acceptance vs clamp")
-    if q_df < 1.0:
-        attr = _make(
-            0.0, 1.0 - math.sqrt(mu / beta), params, AttractorKind.DISEASE_FREE,
-            f"{prefix}/disease-free", False, conjectured=True,
-        )
-        return _verify_conjectured(attr, params, policy)
-    th, ps, row = _deadly_saturated(params, rho, mu, tol, prefix)
-    kind = AttractorKind.INTERIOR if th > 0 else AttractorKind.DISEASE_FREE
-    attr = _make(th, ps, params, kind, row, True, conjectured=True)
-    return _verify_conjectured(attr, params, policy)
+        return 0.0, psi, "disease-free", False
+    return _deadly_saturated(params, ratios, tol)
 
 
 # --------------------------------------------------------------------------
@@ -498,8 +471,7 @@ def closed_form(
     beta = policy.beta if beta_hat is None else beta_hat
     policy = _clamp_policy_for_row(policy, beta)
     ratios = derive_ratios(params, beta)
-    rho, mu = ratios.rho, ratios.mu
-    _guard(rho, 1.0, tol, "rho vs 1")
+    _guard(ratios.rho, 1.0, tol, "rho vs 1")
 
     fam = policy.family
     if fam is Family.VFC2:
@@ -507,21 +479,22 @@ def closed_form(
             "threshold-vigilant policy has no point attractor catalogue; "
             "use vfc2_limit_set"
         )
-    if fam not in (Family.FC, Family.FR, Family.VFC1):
+    if fam not in _CLOSED_FORMS:
         raise RegimeMismatch(f"no closed-form catalogue for family {fam}")
+    if params.d_e <= 0.0:
+        return _CLOSED_FORMS[fam](params, ratios.rho, ratios.mu, beta, tol)
 
-    if params.d_e > 0.0:
-        if fam is Family.FC:
-            return _closed_form_fc_deadly(params, rho, mu, beta, tol, policy)
-        if fam is Family.FR:
-            return _closed_form_fr_deadly(params, rho, mu, beta, tol, policy)
+    if fam not in _DEADLY_FAMILIES:
         raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-
-    if fam is Family.FC:
-        return _closed_form_fc(params, rho, mu, beta, tol)
-    if fam is Family.FR:
-        return _closed_form_fr(params, rho, mu, beta, tol)
-    return _closed_form_vfc1(params, rho, mu, beta, tol)
+    theta, psi, row, clamp = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, beta, tol)
+    attr = _make(
+        theta, psi, params, _DEADLY_KINDS[row], f"{fam.value.lower()}-deadly/{row}", clamp,
+        conjectured=True,
+    )
+    ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
+    if not ok:
+        raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
+    return attr
 
 
 def deadly_interior(
@@ -539,7 +512,7 @@ def deadly_interior(
     """
     if params.d_e <= 0.0:
         raise RegimeMismatch("deadly interior requires d_e > 0")
-    if family not in (Family.FC, Family.FR):
+    if family not in _DEADLY_FAMILIES:
         raise RegimeMismatch("deadly interior covers FC and FR families only")
     attr = closed_form(params, Policy(family, beta=beta_hat), tol=tol)
     if attr.kind is not AttractorKind.INTERIOR or attr.clamp_active:

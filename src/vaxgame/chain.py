@@ -127,12 +127,15 @@ class EventDistribution:
         return float(self.probs[event])
 
 
-def _event_masses(
-    theta: float, psi: float, params: ModelParams, q: float
-) -> np.ndarray:
+def event_distribution(
+    state: FractionState, params: ModelParams, policy: Policy
+) -> EventDistribution:
+    """Exact one-step event probabilities at the given fractions."""
+    theta, psi = state.theta, state.psi
+    q = accept_prob(policy, theta, psi)
     phi = 1.0 - theta - psi
     p = params
-    return np.array(
+    masses = np.array(
         [
             p.lam * theta * phi,
             p.r * theta,
@@ -144,14 +147,6 @@ def _event_masses(
             p.d * phi,
         ]
     )
-
-
-def event_distribution(
-    state: FractionState, params: ModelParams, policy: Policy
-) -> EventDistribution:
-    """Exact one-step event probabilities at the given fractions."""
-    q = accept_prob(policy, state.theta, state.psi)
-    masses = _event_masses(state.theta, state.psi, params, q)
     varrho = float(masses.sum())
     if varrho <= 0.0:
         raise DegenerateState("total event rate is zero")

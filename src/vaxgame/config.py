@@ -65,6 +65,38 @@ def _parse_float(section, key, raw: str) -> float:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
 
+def _parse_int(section, key, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+
+
+_MC_KEYS = {
+    "n0": _parse_int,
+    "max_steps": _parse_int,
+    "replications": _parse_int,
+    "seed": _parse_int,
+    "stride": _parse_int,
+    "tail_fraction": _parse_float,
+}
+_ODE_KEYS = {
+    "horizon": _parse_float,
+    "rtol": _parse_float,
+    "atol": _parse_float,
+    "eta0": _parse_float,
+}
+_START_KEYS = {"theta0": _parse_float, "psi0": _parse_float}
+
+
+def _parse_keys(parser, section, parsers) -> dict:
+    """Parse the keys of ``parsers`` present in ``section``; absent keys keep their defaults."""
+    if section not in parser:
+        return {}
+    raw = parser[section]
+    return {key: parse(section, key, raw[key]) for key, parse in parsers.items() if key in raw}
+
+
 def parse_grid(raw: str) -> list[float]:
     raw = raw.strip()
     if ":" in raw:
@@ -211,28 +243,6 @@ def load_experiment(path) -> Experiment:
             raise ConfigError("[sweep] values is required")
         sweep = SweepSpec(variable=variable, values=tuple(parse_grid(sw["values"])))
 
-    mc = McSettings()
-    if "mc" in parser:
-        s = dict(parser["mc"])
-        mc = McSettings(
-            n0=int(s.get("n0", mc.n0)),
-            max_steps=int(s["max_steps"]) if "max_steps" in s else None,
-            replications=int(s.get("replications", mc.replications)),
-            seed=int(s.get("seed", mc.seed)),
-            stride=int(s.get("stride", mc.stride)),
-            tail_fraction=float(s.get("tail_fraction", mc.tail_fraction)),
-        )
-
-    ode = OdeSettings()
-    if "ode" in parser:
-        s = dict(parser["ode"])
-        ode = OdeSettings(
-            horizon=float(s.get("horizon", ode.horizon)),
-            rtol=float(s.get("rtol", ode.rtol)),
-            atol=float(s.get("atol", ode.atol)),
-            eta0=float(s.get("eta0", ode.eta0)),
-        )
-
     return Experiment(
         id=exp_id,
         params=params,
@@ -240,9 +250,8 @@ def load_experiment(path) -> Experiment:
         costs=costs,
         sweep=sweep,
         layers=frozenset(layers),
-        mc=mc,
-        ode=ode,
-        theta0=float(exp_section.get("theta0", 0.1)),
-        psi0=float(exp_section.get("psi0", 0.01)),
+        mc=McSettings(**_parse_keys(parser, "mc", _MC_KEYS)),
+        ode=OdeSettings(**_parse_keys(parser, "ode", _ODE_KEYS)),
+        **_parse_keys(parser, "experiment", _START_KEYS),
         output_dir=Path(exp_section.get("output_dir", "out")),
     )

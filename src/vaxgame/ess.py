@@ -43,11 +43,12 @@ from typing import Optional, Sequence, Union
 
 from .attractor import (
     Attractor,
+    _eta_at,
     coexistence_point,
     deadly_coexistence_exact,
 )
 from .errors import ComplexRoot, EquilibriumNotFound, RegimeMismatch
-from .ode import OdeState, find_equilibrium, varrho
+from .ode import OdeState, find_equilibrium
 from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_prob, mutant, propensity
 
@@ -82,10 +83,10 @@ def p_infection(theta: float, params: ModelParams) -> float:
     return rate / total
 
 
-def h_value(
+def _anticipated_costs(
     theta_hat: float, psi_hat: float, params: ModelParams, costs: CostParams
-) -> float:
-    """Signed gap between anticipated vaccination and infection costs."""
+) -> tuple[float, float]:
+    """(vaccination cost, infection cost) anticipated at the equilibrium."""
     if psi_hat > 0.0:
         hesitancy = min(costs.c_v2_bar, costs.c_v2 / psi_hat)
     else:
@@ -93,7 +94,15 @@ def h_value(
     infection = p_infection(theta_hat, params) * (
         costs.c_I1 + costs.c_I2 * params.d_e * theta_hat
     )
-    return costs.c_v1 + hesitancy - infection
+    return costs.c_v1 + hesitancy, infection
+
+
+def h_value(
+    theta_hat: float, psi_hat: float, params: ModelParams, costs: CostParams
+) -> float:
+    """Signed gap between anticipated vaccination and infection costs."""
+    vaccination, infection = _anticipated_costs(theta_hat, psi_hat, params, costs)
+    return vaccination - infection
 
 
 def utility(
@@ -104,14 +113,8 @@ def utility(
     costs: CostParams,
 ) -> float:
     """Anticipated cost of vaccinating with probability q at equilibrium."""
-    if psi_hat > 0.0:
-        hesitancy = min(costs.c_v2_bar, costs.c_v2 / psi_hat)
-    else:
-        hesitancy = costs.c_v2_bar
-    infection = p_infection(theta_hat, params) * (
-        costs.c_I1 + costs.c_I2 * params.d_e * theta_hat
-    )
-    return q * (costs.c_v1 + hesitancy) + (1.0 - q) * infection
+    vaccination, infection = _anticipated_costs(theta_hat, psi_hat, params, costs)
+    return q * vaccination + (1.0 - q) * infection
 
 
 def nvdf_point(params: ModelParams) -> tuple[float, float]:
@@ -435,7 +438,7 @@ def mutation_stability(
         )
     target = BestResponse.NEVER if q_star == 0.0 else BestResponse.ALWAYS
 
-    eta0 = (params.b - params.d - params.d_e * theta0) / varrho(theta0, psi0, params)
+    eta0 = _eta_at(theta0, psi0, params)
     probes: list[MutationProbe] = []
     for p in p_grid:
         for eps in eps_grid:

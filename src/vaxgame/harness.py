@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import chain, ode
+from . import __version__, chain, ode
 from .attractor import (
     Attractor,
     AttractorKind,
@@ -46,8 +46,6 @@ from .errors import VaxGameError
 from .ess import CostParams, EssVerdict, classify_ess
 from .params import ModelParams
 from .policy import Family, Policy
-
-__version__ = "0.1.0"
 
 
 class Layer(Enum):

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateState, IndicatorNonstationary, StepFailure
-from .params import ModelParams
+from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_prob
 
 #: Residual norm below which a point counts as an equilibrium.
@@ -237,6 +237,15 @@ def integrate(
     )
 
 
+def _rk4_step(field, t, y, h):
+    """One classical RK4 step of size h."""
+    k1 = field(t, y)
+    k2 = field(t + h / 2, y + h / 2 * k1)
+    k3 = field(t + h / 2, y + h / 2 * k2)
+    k4 = field(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _hop_across(field, t, y, gamma, t_end, clearance: float = 1e-12):
     """RK4 micro-steps until theta is strictly clear of the threshold."""
     h = 1e-9 * max(1.0, abs(t))
@@ -244,11 +253,7 @@ def _hop_across(field, t, y, gamma, t_end, clearance: float = 1e-12):
         if abs(y[0] - gamma) > clearance or t >= t_end:
             return t, _project_simplex(y)
         h = min(h, t_end - t)
-        k1 = field(t, y)
-        k2 = field(t + h / 2, y + h / 2 * k1)
-        k3 = field(t + h / 2, y + h / 2 * k2)
-        k4 = field(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(field, t, y, h)
         t += h
         h *= 2.0
     # tangential touch: push through with the plain fixed-step fallback
@@ -261,11 +266,7 @@ def _fixed_step_advance(field, t, y, t_end, n_steps: int = 200):
     if h <= 0:
         return t, y
     for _ in range(n_steps):
-        k1 = field(t, y)
-        k2 = field(t + h / 2, y + h / 2 * k1)
-        k3 = field(t + h / 2, y + h / 2 * k2)
-        k4 = field(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(field, t, y, h)
         t += h
     return t, _project_simplex(y)
 
@@ -327,7 +328,7 @@ def find_equilibrium(
     the threshold, not a zero of either one-sided field.
     """
     if policy.family is Family.VFC2:
-        rho = params.lam / (params.r + params.b + params.d_e)
+        rho = derive_ratios(params).rho
         if rho > 1.0 and policy.gamma < 1.0 - 1.0 / rho:
             raise IndicatorNonstationary(
                 "threshold policy with reachable Gamma has no fixed point"

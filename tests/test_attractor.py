@@ -189,9 +189,28 @@ def test_deadly_coexistence_continuity(left_params):
     assert psi_d == pytest.approx(psi_e, abs=1e-5)
 
 
-def test_deadly_rows_always_field_verified():
+#: kind and clamp of every deadly row, shared by the fc-deadly and fr-deadly labels
+DEADLY_ROW_SHAPES = {
+    "nvdf": (AttractorKind.BOUNDARY_NVDF, False),
+    "origin": (AttractorKind.ORIGIN, False),
+    "interior": (AttractorKind.INTERIOR, False),
+    "disease-free": (AttractorKind.DISEASE_FREE, False),
+    "disease-free-saturated": (AttractorKind.DISEASE_FREE, True),
+    "coexistence": (AttractorKind.INTERIOR, True),
+}
+
+#: hand-picked points for the deadly rows the random draws below miss
+DEADLY_ROW_TARGETS = [
+    (ModelParams(lam=1.0, r=1.5, nu=1.9, b=0.9, d=0.2, d_e=0.35), fc(0.4)),  # origin
+    (ModelParams(lam=9.0, r=1.1, nu=0.5, b=0.3, d=0.1, d_e=0.1), fc(2.8)),  # interior
+    (ModelParams(lam=1.0, r=0.9, nu=0.7, b=0.8, d=0.3, d_e=0.1), fc(1.2)),  # disease-free
+    (ModelParams(lam=0.5, r=1.6, nu=2.7, b=1.0, d=0.15, d_e=0.05), fr(7.3)),  # saturated
+    (ModelParams(lam=9.5, r=1.0, nu=1.3, b=1.0, d=0.45, d_e=0.2), fr(7.5)),  # coexistence
+]
+
+
+def _deadly_draws():
     rng = np.random.default_rng(12)
-    seen = set()
     for _ in range(40):
         b = rng.uniform(0.3, 1.5)
         params = ModelParams(
@@ -205,14 +224,27 @@ def test_deadly_rows_always_field_verified():
         if params.b <= params.d + params.d_e:
             continue
         for pol in (fc(rng.uniform(0.05, 4.0)), fr(rng.uniform(0.05, 4.0))):
-            try:
-                att = closed_form(params, pol)
-            except (MarginalRegime, RegimeMismatch):
-                continue
-            seen.add(att.table_row)
-            ok, msg = verify_attractor(att, params, pol, tol=1e-8)
-            assert ok, f"{att.table_row}: {msg}"
-    assert len(seen) >= 3  # the draw ranges reach several deadly rows
+            yield params, pol
+    yield from DEADLY_ROW_TARGETS
+
+
+def test_deadly_rows_always_field_verified():
+    seen = set()
+    for params, pol in _deadly_draws():
+        try:
+            att = closed_form(params, pol)
+        except (MarginalRegime, RegimeMismatch):
+            continue
+        seen.add(att.table_row)
+        ok, msg = verify_attractor(att, params, pol, tol=1e-8)
+        assert ok, f"{att.table_row}: {msg}"
+        prefix, row = att.table_row.split("/")
+        assert prefix == f"{pol.family.value.lower()}-deadly"
+        assert (att.kind, att.clamp_active) == DEADLY_ROW_SHAPES[row], att.table_row
+        assert att.conjectured and att.proven
+    assert seen == {
+        f"{fam}-deadly/{row}" for fam in ("fc", "fr") for row in DEADLY_ROW_SHAPES
+    }
 
 
 # --------------------------------------------------------------------------

@@ -1,23 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vaxgame import (
     Event,
     FractionState,
     ModelParams,
     PopState,
+    accept_prob,
     count_crossings,
     estimate_limit,
     event_distribution,
     fc,
+    fr,
     make_initial,
+    mutant,
     one_step_drift,
     simulate,
     static,
     step,
     vfc1,
+    vfc2,
 )
-from vaxgame.chain import EVENT_EFFECTS, apply_event, sample_event, write_trajectory_csv
+from vaxgame.chain import (
+    EVENT_EFFECTS,
+    _accept_fn,
+    apply_event,
+    sample_event,
+    write_trajectory_csv,
+)
 from vaxgame.errors import FrozenTrajectory
 from vaxgame.ode import OdeState, rhs
 
@@ -238,28 +250,28 @@ def test_sample_event_boundaries():
     assert sample_event(dist, 0.999999999) is Event.DEATH_SUSCEPTIBLE
 
 
-def test_hot_loop_acceptance_matches_reference():
-    # the specialised closures used inside simulate() must agree with the
-    # public acceptance probability for every family
-    from vaxgame import mutant, static, vfc1, vfc2
-    from vaxgame.chain import _accept_fn
-    from vaxgame.policy import accept_prob
+_BETA = st.floats(min_value=0.0, max_value=50.0)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_BASE_POLICIES = st.one_of(
+    st.builds(fc, _BETA),
+    st.builds(fr, _BETA),
+    st.builds(vfc1, _BETA),
+    st.builds(vfc2, _BETA, _UNIT, st.booleans()),
+    st.builds(static, _UNIT),
+)
+_POLICIES = st.one_of(_BASE_POLICIES, st.builds(mutant, _BASE_POLICIES, _UNIT, _UNIT))
 
-    rng = np.random.default_rng(31)
-    policies = [
-        fc(2.5), vfc1(7.0), static(0.3),
-        vfc2(4.0, 0.25), vfc2(4.0, 0.25, theta_variant=True),
-        mutant(fc(8.0), p=0.7, eps=0.04),
-    ]
-    from vaxgame import fr as fr_pol
 
-    policies.append(fr_pol(3.0))
-    for policy in policies:
-        fast = _accept_fn(policy)
-        for _ in range(200):
-            theta = rng.uniform(0, 1)
-            psi = rng.uniform(0, 1 - theta)
-            assert fast(theta, psi) == accept_prob(policy, theta, psi)
+@given(policy=_POLICIES, theta=_UNIT, psi_share=_UNIT)
+@example(policy=vfc2(4.0, 0.25), theta=0.25, psi_share=0.4)  # on the threshold
+@example(policy=vfc2(4.0, 0.25, theta_variant=True), theta=0.25, psi_share=0.4)
+@example(policy=mutant(fc(8.0), p=0.7, eps=0.04), theta=0.2, psi_share=0.5)  # base q~ = 3.2
+@example(policy=static(0.3), theta=0.2, psi_share=0.5)
+def test_hot_loop_acceptance_matches_reference(policy, theta, psi_share):
+    # the specialised closures used inside simulate() must agree exactly with
+    # the public acceptance probability for every family
+    psi = psi_share * (1.0 - theta)
+    assert _accept_fn(policy)(theta, psi) == accept_prob(policy, theta, psi)
 
 
 def test_make_initial_validates_fractions():

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,50 @@ def test_config_errors(tmp_path, mangle, match):
     cfg.write_text(mangle(CONFIG_TEXT.format(out=tmp_path / "out")))
     with pytest.raises(ConfigError):
         load_experiment(cfg)
+
+
+# a single point (no sweep) whose [ode] section leaves horizon unset
+ODE_WITHOUT_HORIZON = (
+    CONFIG_TEXT[: CONFIG_TEXT.index("[sweep]")] + "[ode]\nrtol = 1e-12\natol = 1e-13\n"
+)
+
+
+def test_ode_section_without_horizon_keeps_default(tmp_path):
+    exp = load_experiment(write_config(tmp_path, ODE_WITHOUT_HORIZON))
+    assert exp.ode.horizon is None
+    assert exp.ode.atol == 1e-13
+
+
+def test_cli_run_ode_section_without_horizon(tmp_path):
+    assert cli_main(["run", str(write_config(tmp_path, ODE_WITHOUT_HORIZON))]) == 0
+    assert (tmp_path / "out" / "summary_demo.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,bad",
+    [
+        ("mc", "n0", "4e4"),
+        ("mc", "max_steps", "4e4"),
+        ("mc", "replications", "2.0"),
+        ("mc", "seed", "seven"),
+        ("mc", "stride", "1e3"),
+        ("mc", "tail_fraction", "fifth"),
+        ("ode", "horizon", "1e4s"),
+        ("ode", "rtol", "tight"),
+        ("ode", "atol", "1e-14x"),
+        ("ode", "eta0", "one"),
+        ("experiment", "theta0", "0.1.2"),
+        ("experiment", "psi0", "low"),
+    ],
+)
+def test_bad_numeric_key_is_config_error(tmp_path, capsys, section, key, bad):
+    line = f"{key} = {bad}"
+    text, replaced = re.subn(rf"^{key} = .*$", line, CONFIG_TEXT + "\n[ode]\n", flags=re.M)
+    cfg = write_config(tmp_path, text if replaced else text + line + "\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+        load_experiment(cfg)
+    assert cli_main(["run", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_ess_layer_requires_costs(tmp_path):
