@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateState, FrozenTrajectory
+from .errors import DegenerateState, DomainError, FrozenTrajectory, InvalidParams
 from .params import ModelParams
 from .policy import Family, Policy, accept_prob
 
@@ -80,9 +80,9 @@ class PopState:
 
     def __post_init__(self) -> None:
         if self.n_susc + self.n_inf + self.n_vacc != self.n_total:
-            raise ValueError("S + I + V must equal N")
+            raise InvalidParams("S + I + V must equal N")
         if min(self.n_total, self.n_susc, self.n_inf, self.n_vacc) < 0:
-            raise ValueError("counts must be non-negative")
+            raise InvalidParams("counts must be non-negative")
 
     def fractions(self) -> "FractionState":
         eta = self.n_total / self.step if self.step >= 1 else float(self.n_total)
@@ -96,7 +96,7 @@ class PopState:
 def make_initial(n0: int, theta0: float, psi0: float) -> PopState:
     """Round fractional targets to integer counts summing to n0."""
     if theta0 < 0 or psi0 < 0 or theta0 + psi0 > 1:
-        raise ValueError("initial fractions must lie in the simplex")
+        raise DomainError("initial fractions must lie in the simplex")
     n_inf = round(n0 * theta0)
     n_vacc = round(n0 * psi0)
     n_susc = n0 - n_inf - n_vacc
@@ -268,11 +268,13 @@ def simulate(
     gen = _as_rng(rng)
     n0 = initial.n_total
     if n0 < 2:
-        raise ValueError("initial population must have at least 2 individuals")
+        raise InvalidParams("initial population must have at least 2 individuals")
     if delta is None:
         delta = 2.0 / (n0 - 1)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InvalidParams("delta must be positive")
+    if stride < 1:
+        raise InvalidParams("stride must be at least 1")
 
     lam, r, nu, b, d, de = (
         params.lam,
@@ -423,7 +425,7 @@ class LimitEstimate:
 def estimate_limit(traj: Trajectory, tail_fraction: float = 0.2) -> LimitEstimate:
     """Component-wise mean over the final tail_fraction of recorded samples."""
     if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1)")
+        raise InvalidParams("tail_fraction must lie in (0, 1)")
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     if traj.frozen:

@@ -38,17 +38,36 @@ One experiment per file, INI-style section blocks:
     replications = 3
     seed = 20260809
 
+Accepted keys; any other key, or any other section, is a ConfigError:
+
+    [experiment]  id, layers, output_dir, theta0, psi0
+    [params]      lambda, r, nu, b, d, d_e (all required)
+    [policy]      family (required), beta, gamma, theta_variant, q, base, p,
+                  eps; VFC2 requires gamma, STATIC reads q, MUTANT reads
+                  base, p and eps and hands beta, gamma and q to its base
+    [costs]       c_v1, c_v2, c_v2_bar, c_I1 (required), c_I2 (default 0)
+    [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma),
+                  values (required)
+    [mc]          n0, max_steps, replications, seed, stride, tail_fraction
+    [ode]         horizon, rtol, atol, eta0
+
+Layers are closed_form, ode, monte_carlo, ess and stability.  Values the
+model does not admit (b <= d + d_e, a negative beta or cost, ...) are
+ConfigErrors as well.
+
 Grid syntax: ``a:b:step`` expands to a, a+step, ... up to b inclusive
-(within rounding); a comma list is taken verbatim.
+(within rounding; finite, at most a million steps); a comma list is taken
+verbatim and must not be empty.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, InvalidParams
 from .ess import CostParams
 from .harness import Experiment, Layer, McSettings, OdeSettings, SweepSpec
 from .params import ModelParams
@@ -87,6 +106,17 @@ _ODE_KEYS = {
     "eta0": _parse_float,
 }
 _START_KEYS = {"theta0": _parse_float, "psi0": _parse_float}
+#: the sections and the keys each accepts; anything else is a ConfigError
+_SECTION_KEYS = {
+    "experiment": ("id", "layers", "output_dir", *_START_KEYS),
+    "params": _PARAM_KEYS,
+    "policy": ("family", "beta", "gamma", "theta_variant", "q", "base", "p", "eps"),
+    "costs": ("c_v1", "c_v2", "c_v2_bar", "c_I1", "c_I2"),
+    "sweep": ("variable", "values"),
+    "mc": _MC_KEYS,
+    "ode": _ODE_KEYS,
+}
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_keys(parser, section, parsers) -> dict:
@@ -103,9 +133,16 @@ def parse_grid(raw: str) -> list[float]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {raw!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        try:
+            start, stop, step = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError(f"could not parse grid {raw!r}") from exc
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(f"grid {raw!r} must be finite")
         if step <= 0 or stop < start:
             raise ConfigError(f"grid {raw!r} must increase")
+        if (stop - start) / step > _MAX_GRID_POINTS:
+            raise ConfigError(f"grid {raw!r} has more than {_MAX_GRID_POINTS} steps")
         values = []
         k = 0
         while True:
@@ -116,9 +153,12 @@ def parse_grid(raw: str) -> list[float]:
             k += 1
         return values
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"could not parse grid {raw!r}") from exc
+    if not values:
+        raise ConfigError("grid has no values")
+    return values
 
 
 def _parse_policy(section: dict[str, str]) -> Policy:
@@ -179,8 +219,17 @@ def _parse_costs(section: dict[str, str], params: ModelParams) -> CostParams:
 
 
 def load_experiment(path) -> Experiment:
-    """Parse a config file into an Experiment; raise ConfigError on problems."""
-    path = Path(path)
+    """Parse a config file into an Experiment; raise ConfigError on problems.
+
+    Inadmissible parameter, policy or cost values are ConfigErrors too.
+    """
+    try:
+        return _load_experiment(Path(path))
+    except (InvalidParams, DomainError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_experiment(path: Path) -> Experiment:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -189,6 +238,12 @@ def load_experiment(path) -> Experiment:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = [k for k in parser[section] if k not in _SECTION_KEYS[section]]
+        if unknown:
+            raise ConfigError(f"[{section}] unknown keys: {', '.join(unknown)}")
 
     if "params" not in parser:
         raise ConfigError("[params] section is required")
@@ -196,9 +251,6 @@ def load_experiment(path) -> Experiment:
     missing = [k for k in _PARAM_KEYS if k not in raw_params]
     if missing:
         raise ConfigError(f"[params] missing keys: {', '.join(missing)}")
-    unknown = [k for k in raw_params if k not in _PARAM_KEYS]
-    if unknown:
-        raise ConfigError(f"[params] unknown keys: {', '.join(unknown)}")
     params = ModelParams(
         lam=_parse_float("params", "lambda", raw_params["lambda"]),
         r=_parse_float("params", "r", raw_params["r"]),

@@ -47,7 +47,7 @@ from .attractor import (
     coexistence_point,
     deadly_coexistence_exact,
 )
-from .errors import ComplexRoot, EquilibriumNotFound, RegimeMismatch
+from .errors import ComplexRoot, EquilibriumNotFound, InvalidParams, RegimeMismatch
 from .ode import OdeState, find_equilibrium
 from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_prob, mutant, propensity
@@ -66,7 +66,7 @@ class CostParams:
     def __post_init__(self) -> None:
         for name in ("c_v1", "c_v2", "c_v2_bar", "c_I1", "c_I2"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise InvalidParams(f"{name} must be non-negative")
 
     @property
     def indifference_tol(self) -> float:
@@ -206,7 +206,7 @@ def classify_ess(
     yields Marginal.  Deadly verdicts are conjectured.
     """
     if family not in (Family.FC, Family.FR, Family.VFC1):
-        raise ValueError(f"ESS classification covers FC/FR/VFC1, got {family}")
+        raise RegimeMismatch(f"ESS classification covers FC/FR/VFC1, got {family}")
     ratios = derive_ratios(params)
     rho, mu = ratios.rho, ratios.mu
     deadly = params.d_e > 0.0

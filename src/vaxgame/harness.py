@@ -14,12 +14,14 @@ sweep point:
 Sweep points run independently (optionally in parallel processes); each
 Monte-Carlo replication draws its generator from the master seed and its
 (point, replication) index, so reruns with the same config and seed produce
-byte-identical summary files regardless of scheduling.  Floats are printed
-with 17 significant digits.
+byte-identical summary files regardless of scheduling.  Rows keep the
+sweep's point order, the order in which the per-point trajectory and ODE
+files are numbered.  Floats are printed with 17 significant digits.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import math
@@ -27,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -166,14 +169,14 @@ class McResult:
     error: Optional[str] = None
 
     @property
-    def theta_mean(self) -> float:
-        live = [r.theta for r in self.reps if not r.frozen]
-        return float(np.mean(live)) if live else math.nan
+    def live(self) -> tuple[McRep, ...]:
+        """The replications that did not freeze."""
+        return tuple(r for r in self.reps if not r.frozen)
 
-    @property
-    def psi_mean(self) -> float:
-        live = [r.psi for r in self.reps if not r.frozen]
-        return float(np.mean(live)) if live else math.nan
+    def mean(self, field: str) -> float:
+        """Mean of one McRep field over the live replications; NaN if none."""
+        values = [getattr(r, field) for r in self.live]
+        return float(np.mean(values)) if values else math.nan
 
     @property
     def any_frozen(self) -> bool:
@@ -196,6 +199,8 @@ class StabilityResult:
 class RunRecord:
     sweep_variable: Optional[str]
     sweep_value: Optional[float]
+    params: Optional[ModelParams] = None  # after the sweep value is applied
+    policy: Optional[Policy] = None
     cf: ClosedFormResult = ClosedFormResult()
     ode_res: OdeResult = OdeResult()
     mc_res: McResult = McResult()
@@ -210,13 +215,17 @@ class RunRecord:
 # --------------------------------------------------------------------------
 
 
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_closed_form(params: ModelParams, policy: Policy) -> ClosedFormResult:
     try:
         if policy.family is Family.VFC2:
             return ClosedFormResult(limit_set=vfc2_limit_set(params, policy.gamma))
         return ClosedFormResult(attractor=closed_form(params, policy))
     except VaxGameError as exc:
-        return ClosedFormResult(error=f"{type(exc).__name__}: {exc}")
+        return ClosedFormResult(error=_describe(exc))
 
 
 def _run_ode(
@@ -258,7 +267,7 @@ def _run_ode(
             crossings=crossings,
         )
     except VaxGameError as exc:
-        return OdeResult(error=f"{type(exc).__name__}: {exc}")
+        return OdeResult(error=_describe(exc))
 
 
 def _run_mc(
@@ -313,7 +322,7 @@ def _run_mc(
             )
         return McResult(reps=tuple(reps))
     except VaxGameError as exc:
-        return McResult(reps=tuple(reps), error=f"{type(exc).__name__}: {exc}")
+        return McResult(reps=tuple(reps), error=_describe(exc))
 
 
 def _run_ess(params: ModelParams, policy: Policy, costs: CostParams) -> EssResult:
@@ -324,8 +333,8 @@ def _run_ess(params: ModelParams, policy: Policy, costs: CostParams) -> EssResul
             else policy.family
         )
         return EssResult(verdict=classify_ess(base_family, params, costs))
-    except (VaxGameError, ValueError) as exc:
-        return EssResult(error=f"{type(exc).__name__}: {exc}")
+    except VaxGameError as exc:
+        return EssResult(error=_describe(exc))
 
 
 def _run_stability(
@@ -338,7 +347,7 @@ def _run_stability(
             certificate=certify_stability(cf.attractor, params, policy)
         )
     except VaxGameError as exc:
-        return StabilityResult(error=f"{type(exc).__name__}: {exc}")
+        return StabilityResult(error=_describe(exc))
 
 
 def cross_validate(
@@ -353,9 +362,7 @@ def cross_validate(
     cf = record.cf
     is_limit = cf.limit_set is not None
 
-    if cf.point is None or record.ode_res.error is not None or math.isnan(
-        record.ode_res.theta
-    ):
+    if cf.point is None or math.isnan(record.ode_res.theta):  # NaN also on an ODE error
         verdicts["ode_vs_closed_form"] = "not-comparable"
     elif is_limit:
         ok = (
@@ -370,10 +377,8 @@ def cross_validate(
             "agree" if max(d_theta, d_psi) <= tol_ode else "disagree"
         )
 
-    live = [r for r in record.mc_res.reps if not r.frozen]
-    if cf.point is None or record.mc_res.error is not None or not record.mc_res.reps:
-        verdicts["mc_vs_closed_form"] = "not-comparable"
-    elif not live:
+    live = record.mc_res.live
+    if cf.point is None or record.mc_res.error is not None or not live:
         verdicts["mc_vs_closed_form"] = "not-comparable"
     elif is_limit:
         ok = all(
@@ -411,7 +416,10 @@ def run_point(
 
     out_dir = exp.output_dir if write_files else None
     record = RunRecord(
-        sweep_variable=exp.sweep.variable if exp.sweep else None, sweep_value=value
+        sweep_variable=exp.sweep.variable if exp.sweep else None,
+        sweep_value=value,
+        params=params,
+        policy=policy,
     )
 
     if Layer.CLOSED_FORM in exp.layers or Layer.STABILITY in exp.layers:
@@ -433,11 +441,6 @@ def run_point(
     return record
 
 
-def _point_worker(args) -> RunRecord:
-    exp, value, index, master_seed, write_files = args
-    return run_point(exp, value, index, master_seed, write_files)
-
-
 def run(
     exp: Experiment,
     threads: int = 1,
@@ -446,21 +449,17 @@ def run(
 ) -> list[RunRecord]:
     """Execute every enabled layer at every sweep point; write CSV outputs."""
     seed = master_seed if master_seed is not None else exp.mc.seed
-    values: list[Optional[float]] = (
-        list(exp.sweep.values) if exp.sweep is not None else [None]
-    )
+    values = list(exp.sweep.values) if exp.sweep is not None else [None]
     if write_files:
         exp.output_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(exp, v, i, seed, write_files) for i, v in enumerate(values)]
-    if threads > 1 and len(jobs) > 1:
+    point = partial(run_point, exp, master_seed=seed, write_files=write_files)
+    indices = range(len(values))
+    if threads > 1 and len(values) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_point_worker, jobs))
+            records = list(pool.map(point, values, indices))
     else:
-        records = [_point_worker(job) for job in jobs]
-
-    order = np.argsort([r.sweep_value if r.sweep_value is not None else 0.0 for r in records])
-    records = [records[i] for i in order]
+        records = list(map(point, values, indices))
 
     if write_files:
         write_summary_csv(records, exp.output_dir / f"summary_{exp.id}.csv")
@@ -468,52 +467,116 @@ def run(
 
 
 # --------------------------------------------------------------------------
-# CSV output
+# CSV output: each file is one table of (column, getter) pairs
 # --------------------------------------------------------------------------
 
-SUMMARY_COLUMNS = [
-    "sweep_var",
-    "sweep_value",
-    "cf_row",
-    "cf_kind",
-    "cf_theta",
-    "cf_psi",
-    "cf_eta",
-    "cf_clamp_active",
-    "cf_conjectured",
-    "cf_error",
-    "ode_theta",
-    "ode_psi",
-    "ode_eta",
-    "ode_settled",
-    "ode_tail_theta",
-    "ode_tail_psi",
-    "ode_crossings",
-    "ode_error",
-    "mc_theta_mean",
-    "mc_psi_mean",
-    "mc_theta_sd",
-    "mc_psi_sd",
-    "mc_crossings_min",
-    "mc_frozen_any",
-    "mc_reps",
-    "mc_error",
-    "ess_verdict",
-    "ess_theta",
-    "ess_psi",
-    "ess_h",
-    "ess_h_m",
-    "ess_beta_star",
-    "ess_conjectured",
-    "ess_error",
-    "stab_eig_max_real",
-    "stab_lyap_fraction",
-    "stab_pass",
-    "stab_marginal",
-    "stab_error",
-    "ode_vs_closed_form",
-    "mc_vs_closed_form",
-]
+
+def _path(dotted: str):
+    """Getter for ``record.<dotted>``; None as soon as a link on the way is None."""
+    names = dotted.split(".")
+
+    def get(record):
+        value = record
+        for name in names:
+            value = getattr(value, name)
+            if value is None:
+                return None
+        return value
+
+    return get
+
+
+def _coordinate(dotted: str, i: int):
+    """Coordinate ``i`` of the (theta, psi) pair at ``record.<dotted>``, if any."""
+    get = _path(dotted)
+    return lambda r: None if get(r) is None else get(r)[i]
+
+
+def _cf_label(attr: str, limit_set_label: str):
+    """An Attractor label, or ``limit_set_label`` for the VFC2 limit set."""
+    get = _path(f"cf.attractor.{attr}")
+    return lambda r: limit_set_label if r.cf.limit_set is not None else get(r)
+
+
+def _mc_crossings_min(record):
+    crossings = [r.crossings for r in record.mc_res.live if r.crossings is not None]
+    return min(crossings, default=None)
+
+
+_SUMMARY_FIELDS = (
+    ("sweep_var", _path("sweep_variable")),
+    ("sweep_value", _path("sweep_value")),
+    ("cf_row", _cf_label("table_row", "vfc2/limit-set")),
+    ("cf_kind", _cf_label("kind.value", AttractorKind.LIMIT_SET.value)),
+    ("cf_theta", _coordinate("cf.point", 0)),
+    ("cf_psi", _coordinate("cf.point", 1)),
+    ("cf_eta", _path("cf.attractor.eta_hat")),
+    ("cf_clamp_active", _path("cf.attractor.clamp_active")),
+    ("cf_conjectured", _path("cf.attractor.conjectured")),
+    ("cf_error", _path("cf.error")),
+    ("ode_theta", _path("ode_res.theta")),
+    ("ode_psi", _path("ode_res.psi")),
+    ("ode_eta", _path("ode_res.eta")),
+    ("ode_settled", lambda r: r.ode_res.settled if r.ode_res.error is None else None),
+    ("ode_tail_theta", _path("ode_res.tail_theta")),
+    ("ode_tail_psi", _path("ode_res.tail_psi")),
+    ("ode_crossings", _path("ode_res.crossings")),
+    ("ode_error", _path("ode_res.error")),
+    ("mc_theta_mean", lambda r: r.mc_res.mean("theta")),
+    ("mc_psi_mean", lambda r: r.mc_res.mean("psi")),
+    ("mc_theta_sd", lambda r: r.mc_res.mean("theta_sd")),
+    ("mc_psi_sd", lambda r: r.mc_res.mean("psi_sd")),
+    ("mc_crossings_min", _mc_crossings_min),
+    ("mc_frozen_any", lambda r: r.mc_res.any_frozen if r.mc_res.reps else None),
+    ("mc_reps", lambda r: len(r.mc_res.reps) or None),
+    ("mc_error", _path("mc_res.error")),
+    ("ess_verdict", _path("ess_res.verdict.kind.value")),
+    ("ess_theta", _coordinate("ess_res.verdict.equilibrium", 0)),
+    ("ess_psi", _coordinate("ess_res.verdict.equilibrium", 1)),
+    ("ess_h", _path("ess_res.verdict.h_value")),
+    ("ess_h_m", _path("ess_res.verdict.h_m")),
+    ("ess_beta_star", _path("ess_res.verdict.beta_star_threshold")),
+    ("ess_conjectured", _path("ess_res.verdict.conjectured")),
+    ("ess_error", _path("ess_res.error")),
+    ("stab_eig_max_real", _path("stab_res.certificate.eigen_max_real")),
+    ("stab_lyap_fraction", _path("stab_res.certificate.lyapunov_pass_fraction")),
+    ("stab_pass", _path("stab_res.certificate.passed")),
+    ("stab_marginal", _path("stab_res.certificate.marginal")),
+    ("stab_error", _path("stab_res.error")),
+    ("ode_vs_closed_form", lambda r: r.cross.get("ode_vs_closed_form")),
+    ("mc_vs_closed_form", lambda r: r.cross.get("mc_vs_closed_form")),
+)
+
+_ATLAS_FIELDS = (
+    ("family", _path("policy.family.value")),
+    ("lambda", _path("params.lam")),
+    ("r", _path("params.r")),
+    ("nu", _path("params.nu")),
+    ("b", _path("params.b")),
+    ("d", _path("params.d")),
+    ("d_e", _path("params.d_e")),
+    ("beta", _path("policy.beta")),
+    ("regime_row", lambda r: r.cf.attractor.table_row if r.cf.attractor else r.cf.error),
+    ("theta_hat", _path("cf.attractor.theta_hat")),
+    ("psi_hat", _path("cf.attractor.psi_hat")),
+    ("kind", _path("cf.attractor.kind.value")),
+    ("conjectured", _path("cf.attractor.conjectured")),
+    ("eigen_max_real", _path("stab_res.certificate.eigen_max_real")),
+)
+
+_ESS_FIELDS = (
+    ("sweep_var", _path("sweep_variable")),
+    ("value", _path("sweep_value")),
+    ("verdict", lambda r: r.ess_res.verdict.kind.value if r.ess_res.verdict else r.ess_res.error),
+    ("theta_star", _coordinate("ess_res.verdict.equilibrium", 0)),
+    ("psi_star", _coordinate("ess_res.verdict.equilibrium", 1)),
+    ("h", _path("ess_res.verdict.h_value")),
+    ("beta_star_threshold", _path("ess_res.verdict.beta_star_threshold")),
+)
+
+SUMMARY_COLUMNS = [name for name, _ in _SUMMARY_FIELDS]
+ATLAS_COLUMNS = [name for name, _ in _ATLAS_FIELDS]
+ESS_COLUMNS = [name for name, _ in _ESS_FIELDS]
 
 
 def _fmt(value) -> str:
@@ -528,89 +591,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(record: RunRecord) -> list[str]:
-    cf, od, mc, es, st = (
-        record.cf,
-        record.ode_res,
-        record.mc_res,
-        record.ess_res,
-        record.stab_res,
-    )
-    attractor = cf.attractor
-    limit = cf.limit_set
-    if attractor is not None:
-        cf_row, cf_kind = attractor.table_row, attractor.kind.value
-        cf_theta, cf_psi, cf_eta = (
-            attractor.theta_hat,
-            attractor.psi_hat,
-            attractor.eta_hat,
-        )
-        cf_clamp, cf_conj = attractor.clamp_active, attractor.conjectured
-    elif limit is not None:
-        cf_row, cf_kind = "vfc2/limit-set", AttractorKind.LIMIT_SET.value
-        cf_theta, cf_psi, cf_eta = limit.center_theta, limit.center_psi, math.nan
-        cf_clamp, cf_conj = None, None
-    else:
-        cf_row = cf_kind = None
-        cf_theta = cf_psi = cf_eta = math.nan
-        cf_clamp = cf_conj = None
-
-    live = [r for r in mc.reps if not r.frozen]
-    mc_crossings = [r.crossings for r in live if r.crossings is not None]
-    verdict = es.verdict
-    cert = st.certificate
-
-    values = [
-        record.sweep_variable,
-        record.sweep_value,
-        cf_row,
-        cf_kind,
-        cf_theta,
-        cf_psi,
-        cf_eta,
-        cf_clamp,
-        cf_conj,
-        cf.error,
-        od.theta,
-        od.psi,
-        od.eta,
-        od.settled if od.error is None else None,
-        od.tail_theta,
-        od.tail_psi,
-        od.crossings,
-        od.error,
-        mc.theta_mean,
-        mc.psi_mean,
-        float(np.mean([r.theta_sd for r in live])) if live else math.nan,
-        float(np.mean([r.psi_sd for r in live])) if live else math.nan,
-        min(mc_crossings) if mc_crossings else None,
-        mc.any_frozen if mc.reps else None,
-        len(mc.reps) if mc.reps else None,
-        mc.error,
-        verdict.kind.value if verdict else None,
-        verdict.equilibrium[0] if verdict else math.nan,
-        verdict.equilibrium[1] if verdict else math.nan,
-        verdict.h_value if verdict else math.nan,
-        verdict.h_m if verdict else None,
-        verdict.beta_star_threshold if verdict else None,
-        verdict.conjectured if verdict else None,
-        es.error,
-        cert.eigen_max_real if cert else math.nan,
-        cert.lyapunov_pass_fraction if cert else math.nan,
-        cert.passed if cert else None,
-        cert.marginal if cert else None,
-        st.error,
-        record.cross.get("ode_vs_closed_form"),
-        record.cross.get("mc_vs_closed_form"),
-    ]
-    return [_fmt(v) for v in values]
+def _write_csv(path, fields, records: list[RunRecord]) -> None:
+    """One row per record; a cell holding a comma (an error message) is quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(name for name, _ in fields)
+        writer.writerows([_fmt(get(record)) for _, get in fields] for record in records)
 
 
 def write_summary_csv(records: list[RunRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for record in records:
-            fh.write(",".join(_record_row(record)) + "\n")
+    _write_csv(path, _SUMMARY_FIELDS, records)
+
+
+def write_atlas_csv(records: list[RunRecord], path) -> None:
+    _write_csv(path, _ATLAS_FIELDS, records)
+
+
+def write_ess_csv(records: list[RunRecord], path) -> None:
+    _write_csv(path, _ESS_FIELDS, records)
 
 
 def write_manifest(exp: Experiment, config_path, master_seed: int, threads: int, path) -> None:
@@ -622,79 +620,3 @@ def write_manifest(exp: Experiment, config_path, master_seed: int, threads: int,
         fh.write(f"threads: {threads}\n")
         fh.write(f"package_version: {__version__}\n")
         fh.write(f"summary_columns: {','.join(SUMMARY_COLUMNS)}\n")
-
-
-ATLAS_COLUMNS = [
-    "family",
-    "lambda",
-    "r",
-    "nu",
-    "b",
-    "d",
-    "d_e",
-    "beta",
-    "regime_row",
-    "theta_hat",
-    "psi_hat",
-    "kind",
-    "conjectured",
-    "eigen_max_real",
-]
-
-
-def write_atlas_csv(exp: Experiment, records: list[RunRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(ATLAS_COLUMNS) + "\n")
-        for record in records:
-            params, policy = exp.params, exp.policy
-            if exp.sweep is not None and record.sweep_value is not None:
-                params, policy = apply_sweep(
-                    params, policy, exp.sweep.variable, record.sweep_value
-                )
-            attractor = record.cf.attractor
-            cert = record.stab_res.certificate
-            row = [
-                policy.family.value,
-                params.lam,
-                params.r,
-                params.nu,
-                params.b,
-                params.d,
-                params.d_e,
-                policy.beta,
-                attractor.table_row if attractor else record.cf.error,
-                attractor.theta_hat if attractor else math.nan,
-                attractor.psi_hat if attractor else math.nan,
-                attractor.kind.value if attractor else None,
-                attractor.conjectured if attractor else None,
-                cert.eigen_max_real if cert else math.nan,
-            ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-ESS_COLUMNS = [
-    "sweep_var",
-    "value",
-    "verdict",
-    "theta_star",
-    "psi_star",
-    "h",
-    "beta_star_threshold",
-]
-
-
-def write_ess_csv(records: list[RunRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(ESS_COLUMNS) + "\n")
-        for record in records:
-            verdict = record.ess_res.verdict
-            row = [
-                record.sweep_variable,
-                record.sweep_value,
-                verdict.kind.value if verdict else record.ess_res.error,
-                verdict.equilibrium[0] if verdict else math.nan,
-                verdict.equilibrium[1] if verdict else math.nan,
-                verdict.h_value if verdict else math.nan,
-                verdict.beta_star_threshold if verdict else None,
-            ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateState, IndicatorNonstationary, StepFailure
+from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
 from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_prob
 
@@ -148,7 +148,7 @@ def integrate(
     across them.
     """
     if horizon <= 0:
-        raise ValueError("horizon must be positive")
+        raise InvalidParams("horizon must be positive")
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)

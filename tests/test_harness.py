@@ -1,7 +1,10 @@
+import csv
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vaxgame import Family, Layer
 from vaxgame.cli import main as cli_main
@@ -50,6 +53,30 @@ tail_fraction = 0.2
 """
 
 
+SUMMARY_HEADER = (
+    "sweep_var,sweep_value,cf_row,cf_kind,cf_theta,cf_psi,cf_eta,cf_clamp_active,"
+    "cf_conjectured,cf_error,ode_theta,ode_psi,ode_eta,ode_settled,ode_tail_theta,"
+    "ode_tail_psi,ode_crossings,ode_error,mc_theta_mean,mc_psi_mean,mc_theta_sd,"
+    "mc_psi_sd,mc_crossings_min,mc_frozen_any,mc_reps,mc_error,ess_verdict,ess_theta,"
+    "ess_psi,ess_h,ess_h_m,ess_beta_star,ess_conjectured,ess_error,stab_eig_max_real,"
+    "stab_lyap_fraction,stab_pass,stab_marginal,stab_error,ode_vs_closed_form,"
+    "mc_vs_closed_form"
+)
+ATLAS_HEADER = (
+    "family,lambda,r,nu,b,d,d_e,beta,regime_row,theta_hat,psi_hat,kind,conjectured,"
+    "eigen_max_real"
+)
+ESS_HEADER = "sweep_var,value,verdict,theta_star,psi_star,h,beta_star_threshold"
+
+
+def read_rows(path: Path) -> list[dict]:
+    """CSV rows as dicts; a row with more cells than the header fails."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(None not in row for row in rows)
+    return rows
+
+
 def write_config(tmp_path: Path, text: str | None = None) -> Path:
     cfg = tmp_path / "exp.cfg"
     cfg.write_text((text or CONFIG_TEXT).format(out=tmp_path / "out"))
@@ -71,10 +98,42 @@ def test_config_round_trip(tmp_path):
 def test_grid_syntax():
     assert parse_grid("1, 2.5, 4") == [1.0, 2.5, 4.0]
     assert parse_grid("0.5:2.0:0.5") == pytest.approx([0.5, 1.0, 1.5, 2.0])
+    for bad in ("2:1:0.5", "a, b", "0:inf:1", "nan:1:1", "0:1:0", "0:1:1e-300", " , "):
+        with pytest.raises(ConfigError):
+            parse_grid(bad)
+
+
+_GRID_SCALE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(start=_GRID_SCALE, step=st.floats(1e-3, 1e3), span=st.floats(0.0, 200.0))
+def test_grid_range_property(start, step, span):
+    stop = start + span * step
+    values = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+    assert values[0] == start
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] <= stop + 1e-12 * max(1.0, abs(stop))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+def test_grid_comma_list_round_trips(values):
+    assert parse_grid(", ".join(repr(v) for v in values)) == values
+
+
+_NUMBERS = st.lists(_GRID_SCALE.map(repr), max_size=3)
+
+
+@given(
+    before=_NUMBERS,
+    junk=st.sampled_from(["x", "1.2.3", "--1", "e5", "0x10", "one"]),
+    after=_NUMBERS,
+    sep=st.sampled_from([",", ":"]),
+)
+@example(before=[], junk="x", after=["2", "0.5"], sep=":")
+def test_grid_malformed_is_config_error(before, junk, after, sep):
+    # a token float() rejects, or a wrong number of range parts
     with pytest.raises(ConfigError):
-        parse_grid("2:1:0.5")
-    with pytest.raises(ConfigError):
-        parse_grid("a, b")
+        parse_grid(sep.join([*before, junk, *after]))
 
 
 @pytest.mark.parametrize(
@@ -97,6 +156,85 @@ def test_config_errors(tmp_path, mangle, match):
 ODE_WITHOUT_HORIZON = (
     CONFIG_TEXT[: CONFIG_TEXT.index("[sweep]")] + "[ode]\nrtol = 1e-12\natol = 1e-13\n"
 )
+
+
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("experiment", "theta_0 = 0.1"),
+        ("params", "lamda = 8.5"),
+        ("policy", "gama = 0.2"),
+        ("costs", "c_v3 = 1"),
+        ("sweep", "value = 1"),
+        ("mc", "replication = 10"),
+        ("ode", "horizn = 50"),
+    ],
+)
+def test_unknown_key_is_config_error(tmp_path, section, line):
+    text = CONFIG_TEXT + "\n[ode]\nhorizon = 50\n"
+    cfg = write_config(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    with pytest.raises(ConfigError, match=rf"\[{section}\] unknown keys: {line.split()[0]}"):
+        load_experiment(cfg)
+
+
+def test_unknown_section_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, CONFIG_TEXT.replace("[mc]", "[mcc]"))
+    with pytest.raises(ConfigError, match=r"unknown section \[mcc\]"):
+        load_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("c_v1 = 2.88", "c_v1 = -1"),
+        ("b = 0.322", "b = 0.05"),
+        ("beta = 0.5", "beta = -0.5"),
+        ("values = 0.5, 1.0, 3.0", "values = x:2:0.5"),
+    ],
+)
+def test_inadmissible_value_exits_2(tmp_path, capsys, old, new):
+    assert old in CONFIG_TEXT
+    cfg = write_config(tmp_path, CONFIG_TEXT.replace(old, new))
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+# one point, all three sampling layers, a short chain
+ONE_POINT = (
+    CONFIG_TEXT[: CONFIG_TEXT.index("[sweep]")]
+    + CONFIG_TEXT[CONFIG_TEXT.index("[mc]") :].replace("max_steps = 40000", "max_steps = 2000")
+    + "\n[ode]\nhorizon = 50\n"
+).replace("layers = closed_form, ode", "layers = closed_form, ode, monte_carlo")
+
+
+@pytest.mark.parametrize(
+    "old,new,column,error",
+    [
+        ("n0 = 1500", "n0 = 1", "mc_error", "InvalidParams: initial population must have"),
+        ("theta0 = 0.21", "theta0 = 1.5", "mc_error", "DomainError: initial fractions"),
+        ("tail_fraction = 0.2", "tail_fraction = 1.5", "mc_error",
+         "InvalidParams: tail_fraction must lie in (0, 1)"),
+        ("stride = 200", "stride = 0", "mc_error", "InvalidParams: stride must be"),
+        ("horizon = 50", "horizon = -1", "ode_error", "InvalidParams: horizon must be positive"),
+    ],
+)
+def test_bad_layer_input_is_recorded(tmp_path, old, new, column, error):
+    assert old in ONE_POINT
+    assert cli_main(["run", str(write_config(tmp_path, ONE_POINT.replace(old, new)))]) == 0
+    (row,) = read_rows(tmp_path / "out" / "summary_demo.csv")
+    assert row[column].startswith(error)
+    assert row["cf_error"] == ""
+
+
+def test_rows_keep_point_order(tmp_path):
+    text = CONFIG_TEXT.replace("values = 0.5, 1.0, 3.0", "values = 3.0, 0.5")
+    assert cli_main(["run", str(write_config(tmp_path, text))]) == 0
+    out = tmp_path / "out"
+    rows = read_rows(out / "summary_demo.csv")
+    assert [row["sweep_value"] for row in rows] == ["3", "0.5"]
+    for k, row in enumerate(rows):
+        path = (out / f"ode_demo_p{k}.csv").read_text().splitlines()
+        assert row["ode_theta"] == path[-1].split(",")[1]
 
 
 def test_ode_section_without_horizon_keeps_default(tmp_path):
@@ -169,8 +307,7 @@ def test_run_sweep_cross_validates(tmp_path):
         assert record.cross["mc_vs_closed_form"] == "not-comparable"  # layer off
     summary = exp.output_dir / "summary_demo.csv"
     assert summary.exists()
-    header = summary.read_text().splitlines()[0]
-    assert header.startswith("sweep_var,sweep_value,cf_row,cf_kind")
+    assert summary.read_text().splitlines()[0] == SUMMARY_HEADER
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -238,15 +375,16 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     assert (out / "manifest_demo.txt").exists()
     manifest = (out / "manifest_demo.txt").read_text()
     assert "config_sha256:" in manifest and "master_seed:" in manifest
+    assert f"\nsummary_columns: {SUMMARY_HEADER}\n" in manifest
 
     assert cli_main(["atlas", str(cfg)]) == 0
     atlas = (out / "atlas_demo.csv").read_text().splitlines()
-    assert atlas[0].startswith("family,lambda,r,nu,b,d,d_e,beta,regime_row")
+    assert atlas[0] == ATLAS_HEADER
     assert len(atlas) == 4
 
     assert cli_main(["ess", str(cfg)]) == 0
     ess_rows = (out / "ess_demo.csv").read_text().splitlines()
-    assert ess_rows[0] == "sweep_var,value,verdict,theta_star,psi_star,h,beta_star_threshold"
+    assert ess_rows[0] == ESS_HEADER
 
     # a single fast-converging point validates clean (exit code 0)
     single = CONFIG_TEXT[: CONFIG_TEXT.index("[sweep]")] + CONFIG_TEXT[CONFIG_TEXT.index("[mc]") :]
