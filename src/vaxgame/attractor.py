@@ -62,9 +62,9 @@ from .errors import (
     NoCoexistence,
     RegimeMismatch,
 )
-from .ode import OdeState, _fd_jacobian, _g, varrho
+from .ode import OdeState, _fd_jacobian, field, varrho
 from .params import ModelParams, Ratios, derive_ratios
-from .policy import Family, Policy, propensity
+from .policy import Family, Policy, propensity_fn
 
 #: Relative tolerance deciding that parameters sit on a regime boundary.
 REGIME_TOL = 1e-9
@@ -113,12 +113,6 @@ def _near(a: float, b: float, tol: float) -> bool:
 def _guard(value: float, pivot: float, tol: float, what: str) -> None:
     if _near(value, pivot, tol):
         raise MarginalRegime(f"{what}: {value!r} sits on the boundary {pivot!r}")
-
-
-def _clamp_policy_for_row(policy: Policy, beta_hat: float) -> Policy:
-    if policy.beta == beta_hat:
-        return policy
-    return replace(policy, beta=beta_hat)
 
 
 def coexistence_point(params: ModelParams) -> tuple[float, float]:
@@ -370,13 +364,13 @@ def _deadly_fr_interior_point(
 class _DeadlyFamily:
     """What distinguishes one family's deadly catalogue from another's.
 
-    ``propensity`` is the bare formula, not :func:`policy.propensity`: an
-    interior point off the simplex must reach ``_make`` and its
-    RegimeMismatch, not the policy's DomainError.
+    The interior row's clamp test reads the row policy's
+    :func:`policy.propensity_fn`, which is bare and unchecked: an interior
+    point off the simplex must reach ``_make`` and its RegimeMismatch, not
+    the DomainError of :func:`policy.propensity`.
     """
 
     interior_point: Callable[[ModelParams, Ratios, float], tuple[float, float]]
-    propensity: Callable[[float, float], float]  # raw q~ at (beta, psi)
     disease_free: Callable[[float, float], tuple[float, float]]  # (psi, q~) at (mu, beta)
     mid_band: bool  # the interior also covers mu*rho <= beta < rho^2*mu
 
@@ -384,13 +378,11 @@ class _DeadlyFamily:
 _DEADLY_FAMILIES = {
     Family.FC: _DeadlyFamily(
         interior_point=_deadly_fc_interior_point,
-        propensity=lambda beta, psi: beta * psi,
         disease_free=lambda mu, beta: (1.0 - mu / beta, beta - mu),
         mid_band=False,
     ),
     Family.FR: _DeadlyFamily(
         interior_point=_deadly_fr_interior_point,
-        propensity=lambda beta, psi: beta * psi * (1.0 - psi),
         disease_free=lambda mu, beta: (1.0 - math.sqrt(mu / beta), math.sqrt(mu * beta) - mu),
         mid_band=True,
     ),
@@ -417,18 +409,18 @@ def _deadly_saturated(params, ratios, tol) -> tuple[float, float, str, bool]:
     return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated", True
 
 
-def _deadly_interior_row(spec, params, ratios, beta, tol) -> tuple[float, float, str, bool]:
-    theta, psi = spec.interior_point(params, ratios, beta)
-    q_tilde = spec.propensity(beta, psi)
+def _deadly_interior_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, bool]:
+    theta, psi = spec.interior_point(params, ratios, policy.beta)
+    q_tilde = propensity_fn(policy)(theta, psi)
     _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
     if q_tilde < 1.0:
         return theta, psi, "interior", False
     return _deadly_saturated(params, ratios, tol)
 
 
-def _deadly_row(spec, params, ratios, beta, tol) -> tuple[float, float, str, bool]:
-    """Deadly (theta, psi, row, clamp) under one family's spec."""
-    rho, mu = ratios.rho, ratios.mu
+def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, bool]:
+    """Deadly (theta, psi, row, clamp) of the row policy under its family's spec."""
+    rho, mu, beta = ratios.rho, ratios.mu, policy.beta
     if rho > 1.0:
         _guard(beta, mu * rho, tol, "beta vs mu*rho")
         if beta < mu * rho:
@@ -436,11 +428,11 @@ def _deadly_row(spec, params, ratios, beta, tol) -> tuple[float, float, str, boo
             _guard(margin, 0.0, tol, "deadly nvdf transverse margin")
             if margin > 0.0:
                 return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf", False
-            return _deadly_interior_row(spec, params, ratios, beta, tol)
+            return _deadly_interior_row(spec, params, ratios, policy, tol)
         if spec.mid_band:
             _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
             if beta < rho * rho * mu:
-                return _deadly_interior_row(spec, params, ratios, beta, tol)
+                return _deadly_interior_row(spec, params, ratios, policy, tol)
     else:
         _guard(beta, mu, tol, "beta vs mu")
         if beta < mu:
@@ -469,7 +461,8 @@ def closed_form(
     conjectured (deadly) formula fails its field re-verification.
     """
     beta = policy.beta if beta_hat is None else beta_hat
-    policy = _clamp_policy_for_row(policy, beta)
+    if policy.beta != beta:
+        policy = replace(policy, beta=beta)
     ratios = derive_ratios(params, beta)
     _guard(ratios.rho, 1.0, tol, "rho vs 1")
 
@@ -486,7 +479,7 @@ def closed_form(
 
     if fam not in _DEADLY_FAMILIES:
         raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-    theta, psi, row, clamp = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, beta, tol)
+    theta, psi, row, clamp = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy, tol)
     attr = _make(
         theta, psi, params, _DEADLY_KINDS[row], f"{fam.value.lower()}-deadly/{row}", clamp,
         conjectured=True,
@@ -570,23 +563,24 @@ def verify_attractor(
     inward (one-sided slope < 0).
     """
     y = np.array([attr.theta_hat, attr.psi_hat, attr.eta_hat])
-    g = _g(y, params, policy, 0.0)
+    g = field(params, policy)
+    g_hat = g(y)
     h = 1e-8
     msgs = []
     for idx, name in ((0, "theta"), (1, "psi")):
         if y[idx] > 0.0:
-            if abs(g[idx]) > tol:
-                msgs.append(f"g_{name} = {g[idx]:.3e} at interior component")
+            if abs(g_hat[idx]) > tol:
+                msgs.append(f"g_{name} = {g_hat[idx]:.3e} at interior component")
         else:
-            if g[idx] != 0.0 and abs(g[idx]) > tol:
-                msgs.append(f"g_{name} = {g[idx]:.3e} on its zero face")
+            if g_hat[idx] != 0.0 and abs(g_hat[idx]) > tol:
+                msgs.append(f"g_{name} = {g_hat[idx]:.3e} on its zero face")
             probe = y.copy()
             probe[idx] = h
-            slope = _g(probe, params, policy, 0.0)[idx] / h
+            slope = g(probe)[idx] / h
             if slope >= 0.0:
                 msgs.append(f"transverse drift of {name} not inward: {slope:.3e}")
-    if abs(g[2]) > tol:
-        msgs.append(f"g_eta = {g[2]:.3e}")
+    if abs(g_hat[2]) > tol:
+        msgs.append(f"g_eta = {g_hat[2]:.3e}")
     return (not msgs, "; ".join(msgs) if msgs else "ok")
 
 
@@ -645,7 +639,8 @@ def certify_stability(
         raise RegimeMismatch("limit sets carry no point certificate")
     x_hat = np.array([attr.theta_hat, attr.psi_hat, attr.eta_hat])
 
-    jac = _fd_jacobian(x_hat, params, policy)
+    g = field(params, policy)
+    jac = _fd_jacobian(g, x_hat)
     eigs = np.linalg.eigvals(jac)
     eig_max = float(np.max(eigs.real))
     marginal = abs(eig_max) <= 1e-8
@@ -663,9 +658,7 @@ def certify_stability(
     r = radius
     result = None
     while True:
-        result = _sample_lyapunov(
-            attr, params, policy, x_hat, p_form, r, n_samples, seed
-        )
+        result = _sample_lyapunov(attr, policy, g, x_hat, p_form, r, n_samples, seed)
         lyap_frac = result[0]
         if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= min_radius * 10.0:
             break
@@ -682,7 +675,8 @@ def certify_stability(
     )
 
 
-def _sample_lyapunov(attr, params, policy, x_hat, p_form, radius, n_samples, seed):
+def _sample_lyapunov(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
+    q_tilde = propensity_fn(policy)
     rng = np.random.default_rng(seed)
     kept = 0
     lyap_neg = 0
@@ -702,13 +696,12 @@ def _sample_lyapunov(attr, params, policy, x_hat, p_form, radius, n_samples, see
             continue
         kept += 1
         z = x - x_hat
-        gx = _g(x, params, policy, 0.0)
+        gx = g(x)
         if 2.0 * float(z @ (p_form @ gx)) < 0.0:
             lyap_neg += 1
         if 2.0 * float(z @ gx) < 0.0:
             eucl_neg += 1
-        q_tilde = propensity(policy, min(max(x[0], 0.0), 1.0), min(max(x[1], 0.0), 1.0))
-        side = q_tilde > 1.0
+        side = q_tilde(x[0], x[1]) > 1.0
         if q_sign_ref is None:
             q_sign_ref = side
         elif side != q_sign_ref:

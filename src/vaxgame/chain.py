@@ -29,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateState, DomainError, FrozenTrajectory, InvalidParams
 from .params import ModelParams
-from .policy import Family, Policy, accept_prob
+from .policy import Policy, accept_fn, accept_prob
 
 _RNG_BLOCK = 1 << 16
 
@@ -220,30 +220,6 @@ class Trajectory:
         return len(self.epochs)
 
 
-def _accept_fn(policy: Policy) -> Callable[[float, float], float]:
-    """Resolve the policy into a bare (theta, psi) -> q closure for the hot loop."""
-    fam = policy.family
-    beta = policy.beta
-    if fam is Family.FC:
-        return lambda th, ps: min(1.0, beta * ps)
-    if fam is Family.FR:
-        return lambda th, ps: min(1.0, beta * ps * (1.0 - ps))
-    if fam is Family.VFC1:
-        return lambda th, ps: min(1.0, beta * th * ps)
-    if fam is Family.VFC2:
-        gamma = policy.gamma
-        if policy.theta_variant:
-            return lambda th, ps: min(1.0, beta * th) if th > gamma else 0.0
-        return lambda th, ps: min(1.0, beta * ps) if th > gamma else 0.0
-    if fam is Family.STATIC:
-        q = policy.static_q
-        return lambda th, ps: q
-    assert policy.mutant_base is not None
-    base = _accept_fn(policy.mutant_base)
-    eps, p = policy.mutant_eps, policy.mutant_p
-    return lambda th, ps: (1.0 - eps) * base(th, ps) + eps * p
-
-
 def _as_rng(rng: RngLike) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -285,7 +261,7 @@ def simulate(
         params.d_e,
     )
     d_plus_de = d + de
-    qfun = _accept_fn(policy)
+    qfun = accept_fn(policy)
 
     N = initial.n_total
     S = initial.n_susc

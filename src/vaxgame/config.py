@@ -52,8 +52,9 @@ Accepted keys; any other key, or any other section, is a ConfigError:
     [ode]         horizon, rtol, atol, eta0
 
 Layers are closed_form, ode, monte_carlo, ess and stability.  Values the
-model does not admit (b <= d + d_e, a negative beta or cost, ...) are
-ConfigErrors as well.
+model does not admit (b <= d + d_e, a negative or non-finite beta, a
+negative cost, ``/r`` with r = 0, ...) are ConfigErrors as well, at every
+sweep value too.
 
 Grid syntax: ``a:b:step`` expands to a, a+step, ... up to b inclusive
 (within rounding; finite, at most a million steps); a comma list is taken
@@ -69,7 +70,7 @@ from typing import Optional
 
 from .errors import ConfigError, DomainError, InvalidParams
 from .ess import CostParams
-from .harness import Experiment, Layer, McSettings, OdeSettings, SweepSpec
+from .harness import Experiment, Layer, McSettings, OdeSettings, SweepSpec, apply_sweep
 from .params import ModelParams
 from .policy import Family, Policy
 
@@ -206,6 +207,8 @@ def _parse_costs(section: dict[str, str], params: ModelParams) -> CostParams:
             raise ConfigError(f"[costs] {key} is required")
         raw = raw.strip()
         if raw.endswith("/r"):  # recovery-scaled cost, e.g. 4.32/r
+            if params.r == 0.0:
+                raise ConfigError(f"[costs] {key} = {raw!r} divides by r = 0")
             return _parse_float("costs", key, raw[:-2]) / params.r
         return _parse_float("costs", key, raw)
 
@@ -294,6 +297,8 @@ def _load_experiment(path: Path) -> Experiment:
         if "values" not in sw:
             raise ConfigError("[sweep] values is required")
         sweep = SweepSpec(variable=variable, values=tuple(parse_grid(sw["values"])))
+        for value in sweep.values:  # every point must be admissible, like the base values
+            apply_sweep(params, policy, variable, value)
 
     return Experiment(
         id=exp_id,

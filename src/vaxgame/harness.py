@@ -73,7 +73,6 @@ class McSettings:
     seed: int = 20260809
     stride: int = 1000
     tail_fraction: float = 0.2
-    delta: Optional[float] = None
 
     @property
     def resolved_max_steps(self) -> int:
@@ -87,7 +86,6 @@ class OdeSettings:
     rtol: float = 1e-12
     atol: float = 1e-14
     eta0: float = 1.0
-    tail_fraction: float = 0.5
 
     def resolved_horizon(self, policy: Policy) -> float:
         if self.horizon is not None:
@@ -245,7 +243,7 @@ def _run_ode(
         if out_path is not None:
             ode.write_path_csv(path, out_path)
         t = path.t
-        window = t >= t[-1] - exp.ode.tail_fraction * (t[-1] - t[0])
+        window = t >= t[-1] - 0.5 * (t[-1] - t[0])  # the last half of the run
         tw = t[window]
         thw = path.states[window, 0]
         psw = path.states[window, 1]
@@ -291,7 +289,6 @@ def _run_mc(
                 params,
                 policy,
                 max_steps=exp.mc.resolved_max_steps,
-                delta=exp.mc.delta,
                 stride=exp.mc.stride,
                 rng=rng,
             )

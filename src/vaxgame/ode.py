@@ -3,17 +3,15 @@
 The jump chain's conditional one-step drift, rescaled by eps_k = 1/(k+1),
 is approximated by the vector field g over Upsilon = (theta, psi, eta):
 
-    g_theta = theta * 1{eta > delta} / (eta * varrho)
-              * [phi*lam - r - d_e - (b - d_e*theta)]
-    g_psi   = 1{eta > delta} / (eta * varrho)
-              * [q(theta, psi)*phi*nu - (b - d_e*theta)*psi]
-    g_eta   = 1{eta > delta} * [(b - d - d_e*theta)/varrho - eta]
+    g_theta = theta / (eta * varrho) * [phi*lam - r - d_e - (b - d_e*theta)]
+    g_psi   = [q(theta, psi)*phi*nu - (b - d_e*theta)*psi] / (eta * varrho)
+    g_eta   = (b - d - d_e*theta)/varrho - eta
 
 with phi = 1 - theta - psi, q the clamped acceptance probability, and
-varrho as in :mod:`vaxgame.chain`.  The extinction indicator is treated as
-always-on during mean-field analysis (delta defaults to 0; with b > d + d_e
-eta stays far above any realistic freeze level); the frozen branch exists
-for parity with the chain.
+varrho as in :mod:`vaxgame.chain`.  g has no extinction freeze (with
+b > d + d_e eta stays far above any realistic freeze level) and is zero
+only at eta <= 0.  :func:`field` resolves (params, policy) into y -> g(y)
+once; the integrator, Newton and the attractor checks all evaluate it.
 
 Integration uses an adaptive explicit Runge-Kutta pair.  For the
 threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
@@ -26,13 +24,14 @@ smoothing is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
 from .params import ModelParams, derive_ratios
-from .policy import Family, Policy, accept_prob
+from .policy import Family, Policy, accept_fn
 
 #: Residual norm below which a point counts as an equilibrium.
 EQUILIBRIUM_TOL = 1e-10
@@ -67,38 +66,43 @@ def varrho(theta: float, psi: float, params: ModelParams) -> float:
     )
 
 
-def _g(y, params: ModelParams, policy: Policy, delta: float) -> np.ndarray:
-    theta, psi, eta = float(y[0]), float(y[1]), float(y[2])
-    if eta <= delta:
-        return np.zeros(3)
-    # trial stages of the adaptive solver probe outside the simplex; evaluate
-    # at the projection so the field stays bounded (identical on-domain,
-    # where accepted steps live)
-    theta = min(max(theta, 0.0), 1.0)
-    psi = min(max(psi, 0.0), 1.0)
-    total = theta + psi
-    if total > 1.0:
-        theta /= total
-        psi /= total
-    eta = max(eta, 1e-12)
-    phi = 1.0 - theta - psi
-    rho_total = varrho(theta, psi, params)
-    if rho_total <= 0.0:
-        raise DegenerateState("varrho vanished")
-    q = accept_prob(policy, theta, psi)
-    scale = 1.0 / (eta * rho_total)
-    net_birth = params.b - params.d_e * theta
-    g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
-    g_psi = scale * (q * phi * params.nu - net_birth * psi)
-    g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
-    return np.array([g_theta, g_psi, g_eta])
+def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
+    """The vector field y -> g(y) of (params, policy), resolved once."""
+    accept = accept_fn(policy)
+
+    def g(y) -> np.ndarray:
+        theta, psi, eta = float(y[0]), float(y[1]), float(y[2])
+        if eta <= 0.0:
+            return np.zeros(3)
+        # trial stages of the adaptive solver probe outside the simplex;
+        # evaluate at the projection so the field stays bounded (identical
+        # on-domain, where accepted steps live)
+        theta = min(max(theta, 0.0), 1.0)
+        psi = min(max(psi, 0.0), 1.0)
+        total = theta + psi
+        if total > 1.0:
+            theta /= total
+            psi /= total
+        eta = max(eta, 1e-12)
+        phi = 1.0 - theta - psi
+        rho_total = varrho(theta, psi, params)
+        if rho_total <= 0.0:
+            raise DegenerateState("varrho vanished")
+        # + 0.0 maps -0.0 to 0.0, as the fraction check of accept_prob does
+        q = accept(theta + 0.0, psi + 0.0)
+        scale = 1.0 / (eta * rho_total)
+        net_birth = params.b - params.d_e * theta
+        g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
+        g_psi = scale * (q * phi * params.nu - net_birth * psi)
+        g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
+        return np.array([g_theta, g_psi, g_eta])
+
+    return g
 
 
-def rhs(
-    state: OdeState, params: ModelParams, policy: Policy, delta: float = 0.0
-) -> np.ndarray:
+def rhs(state: OdeState, params: ModelParams, policy: Policy) -> np.ndarray:
     """Vector field g(Upsilon) at the given state."""
-    return _g(state.as_array(), params, policy, delta)
+    return field(params, policy)(state.as_array())
 
 
 @dataclass
@@ -152,9 +156,10 @@ def integrate(
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
+    g = field(params, policy)
 
-    def field(t, y):
-        return _g(y, params, policy, 0.0)
+    def g_t(t, y):
+        return g(y)
 
     events = None
     if policy.family is Family.VFC2:
@@ -180,7 +185,7 @@ def integrate(
     while t < t_end and not settled:
         t_next = min(t + chunk, t_end)
         sol = solve_ivp(
-            field,
+            g_t,
             (t, t_next),
             y,
             method=method,
@@ -197,7 +202,7 @@ def integrate(
 
         if stop_at_equilibrium:
             for row in sol.y.T:
-                res = float(np.max(np.abs(_g(row, params, policy, 0.0))))
+                res = float(np.max(np.abs(g(row))))
                 quiet = quiet + 1 if res < EQUILIBRIUM_TOL else 0
                 if quiet >= _QUIET_STEPS:
                     settled = True
@@ -210,7 +215,7 @@ def integrate(
         if sol.status == 1 and not settled and t < t_end:
             # landed on the threshold; hop strictly across before re-arming
             # the event, otherwise the restart re-fires at zero progress
-            t, y = _hop_across(field, t, y, policy.gamma, t_end)
+            t, y = _hop_across(g_t, t, y, policy.gamma, t_end)
             ts.append(np.array([t]))
             ys.append(y[None, :])
             # the switching surface is attracting: orbits spiral into the
@@ -278,16 +283,12 @@ class EquilibriumResult:
     converged: bool
 
 
-def _fd_jacobian(y, params, policy, rel_step: float = 1e-7) -> np.ndarray:
-    """Finite-difference Jacobian of g, stepping only inside the admissible set.
+def _fd_jacobian(g, y, rel_step: float = 1e-7) -> np.ndarray:
+    """Finite-difference Jacobian of the field g, stepping only inside the admissible set.
 
     Central differences in the interior; second-order one-sided stencils
     against a simplex face, so boundary attractors get O(h^2) accuracy too.
     """
-
-    def geval(point):
-        return _g(point, params, policy, 0.0)
-
     n = len(y)
     jac = np.zeros((n, n))
     for j in range(n):
@@ -298,17 +299,17 @@ def _fd_jacobian(y, params, policy, rel_step: float = 1e-7) -> np.ndarray:
             up, dn = y.copy(), y.copy()
             up[j] += h
             dn[j] -= h
-            jac[:, j] = (geval(up) - geval(dn)) / (2.0 * h)
+            jac[:, j] = (g(up) - g(dn)) / (2.0 * h)
         elif not hi_blocked:
             p1, p2 = y.copy(), y.copy()
             p1[j] += h
             p2[j] += 2.0 * h
-            jac[:, j] = (-3.0 * geval(y) + 4.0 * geval(p1) - geval(p2)) / (2.0 * h)
+            jac[:, j] = (-3.0 * g(y) + 4.0 * g(p1) - g(p2)) / (2.0 * h)
         elif not lo_blocked:
             p1, p2 = y.copy(), y.copy()
             p1[j] -= h
             p2[j] -= 2.0 * h
-            jac[:, j] = (3.0 * geval(y) - 4.0 * geval(p1) + geval(p2)) / (2.0 * h)
+            jac[:, j] = (3.0 * g(y) - 4.0 * g(p1) + g(p2)) / (2.0 * h)
         # a column blocked on both sides stays zero (degenerate face width)
     return jac
 
@@ -334,12 +335,13 @@ def find_equilibrium(
                 "threshold policy with reachable Gamma has no fixed point"
             )
 
+    g = field(params, policy)
     y = _project_simplex(guess.as_array())
     best_y = y
-    best_res = float(np.max(np.abs(_g(y, params, policy, 0.0))))
+    best_res = float(np.max(np.abs(g(y))))
 
     for attempt in range(3):
-        y, res = _newton(y, params, policy, residual_tol, max_newton)
+        y, res = _newton(g, y, residual_tol, max_newton)
         if res < best_res:
             best_y, best_res = y, res
         if best_res < residual_tol:
@@ -361,13 +363,13 @@ def find_equilibrium(
     )
 
 
-def _newton(y, params, policy, residual_tol, max_newton):
-    res_vec = _g(y, params, policy, 0.0)
+def _newton(g, y, residual_tol, max_newton):
+    res_vec = g(y)
     res = float(np.max(np.abs(res_vec)))
     for _ in range(max_newton):
         if res < residual_tol:
             break
-        jac = _fd_jacobian(y, params, policy)
+        jac = _fd_jacobian(g, y)
         try:
             delta = np.linalg.solve(jac, -res_vec)
         except np.linalg.LinAlgError:
@@ -383,7 +385,7 @@ def _newton(y, params, policy, residual_tol, max_newton):
                 trial[0] -= overflow * 0.5
                 trial[1] -= overflow * 0.5
             trial[2] = max(trial[2], 1e-12)
-            trial_vec = _g(trial, params, policy, 0.0)
+            trial_vec = g(trial)
             trial_res = float(np.max(np.abs(trial_vec)))
             if trial_res < res or trial_res < residual_tol:
                 y, res_vec, res = trial, trial_vec, trial_res

@@ -21,13 +21,22 @@ VFC2 exposes a variant with propensity ``beta * theta * 1{theta > Gamma}``
 behind ``theta_variant=True``; the psi-coupled form is the default because
 it is the one whose on/off vaccination cycling we reproduce.  The indicator
 is strict: at ``theta == Gamma`` it evaluates false.
+
+The formulas above are written out once, in the family table
+``_RESPONSE``.  It builds two bare, unchecked (theta, psi) closures per
+policy: :func:`propensity_fn` (q~; a mutant mixes its unclamped base), read
+by the deadly catalogue and the certificates in :mod:`vaxgame.attractor`,
+and :func:`accept_fn` (q; a mutant mixes its clamped base), read by the
+chain's hot loop and by the mean-field field :func:`vaxgame.ode.field`.
+:func:`propensity` and :func:`accept_prob` first check theta, psi in [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError
 
@@ -57,6 +66,8 @@ class Policy:
     theta_variant: bool = False  # VFC2 only: propensity beta*theta instead of beta*psi
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta!r}")
         if self.beta < 0:
             raise DomainError(f"beta must be non-negative, got {self.beta!r}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -117,35 +128,50 @@ def _check_fraction(value: float, name: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+Response = Callable[[float, float], float]
+
+#: The one definition of each family's response, capped at ``cap``: 1 gives
+#: the acceptance probability q = min(1, q~), inf the propensity q~ itself.
+_RESPONSE = {
+    Family.FC: lambda beta, gamma, q, cap: lambda theta, psi: min(cap, beta * psi),
+    Family.FR: lambda beta, gamma, q, cap: lambda theta, psi: min(cap, beta * psi * (1.0 - psi)),
+    Family.VFC1: lambda beta, gamma, q, cap: lambda theta, psi: min(cap, beta * theta * psi),
+    Family.VFC2: lambda beta, gamma, q, cap: (
+        lambda theta, psi: min(cap, beta * psi) if theta > gamma else 0.0
+    ),
+    # VFC2 with theta_variant: theta drives the response instead of psi
+    "VFC2-theta": lambda beta, gamma, q, cap: (
+        lambda theta, psi: min(cap, beta * theta) if theta > gamma else 0.0
+    ),
+    Family.STATIC: lambda beta, gamma, q, cap: lambda theta, psi: q,  # q lies in [0, 1]
+}
+
+
+def _resolve(policy: Policy, cap: float) -> Response:
+    if policy.family is Family.MUTANT:
+        base = _resolve(policy.mutant_base, cap)
+        eps, p = policy.mutant_eps, policy.mutant_p
+        return lambda theta, psi: (1.0 - eps) * base(theta, psi) + eps * p
+    theta_driven = policy.family is Family.VFC2 and policy.theta_variant
+    formula = _RESPONSE["VFC2-theta" if theta_driven else policy.family]
+    return formula(policy.beta, policy.gamma, policy.static_q, cap)
+
+
+def propensity_fn(policy: Policy) -> Response:
+    """Bare, unchecked (theta, psi) -> q~; MUTANT mixes the unclamped base."""
+    return _resolve(policy, math.inf)
+
+
+def accept_fn(policy: Policy) -> Response:
+    """Bare, unchecked (theta, psi) -> q = min(1, q~); MUTANT mixes the clamped base."""
+    return _resolve(policy, 1.0)
+
+
 def propensity(policy: Policy, theta: float, psi: float) -> float:
-    """Unclamped propensity q~(theta, psi) >= 0."""
-    theta = _check_fraction(theta, "theta")
-    psi = _check_fraction(psi, "psi")
-    fam = policy.family
-    if fam is Family.FC:
-        return policy.beta * psi
-    if fam is Family.FR:
-        return policy.beta * psi * (1.0 - psi)
-    if fam is Family.VFC1:
-        return policy.beta * theta * psi
-    if fam is Family.VFC2:
-        if theta <= policy.gamma:
-            return 0.0
-        driver = theta if policy.theta_variant else psi
-        return policy.beta * driver
-    if fam is Family.STATIC:
-        return policy.static_q
-    assert fam is Family.MUTANT and policy.mutant_base is not None
-    base = propensity(policy.mutant_base, theta, psi)
-    return (1.0 - policy.mutant_eps) * base + policy.mutant_eps * policy.mutant_p
+    """Unclamped propensity q~(theta, psi) >= 0 at checked fractions."""
+    return propensity_fn(policy)(_check_fraction(theta, "theta"), _check_fraction(psi, "psi"))
 
 
 def accept_prob(policy: Policy, theta: float, psi: float) -> float:
-    """Acceptance probability q = min(1, q~); mutants mix clamped base with p."""
-    if policy.family is Family.MUTANT:
-        assert policy.mutant_base is not None
-        theta = _check_fraction(theta, "theta")
-        psi = _check_fraction(psi, "psi")
-        base_q = accept_prob(policy.mutant_base, theta, psi)
-        return (1.0 - policy.mutant_eps) * base_q + policy.mutant_eps * policy.mutant_p
-    return min(1.0, propensity(policy, theta, psi))
+    """Acceptance probability q = min(1, q~) at checked fractions."""
+    return accept_fn(policy)(_check_fraction(theta, "theta"), _check_fraction(psi, "psi"))

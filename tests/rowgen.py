@@ -2,7 +2,9 @@
 
 Each sampler rejects until the drawn rates land strictly inside the row's
 dispatch region (relative margin away from every boundary), so the
-catalogue never reports MarginalRegime on these draws.
+catalogue never reports MarginalRegime on these draws.  ``POLICIES`` is
+the hypothesis strategy over policies of all six families, mutants of
+every base family included.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
-from vaxgame import Family, ModelParams, Policy
+from vaxgame import Family, ModelParams, Policy, fc, fr, mutant, static, vfc1, vfc2
 
 MARGIN = 0.05
 
@@ -223,3 +226,15 @@ ROW_SAMPLERS = {
     "vfc1/coexistence": (sample_vfc1_coexistence, "vfc1/coexistence"),
     "vfc1/origin": (sample_vfc1_origin, "vfc1/origin"),
 }
+
+
+_BETA = st.floats(min_value=0.0, max_value=50.0)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+_BASE_POLICIES = st.one_of(
+    st.builds(fc, _BETA),
+    st.builds(fr, _BETA),
+    st.builds(vfc1, _BETA),
+    st.builds(vfc2, _BETA, UNIT, st.booleans()),
+    st.builds(static, UNIT),
+)
+POLICIES = st.one_of(_BASE_POLICIES, st.builds(mutant, _BASE_POLICIES, UNIT, UNIT))

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from vaxgame import (
     Event,
+    Family,
     FractionState,
     ModelParams,
     PopState,
-    accept_prob,
     count_crossings,
     estimate_limit,
     event_distribution,
     fc,
-    fr,
     make_initial,
     mutant,
     one_step_drift,
@@ -25,13 +23,15 @@ from vaxgame import (
 )
 from vaxgame.chain import (
     EVENT_EFFECTS,
-    _accept_fn,
     apply_event,
     sample_event,
     write_trajectory_csv,
 )
 from vaxgame.errors import FrozenTrajectory
 from vaxgame.ode import OdeState, rhs
+from vaxgame.policy import accept_fn, propensity_fn
+
+from rowgen import POLICIES, UNIT
 
 
 def hand_params():
@@ -250,28 +250,44 @@ def test_sample_event_boundaries():
     assert sample_event(dist, 0.999999999) is Event.DEATH_SUSCEPTIBLE
 
 
-_BETA = st.floats(min_value=0.0, max_value=50.0)
-_UNIT = st.floats(min_value=0.0, max_value=1.0)
-_BASE_POLICIES = st.one_of(
-    st.builds(fc, _BETA),
-    st.builds(fr, _BETA),
-    st.builds(vfc1, _BETA),
-    st.builds(vfc2, _BETA, _UNIT, st.booleans()),
-    st.builds(static, _UNIT),
-)
-_POLICIES = st.one_of(_BASE_POLICIES, st.builds(mutant, _BASE_POLICIES, _UNIT, _UNIT))
-
-
-@given(policy=_POLICIES, theta=_UNIT, psi_share=_UNIT)
+@given(policy=POLICIES, theta=UNIT, psi_share=UNIT)
 @example(policy=vfc2(4.0, 0.25), theta=0.25, psi_share=0.4)  # on the threshold
 @example(policy=vfc2(4.0, 0.25, theta_variant=True), theta=0.25, psi_share=0.4)
 @example(policy=mutant(fc(8.0), p=0.7, eps=0.04), theta=0.2, psi_share=0.5)  # base q~ = 3.2
 @example(policy=static(0.3), theta=0.2, psi_share=0.5)
 def test_hot_loop_acceptance_matches_reference(policy, theta, psi_share):
-    # the specialised closures used inside simulate() must agree exactly with
-    # the public acceptance probability for every family
+    # the closures simulate() and the field evaluate, built from the family
+    # table in vaxgame.policy, must agree exactly with the written-out formulas
     psi = psi_share * (1.0 - theta)
-    assert _accept_fn(policy)(theta, psi) == accept_prob(policy, theta, psi)
+    assert propensity_fn(policy)(theta, psi) == _reference_propensity(policy, theta, psi)
+    assert accept_fn(policy)(theta, psi) == _reference_accept(policy, theta, psi)
+
+
+def _reference_propensity(policy, theta, psi):
+    """q~ as the vaxgame.policy docstring writes it out, family by family."""
+    fam, beta = policy.family, policy.beta
+    if fam is Family.FC:
+        return beta * psi
+    if fam is Family.FR:
+        return beta * psi * (1.0 - psi)
+    if fam is Family.VFC1:
+        return beta * theta * psi
+    if fam is Family.VFC2:
+        if theta <= policy.gamma:
+            return 0.0
+        return beta * (theta if policy.theta_variant else psi)
+    if fam is Family.STATIC:
+        return policy.static_q
+    base = _reference_propensity(policy.mutant_base, theta, psi)
+    return (1.0 - policy.mutant_eps) * base + policy.mutant_eps * policy.mutant_p
+
+
+def _reference_accept(policy, theta, psi):
+    """q = min(1, q~); a mutant mixes its clamped base with p."""
+    if policy.family is Family.MUTANT:
+        base = _reference_accept(policy.mutant_base, theta, psi)
+        return (1.0 - policy.mutant_eps) * base + policy.mutant_eps * policy.mutant_p
+    return min(1.0, _reference_propensity(policy, theta, psi))
 
 
 def test_make_initial_validates_fractions():

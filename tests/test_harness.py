@@ -190,6 +190,11 @@ def test_unknown_section_is_config_error(tmp_path):
         ("b = 0.322", "b = 0.05"),
         ("beta = 0.5", "beta = -0.5"),
         ("values = 0.5, 1.0, 3.0", "values = x:2:0.5"),
+        # every sweep value is checked at load, not when its point runs
+        ("values = 0.5, 1.0, 3.0", "values = -1, 0.5"),
+        ("values = 0.5, 1.0, 3.0", "values = 0.5, nan"),
+        ("variable = beta\nvalues = 0.5, 1.0, 3.0", "variable = d_e\nvalues = 0, 0.25"),
+        ("r = 1.188", "r = 0"),  # with c_I1 = 4.32/r
     ],
 )
 def test_inadmissible_value_exits_2(tmp_path, capsys, old, new):

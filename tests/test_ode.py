@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vaxgame import (
     ModelParams,
     OdeState,
+    accept_prob,
     closed_form,
     fc,
     find_equilibrium,
@@ -15,6 +18,8 @@ from vaxgame import (
     vfc2,
 )
 from vaxgame.errors import IndicatorNonstationary
+
+from rowgen import POLICIES, UNIT
 
 
 def ratios(params):
@@ -43,6 +48,58 @@ def test_field_vanishes_at_coexistence(left_params):
     g = rhs(OdeState(theta_e, psi_e, eta_hat), left_params, fc(3.0))
     assert np.linalg.norm(g[:2]) < 1e-6
     assert abs(g[2]) < 1e-12
+
+
+@st.composite
+def _params(draw):
+    b = draw(st.floats(0.05, 3.0))
+    d = draw(UNIT) * 0.5 * b
+    return ModelParams(
+        lam=draw(st.floats(0.05, 20.0)),
+        r=draw(st.floats(0.0, 5.0)),
+        nu=draw(st.floats(0.0, 5.0)),
+        b=b,
+        d=d,
+        d_e=draw(UNIT) * 0.9 * (b - d),
+    )
+
+
+def _docstring_field(theta, psi, eta, params, policy):
+    """g as the vaxgame.ode docstring writes it, and the size of each component's terms."""
+    p = params
+    phi = 1.0 - theta - psi
+    varrho = p.b + p.d + p.d_e * theta + p.lam * theta * phi + p.nu * phi + p.r * theta
+    q = accept_prob(policy, theta, psi)
+    net_birth = p.b - p.d_e * theta
+    g = (
+        theta / (eta * varrho) * (phi * p.lam - p.r - p.d_e - net_birth),
+        (q * phi * p.nu - net_birth * psi) / (eta * varrho),
+        (p.b - p.d - p.d_e * theta) / varrho - eta,
+    )
+    size = (
+        theta / (eta * varrho) * (phi * p.lam + p.r + p.d_e + net_birth),
+        (q * phi * p.nu + net_birth * psi) / (eta * varrho),
+        abs(p.b - p.d - p.d_e * theta) / varrho + eta,
+    )
+    return np.array(g), np.array(size)
+
+
+@given(
+    params=_params(),
+    policy=POLICIES,
+    theta=st.one_of(st.just(0.0), UNIT),
+    psi_share=st.one_of(st.sampled_from([0.0, 1.0]), UNIT),  # 1.0: theta + psi = 1
+    eta=st.floats(0.01, 5.0),
+)
+@example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8), policy=vfc2(6.0, 0.25),
+         theta=0.25, psi_share=0.4, eta=0.5)  # on the threshold: vaccination off
+@example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8), policy=vfc2(6.0, 0.25, theta_variant=True),
+         theta=0.25, psi_share=0.4, eta=0.5)
+def test_rhs_matches_docstring_field(params, policy, theta, psi_share, eta):
+    psi = psi_share * (1.0 - theta)
+    g = rhs(OdeState(theta, psi, eta), params, policy)
+    expected, size = _docstring_field(theta, psi, eta, params, policy)
+    assert np.all(np.abs(g - expected) <= 1e-12 * size)
 
 
 def test_eta_nullcline_at_equilibria(left_params):

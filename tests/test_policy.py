@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +59,12 @@ def test_vfc2_strict_threshold():
     variant = vfc2(4.0, gamma=0.2, theta_variant=True)
     assert propensity(variant, 0.3, 0.5) == pytest.approx(1.2)
     assert propensity(variant, 0.1, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_beta_rejected(beta):
+    with pytest.raises(DomainError, match="beta must be finite"):
+        fc(beta)
 
 
 def test_domain_error_outside_simplex():
