@@ -58,11 +58,12 @@ import scipy.linalg
 
 from .errors import (
     ComplexRoot,
+    DegenerateState,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
 )
-from .ode import OdeState, _fd_jacobian, field, varrho
+from .ode import OdeState, _fd_jacobian, field, field_rows, varrho
 from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, propensity_fn
 
@@ -607,10 +608,6 @@ class StabilityCertificate:
         )
 
 
-def _feasible(y: np.ndarray) -> bool:
-    return y[0] >= 0.0 and y[1] >= 0.0 and y[0] + y[1] <= 1.0 and y[2] > 0.0
-
-
 def certify_stability(
     attr: Attractor,
     params: ModelParams,
@@ -627,6 +624,12 @@ def certify_stability(
     radius-``radius`` ball intersected with the simplex: the certificate
     passes when the form decreases along the field at >= 99% of samples.
 
+    The Jacobian takes the scalar field; the samples are evaluated in one
+    batch through :func:`vaxgame.ode.field_rows`, whose rows equal the
+    scalar field bit for bit, so the certificate is that of a loop over
+    the samples.  A point whose Jacobian is not finite (a NaN ``eta_hat``,
+    say) raises DegenerateState.
+
     Weakly contracting equilibria can leave the quadratic regime inside the
     initial ball (cubic terms of the field flip a thin cone of directions);
     the sampling then retries at a tenth of the radius, down to
@@ -639,8 +642,9 @@ def certify_stability(
         raise RegimeMismatch("limit sets carry no point certificate")
     x_hat = np.array([attr.theta_hat, attr.psi_hat, attr.eta_hat])
 
-    g = field(params, policy)
-    jac = _fd_jacobian(g, x_hat)
+    jac = _fd_jacobian(field(params, policy), x_hat)
+    if not np.all(np.isfinite(jac)):
+        raise DegenerateState(f"non-finite Jacobian at {x_hat!r}")
     eigs = np.linalg.eigvals(jac)
     eig_max = float(np.max(eigs.real))
     marginal = abs(eig_max) <= 1e-8
@@ -652,13 +656,13 @@ def certify_stability(
             candidate = 0.5 * (candidate + candidate.T)
             if np.all(np.linalg.eigvalsh(candidate) > 0.0):
                 p_form = candidate
-        except Exception:
-            pass
+        except (np.linalg.LinAlgError, ValueError):
+            pass  # no usable form: sample the Euclidean one
 
+    g_rows = field_rows(params, policy)
     r = radius
-    result = None
     while True:
-        result = _sample_lyapunov(attr, policy, g, x_hat, p_form, r, n_samples, seed)
+        result = _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, r, n_samples, seed)
         lyap_frac = result[0]
         if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= min_radius * 10.0:
             break
@@ -675,41 +679,62 @@ def certify_stability(
     )
 
 
-def _sample_lyapunov(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
-    q_tilde = propensity_fn(policy)
-    rng = np.random.default_rng(seed)
-    kept = 0
-    lyap_neg = 0
-    eucl_neg = 0
-    on_disc = False
-    q_sign_ref: Optional[bool] = None
-    attempts = 0
-    while kept < n_samples and attempts < 50 * n_samples:
-        attempts += 1
+def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.ndarray:
+    """Offsets of ``attempts`` draws, uniform in the radius ball.
+
+    Each attempt draws a normal direction and then a uniform radius, in that
+    order; an all-zero direction draws no radius and yields no offset.
+    """
+    directions, squares, cube_roots = [], [], []
+    for _ in range(attempts):
         direction = rng.normal(size=3)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
+        square = direction.dot(direction)  # np.linalg.norm's own dot
+        if square == 0.0:
             continue
-        offset = direction / norm * radius * rng.random() ** (1.0 / 3.0)
-        x = x_hat + offset
-        if not _feasible(x):
-            continue
-        kept += 1
-        z = x - x_hat
-        gx = g(x)
-        if 2.0 * float(z @ (p_form @ gx)) < 0.0:
-            lyap_neg += 1
-        if 2.0 * float(z @ gx) < 0.0:
-            eucl_neg += 1
-        side = q_tilde(x[0], x[1]) > 1.0
-        if q_sign_ref is None:
-            q_sign_ref = side
-        elif side != q_sign_ref:
-            on_disc = True
-        if policy.family is Family.VFC2 and (x[0] > policy.gamma) != (
-            attr.theta_hat > policy.gamma
-        ):
-            on_disc = True
+        directions.append(direction)
+        squares.append(square)
+        cube_roots.append(rng.random() ** (1.0 / 3.0))
+    if not directions:
+        return np.empty((0, 3))
+    norms = np.sqrt(squares)[:, None]
+    return np.array(directions) / norms * radius * np.array(cube_roots)[:, None]
+
+
+def _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, radius, n_samples, seed):
+    """Pass fractions of the Lyapunov and Euclidean forms over feasible ball samples.
+
+    Samples are the first ``n_samples`` feasible points of the attempt
+    sequence of :func:`_draw_offsets`, within ``50 * n_samples`` attempts.
+    Attempts are drawn in rounds sized from the feasible share seen so far;
+    draws past the last sample taken are discarded, so the samples do not
+    depend on the round sizes.
+    """
+    rng = np.random.default_rng(seed)
+    budget = 50 * n_samples
+    chunks = []
+    kept = attempts = 0
+    while kept < n_samples and attempts < budget:
+        missing = n_samples - kept
+        batch = missing if kept == 0 else -(-missing * attempts // kept)
+        batch = min(batch, budget - attempts)
+        x = x_hat + _draw_offsets(rng, batch, radius)
+        attempts += batch
+        feasible = (
+            (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)
+        )
+        chunks.append(x[feasible][:missing])
+        kept += len(chunks[-1])
     if kept == 0:
         raise RegimeMismatch("no feasible samples near the attractor")
+    x = np.concatenate(chunks)
+    z = x - x_hat
+    gx = g_rows(x)
+    # per row the same matrix-vector product and dot as z @ (p_form @ gx)
+    lyap = (z[:, None, :] @ (p_form @ gx[:, :, None]))[:, 0, 0]
+    eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
+    side = np.frompyfunc(propensity_fn(policy), 2, 1)(x[:, 0], x[:, 1]).astype(float) > 1.0
+    on_disc = bool(side.any() and not side.all())
+    if policy.family is Family.VFC2:
+        on_disc |= bool(np.any((x[:, 0] > policy.gamma) != (attr.theta_hat > policy.gamma)))
+    lyap_neg, eucl_neg = int(np.count_nonzero(lyap < 0.0)), int(np.count_nonzero(eucl < 0.0))
     return lyap_neg / kept, eucl_neg / kept, on_disc, kept

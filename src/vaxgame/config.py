@@ -43,8 +43,10 @@ Accepted keys; any other key, or any other section, is a ConfigError:
     [experiment]  id, layers, output_dir, theta0, psi0
     [params]      lambda, r, nu, b, d, d_e (all required)
     [policy]      family (required), beta, gamma, theta_variant, q, base, p,
-                  eps; VFC2 requires gamma, STATIC reads q, MUTANT reads
-                  base, p and eps and hands beta, gamma and q to its base
+                  eps; VFC2 requires gamma and reads theta_variant (1/0,
+                  true/false or yes/no, any case), STATIC reads q, MUTANT
+                  reads base, p and eps and hands beta, gamma, theta_variant
+                  and q to its base, which a beta or gamma sweep then moves
     [costs]       c_v1, c_v2, c_v2_bar, c_I1 (required), c_I2 (default 0)
     [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma),
                   values (required)
@@ -53,7 +55,7 @@ Accepted keys; any other key, or any other section, is a ConfigError:
 
 Layers are closed_form, ode, monte_carlo, ess and stability.  Values the
 model does not admit (b <= d + d_e, a negative or non-finite beta, a
-negative cost, ``/r`` with r = 0, ...) are ConfigErrors as well, at every
+negative or non-finite cost, ``/r`` with r = 0, ...) are ConfigErrors as well, at every
 sweep value too.
 
 Grid syntax: ``a:b:step`` expands to a, a+step, ... up to b inclusive
@@ -90,6 +92,18 @@ def _parse_int(section, key, raw: str) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(section, key, raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.strip().lower()]
+    except KeyError as exc:
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r} is not one of 1/0, true/false, yes/no"
+        ) from exc
 
 
 _MC_KEYS = {
@@ -177,7 +191,9 @@ def _parse_policy(section: dict[str, str]) -> Policy:
         if "gamma" not in section:
             raise ConfigError("[policy] VFC2 requires an explicit gamma")
         gamma = _parse_float("policy", "gamma", section["gamma"])
-        theta_variant = section.get("theta_variant", "false").strip().lower() in ("1", "true", "yes")
+        theta_variant = _parse_bool(
+            "policy", "theta_variant", section.get("theta_variant", "false")
+        )
         return Policy(Family.VFC2, beta=beta, gamma=gamma, theta_variant=theta_variant)
     if family is Family.MUTANT:
         base_raw = section.get("base")
@@ -188,6 +204,7 @@ def _parse_policy(section: dict[str, str]) -> Policy:
                 "family": base_raw,
                 "beta": section.get("beta", "0"),
                 "gamma": section.get("gamma", "0"),
+                "theta_variant": section.get("theta_variant", "false"),
                 "q": section.get("q", "0"),
             }
         )

@@ -65,7 +65,10 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in ("c_v1", "c_v2", "c_v2_bar", "c_I1", "c_I2"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value!r}")
+            if value < 0:
                 raise InvalidParams(f"{name} must be non-negative")
 
     @property

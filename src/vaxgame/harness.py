@@ -111,10 +111,12 @@ class Experiment:
 def apply_sweep(
     params: ModelParams, policy: Policy, variable: str, value: float
 ) -> tuple[ModelParams, Policy]:
-    if variable == "beta":
-        return params, dataclasses.replace(policy, beta=value)
-    if variable == "gamma":
-        return params, dataclasses.replace(policy, gamma=value)
+    if variable in ("beta", "gamma"):
+        # a mutant's response reads its base's beta and gamma, never its own
+        if policy.family is Family.MUTANT:
+            base = dataclasses.replace(policy.mutant_base, **{variable: value})
+            return params, dataclasses.replace(policy, mutant_base=base)
+        return params, dataclasses.replace(policy, **{variable: value})
     attr = {"lambda": "lam"}.get(variable, variable)
     return dataclasses.replace(params, **{attr: value}), policy
 
@@ -552,7 +554,7 @@ _ATLAS_FIELDS = (
     ("b", _path("params.b")),
     ("d", _path("params.d")),
     ("d_e", _path("params.d_e")),
-    ("beta", _path("policy.beta")),
+    ("beta", lambda r: (r.policy.mutant_base or r.policy).beta),  # a mutant's is its base's
     ("regime_row", lambda r: r.cf.attractor.table_row if r.cf.attractor else r.cf.error),
     ("theta_hat", _path("cf.attractor.theta_hat")),
     ("psi_hat", _path("cf.attractor.psi_hat")),

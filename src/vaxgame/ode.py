@@ -11,7 +11,11 @@ with phi = 1 - theta - psi, q the clamped acceptance probability, and
 varrho as in :mod:`vaxgame.chain`.  g has no extinction freeze (with
 b > d + d_e eta stays far above any realistic freeze level) and is zero
 only at eta <= 0.  :func:`field` resolves (params, policy) into y -> g(y)
-once; the integrator, Newton and the attractor checks all evaluate it.
+once; the integrator, Newton and the finite-difference Jacobian evaluate
+it one state at a time.  :func:`field_rows` is its batch form, (n, 3)
+states in and (n, 3) components out, each row equal to g bit for bit;
+the settle scan of :func:`integrate` and the certificate sampling in
+:mod:`vaxgame.attractor` evaluate it.
 
 Integration uses an adaptive explicit Runge-Kutta pair.  For the
 threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
@@ -66,6 +70,17 @@ def varrho(theta: float, psi: float, params: ModelParams) -> float:
     )
 
 
+def _components(theta, psi, eta, rho_total, q, params: ModelParams):
+    """(g_theta, g_psi, g_eta) at projected fractions, for floats and arrays alike."""
+    phi = 1.0 - theta - psi
+    scale = 1.0 / (eta * rho_total)
+    net_birth = params.b - params.d_e * theta
+    g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
+    g_psi = scale * (q * phi * params.nu - net_birth * psi)
+    g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
+    return g_theta, g_psi, g_eta
+
+
 def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
     """The vector field y -> g(y) of (params, policy), resolved once."""
     accept = accept_fn(policy)
@@ -84,20 +99,47 @@ def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndar
             theta /= total
             psi /= total
         eta = max(eta, 1e-12)
-        phi = 1.0 - theta - psi
         rho_total = varrho(theta, psi, params)
         if rho_total <= 0.0:
             raise DegenerateState("varrho vanished")
         # + 0.0 maps -0.0 to 0.0, as the fraction check of accept_prob does
         q = accept(theta + 0.0, psi + 0.0)
-        scale = 1.0 / (eta * rho_total)
-        net_birth = params.b - params.d_e * theta
-        g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
-        g_psi = scale * (q * phi * params.nu - net_birth * psi)
-        g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
-        return np.array([g_theta, g_psi, g_eta])
+        return np.array(_components(theta, psi, eta, rho_total, q, params))
 
     return g
+
+
+def field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
+    """The row form of :func:`field`: (n, 3) states in, (n, 3) components out.
+
+    Row i equals ``g(ys[i])`` bit for bit: the same projection, the same
+    :func:`varrho` and :func:`_components`, and q from the same
+    :func:`policy.accept_fn` closure, applied elementwise.
+    """
+    accept = np.frompyfunc(accept_fn(policy), 2, 1)
+
+    def g_rows(ys: np.ndarray) -> np.ndarray:
+        theta, psi, eta = ys[:, 0], ys[:, 1], ys[:, 2]
+        live = ~(eta <= 0.0)  # a NaN eta is evaluated, as in g
+        # where() keeps Python's min/max on -0.0 and NaN
+        theta = np.where(0.0 > theta, 0.0, theta)
+        theta = np.where(1.0 < theta, 1.0, theta)
+        psi = np.where(0.0 > psi, 0.0, psi)
+        psi = np.where(1.0 < psi, 1.0, psi)
+        total = theta + psi
+        over = total > 1.0
+        np.divide(theta, total, out=theta, where=over)
+        np.divide(psi, total, out=psi, where=over)
+        eta = np.where(1e-12 > eta, 1e-12, eta)
+        rho_total = varrho(theta, psi, params)
+        if (live & (rho_total <= 0.0)).any():
+            raise DegenerateState("varrho vanished")
+        q = accept(theta + 0.0, psi + 0.0).astype(float)
+        out = np.column_stack(_components(theta, psi, eta, rho_total, q, params))
+        out[~live] = 0.0
+        return out
+
+    return g_rows
 
 
 def rhs(state: OdeState, params: ModelParams, policy: Policy) -> np.ndarray:
@@ -157,6 +199,7 @@ def integrate(
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
     g = field(params, policy)
+    g_rows = field_rows(params, policy)
 
     def g_t(t, y):
         return g(y)
@@ -201,8 +244,7 @@ def integrate(
         ys.append(sol.y.T)
 
         if stop_at_equilibrium:
-            for row in sol.y.T:
-                res = float(np.max(np.abs(g(row))))
+            for res in np.max(np.abs(g_rows(sol.y.T)), axis=1):
                 quiet = quiet + 1 if res < EQUILIBRIUM_TOL else 0
                 if quiet >= _QUIET_STEPS:
                     settled = True

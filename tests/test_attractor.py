@@ -3,8 +3,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rowgen import ROW_SAMPLERS
+from rowgen import POLICIES, ROW_SAMPLERS
 from vaxgame import (
     Attractor,
     AttractorKind,
@@ -20,14 +22,19 @@ from vaxgame import (
     fr,
     verify_attractor,
     vfc1,
+    vfc2,
     vfc2_limit_set,
 )
-from vaxgame.attractor import DeadlyQuadratic, _eta_at
+from vaxgame import attractor
+from vaxgame.attractor import DeadlyQuadratic, _eta_at, _sample_lyapunov
 from vaxgame.errors import (
+    DegenerateState,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
 )
+from vaxgame.ode import field, field_rows
+from vaxgame.policy import propensity_fn
 
 
 def ratios(p):
@@ -406,3 +413,150 @@ def test_certificate_non_normal_stable_case():
     assert cert.eigen_max_real < -1e-8
     assert cert.lyapunov_pass_fraction >= 0.99
     assert cert.euclidean_pass_fraction < 0.99  # the motivating counterexample
+
+
+def test_certificate_of_nan_eta_is_degenerate(left_params):
+    att = closed_form(left_params, fc(3.0))
+    bad = Attractor(att.theta_hat, att.psi_hat, math.nan, att.kind, att.table_row, True)
+    with pytest.raises(DegenerateState, match="non-finite Jacobian"):
+        certify_stability(bad, left_params, fc(3.0))
+
+
+def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
+    """The per-sample loop the batched pass replaced: one scalar field call per sample."""
+    q_tilde = propensity_fn(policy)
+    rng = np.random.default_rng(seed)
+    kept = lyap_neg = eucl_neg = attempts = 0
+    on_disc = False
+    q_sign_ref = None
+    while kept < n_samples and attempts < 50 * n_samples:
+        attempts += 1
+        direction = rng.normal(size=3)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
+            continue
+        offset = direction / norm * radius * rng.random() ** (1.0 / 3.0)
+        x = x_hat + offset
+        if not (x[0] >= 0.0 and x[1] >= 0.0 and x[0] + x[1] <= 1.0 and x[2] > 0.0):
+            continue
+        kept += 1
+        z = x - x_hat
+        gx = g(x)
+        if 2.0 * float(z @ (p_form @ gx)) < 0.0:
+            lyap_neg += 1
+        if 2.0 * float(z @ gx) < 0.0:
+            eucl_neg += 1
+        side = q_tilde(x[0], x[1]) > 1.0
+        if q_sign_ref is None:
+            q_sign_ref = side
+        elif side != q_sign_ref:
+            on_disc = True
+        if policy.family is Family.VFC2 and (x[0] > policy.gamma) != (
+            attr.theta_hat > policy.gamma
+        ):
+            on_disc = True
+    if kept == 0:
+        raise RegimeMismatch("no feasible samples near the attractor")
+    return lyap_neg / kept, eucl_neg / kept, on_disc, kept
+
+
+def _row_case(row_id, seed=3):
+    draw = ROW_SAMPLERS[row_id][0](np.random.default_rng(seed))
+    return closed_form(draw.params, draw.policy), draw.params, draw.policy
+
+
+_RETRY_PARAMS = ModelParams(lam=13.6, r=0.06, nu=2.0, b=0.11, d=0.01)
+_DEADLY_PARAMS = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1, d_e=0.15)
+
+
+@pytest.mark.parametrize(
+    "case,radius,n_samples",
+    [
+        *((row_id, 1e-3, 1000) for row_id in sorted(ROW_SAMPLERS)),
+        ("fc/origin", 0.1, 1000),  # a quarter of the ball is feasible
+        ("fr/disease-free", 0.1, 1),
+        ("retry", 1e-3, 1000),  # two radius retries, down to 1e-5
+        ("fc-deadly", 1e-3, 1000),
+        ("fr-deadly", 1e-3, 400),
+    ],
+)
+def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_samples):
+    if case == "retry":
+        att, params, policy = closed_form(_RETRY_PARAMS, vfc1(4.5)), _RETRY_PARAMS, vfc1(4.5)
+    elif case.endswith("-deadly"):
+        policy = Policy(Family(case[:2].upper()), beta=3.0)
+        att, params = closed_form(_DEADLY_PARAMS, policy), _DEADLY_PARAMS
+    else:
+        att, params, policy = _row_case(case)
+    batched = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+    if case == "retry":
+        assert batched.radius_used < 1e-4
+    g = field(params, policy)
+    monkeypatch.setattr(
+        attractor,
+        "_sample_lyapunov",
+        lambda attr, pol, g_rows, *rest: _reference_sample(attr, pol, g, *rest),
+    )
+    reference = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+    assert repr(batched) == repr(reference)
+
+
+@pytest.mark.parametrize("seed,radius", [(0, 1e-3), (1, 0.3), (7, 1e-5)])
+def test_draw_offsets_follow_the_scalar_stream(seed, radius):
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(500):
+        direction = rng.normal(size=3)
+        unit = direction / np.linalg.norm(direction)
+        expected.append(unit * radius * rng.random() ** (1.0 / 3.0))
+    rng = np.random.default_rng(seed)
+    drawn = np.concatenate([attractor._draw_offsets(rng, n, radius) for n in (1, 199, 300)])
+    assert np.array_equal(drawn, np.array(expected))
+
+
+_POINTS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda tp: (tp[0], tp[1] * (1.0 - tp[0]))
+    ),
+    st.sampled_from([(0.0, 0.0), (0.0, 0.4), (0.3, 0.0), (0.6, 0.4), (0.0, 1.0), (1.0, 0.0)]),
+)
+
+
+@settings(deadline=None)
+@given(
+    policy=POLICIES,
+    point=_POINTS,
+    params=st.sampled_from([ModelParams(4.0, 1.0, 2.0, 1.0, 0.8), _DEADLY_PARAMS]),
+    radius=st.sampled_from([1e-3, 0.05, 0.3]),
+    n_samples=st.sampled_from([1, 2, 37, 300]),
+    seed=st.integers(0, 3),
+    lyapunov=st.booleans(),
+)
+def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_samples, seed,
+                                             lyapunov):
+    theta, psi = point
+    att = Attractor(theta, psi, _eta_at(theta, psi, params), AttractorKind.INTERIOR, "x", False)
+    x_hat = np.array([theta, psi, att.eta_hat])
+    p_form = np.eye(3)
+    if lyapunov:
+        p_form = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
+    args = (x_hat, p_form, radius, n_samples, seed)
+    batched = _sample_lyapunov(att, policy, field_rows(params, policy), *args)
+    assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
+
+
+@pytest.mark.parametrize(
+    "policy,point",
+    [
+        (fc(2.0), (0.2, 0.5)),  # the clamp beta * psi = 1 crosses the ball
+        (vfc2(4.0, 0.3), (0.3, 0.2)),  # the threshold crosses the ball
+        (vfc2(4.0, 0.3, theta_variant=True), (0.3, 0.2)),
+    ],
+)
+def test_sample_lyapunov_flags_discontinuity(policy, point):
+    params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
+    att = Attractor(*point, _eta_at(*point, params), AttractorKind.INTERIOR, "x", False)
+    args = (np.array([*point, att.eta_hat]), np.eye(3), 1e-2, 200, 0)
+    batched = _sample_lyapunov(att, policy, field_rows(params, policy), *args)
+    assert batched[2] is True
+    assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vaxgame import Family, Layer
+from vaxgame import Family, Layer, harness
 from vaxgame.cli import main as cli_main
 from vaxgame.config import load_experiment, parse_grid
 from vaxgame.errors import ConfigError
@@ -195,6 +197,7 @@ def test_unknown_section_is_config_error(tmp_path):
         ("values = 0.5, 1.0, 3.0", "values = 0.5, nan"),
         ("variable = beta\nvalues = 0.5, 1.0, 3.0", "variable = d_e\nvalues = 0, 0.25"),
         ("r = 1.188", "r = 0"),  # with c_I1 = 4.32/r
+        ("c_v1 = 2.88", "c_v1 = nan"),
     ],
 )
 def test_inadmissible_value_exits_2(tmp_path, capsys, old, new):
@@ -240,6 +243,60 @@ def test_rows_keep_point_order(tmp_path):
     for k, row in enumerate(rows):
         path = (out / f"ode_demo_p{k}.csv").read_text().splitlines()
         assert row["ode_theta"] == path[-1].split(",")[1]
+
+
+def test_mutant_beta_sweep_moves_the_base(tmp_path):
+    text = CONFIG_TEXT.replace("family = FC", "family = MUTANT\nbase = FC\np = 0.5\neps = 0.1")
+    text = text.replace("values = 0.5, 1.0, 3.0", "values = 0.5, 3.0")
+    exp = load_experiment(write_config(tmp_path, text))
+    records = run(exp)
+    assert [r.policy.mutant_base.beta for r in records] == [0.5, 3.0]
+    low, high = read_rows(tmp_path / "out" / "summary_demo.csv")
+    assert low["ode_theta"] != high["ode_theta"]
+    assert cli_main(["atlas", str(write_config(tmp_path, text))]) == 0
+    assert [row["beta"] for row in read_rows(tmp_path / "out" / "atlas_demo.csv")] == ["0.5", "3"]
+
+
+@pytest.mark.parametrize(
+    "raw,expected",
+    [("1", True), ("TRUE", True), (" Yes ", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_theta_variant_spellings(tmp_path, raw, expected):
+    text = CONFIG_TEXT.replace("family = FC", f"family = VFC2\ngamma = 0.2\ntheta_variant = {raw}")
+    assert load_experiment(write_config(tmp_path, text)).policy.theta_variant is expected
+
+
+_MUTANT_OF_VFC2 = "family = MUTANT\nbase = VFC2\np = 0.5\neps = 0.1\ngamma = 0.2"
+
+
+def test_mutant_hands_theta_variant_to_its_base(tmp_path):
+    text = CONFIG_TEXT.replace("family = FC", f"{_MUTANT_OF_VFC2}\ntheta_variant = yes")
+    assert load_experiment(write_config(tmp_path, text)).policy.mutant_base.theta_variant
+
+
+@pytest.mark.parametrize("raw", ["ture", "yes please", "2", "on", ""])
+@pytest.mark.parametrize("family", ["family = VFC2\ngamma = 0.2", _MUTANT_OF_VFC2])
+def test_theta_variant_typo_is_config_error(tmp_path, raw, family):
+    text = CONFIG_TEXT.replace("family = FC", f"{family}\ntheta_variant = {raw}")
+    with pytest.raises(ConfigError, match="theta_variant"):
+        load_experiment(write_config(tmp_path, text))
+
+
+def test_degenerate_certificate_is_recorded(tmp_path, monkeypatch):
+    # a NaN eta_hat at the first point must not abort the sweep
+    text = CONFIG_TEXT.replace("layers = closed_form, ode", "layers = closed_form, stability")
+    exp = load_experiment(write_config(tmp_path, text.replace("0.5, 1.0, 3.0", "0.5, 3.0")))
+    closed_form = harness.closed_form
+
+    def nan_eta_at_first_point(params, policy):
+        attr = closed_form(params, policy)
+        return dataclasses.replace(attr, eta_hat=math.nan) if policy.beta == 0.5 else attr
+
+    monkeypatch.setattr(harness, "closed_form", nan_eta_at_first_point)
+    run(exp)
+    first, second = read_rows(tmp_path / "out" / "summary_demo.csv")
+    assert first["stab_error"].startswith("DegenerateState: non-finite Jacobian")
+    assert second["stab_error"] == "" and second["stab_pass"] == "true"
 
 
 def test_ode_section_without_horizon_keeps_default(tmp_path):

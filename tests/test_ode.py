@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -18,6 +20,7 @@ from vaxgame import (
     vfc2,
 )
 from vaxgame.errors import IndicatorNonstationary
+from vaxgame.ode import field, field_rows
 
 from rowgen import POLICIES, UNIT
 
@@ -100,6 +103,54 @@ def test_rhs_matches_docstring_field(params, policy, theta, psi_share, eta):
     g = rhs(OdeState(theta, psi, eta), params, policy)
     expected, size = _docstring_field(theta, psi, eta, params, policy)
     assert np.all(np.abs(g - expected) <= 1e-12 * size)
+
+
+def _threshold(policy):
+    return (policy.mutant_base or policy).gamma
+
+
+@st.composite
+def _policy_and_states(draw):
+    """A policy and a batch of states: faces, vertices, off-simplex, -0.0, eta <= 0."""
+    policy = draw(POLICIES)
+    coord = st.one_of(
+        UNIT,
+        st.sampled_from([0.0, -0.0, 1.0, _threshold(policy)]),
+        st.floats(-0.2, 1.2),
+    )
+    eta = st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.0, -0.0, -1.0]))
+
+    @st.composite
+    def state(draw):
+        theta, psi = draw(coord), draw(coord)
+        if draw(st.booleans()):  # onto the face theta + psi = 1
+            psi = 1.0 - theta
+        return theta, psi, draw(eta)
+
+    rows = draw(st.lists(state(), min_size=1, max_size=40))
+    return policy, np.array(rows)
+
+
+def _threshold_rows(gamma):
+    rows = [(gamma, 0.4, 0.5), (gamma, 1.0 - gamma, 0.5), (gamma, -0.0, 0.5), (gamma, 0.0, -0.0)]
+    return np.array(rows)
+
+
+@given(params=_params(), case=_policy_and_states())
+@example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8),
+         case=(vfc2(6.0, 0.25), _threshold_rows(0.25)))  # on the threshold: vaccination off
+@example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8),
+         case=(vfc2(6.0, 0.25, theta_variant=True), _threshold_rows(0.25)))
+def test_field_rows_equal_scalar_field(params, case):
+    policy, ys = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = field_rows(params, policy)(ys)
+    g = field(params, policy)
+    assert rows.shape == ys.shape
+    for y, row in zip(ys, rows):
+        expected = g(y)
+        assert np.all(row == expected) and np.all(np.signbit(row) == np.signbit(expected))
 
 
 def test_eta_nullcline_at_equilibria(left_params):
