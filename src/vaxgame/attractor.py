@@ -44,6 +44,8 @@ simplex faces) with sampling of a quadratic Lyapunov form V(x) =
 squared Euclidean distance is *not* a valid surrogate here: stable
 coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
+The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
+it loads, else from a Python loop; both draw the same stream.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from . import _native
 from .errors import (
     ComplexRoot,
     DegenerateState,
@@ -683,8 +686,31 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
     """Offsets of ``attempts`` draws, uniform in the radius ball.
 
     Each attempt draws a normal direction and then a uniform radius, in that
-    order; an all-zero direction draws no radius and yields no offset.
+    order; an all-zero direction draws no radius and yields no offset.  The
+    draws come from the C kernel of :mod:`vaxgame._native` when it loads,
+    else from :func:`_python_draws`; both leave the same offsets and the same
+    generator state.
     """
+    lib = _native.library()
+    if lib is None:
+        directions, squares, cube_roots = _python_draws(rng, attempts)
+    else:
+        directions = np.empty((attempts, 3))
+        cube_roots = np.empty(attempts)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            kept = lib.vaxgame_draw(bitgen.ctypes.bit_generator, attempts, directions, cube_roots)
+        directions, cube_roots = directions[:kept], cube_roots[:kept]
+        # per row the same product as the Python loop's direction.dot(direction)
+        squares = (directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
+    if not len(directions):
+        return np.empty((0, 3))
+    norms = np.sqrt(squares)[:, None]
+    return directions / norms * radius * cube_roots[:, None]
+
+
+def _python_draws(rng: np.random.Generator, attempts: int):
+    """The attempt loop in Python: kept directions, their squares and cube roots."""
     directions, squares, cube_roots = [], [], []
     for _ in range(attempts):
         direction = rng.normal(size=3)
@@ -694,10 +720,7 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
         directions.append(direction)
         squares.append(square)
         cube_roots.append(rng.random() ** (1.0 / 3.0))
-    if not directions:
-        return np.empty((0, 3))
-    norms = np.sqrt(squares)[:, None]
-    return np.array(directions) / norms * radius * np.array(cube_roots)[:, None]
+    return np.array(directions), np.array(squares), np.array(cube_roots)
 
 
 def _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, radius, n_samples, seed):

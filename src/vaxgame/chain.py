@@ -22,10 +22,17 @@ delta = 2/(N(0)-1) these obey
 
     eta_k >= delta_bar := (N(0)-3) / (N(0)-1)^2,
     |1/eta_{k+1} - 1/eta_k| <= eps_k * (delta_bar+1) / delta_bar^2.
+
+:func:`simulate` runs its loop in the C kernel of :mod:`vaxgame._native`
+when that loads, else in the Python loop :func:`_python_loop`, the
+reference it is tested against; both give the same trajectory and leave the
+generator in the same state.  :func:`step` samples one epoch from
+:func:`event_distribution`, for checks of the chain's law.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -33,6 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import _native
 from .errors import DegenerateState, DomainError, FrozenTrajectory, InvalidParams
 from .params import ModelParams
 from .policy import Policy, accept_fn, accept_prob
@@ -153,7 +161,22 @@ def event_distribution(
     return EventDistribution(probs=masses / varrho, varrho=varrho)
 
 
-def apply_event(state: PopState, event: Event) -> PopState:
+def step(
+    state: PopState, params: ModelParams, policy: Policy, rng: np.random.Generator
+) -> tuple[PopState, Event]:
+    """Sample and apply one transition; the epoch index always advances.
+
+    The event is the first whose cumulative probability exceeds a uniform
+    draw, else the last.
+    """
+    if state.frozen:
+        raise FrozenTrajectory("cannot step a frozen state")
+    dist = event_distribution(state.fractions(), params, policy)
+    u = float(rng.random())
+    event = next(
+        (e for e, acc in zip(Event, np.cumsum(dist.probs)) if u < acc),
+        Event.DEATH_SUSCEPTIBLE,
+    )
     dS, dI, dV, dN = EVENT_EFFECTS[event]
     return PopState(
         n_total=state.n_total + dN,
@@ -162,28 +185,7 @@ def apply_event(state: PopState, event: Event) -> PopState:
         n_vacc=state.n_vacc + dV,
         step=state.step + 1,
         frozen=state.frozen,
-    )
-
-
-def sample_event(dist: EventDistribution, u: float) -> Event:
-    """Map a uniform draw u in [0, 1) onto an event via cumulative masses."""
-    acc = 0.0
-    for event in Event:
-        acc += dist.probs[event]
-        if u < acc:
-            return event
-    return Event.DEATH_SUSCEPTIBLE
-
-
-def step(
-    state: PopState, params: ModelParams, policy: Policy, rng: np.random.Generator
-) -> tuple[PopState, Event]:
-    """Sample and apply one transition; the epoch index always advances."""
-    if state.frozen:
-        raise FrozenTrajectory("cannot step a frozen state")
-    dist = event_distribution(state.fractions(), params, policy)
-    event = sample_event(dist, float(rng.random()))
-    return apply_event(state, event), event
+    ), event
 
 
 @dataclass(frozen=True)
@@ -240,11 +242,18 @@ def simulate(
     delta defaults to 2/(N(0)-1).  Fractions are recorded every ``stride``
     epochs plus at the final epoch.  The run is deterministic for a fixed
     integer seed.
+
+    The loop runs in the C kernel of :mod:`vaxgame._native` when it loads,
+    else in :func:`_python_loop`; both read the uniforms of
+    ``gen.random(_RNG_BLOCK)`` blocks, drawn as they are needed, and give
+    the same trajectory and generator state bit for bit.
     """
     gen = _as_rng(rng)
     n0 = initial.n_total
     if n0 < 2:
         raise InvalidParams("initial population must have at least 2 individuals")
+    if initial.step < 0:
+        raise InvalidParams("initial step must be non-negative")
     if delta is None:
         delta = 2.0 / (n0 - 1)
     if delta <= 0:
@@ -252,6 +261,47 @@ def simulate(
     if stride < 1:
         raise InvalidParams("stride must be at least 1")
 
+    lib = _native.library()
+    if lib is None:
+        run = _python_loop(initial, params, policy, max_steps, delta, stride, gen)
+    else:
+        run = _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen)
+    (N, S, I, V, k), eta, freeze_epoch, min_eta, max_jump, records = run
+    if records[0][-1] != k:  # the final epoch, off the stride
+        records = [np.append(column, x) for column, x in zip(records, (k, I / N, V / N, eta))]
+    ks, ths, pss, ets = records
+
+    frozen = freeze_epoch is not None
+    final = PopState(
+        n_total=N, n_susc=S, n_inf=I, n_vacc=V, step=k, frozen=frozen
+    )
+    diag = ChainDiagnostics(
+        min_eta=min_eta,
+        max_inv_eta_jump_ratio=max_jump,
+        n_steps=k - initial.step,
+        n0=n0,
+        delta=delta,
+    )
+    return Trajectory(
+        epochs=np.asarray(ks, dtype=np.int64),
+        theta=np.asarray(ths),
+        psi=np.asarray(pss),
+        eta=np.asarray(ets),
+        final=final,
+        frozen=frozen,
+        freeze_epoch=freeze_epoch,
+        diagnostics=diag,
+        stride=stride,
+    )
+
+
+def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
+    """The chain loop in Python: the reference for the C kernel.
+
+    Returns the final counts (N, S, I, V, k), the final eta, the freeze epoch
+    (None if the chain did not freeze), min eta, the largest scaled jump of
+    1/eta, and the records (epochs, theta, psi, eta) from the initial epoch on.
+    """
     lam, r, nu, b, d, de = (
         params.lam,
         params.r,
@@ -279,7 +329,6 @@ def simulate(
     pss: list[float] = [V / N]
     ets: list[float] = [eta]
 
-    frozen = False
     freeze_epoch: Optional[int] = None
 
     buf = gen.random(_RNG_BLOCK)
@@ -287,7 +336,6 @@ def simulate(
 
     while k < max_steps:
         if eta <= delta:
-            frozen = True
             freeze_epoch = k
             break
 
@@ -356,33 +404,43 @@ def simulate(
             pss.append(V / N)
             ets.append(eta)
 
-    if ks[-1] != k:
-        ks.append(k)
-        ths.append(I / N)
-        pss.append(V / N)
-        ets.append(eta)
+    return (N, S, I, V, k), eta, freeze_epoch, min_eta, max_jump, (ks, ths, pss, ets)
 
-    final = PopState(
-        n_total=N, n_susc=S, n_inf=I, n_vacc=V, step=k, frozen=frozen
+
+def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
+    """:func:`_python_loop` in the C kernel: one call per block of uniforms.
+
+    A call runs at most one epoch per uniform of its block, so it records at
+    most ``len(buf) // stride + 1`` epochs: the record arrays are sized per
+    block, not by ``max_steps``.
+    """
+    N, k = initial.n_total, initial.step
+    I, V = initial.n_inf, initial.n_vacc
+    eta = N / k if k >= 1 else float(N)
+    state = _native.ChainState(
+        n=N, s=initial.n_susc, i=I, v=V, k=k,
+        eta=eta, inv_eta=1.0 / eta, min_eta=eta, max_jump=0.0,
     )
-    diag = ChainDiagnostics(
-        min_eta=min_eta,
-        max_inv_eta_jump_ratio=max_jump,
-        n_steps=k - initial.step,
-        n0=n0,
-        delta=delta,
-    )
-    return Trajectory(
-        epochs=np.asarray(ks, dtype=np.int64),
-        theta=np.asarray(ths),
-        psi=np.asarray(pss),
-        eta=np.asarray(ets),
-        final=final,
-        frozen=frozen,
-        freeze_epoch=freeze_epoch,
-        diagnostics=diag,
-        stride=stride,
-    )
+    law = _native.make_law(params, policy)
+    chunks = [(np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))]
+    buf = gen.random(_RNG_BLOCK)
+    while True:
+        capacity = len(buf) // stride + 1
+        rec = (np.empty(capacity, np.int64), *(np.empty(capacity) for _ in range(3)))
+        code = lib.vaxgame_chain(
+            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride, buf, len(buf), *rec
+        )
+        chunks.append(tuple(a[: state.n_rec] for a in rec))
+        if code != _native.CHAIN_NEED_BLOCK:
+            break
+        buf = gen.random(_RNG_BLOCK)
+        state.bi = 0
+    if code == _native.CHAIN_DEGENERATE:
+        raise DegenerateState("total event rate is zero")
+    freeze_epoch = state.k if code == _native.CHAIN_FROZEN else None
+    records = tuple(np.concatenate(column) for column in zip(*chunks))
+    counts = (state.n, state.s, state.i, state.v, state.k)
+    return counts, state.eta, freeze_epoch, state.min_eta, state.max_jump, records
 
 
 @dataclass(frozen=True)

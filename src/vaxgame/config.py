@@ -42,11 +42,12 @@ Accepted keys; any other key, or any other section, is a ConfigError:
 
     [experiment]  id, layers, output_dir, theta0, psi0
     [params]      lambda, r, nu, b, d, d_e (all required)
-    [policy]      family (required), beta, gamma, theta_variant, q, base, p,
-                  eps; VFC2 requires gamma and reads theta_variant (1/0,
-                  true/false or yes/no, any case), STATIC reads q, MUTANT
-                  reads base, p and eps and hands beta, gamma, theta_variant
-                  and q to its base, which a beta or gamma sweep then moves
+    [policy]      family (required) and only the keys that family reads:
+                  FC, FR and VFC1 read beta; VFC2 reads beta, gamma
+                  (required) and theta_variant (1/0, true/false or yes/no,
+                  any case); STATIC reads q; MUTANT reads base, p and eps
+                  plus the keys of its base, to which it hands them (a beta
+                  or gamma sweep then moves the base)
     [costs]       c_v1, c_v2, c_v2_bar, c_I1 (required), c_I2 (default 0)
     [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma),
                   values (required)
@@ -176,17 +177,46 @@ def parse_grid(raw: str) -> list[float]:
     return values
 
 
+#: the [policy] keys each family reads besides ``family``; a MUTANT also
+#: reads the keys of its base, and any other key is a ConfigError
+_POLICY_KEYS = {
+    Family.FC: ("beta",),
+    Family.FR: ("beta",),
+    Family.VFC1: ("beta",),
+    Family.VFC2: ("beta", "gamma", "theta_variant"),
+    Family.STATIC: ("q",),
+    Family.MUTANT: ("base", "p", "eps"),
+}
+
+
+def _parse_family(raw: str) -> Family:
+    try:
+        return Family(raw.strip().upper())
+    except ValueError as exc:
+        raise ConfigError(f"unknown policy family {raw!r}") from exc
+
+
 def _parse_policy(section: dict[str, str]) -> Policy:
     family_raw = section.get("family")
     if family_raw is None:
         raise ConfigError("[policy] family is required")
-    try:
-        family = Family(family_raw.strip().upper())
-    except ValueError as exc:
-        raise ConfigError(f"unknown policy family {family_raw!r}") from exc
-    beta = _parse_float("policy", "beta", section.get("beta", "0"))
+    family = _parse_family(family_raw)
+    read = _POLICY_KEYS[family]
+    if family is Family.MUTANT:
+        base_raw = section.get("base")
+        base_family = None if base_raw is None else _parse_family(base_raw)
+        if base_family in (None, Family.MUTANT):
+            raise ConfigError("[policy] MUTANT requires base=FC|FR|VFC1|VFC2|STATIC")
+        base_keys = _POLICY_KEYS[base_family]
+        read += base_keys
+    unread = [key for key in section if key != "family" and key not in read]
+    if unread:
+        raise ConfigError(
+            f"[policy] unknown keys: {', '.join(unread)} (not read by {family.value})"
+        )
     if family is Family.STATIC:
         return Policy(Family.STATIC, static_q=_parse_float("policy", "q", section.get("q", "0")))
+    beta = _parse_float("policy", "beta", section.get("beta", "0"))
     if family is Family.VFC2:
         if "gamma" not in section:
             raise ConfigError("[policy] VFC2 requires an explicit gamma")
@@ -196,17 +226,8 @@ def _parse_policy(section: dict[str, str]) -> Policy:
         )
         return Policy(Family.VFC2, beta=beta, gamma=gamma, theta_variant=theta_variant)
     if family is Family.MUTANT:
-        base_raw = section.get("base")
-        if base_raw is None:
-            raise ConfigError("[policy] MUTANT requires base=FC|FR|VFC1|VFC2|STATIC")
         base = _parse_policy(
-            {
-                "family": base_raw,
-                "beta": section.get("beta", "0"),
-                "gamma": section.get("gamma", "0"),
-                "theta_variant": section.get("theta_variant", "false"),
-                "q": section.get("q", "0"),
-            }
+            {"family": base_raw, **{key: section[key] for key in base_keys if key in section}}
         )
         return Policy(
             Family.MUTANT,

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, chain, ode
+from . import __version__, _native, chain, ode
 from .attractor import (
     Attractor,
     AttractorKind,
@@ -618,4 +618,5 @@ def write_manifest(exp: Experiment, config_path, master_seed: int, threads: int,
         fh.write(f"master_seed: {master_seed}\n")
         fh.write(f"threads: {threads}\n")
         fh.write(f"package_version: {__version__}\n")
+        fh.write(f"kernel: {_native.kernel_name()}\n")
         fh.write(f"summary_columns: {','.join(SUMMARY_COLUMNS)}\n")

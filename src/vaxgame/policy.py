@@ -147,13 +147,18 @@ _RESPONSE = {
 }
 
 
+def _response_key(policy: Policy):
+    """The ``_RESPONSE`` key of a non-mutant policy."""
+    theta_driven = policy.family is Family.VFC2 and policy.theta_variant
+    return "VFC2-theta" if theta_driven else policy.family
+
+
 def _resolve(policy: Policy, cap: float) -> Response:
     if policy.family is Family.MUTANT:
         base = _resolve(policy.mutant_base, cap)
         eps, p = policy.mutant_eps, policy.mutant_p
         return lambda theta, psi: (1.0 - eps) * base(theta, psi) + eps * p
-    theta_driven = policy.family is Family.VFC2 and policy.theta_variant
-    formula = _RESPONSE["VFC2-theta" if theta_driven else policy.family]
+    formula = _RESPONSE[_response_key(policy)]
     return formula(policy.beta, policy.gamma, policy.static_q, cap)
 
 

@@ -17,17 +17,11 @@ from vaxgame import (
     one_step_drift,
     simulate,
     static,
-    step,
     vfc1,
     vfc2,
 )
-from vaxgame.chain import (
-    EVENT_EFFECTS,
-    apply_event,
-    sample_event,
-    write_trajectory_csv,
-)
-from vaxgame.errors import FrozenTrajectory
+from vaxgame.chain import EVENT_EFFECTS, write_trajectory_csv
+from vaxgame.errors import FrozenTrajectory, InvalidParams
 from vaxgame.ode import OdeState, rhs
 from vaxgame.policy import accept_fn, propensity_fn
 
@@ -100,56 +94,90 @@ def test_normalization_over_random_states():
         assert dist.varrho == pytest.approx(formula, rel=1e-12)
 
 
+class FixedUniforms(np.random.Generator):
+    """A generator whose every block of uniforms is ``u`` repeated."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, self.u)
+
+
+def one_epoch(state, policy, u):
+    """The state after one epoch of simulate() driven by the uniform u."""
+    traj = simulate(state, hand_params(), policy, max_steps=state.step + 1, stride=1,
+                    rng=FixedUniforms(u))
+    return traj.final
+
+
+def bin_middle(state, policy, event):
+    """A uniform in the middle of the event's bin at the state's fractions."""
+    cum = np.cumsum(event_distribution(state.fractions(), hand_params(), policy).probs)
+    return (cum[event] + (cum[event - 1] if event > 0 else 0.0)) / 2
+
+
+def counts(state):
+    return (state.n_total, state.n_susc, state.n_inf, state.n_vacc)
+
+
 def test_step_bookkeeping():
-    rng = np.random.default_rng(0)
     state = PopState(n_total=4, n_susc=2, n_inf=2, n_vacc=0)
-    birth = apply_event(state, Event.BIRTH)
-    assert (birth.n_total, birth.n_susc, birth.n_inf, birth.n_vacc) == (5, 3, 2, 0)
+    birth = one_epoch(state, fc(0.5), bin_middle(state, fc(0.5), Event.BIRTH))
+    assert counts(birth) == (5, 3, 2, 0)
     assert birth.step == state.step + 1
 
-    null = apply_event(state, Event.NULL_DECISION)
-    assert (null.n_total, null.n_susc, null.n_inf, null.n_vacc) == (4, 2, 2, 0)
+    null = one_epoch(state, fc(0.5), bin_middle(state, fc(0.5), Event.NULL_DECISION))
+    assert counts(null) == (4, 2, 2, 0)
     assert null.step == state.step + 1
 
     # disease events are unreachable without infected individuals
     clean = PopState(n_total=50, n_susc=40, n_inf=0, n_vacc=10)
-    for _ in range(200):
-        nxt, event = step(clean, hand_params(), fc(1.0), rng)
-        assert event not in (Event.INFECTION, Event.RECOVERY, Event.DEATH_INFECTED)
-        clean = nxt if not nxt.frozen else clean
+    traj = simulate(clean, hand_params(), fc(1.0), max_steps=200, stride=1, rng=0)
+    assert len(traj) == 201 and np.all(traj.theta == 0.0)
+
+
+def recorded_counts(traj):
+    """Integer counts (k, N, I, V) recovered from a stride-1 record."""
+    k = traj.epochs
+    n = np.where(k >= 1, np.rint(traj.eta * k), traj.eta).astype(np.int64)
+    i = np.rint(traj.theta * n).astype(np.int64)
+    v = np.rint(traj.psi * n).astype(np.int64)
+    assert np.all(np.abs(traj.eta * np.maximum(k, 1) - n) <= 1e-9 * n)
+    assert np.all(np.abs(traj.theta * n - i) <= 1e-9 * n)
+    assert np.all(np.abs(traj.psi * n - v) <= 1e-9 * n)
+    return k, n, i, v
 
 
 def test_counts_stay_consistent_along_path():
-    rng = np.random.default_rng(11)
-    state = make_initial(500, 0.2, 0.1)
-    for _ in range(3000):
-        state, _ = step(state, hand_params(), fc(1.5), rng)
-        assert state.n_susc + state.n_inf + state.n_vacc == state.n_total
-        assert min(state.n_susc, state.n_inf, state.n_vacc) >= 0
+    traj = simulate(make_initial(500, 0.2, 0.1), hand_params(), fc(1.5),
+                    max_steps=3000, stride=1, rng=11)
+    k, n, i, v = recorded_counts(traj)
+    assert np.array_equal(k, np.arange(3001))
+    assert np.all(i >= 0) and np.all(v >= 0) and np.all(n - i - v >= 0)
+    effects = {(dS, dI, dV, dN) for dS, dI, dV, dN in EVENT_EFFECTS.values()}
+    for dN, dI, dV in zip(np.diff(n), np.diff(i), np.diff(v)):
+        assert (dN - dI - dV, dI, dV, dN) in effects
 
 
 def test_fraction_recursion_matches_counts():
     # recursive form with eps_k = 1/(k+1) reproduces the count ratios exactly
-    rng = np.random.default_rng(5)
-    params = hand_params()
-    state = make_initial(300, 0.3, 0.2)
-    state = PopState(state.n_total, state.n_susc, state.n_inf, state.n_vacc, step=1)
-    theta = state.n_inf / state.n_total
-    psi = state.n_vacc / state.n_total
-    eta = state.n_total / state.step
-    for _ in range(5000):
-        prev = state
-        state, event = step(state, params, vfc1(2.0), rng)
-        dS, dI, dV, dN = EVENT_EFFECTS[event]
-        k = prev.step
-        eps = 1.0 / (k + 1)
+    start = make_initial(300, 0.3, 0.2)
+    state = PopState(start.n_total, start.n_susc, start.n_inf, start.n_vacc, step=1)
+    traj = simulate(state, hand_params(), vfc1(2.0), max_steps=5001, stride=1, rng=5)
+    k, n, i, v = recorded_counts(traj)
+    theta, psi, eta = traj.theta[0], traj.psi[0], traj.eta[0]
+    for idx in range(1, len(traj)):
+        dI, dV, dN = i[idx] - i[idx - 1], v[idx] - v[idx - 1], n[idx] - n[idx - 1]
+        eps = 1.0 / (k[idx - 1] + 1)
         eta_next = eta + eps * (dN - eta)
         theta = theta + eps * (dI - dN * theta) / eta_next
         psi = psi + eps * (dV - dN * psi) / eta_next
         eta = eta_next
-        assert theta == pytest.approx(state.n_inf / state.n_total, abs=1e-12)
-        assert psi == pytest.approx(state.n_vacc / state.n_total, abs=1e-12)
-        assert eta == pytest.approx(state.n_total / state.step, abs=1e-12)
+        assert theta == pytest.approx(i[idx] / n[idx], abs=1e-12)
+        assert psi == pytest.approx(v[idx] / n[idx], abs=1e-12)
+        assert eta == pytest.approx(n[idx] / k[idx], abs=1e-12)
 
 
 def test_drift_matches_field_within_error_bound():
@@ -245,9 +273,10 @@ def test_trajectory_csv_deterministic(tmp_path):
 
 
 def test_sample_event_boundaries():
-    dist = event_distribution(FractionState(0.5, 0.0, 1.0), hand_params(), fc(0.5))
-    assert sample_event(dist, 0.0) is Event.INFECTION
-    assert sample_event(dist, 0.999999999) is Event.DEATH_SUSCEPTIBLE
+    # u = 0 draws the first event, u just below 1 the last
+    state = PopState(n_total=4, n_susc=2, n_inf=2, n_vacc=0)  # theta = 0.5, psi = 0
+    assert counts(one_epoch(state, fc(0.5), 0.0)) == (4, 1, 3, 0)  # infection
+    assert counts(one_epoch(state, fc(0.5), 0.999999999)) == (3, 1, 2, 0)  # susceptible death
 
 
 @given(policy=POLICIES, theta=UNIT, psi_share=UNIT)
@@ -288,6 +317,13 @@ def _reference_accept(policy, theta, psi):
         base = _reference_accept(policy.mutant_base, theta, psi)
         return (1.0 - policy.mutant_eps) * base + policy.mutant_eps * policy.mutant_p
     return min(1.0, _reference_propensity(policy, theta, psi))
+
+
+def test_negative_initial_step_is_invalid():
+    # at step -1 the first epoch would divide N by k = 0
+    state = PopState(n_total=100, n_susc=80, n_inf=20, n_vacc=0, step=-1)
+    with pytest.raises(InvalidParams, match="initial step"):
+        simulate(state, hand_params(), fc(1.0), max_steps=10, rng=0)
 
 
 def test_make_initial_validates_fractions():

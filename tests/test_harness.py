@@ -3,12 +3,13 @@ import dataclasses
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vaxgame import Family, Layer, harness
+from vaxgame import Family, Layer, _native, harness
 from vaxgame.cli import main as cli_main
 from vaxgame.config import load_experiment, parse_grid
 from vaxgame.errors import ConfigError
@@ -166,6 +167,10 @@ ODE_WITHOUT_HORIZON = (
         ("experiment", "theta_0 = 0.1"),
         ("params", "lamda = 8.5"),
         ("policy", "gama = 0.2"),
+        # keys the FC family does not read
+        ("policy", "gamma = abc"),
+        ("policy", "theta_variant = ture"),
+        ("policy", "q = 7"),
         ("costs", "c_v3 = 1"),
         ("sweep", "value = 1"),
         ("mc", "replication = 10"),
@@ -272,6 +277,30 @@ _MUTANT_OF_VFC2 = "family = MUTANT\nbase = VFC2\np = 0.5\neps = 0.1\ngamma = 0.2
 def test_mutant_hands_theta_variant_to_its_base(tmp_path):
     text = CONFIG_TEXT.replace("family = FC", f"{_MUTANT_OF_VFC2}\ntheta_variant = yes")
     assert load_experiment(write_config(tmp_path, text)).policy.mutant_base.theta_variant
+
+
+@pytest.mark.parametrize(
+    "policy,key",
+    [
+        ("family = MUTANT\nbase = FC\np = 0.5\neps = 0.1\ngamma = 0.2", "gamma"),
+        (f"{_MUTANT_OF_VFC2}\nq = 0.3", "q"),
+        ("family = MUTANT\nbase = STATIC\np = 0.5\neps = 0.1\nq = 0.3", "beta"),
+        ("family = STATIC\nq = 0.3", "beta"),
+        ("family = VFC2\ngamma = 0.2\neps = 0.1", "eps"),
+    ],
+)
+def test_key_the_policy_does_not_read_is_config_error(tmp_path, policy, key):
+    # a MUTANT reads a key only if it or its base does
+    text = CONFIG_TEXT.replace("family = FC", policy)
+    with pytest.raises(ConfigError, match=rf"\[policy\] unknown keys: {key} \(not read by"):
+        load_experiment(write_config(tmp_path, text))
+    assert cli_main(["run", str(write_config(tmp_path, text))]) == 2
+
+
+def test_mutant_of_a_mutant_is_config_error(tmp_path):
+    text = CONFIG_TEXT.replace("family = FC\nbeta = 0.5", "family = MUTANT\nbase = MUTANT")
+    with pytest.raises(ConfigError, match="MUTANT requires base="):
+        load_experiment(write_config(tmp_path, text))
 
 
 @pytest.mark.parametrize("raw", ["ture", "yes please", "2", "on", ""])
@@ -438,6 +467,11 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     manifest = (out / "manifest_demo.txt").read_text()
     assert "config_sha256:" in manifest and "master_seed:" in manifest
     assert f"\nsummary_columns: {SUMMARY_HEADER}\n" in manifest
+    kernel = "python" if _native.library() is None else "native"
+    assert f"\nkernel: {kernel}\n" in manifest
+    with mock.patch.object(_native, "library", return_value=None):
+        assert cli_main(["run", str(cfg)]) == 0
+    assert "\nkernel: python\n" in (out / "manifest_demo.txt").read_text()
 
     assert cli_main(["atlas", str(cfg)]) == 0
     atlas = (out / "atlas_demo.csv").read_text().splitlines()
