@@ -33,7 +33,14 @@ typedef struct {
     int64_t n_rec; /* records written by this call */
 } chain_t;
 
-enum { CHAIN_DONE, CHAIN_FROZEN, CHAIN_NEED_BLOCK, CHAIN_DEGENERATE };
+enum {
+    CHAIN_DONE,
+    CHAIN_FROZEN,
+    CHAIN_NEED_BLOCK,
+    CHAIN_DEGENERATE,
+    CHAIN_EXTINCT,
+    CHAIN_RECORDS_FULL
+};
 
 /* Python's min(1.0, x): x when x < 1, else 1 (NaN included). */
 static double cap1(double x) { return x < 1.0 ? x : 1.0; }
@@ -74,18 +81,45 @@ double vaxgame_accept(const law_t *w, double theta, double psi)
 }
 
 /*
+ * The bin edges of one epoch at (theta, psi): the cumulative event masses
+ * c1..c7, in the order of chain.Event, and their total varrho in c[7].
+ */
+static inline void event_edges(const law_t *w, double theta, double psi, double c[8])
+{
+    const double phi = 1.0 - theta - psi;
+    const double q = accept(w, theta, psi);
+    const double t_inf = w->lam * theta * phi;
+    const double t_dec = w->nu * phi;
+    const double t_vac = q * t_dec;
+    c[0] = t_inf;
+    c[1] = c[0] + w->r * theta;
+    c[2] = c[1] + (w->d + w->d_e) * theta;
+    c[3] = c[2] + t_vac;
+    c[4] = c[3] + (t_dec - t_vac);
+    c[5] = c[4] + w->b;
+    c[6] = c[5] + w->d * psi;
+    c[7] = c[6] + w->d * phi;
+}
+
+/* event_edges() for the tests, which compare it with chain._python_loop. */
+void vaxgame_edges(const law_t *w, double theta, double psi, double *out)
+{
+    event_edges(w, theta, psi, out);
+}
+
+/*
  * Advance the chain until k reaches max_steps, the freeze fires, the total
- * rate is not positive, or the block of uniforms is used up.  Records every
- * epoch that is a multiple of stride; the caller sizes the record arrays for
- * one block.  Returns one of the CHAIN_* codes; on CHAIN_NEED_BLOCK the state
- * is the one before the epoch that needs the next uniform.
+ * rate is not positive, the population dies out, the block of uniforms is
+ * used up or the rec_cap record slots are full.  Records every epoch that
+ * is a multiple of stride.  Returns one of the CHAIN_* codes; on
+ * CHAIN_NEED_BLOCK and CHAIN_RECORDS_FULL the state is the one before the
+ * next epoch, and a call with a new block or new record arrays goes on.
  */
 int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
                   int64_t stride, const double *buf, int64_t n_buf,
-                  int64_t *rec_k, double *rec_theta, double *rec_psi,
-                  double *rec_eta)
+                  int64_t rec_cap, int64_t *rec_k, double *rec_theta,
+                  double *rec_psi, double *rec_eta)
 {
-    const double d_plus_de = w->d + w->d_e;
     int64_t n = c->n, s = c->s, i = c->i, v = c->v, k = c->k, bi = c->bi;
     double eta = c->eta, inv_eta = c->inv_eta;
     double min_eta = c->min_eta, max_jump = c->max_jump;
@@ -97,23 +131,13 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
             code = CHAIN_FROZEN;
             break;
         }
-        const double theta = (double)i / (double)n;
-        const double psi = (double)v / (double)n;
-        const double phi = 1.0 - theta - psi;
-        const double q = accept(w, theta, psi);
-
-        const double t_inf = w->lam * theta * phi;
-        const double t_dec = w->nu * phi;
-        const double t_vac = q * t_dec;
-        const double c1 = t_inf;
-        const double c2 = c1 + w->r * theta;
-        const double c3 = c2 + d_plus_de * theta;
-        const double c4 = c3 + t_vac;
-        const double c5 = c4 + (t_dec - t_vac);
-        const double c6 = c5 + w->b;
-        const double c7 = c6 + w->d * psi;
-        const double varrho = c7 + w->d * phi;
-        if (varrho <= 0.0) {
+        if (n_rec == rec_cap) {
+            code = CHAIN_RECORDS_FULL;
+            break;
+        }
+        double e[8];
+        event_edges(w, (double)i / (double)n, (double)v / (double)n, e);
+        if (e[7] <= 0.0) {
             code = CHAIN_DEGENERATE;
             break;
         }
@@ -121,31 +145,35 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
             code = CHAIN_NEED_BLOCK;
             break;
         }
-        const double x = buf[bi++] * varrho;
+        const double x = buf[bi++] * e[7];
 
-        if (x < c1) {
+        if (x < e[0]) {
             s -= 1;
             i += 1;
-        } else if (x < c2) {
+        } else if (x < e[1]) {
             i -= 1;
             s += 1;
-        } else if (x < c3) {
+        } else if (x < e[2]) {
             i -= 1;
             n -= 1;
-        } else if (x < c4) {
+        } else if (x < e[3]) {
             s -= 1;
             v += 1;
-        } else if (x < c5) {
+        } else if (x < e[4]) {
             /* declined vaccination */
-        } else if (x < c6) {
+        } else if (x < e[5]) {
             s += 1;
             n += 1;
-        } else if (x < c7) {
+        } else if (x < e[6]) {
             v -= 1;
             n -= 1;
         } else if (s > 0) { /* guard against a 1-ulp overshoot at the last boundary */
             s -= 1;
             n -= 1;
+        }
+        if (n == 0) {
+            code = CHAIN_EXTINCT;
+            break;
         }
 
         k += 1;

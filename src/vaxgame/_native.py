@@ -40,7 +40,14 @@ _UNRESOLVED = object()
 _library = _UNRESOLVED
 
 # chain kernel return codes, as in _native.c
-CHAIN_DONE, CHAIN_FROZEN, CHAIN_NEED_BLOCK, CHAIN_DEGENERATE = range(4)
+(
+    CHAIN_DONE,
+    CHAIN_FROZEN,
+    CHAIN_NEED_BLOCK,
+    CHAIN_DEGENERATE,
+    CHAIN_EXTINCT,
+    CHAIN_RECORDS_FULL,
+) = range(6)
 
 #: base family codes of _native.c, in the order of policy._RESPONSE
 _FAMILY_CODES = {key: code for code, key in enumerate(_RESPONSE)}
@@ -158,6 +165,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,  # stride
         doubles,  # block of uniforms
         ctypes.c_int64,  # its length
+        ctypes.c_int64,  # length of each record array
         int64s,  # recorded epochs
         doubles,  # recorded theta
         doubles,  # recorded psi
@@ -165,6 +173,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.vaxgame_accept.restype = ctypes.c_double
     lib.vaxgame_accept.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double]
+    lib.vaxgame_edges.restype = None
+    lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, doubles]
     lib.vaxgame_draw.restype = ctypes.c_int64
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
     return lib

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence, Union
@@ -46,6 +47,8 @@ from .params import ModelParams
 from .policy import Policy, accept_fn, accept_prob
 
 _RNG_BLOCK = 1 << 16
+#: the C kernel counts in int64: every count lies in [-_INT64, _INT64)
+_INT64 = 2**63
 
 RngLike = Union[np.random.Generator, int, None]
 
@@ -241,7 +244,10 @@ def simulate(
 
     delta defaults to 2/(N(0)-1).  Fractions are recorded every ``stride``
     epochs plus at the final epoch.  The run is deterministic for a fixed
-    integer seed.
+    integer seed.  ``max_steps`` and ``stride`` are integers, and they, the
+    initial step and N(0) + max_steps (the largest population the run can
+    reach) must fit in a signed 64-bit integer.  A population that dies out
+    (possible only with a delta below the default) raises DegenerateState.
 
     The loop runs in the C kernel of :mod:`vaxgame._native` when it loads,
     else in :func:`_python_loop`; both read the uniforms of
@@ -258,8 +264,17 @@ def simulate(
         delta = 2.0 / (n0 - 1)
     if delta <= 0:
         raise InvalidParams("delta must be positive")
+    try:
+        max_steps, stride = operator.index(max_steps), operator.index(stride)
+    except TypeError:
+        raise InvalidParams("max_steps and stride must be integers") from None
     if stride < 1:
         raise InvalidParams("stride must be at least 1")
+    reach = n0 + max(max_steps - initial.step, 0)
+    if not all(-_INT64 <= x < _INT64 for x in (max_steps, stride, initial.step, reach)):
+        raise InvalidParams(
+            "max_steps, stride, the initial step and N(0) + max_steps must fit in 64 bits"
+        )
 
     lib = _native.library()
     if lib is None:
@@ -387,6 +402,8 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
         elif S > 0:  # guard against a 1-ulp overshoot at the last boundary
             S -= 1
             N -= 1
+        if N == 0:
+            raise DegenerateState("the population died out")
 
         k += 1
         eta = N / k
@@ -412,7 +429,8 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
 
     A call runs at most one epoch per uniform of its block, so it records at
     most ``len(buf) // stride + 1`` epochs: the record arrays are sized per
-    block, not by ``max_steps``.
+    block, not by ``max_steps``.  The kernel stops before it would write
+    past them, and the next call goes on with new arrays.
     """
     N, k = initial.n_total, initial.step
     I, V = initial.n_inf, initial.n_vacc
@@ -424,19 +442,23 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
     law = _native.make_law(params, policy)
     chunks = [(np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))]
     buf = gen.random(_RNG_BLOCK)
+    capacity = len(buf) // stride + 1
     while True:
-        capacity = len(buf) // stride + 1
         rec = (np.empty(capacity, np.int64), *(np.empty(capacity) for _ in range(3)))
         code = lib.vaxgame_chain(
-            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride, buf, len(buf), *rec
+            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride,
+            buf, len(buf), capacity, *rec,
         )
         chunks.append(tuple(a[: state.n_rec] for a in rec))
-        if code != _native.CHAIN_NEED_BLOCK:
+        if code == _native.CHAIN_NEED_BLOCK:
+            buf = gen.random(_RNG_BLOCK)
+            state.bi = 0
+        elif code != _native.CHAIN_RECORDS_FULL:
             break
-        buf = gen.random(_RNG_BLOCK)
-        state.bi = 0
     if code == _native.CHAIN_DEGENERATE:
         raise DegenerateState("total event rate is zero")
+    if code == _native.CHAIN_EXTINCT:
+        raise DegenerateState("the population died out")
     freeze_epoch = state.k if code == _native.CHAIN_FROZEN else None
     records = tuple(np.concatenate(column) for column in zip(*chunks))
     counts = (state.n, state.s, state.i, state.v, state.k)

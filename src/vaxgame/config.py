@@ -52,6 +52,7 @@ Accepted keys; any other key, or any other section, is a ConfigError:
     [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma),
                   values (required)
     [mc]          n0, max_steps, replications, seed, stride, tail_fraction
+                  (n0, max_steps and stride must fit in 64 bits)
     [ode]         horizon, rtol, atol, eta0
 
 Layers are closed_form, ode, monte_carlo, ess and stability.  Values the
@@ -71,6 +72,7 @@ import math
 from pathlib import Path
 from typing import Optional
 
+from .chain import _INT64
 from .errors import ConfigError, DomainError, InvalidParams
 from .ess import CostParams
 from .harness import Experiment, Layer, McSettings, OdeSettings, SweepSpec, apply_sweep
@@ -95,6 +97,14 @@ def _parse_int(section, key, raw: str) -> int:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
 
 
+def _parse_int64(section, key, raw: str) -> int:
+    """An integer the chain kernel counts in: a signed 64-bit one."""
+    value = _parse_int(section, key, raw)
+    if not -_INT64 <= value < _INT64:
+        raise ConfigError(f"[{section}] {key} = {raw!r} does not fit in 64 bits")
+    return value
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -108,11 +118,11 @@ def _parse_bool(section, key, raw: str) -> bool:
 
 
 _MC_KEYS = {
-    "n0": _parse_int,
-    "max_steps": _parse_int,
+    "n0": _parse_int64,
+    "max_steps": _parse_int64,
     "replications": _parse_int,
     "seed": _parse_int,
-    "stride": _parse_int,
+    "stride": _parse_int64,
     "tail_fraction": _parse_float,
 }
 _ODE_KEYS = {

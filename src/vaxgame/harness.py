@@ -610,13 +610,19 @@ def write_ess_csv(records: list[RunRecord], path) -> None:
     _write_csv(path, _ESS_FIELDS, records)
 
 
+#: the layers that run a C kernel: the chain loop and the certificate draws
+_KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.STABILITY})
+
+
 def write_manifest(exp: Experiment, config_path, master_seed: int, threads: int, path) -> None:
+    """The run's manifest; ``kernel:`` is none where no layer runs a kernel."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+    kernel = _native.kernel_name() if exp.layers & _KERNEL_LAYERS else "none"
     with open(path, "w") as fh:
         fh.write(f"experiment_id: {exp.id}\n")
         fh.write(f"config_sha256: {digest}\n")
         fh.write(f"master_seed: {master_seed}\n")
         fh.write(f"threads: {threads}\n")
         fh.write(f"package_version: {__version__}\n")
-        fh.write(f"kernel: {_native.kernel_name()}\n")
+        fh.write(f"kernel: {kernel}\n")
         fh.write(f"summary_columns: {','.join(SUMMARY_COLUMNS)}\n")

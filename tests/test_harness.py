@@ -203,6 +203,9 @@ def test_unknown_section_is_config_error(tmp_path):
         ("variable = beta\nvalues = 0.5, 1.0, 3.0", "variable = d_e\nvalues = 0, 0.25"),
         ("r = 1.188", "r = 0"),  # with c_I1 = 4.32/r
         ("c_v1 = 2.88", "c_v1 = nan"),
+        # the chain kernel counts in int64: 2**64 + 1 would reach it as 1
+        ("stride = 200", "stride = 18446744073709551617"),
+        ("max_steps = 40000", "max_steps = 9223372036854775808"),
     ],
 )
 def test_inadmissible_value_exits_2(tmp_path, capsys, old, new):
@@ -228,6 +231,8 @@ ONE_POINT = (
         ("tail_fraction = 0.2", "tail_fraction = 1.5", "mc_error",
          "InvalidParams: tail_fraction must lie in (0, 1)"),
         ("stride = 200", "stride = 0", "mc_error", "InvalidParams: stride must be"),
+        ("n0 = 1500", "n0 = 9223372036854775807", "mc_error",
+         "InvalidParams: max_steps, stride, the initial step and N(0) + max_steps must fit"),
         ("horizon = 50", "horizon = -1", "ode_error", "InvalidParams: horizon must be positive"),
     ],
 )
@@ -467,11 +472,10 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     manifest = (out / "manifest_demo.txt").read_text()
     assert "config_sha256:" in manifest and "master_seed:" in manifest
     assert f"\nsummary_columns: {SUMMARY_HEADER}\n" in manifest
-    kernel = "python" if _native.library() is None else "native"
-    assert f"\nkernel: {kernel}\n" in manifest
-    with mock.patch.object(_native, "library", return_value=None):
+    # closed_form and ode run no kernel: the manifest says so and nothing is built
+    assert "\nkernel: none\n" in manifest
+    with mock.patch.object(_native, "library", side_effect=AssertionError("loaded")):
         assert cli_main(["run", str(cfg)]) == 0
-    assert "\nkernel: python\n" in (out / "manifest_demo.txt").read_text()
 
     assert cli_main(["atlas", str(cfg)]) == 0
     atlas = (out / "atlas_demo.csv").read_text().splitlines()
@@ -490,6 +494,11 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     assert cli_main(["validate", str(cfg_single)]) == 0
     printed = capsys.readouterr().out
     assert "ode_vs_closed_form: agree" in printed
+    kernel = "python" if _native.library() is None else "native"
+    assert f"\nkernel: {kernel}\n" in (tmp_path / "val" / "manifest_demo.txt").read_text()
+    with mock.patch.object(_native, "library", return_value=None):
+        assert cli_main(["validate", str(cfg_single)]) == 0
+    assert "\nkernel: python\n" in (tmp_path / "val" / "manifest_demo.txt").read_text()
 
 
 def test_cli_config_error(tmp_path, capsys):

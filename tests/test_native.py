@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -29,7 +30,7 @@ from vaxgame import (
 )
 from vaxgame import _native
 from vaxgame.chain import _RNG_BLOCK
-from vaxgame.errors import DegenerateState
+from vaxgame.errors import DegenerateState, InvalidParams
 from vaxgame.policy import accept_fn
 
 from rowgen import POLICIES, UNIT
@@ -48,10 +49,10 @@ def python_kernels():
     return mock.patch.object(_native, "library", return_value=None)
 
 
-def _chain_run(initial, params, policy, max_steps, stride, seed):
+def _chain_run(initial, params, policy, max_steps, delta, stride, seed):
     gen = np.random.default_rng(seed)
     try:
-        traj = simulate(initial, params, policy, max_steps=max_steps, stride=stride, rng=gen)
+        traj = simulate(initial, params, policy, max_steps, delta, stride, gen)
     except DegenerateState as exc:
         return repr(exc), gen.bit_generator.state
     arrays = (traj.epochs, traj.theta, traj.psi, traj.eta)
@@ -62,15 +63,18 @@ def _chain_run(initial, params, policy, max_steps, stride, seed):
     )
 
 
+_LEFT = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
+# births barely outweigh deaths: a small population can die out
+_DYING = ModelParams(lam=1.0, r=1.0, nu=0.5, b=0.31, d=0.3)
 _PARAMS = st.sampled_from(
     [
         ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1),
         ModelParams(lam=3.0, r=0.8, nu=1.2, b=0.9, d=0.3, d_e=0.1),
         ModelParams(lam=1.749, r=1.0002, nu=0.404, b=0.322, d=0.1),
         ModelParams(lam=2.0, r=1.0, nu=1.0, b=1.0, d=0.5),
+        _DYING,
     ]
 )
-_LEFT = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
 # every rate zero at theta = 0: the first epoch has no event to draw
 _DEAD = SimpleNamespace(lam=1.0, r=0.0, nu=0.0, b=0.0, d=0.0, d_e=0.0)
 
@@ -79,36 +83,39 @@ _DEAD = SimpleNamespace(lam=1.0, r=0.0, nu=0.0, b=0.0, d=0.0, d_e=0.0)
 @given(
     policy=POLICIES,
     params=_PARAMS,
-    n0=st.integers(3, 3000),
+    n0=st.integers(2, 3000),
     theta0=UNIT,
     psi_share=UNIT,
     step0=st.integers(0, 40),
     n_steps=st.integers(0, 3000),
+    delta=st.none() | st.floats(1e-3, 1.0),
     stride=st.integers(1, 400),
     seed=st.integers(0, 2**32),
 )
-@example(fc(3.0), _LEFT, 400, 0.2, 0.1, 0, 3 * _RNG_BLOCK + 17, 7, 1)  # four blocks
-@example(fr(2.0), _LEFT, 400, 0.2, 0.1, 0, 5000, 3, 2)
-@example(vfc1(5.0), _LEFT, 400, 0.2, 0.1, 0, 5000, 3, 3)
-@example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 0, 5000, 3, 4)
-@example(vfc2(6.0, 0.2, theta_variant=True), _LEFT, 400, 0.3, 0.1, 0, 5000, 3, 5)
-@example(static(0.3), _LEFT, 400, 0.2, 0.1, 0, 5000, 3, 6)
-@example(mutant(fc(8.0), p=0.7, eps=0.04), _LEFT, 400, 0.2, 0.5, 0, 5000, 1, 7)
-@example(mutant(fr(9.0), p=0.1, eps=0.3), _LEFT, 400, 0.2, 0.5, 0, 5000, 1, 8)
-@example(mutant(vfc1(9.0), p=0.1, eps=0.3), _LEFT, 400, 0.2, 0.5, 0, 5000, 1, 9)
-@example(mutant(vfc2(6.0, 0.2), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, 2, 10)
-@example(mutant(vfc2(6.0, 0.2, True), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, 2, 11)
-@example(mutant(static(0.2), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, 2, 12)
-@example(fc(1.0), _LEFT, 400, 0.2, 0.1, 37, 5000, 10, 13)  # initial.step > 0
-@example(fc(0.5), _LEFT, 4, 0.25, 0.0, 0, 10_000, 1, 9)  # freezes
-@example(fc(0.5), _DEAD, 50, 0.0, 0.0, 0, 10, 1, 0)  # degenerate at the first epoch
-@example(fc(0.5), _LEFT, 50, 0.2, 0.0, 0, 0, 1, 0)  # no epoch to run
+@example(fc(3.0), _LEFT, 400, 0.2, 0.1, 0, 3 * _RNG_BLOCK + 17, None, 7, 1)  # four blocks
+@example(fr(2.0), _LEFT, 400, 0.2, 0.1, 0, 5000, None, 3, 2)
+@example(vfc1(5.0), _LEFT, 400, 0.2, 0.1, 0, 5000, None, 3, 3)
+@example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 0, 5000, None, 3, 4)
+@example(vfc2(6.0, 0.2, theta_variant=True), _LEFT, 400, 0.3, 0.1, 0, 5000, None, 3, 5)
+@example(static(0.3), _LEFT, 400, 0.2, 0.1, 0, 5000, None, 3, 6)
+@example(mutant(fc(8.0), p=0.7, eps=0.04), _LEFT, 400, 0.2, 0.5, 0, 5000, None, 1, 7)
+@example(mutant(fr(9.0), p=0.1, eps=0.3), _LEFT, 400, 0.2, 0.5, 0, 5000, None, 1, 8)
+@example(mutant(vfc1(9.0), p=0.1, eps=0.3), _LEFT, 400, 0.2, 0.5, 0, 5000, None, 1, 9)
+@example(mutant(vfc2(6.0, 0.2), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, None, 2, 10)
+@example(mutant(vfc2(6.0, 0.2, True), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, None, 2, 11)
+@example(mutant(static(0.2), p=0.9, eps=0.5), _LEFT, 400, 0.3, 0.1, 0, 5000, None, 2, 12)
+@example(fc(1.0), _LEFT, 400, 0.2, 0.1, 37, 5000, None, 10, 13)  # initial.step > 0
+@example(fc(0.5), _LEFT, 4, 0.25, 0.0, 0, 10_000, None, 1, 9)  # freezes
+@example(fc(0.5), _DEAD, 50, 0.0, 0.0, 0, 10, None, 1, 0)  # degenerate at the first epoch
+@example(fc(0.5), _LEFT, 50, 0.2, 0.0, 0, 0, None, 1, 0)  # no epoch to run
+@example(fc(0.5), _DYING, 2, 0.0, 0.0, 0, 50, 0.1, 1, 1)  # dies out at epoch 2
+@example(fc(0.5), _DYING, 2, 0.0, 0.0, 0, 50, 0.1, 7, 1)  # the same, off the stride
 def test_native_chain_matches_python(
-    policy, params, n0, theta0, psi_share, step0, n_steps, stride, seed
+    policy, params, n0, theta0, psi_share, step0, n_steps, delta, stride, seed
 ):
     start = make_initial(n0, theta0, psi_share * (1.0 - theta0))
     initial = PopState(start.n_total, start.n_susc, start.n_inf, start.n_vacc, step=step0)
-    args = (initial, params, policy, step0 + n_steps, stride, seed)
+    args = (initial, params, policy, step0 + n_steps, delta, stride, seed)
     native = _chain_run(*args)
     with python_kernels():
         reference = _chain_run(*args)
@@ -121,6 +128,39 @@ def test_freeze_and_degenerate_cases_are_reached():
     assert frozen.frozen and frozen.freeze_epoch > 0
     with pytest.raises(DegenerateState, match="total event rate is zero"):
         simulate(make_initial(50, 0.0, 0.0), _DEAD, fc(0.5), max_steps=10, rng=0)
+    for kernels in (python_kernels, nullcontext):  # the Python loop, then the kernel
+        with kernels(), pytest.raises(DegenerateState, match="the population died out"):
+            simulate(make_initial(2, 0.0, 0.0), _DYING, fc(0.5), 50, delta=0.1, stride=7, rng=1)
+
+
+@pytest.mark.parametrize(
+    "max_steps,stride",
+    [(100, 2**64 + 1), (100, 2**64), (2**63, 1), (2**63 - 1, 1), (-(2**63) - 1, 1), (100.0, 1)],
+)
+def test_counts_beyond_int64_are_invalid(max_steps, stride):
+    # ctypes would pass them on masked to 64 bits: a stride of 2**64 + 1 as 1
+    for kernels in (python_kernels, nullcontext):
+        with kernels(), pytest.raises(InvalidParams, match="64 bits|integers"):
+            simulate(make_initial(100, 0.2, 0.1), _LEFT, fc(1.0), max_steps, stride=stride, rng=1)
+
+
+def test_chain_kernel_stops_at_full_record_arrays():
+    # stride 1 and two record slots: the kernel returns after two epochs,
+    # and a call with new arrays goes on from there
+    lib = _native.library()
+    state = _native.ChainState(n=100, s=70, i=20, v=10, eta=100.0, inv_eta=0.01, min_eta=100.0)
+    law = _native.make_law(_LEFT, fc(1.0))
+    buf = np.random.default_rng(0).random(10)
+    epochs = []
+    for _ in range(3):
+        rec = (np.full(3, -1, np.int64), *(np.empty(3) for _ in range(3)))
+        code = lib.vaxgame_chain(
+            ctypes.byref(state), ctypes.byref(law), 100, 0.01, 1, buf, len(buf), 2, *rec
+        )
+        assert code == _native.CHAIN_RECORDS_FULL and state.n_rec == 2
+        assert rec[0][2] == -1  # the slot past the capacity stays untouched
+        epochs += rec[0][:2].tolist()
+    assert epochs == [1, 2, 3, 4, 5, 6] and state.k == 6 and state.bi == 6
 
 
 @given(policy=POLICIES, theta=UNIT, psi_share=UNIT)
@@ -135,6 +175,45 @@ def test_native_response_matches_accept_fn(policy, theta, psi_share):
     psi = psi_share * (1.0 - theta)
     native = _native.library().vaxgame_accept(_native.make_law(_LEFT, policy), theta, psi)
     assert repr(native) == repr(accept_fn(policy)(theta, psi))
+
+
+def _reference_edges(params, policy, theta, psi):
+    """The bin edges c1..c7 and varrho of chain._python_loop, written out."""
+    phi = 1.0 - theta - psi
+    q = accept_fn(policy)(theta, psi)
+    t_inf = params.lam * theta * phi
+    t_dec = params.nu * phi
+    t_vac = q * t_dec
+    c1 = t_inf
+    c2 = c1 + params.r * theta
+    c3 = c2 + (params.d + params.d_e) * theta
+    c4 = c3 + t_vac
+    c5 = c4 + (t_dec - t_vac)
+    c6 = c5 + params.b
+    c7 = c6 + params.d * psi
+    return [c1, c2, c3, c4, c5, c6, c7, c7 + params.d * phi]
+
+
+_RATE = st.floats(0.0, 10.0)
+_RATES = st.builds(SimpleNamespace, lam=_RATE, r=_RATE, nu=_RATE, b=_RATE, d=_RATE, d_e=_RATE)
+
+
+@given(policy=POLICIES, params=_RATES, theta=UNIT, psi_share=UNIT)
+# sums whose grouping changes the rounding: c4 + (t_dec - t_vac), (d + d_e) * theta
+@example(
+    policy=fc(1.0), params=SimpleNamespace(lam=0.0, r=0.0, nu=1.0, b=0.0, d=0.0, d_e=0.0),
+    theta=0.2, psi_share=0.4,
+)
+@example(
+    policy=fc(1.0), params=SimpleNamespace(lam=0.0, r=0.0, nu=0.0, b=0.0, d=0.1, d_e=0.2),
+    theta=0.7, psi_share=0.0,
+)
+def test_native_edges_match_python_loop(policy, params, theta, psi_share):
+    # pins the C copy of the event masses: a trajectory rarely shows a 1-ulp shift of an edge
+    psi = psi_share * (1.0 - theta)
+    edges = np.empty(8)
+    _native.library().vaxgame_edges(_native.make_law(params, policy), theta, psi, edges)
+    assert repr(edges.tolist()) == repr(_reference_edges(params, policy, theta, psi))
 
 
 _WORD = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
