@@ -78,12 +78,5 @@ from .ode import (
     rhs,
     varrho,
 )
-from .params import (
-    DiseaseRegime,
-    ModelParams,
-    Ratios,
-    classify_regime,
-    derive_ratios,
-    validate,
-)
+from .params import ModelParams, Ratios, derive_ratios, validate
 from .policy import Family, Policy, accept_prob, fc, fr, mutant, propensity, static, vfc1, vfc2

@@ -25,7 +25,9 @@ deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*; both follow from
 setting the field to zero.
 
 Each returned point names its catalogue row in ``table_row`` (the
-``regime_row`` column of the atlas), labelled ``<family>[-deadly]/<row>``:
+``regime_row`` column of the atlas), labelled ``<family>[-deadly]/<row>``.
+The kind and clamp of each row are defined once, in ``_ROWS``; this table
+documents it, with the families that reach each row:
 
   row                      kind           clamp  families
   nvdf                     BOUNDARY_NVDF  no     fc, fr, vfc1, fc-deadly, fr-deadly
@@ -75,6 +77,9 @@ REGIME_TOL = 1e-9
 
 #: Residual gate for re-verifying conjectural (deadly) rows.
 CONJECTURE_RESIDUAL_TOL = 1e-8
+
+#: Smallest ball radius the certificate's sampling retries at.
+_MIN_RADIUS = 1e-6
 
 
 class AttractorKind(Enum):
@@ -140,26 +145,39 @@ def coexistence_point(params: ModelParams) -> tuple[float, float]:
     return (theta_e, psi_e)
 
 
+#: Kind and clamp of each catalogue row, shared by every family; the row
+#: functions below return the row's name and nothing of its shape.
+_ROWS = {
+    "nvdf": (AttractorKind.BOUNDARY_NVDF, False),
+    "origin": (AttractorKind.ORIGIN, False),
+    "disease-free": (AttractorKind.DISEASE_FREE, False),
+    "disease-free-saturated": (AttractorKind.DISEASE_FREE, True),
+    "interior": (AttractorKind.INTERIOR, False),
+    "coexistence": (AttractorKind.INTERIOR, True),
+}
+
+
 def _make(
     theta: float,
     psi: float,
     params: ModelParams,
-    kind: AttractorKind,
     row: str,
-    clamp: bool,
-    conjectured: bool = False,
-    proven: bool = True,
+    label: str,
+    conjectured: bool,
+    proven: bool,
 ) -> Attractor:
+    """The point (theta, psi) of ``row``, labelled ``label``, shaped by :data:`_ROWS`."""
     if not (0.0 <= theta <= 1.0 and 0.0 <= psi <= 1.0 and theta + psi <= 1.0):
         raise RegimeMismatch(
-            f"row {row!r} produced a point outside the simplex: ({theta!r}, {psi!r})"
+            f"row {label!r} produced a point outside the simplex: ({theta!r}, {psi!r})"
         )
+    kind, clamp = _ROWS[row]
     return Attractor(
         theta_hat=theta,
         psi_hat=psi,
         eta_hat=_eta_at(theta, psi, params),
         kind=kind,
-        table_row=row,
+        table_row=label,
         clamp_active=clamp,
         conjectured=conjectured,
         proven=proven,
@@ -171,115 +189,76 @@ def _make(
 # --------------------------------------------------------------------------
 
 
-def _closed_form_fc(params, rho, mu, beta, tol) -> Attractor:
+@dataclass(frozen=True)
+class _Family:
+    """What distinguishes FC's catalogue from FR's.
+
+    ``disease_free`` maps (mu, beta) to the disease-free row's psi and the
+    operands of its clamp test ``value < pivot``.
+    """
+
+    disease_free: Callable[[float, float], tuple[float, float, float]]
+    mid_band: bool  # mu*rho <= beta < rho^2*mu has rows of its own
+
+
+def _fr_disease_free(mu: float, beta: float) -> tuple[float, float, float]:
+    return 1.0 - math.sqrt(mu / beta), math.sqrt(mu * beta) - mu, 1.0
+
+
+_FAMILIES = {
+    Family.FC: _Family(
+        # acceptance at the candidate is beta - mu, tested as beta vs mu + 1
+        disease_free=lambda mu, beta: (1.0 - mu / beta, beta, mu + 1.0),
+        mid_band=False,
+    ),
+    Family.FR: _Family(disease_free=_fr_disease_free, mid_band=True),
+}
+
+
+def _row(spec: _Family, params, rho, mu, beta, tol) -> tuple[float, float, str]:
+    """Non-deadly (theta, psi, row) of an FC or FR policy under its family's entry."""
     if rho > 1.0:
         _guard(beta, mu * rho, tol, "beta vs mu*rho")
         if beta < mu * rho:
-            return _make(1.0 - 1.0 / rho, 0.0, params, AttractorKind.BOUNDARY_NVDF, "fc/nvdf", False)
+            return 1.0 - 1.0 / rho, 0.0, "nvdf"
+        if spec.mid_band:
+            _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
+            if beta < rho * rho * mu:
+                # candidate with infection and vaccination co-existing, clamp off
+                q_int = mu * rho - (mu * rho) ** 2 / beta
+                _guard(q_int, 1.0, tol, "interior acceptance vs clamp")
+                if q_int < 1.0:
+                    return mu * rho / beta - 1.0 / rho, 1.0 - mu * rho / beta, "interior"
+                return (*coexistence_point(params), "coexistence")
     else:
         _guard(beta, mu, tol, "beta vs mu")
         if beta < mu:
-            return _make(0.0, 0.0, params, AttractorKind.ORIGIN, "fc/origin", False)
-    # disease-free branch; acceptance at the candidate is beta - mu
-    _guard(beta, mu + 1.0, tol, "disease-free acceptance vs clamp")
-    if beta < mu + 1.0:
-        return _make(
-            0.0, 1.0 - mu / beta, params, AttractorKind.DISEASE_FREE, "fc/disease-free", False
-        )
+            return 0.0, 0.0, "origin"
+    psi, value, pivot = spec.disease_free(mu, beta)
+    _guard(value, pivot, tol, "disease-free acceptance vs clamp")
+    if value < pivot:
+        return 0.0, psi, "disease-free"
     _guard(mu * rho, mu + 1.0, tol, "mu*rho vs mu+1")
     if mu * rho < mu + 1.0:
-        return _make(
-            0.0,
-            1.0 / (mu + 1.0),
-            params,
-            AttractorKind.DISEASE_FREE,
-            "fc/disease-free-saturated",
-            True,
-        )
-    th, ps = coexistence_point(params)
-    return _make(th, ps, params, AttractorKind.INTERIOR, "fc/coexistence", True)
+        return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
+    return (*coexistence_point(params), "coexistence")
 
 
-def _closed_form_fr(params, rho, mu, beta, tol) -> Attractor:
-    if rho > 1.0:
-        _guard(beta, mu * rho, tol, "beta vs mu*rho")
-        if beta < mu * rho:
-            return _make(1.0 - 1.0 / rho, 0.0, params, AttractorKind.BOUNDARY_NVDF, "fr/nvdf", False)
-        _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
-        if beta < rho * rho * mu:
-            # candidate with infection and vaccination co-existing, clamp off
-            q_int = mu * rho - (mu * rho) ** 2 / beta
-            _guard(q_int, 1.0, tol, "interior acceptance vs clamp")
-            if q_int < 1.0:
-                return _make(
-                    mu * rho / beta - 1.0 / rho,
-                    1.0 - mu * rho / beta,
-                    params,
-                    AttractorKind.INTERIOR,
-                    "fr/interior",
-                    False,
-                )
-            th, ps = coexistence_point(params)
-            return _make(th, ps, params, AttractorKind.INTERIOR, "fr/coexistence", True)
-    else:
-        _guard(beta, mu, tol, "beta vs mu")
-        if beta < mu:
-            return _make(0.0, 0.0, params, AttractorKind.ORIGIN, "fr/origin", False)
-    q_df = math.sqrt(mu * beta) - mu
-    _guard(q_df, 1.0, tol, "disease-free acceptance vs clamp")
-    if q_df < 1.0:
-        return _make(
-            0.0,
-            1.0 - math.sqrt(mu / beta),
-            params,
-            AttractorKind.DISEASE_FREE,
-            "fr/disease-free",
-            False,
-        )
-    _guard(mu * rho, mu + 1.0, tol, "mu*rho vs mu+1")
-    if mu * rho < mu + 1.0:
-        return _make(
-            0.0,
-            1.0 / (mu + 1.0),
-            params,
-            AttractorKind.DISEASE_FREE,
-            "fr/disease-free-saturated",
-            True,
-        )
-    th, ps = coexistence_point(params)
-    return _make(th, ps, params, AttractorKind.INTERIOR, "fr/coexistence", True)
-
-
-def _closed_form_vfc1(params, rho, mu, beta, tol) -> Attractor:
+def _vfc1_row(params, rho, mu, beta, tol) -> tuple[float, float, str, bool]:
+    """Non-deadly (theta, psi, row, proven) of a VFC1 policy."""
     if rho <= 1.0:
         # vigilance needs infection; the origin absorbs for every beta
-        return _make(0.0, 0.0, params, AttractorKind.ORIGIN, "vfc1/origin", False)
+        return 0.0, 0.0, "origin", True
     pivot = mu * rho * rho / (rho - 1.0)
     _guard(beta, pivot, tol, "beta vs mu*rho^2/(rho-1)")
     if beta < pivot:
-        return _make(1.0 - 1.0 / rho, 0.0, params, AttractorKind.BOUNDARY_NVDF, "vfc1/nvdf", False)
+        return 1.0 - 1.0 / rho, 0.0, "nvdf", True
     q_int = mu * rho - mu - (mu * rho) ** 2 / beta
     _guard(q_int, 1.0, tol, "interior acceptance vs clamp")
     if q_int < 1.0:
         proven = beta <= 2.0 * mu * rho * rho
-        return _make(
-            mu * rho / beta,
-            1.0 - 1.0 / rho - mu * rho / beta,
-            params,
-            AttractorKind.INTERIOR,
-            "vfc1/interior",
-            False,
-            proven=proven,
-        )
-    th, ps = coexistence_point(params)
-    return _make(th, ps, params, AttractorKind.INTERIOR, "vfc1/coexistence", True)
-
-
-_CLOSED_FORMS = {
-    Family.FC: _closed_form_fc,
-    Family.FR: _closed_form_fr,
-    Family.VFC1: _closed_form_vfc1,
-}
+        return mu * rho / beta, 1.0 - 1.0 / rho - mu * rho / beta, "interior", proven
+    return (*coexistence_point(params), "coexistence", True)
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +313,8 @@ def _nvdf_deadly_stable(params: ModelParams, ratios: Ratios, beta: float) -> flo
 
     Transverse vaccination growth at (1 - 1/rho_e, 0) is governed by
     beta*nu - d_e vs rho_e*(b - d_e); the union of conditions
-    'rho_e*mu_e > 1 or beta*nu < b - d_e' collapses to this inequality.
+    'rho_e*mu_e > 1 or beta*nu < b - d_e', with mu_e = (b - d_e)/(beta*nu - d_e),
+    collapses to this inequality.
     """
     return ratios.rho_e * (params.b - params.d_e) - (beta * params.nu - params.d_e)
 
@@ -365,8 +345,8 @@ def _deadly_fr_interior_point(
 
 
 @dataclass(frozen=True)
-class _DeadlyFamily:
-    """What distinguishes one family's deadly catalogue from another's.
+class _DeadlyFamily(_Family):
+    """A family's deadly catalogue: its :class:`_Family` entry and interior point.
 
     The interior row's clamp test reads the row policy's
     :func:`policy.propensity_fn`, which is bare and unchecked: an interior
@@ -375,55 +355,44 @@ class _DeadlyFamily:
     """
 
     interior_point: Callable[[ModelParams, Ratios, float], tuple[float, float]]
-    disease_free: Callable[[float, float], tuple[float, float]]  # (psi, q~) at (mu, beta)
-    mid_band: bool  # the interior also covers mu*rho <= beta < rho^2*mu
 
 
 _DEADLY_FAMILIES = {
     Family.FC: _DeadlyFamily(
-        interior_point=_deadly_fc_interior_point,
-        disease_free=lambda mu, beta: (1.0 - mu / beta, beta - mu),
+        disease_free=lambda mu, beta: (1.0 - mu / beta, beta - mu, 1.0),
         mid_band=False,
+        interior_point=_deadly_fc_interior_point,
     ),
     Family.FR: _DeadlyFamily(
-        interior_point=_deadly_fr_interior_point,
-        disease_free=lambda mu, beta: (1.0 - math.sqrt(mu / beta), math.sqrt(mu * beta) - mu),
+        disease_free=_fr_disease_free,
         mid_band=True,
+        interior_point=_deadly_fr_interior_point,
     ),
 }
 
-_DEADLY_KINDS = {
-    "nvdf": AttractorKind.BOUNDARY_NVDF,
-    "origin": AttractorKind.ORIGIN,
-    "interior": AttractorKind.INTERIOR,
-    "disease-free": AttractorKind.DISEASE_FREE,
-    "disease-free-saturated": AttractorKind.DISEASE_FREE,
-    "coexistence": AttractorKind.INTERIOR,
-}
 
-
-def _deadly_saturated(params, ratios, tol) -> tuple[float, float, str, bool]:
+def _deadly_saturated(params, ratios, tol) -> tuple[float, float, str]:
     """Pick between the saturated disease-free point and the deadly coexistence."""
     theta, psi = deadly_coexistence_exact(params)
     _guard(theta, 0.0, tol, "deadly coexistence theta_E vs 0")
     if theta > 0.0:
-        return theta, psi, "coexistence", True
+        return theta, psi, "coexistence"
     mu = ratios.mu
     _guard(mu * ratios.rho, mu + 1.0, tol, "mu*rho vs mu+1")
-    return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated", True
+    return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
 
 
-def _deadly_interior_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, bool]:
+def _deadly_interior_row(spec, params, ratios, policy, tol) -> tuple[float, float, str]:
     theta, psi = spec.interior_point(params, ratios, policy.beta)
     q_tilde = propensity_fn(policy)(theta, psi)
     _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
     if q_tilde < 1.0:
-        return theta, psi, "interior", False
+        return theta, psi, "interior"
     return _deadly_saturated(params, ratios, tol)
 
 
-def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, bool]:
-    """Deadly (theta, psi, row, clamp) of the row policy under its family's spec."""
+def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str]:
+    """Deadly (theta, psi, row) of the row policy under its family's entry."""
     rho, mu, beta = ratios.rho, ratios.mu, policy.beta
     if rho > 1.0:
         _guard(beta, mu * rho, tol, "beta vs mu*rho")
@@ -431,7 +400,7 @@ def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, b
             margin = _nvdf_deadly_stable(params, ratios, beta)
             _guard(margin, 0.0, tol, "deadly nvdf transverse margin")
             if margin > 0.0:
-                return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf", False
+                return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf"
             return _deadly_interior_row(spec, params, ratios, policy, tol)
         if spec.mid_band:
             _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
@@ -440,11 +409,11 @@ def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str, b
     else:
         _guard(beta, mu, tol, "beta vs mu")
         if beta < mu:
-            return 0.0, 0.0, "origin", False
-    psi, q_df = spec.disease_free(mu, beta)
-    _guard(q_df, 1.0, tol, "disease-free acceptance vs clamp")
-    if q_df < 1.0:
-        return 0.0, psi, "disease-free", False
+            return 0.0, 0.0, "origin"
+    psi, value, pivot = spec.disease_free(mu, beta)
+    _guard(value, pivot, tol, "disease-free acceptance vs clamp")
+    if value < pivot:
+        return 0.0, psi, "disease-free"
     return _deadly_saturated(params, ratios, tol)
 
 
@@ -467,7 +436,7 @@ def closed_form(
     beta = policy.beta if beta_hat is None else beta_hat
     if policy.beta != beta:
         policy = replace(policy, beta=beta)
-    ratios = derive_ratios(params, beta)
+    ratios = derive_ratios(params)
     _guard(ratios.rho, 1.0, tol, "rho vs 1")
 
     fam = policy.family
@@ -476,21 +445,24 @@ def closed_form(
             "threshold-vigilant policy has no point attractor catalogue; "
             "use vfc2_limit_set"
         )
-    if fam not in _CLOSED_FORMS:
+    if fam not in (Family.FC, Family.FR, Family.VFC1):
         raise RegimeMismatch(f"no closed-form catalogue for family {fam}")
-    if params.d_e <= 0.0:
-        return _CLOSED_FORMS[fam](params, ratios.rho, ratios.mu, beta, tol)
-
-    if fam not in _DEADLY_FAMILIES:
-        raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-    theta, psi, row, clamp = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy, tol)
-    attr = _make(
-        theta, psi, params, _DEADLY_KINDS[row], f"{fam.value.lower()}-deadly/{row}", clamp,
-        conjectured=True,
-    )
-    ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
-    if not ok:
-        raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
+    deadly = params.d_e > 0.0
+    proven = True
+    if deadly:
+        if fam not in _DEADLY_FAMILIES:
+            raise RegimeMismatch("deadly catalogue covers FC and FR families only")
+        theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy, tol)
+    elif fam is Family.VFC1:
+        theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, beta, tol)
+    else:
+        theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, beta, tol)
+    label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
+    attr = _make(theta, psi, params, row, label, conjectured=deadly, proven=proven)
+    if deadly:
+        ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
+        if not ok:
+            raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
     return attr
 
 
@@ -618,7 +590,6 @@ def certify_stability(
     radius: float = 1e-3,
     n_samples: int = 1000,
     seed: int = 0,
-    min_radius: float = 1e-6,
 ) -> StabilityCertificate:
     """Numeric local-stability certificate at a point attractor.
 
@@ -636,7 +607,7 @@ def certify_stability(
     Weakly contracting equilibria can leave the quadratic regime inside the
     initial ball (cubic terms of the field flip a thin cone of directions);
     the sampling then retries at a tenth of the radius, down to
-    ``min_radius``.  An actually unstable point keeps failing at every
+    ``_MIN_RADIUS``.  An actually unstable point keeps failing at every
     radius because its escape cone is a property of the linearisation.
     Clamp boundaries or thresholds inside the ball mark the certificate
     one-sided (``on_discontinuity``).
@@ -667,7 +638,7 @@ def certify_stability(
     while True:
         result = _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, r, n_samples, seed)
         lyap_frac = result[0]
-        if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= min_radius * 10.0:
+        if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= _MIN_RADIUS * 10.0:
             break
         r /= 10.0
     lyap_frac, eucl_frac, on_disc, kept = result

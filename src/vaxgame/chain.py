@@ -105,8 +105,12 @@ class PopState:
 
 
 def make_initial(n0: int, theta0: float, psi0: float) -> PopState:
-    """Round fractional targets to integer counts summing to n0."""
-    if theta0 < 0 or psi0 < 0 or theta0 + psi0 > 1:
+    """Round fractional targets to integer counts summing to n0.
+
+    Raises DomainError unless (theta0, psi0) lies in the simplex; a NaN
+    fraction fails that test.
+    """
+    if not (theta0 >= 0 and psi0 >= 0 and theta0 + psi0 <= 1):
         raise DomainError("initial fractions must lie in the simplex")
     n_inf = round(n0 * theta0)
     n_vacc = round(n0 * psi0)

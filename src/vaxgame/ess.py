@@ -39,9 +39,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .attractor import (
+    REGIME_TOL,
     Attractor,
     _eta_at,
     coexistence_point,
@@ -200,7 +201,6 @@ def classify_ess(
     family: Family,
     params: ModelParams,
     costs: CostParams,
-    regime_tol: float = 1e-9,
 ) -> EssVerdict:
     """Evolutionary-stability verdict for one response family.
 
@@ -215,7 +215,7 @@ def classify_ess(
     deadly = params.d_e > 0.0
     h_tol = costs.indifference_tol
 
-    if abs(rho - 1.0) <= regime_tol:
+    if abs(rho - 1.0) <= REGIME_TOL:
         return EssVerdict(
             kind=VerdictKind.MARGINAL,
             equilibrium=(0.0, 0.0),
@@ -268,7 +268,7 @@ def classify_ess(
                 detail="saturated deadly equilibrium has no real root",
             )
         theta_e, psi_e = eq.theta_exact, eq.psi_exact
-        if abs(theta_e) <= regime_tol:
+        if abs(theta_e) <= REGIME_TOL:
             return EssVerdict(
                 kind=VerdictKind.MARGINAL,
                 equilibrium=(theta_e, psi_e),
@@ -288,8 +288,8 @@ def classify_ess(
             )
         h_e = eq.h_exact
     else:
-        if math.isinf(mu) or mu * rho <= mu + 1.0 + regime_tol * (mu + 1.0):
-            if not math.isinf(mu) and abs(mu * rho - (mu + 1.0)) <= regime_tol * (mu + 1.0):
+        if math.isinf(mu) or mu * rho <= mu + 1.0 + REGIME_TOL * (mu + 1.0):
+            if not math.isinf(mu) and abs(mu * rho - (mu + 1.0)) <= REGIME_TOL * (mu + 1.0):
                 return EssVerdict(
                     kind=VerdictKind.MARGINAL,
                     equilibrium=nvdf_point(params),
@@ -380,6 +380,12 @@ def deadly_es_equilibrium(params: ModelParams, costs: CostParams) -> DeadlyEsEqu
     )
 
 
+#: Static mutant probabilities and invading fractions probed by
+#: :func:`mutation_stability`.
+_P_GRID = (0.0, 0.5, 1.0)
+_EPS_GRID = (0.001, 0.01, 0.05)
+
+
 @dataclass(frozen=True)
 class MutationProbe:
     p: float
@@ -411,18 +417,15 @@ def mutation_stability(
     beta_incumbent: float,
     params: ModelParams,
     costs: CostParams,
-    p_grid: Sequence[float] = (0.0, 0.5, 1.0),
-    eps_grid: Sequence[float] = (0.001, 0.01, 0.05),
-    eps_bar: float = 0.05,
     base_point: Optional[tuple[float, float]] = None,
 ) -> MutationReport:
     """Check the incumbent's best response survives static-mutant invasions.
 
-    For each static mutant probability p and invading fraction eps <= eps_bar,
-    the perturbed mean-field equilibrium under the eps-mixture policy is
-    root-found from the incumbent's equilibrium, h is evaluated there, and
-    the static best response must still uniquely equal the incumbent's
-    equilibrium acceptance probability.
+    For each static mutant probability p in ``_P_GRID`` and invading
+    fraction eps in ``_EPS_GRID``, the perturbed mean-field equilibrium
+    under the eps-mixture policy is root-found from the incumbent's
+    equilibrium, h is evaluated there, and the static best response must
+    still uniquely equal the incumbent's equilibrium acceptance probability.
     """
     base_policy = Policy(family, beta=beta_incumbent)
     if base_point is None:
@@ -443,10 +446,8 @@ def mutation_stability(
 
     eta0 = _eta_at(theta0, psi0, params)
     probes: list[MutationProbe] = []
-    for p in p_grid:
-        for eps in eps_grid:
-            if eps > eps_bar:
-                continue
+    for p in _P_GRID:
+        for eps in _EPS_GRID:
             perturbed = mutant(base_policy, p=p, eps=eps)
             result = find_equilibrium(
                 OdeState(theta0, psi0, eta0), params, perturbed

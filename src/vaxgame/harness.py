@@ -228,9 +228,7 @@ def _run_closed_form(params: ModelParams, policy: Policy) -> ClosedFormResult:
         return ClosedFormResult(error=_describe(exc))
 
 
-def _run_ode(
-    params: ModelParams, policy: Policy, exp: Experiment, out_path: Optional[Path]
-) -> OdeResult:
+def _run_ode(params: ModelParams, policy: Policy, exp: Experiment, point_index: int) -> OdeResult:
     try:
         start = ode.OdeState(exp.theta0, exp.psi0, exp.ode.eta0, 0.0)
         path = ode.integrate(
@@ -242,8 +240,7 @@ def _run_ode(
             atol=exp.ode.atol,
             stop_at_equilibrium=policy.family is not Family.VFC2,
         )
-        if out_path is not None:
-            ode.write_path_csv(path, out_path)
+        ode.write_path_csv(path, exp.output_dir / f"ode_{exp.id}_p{point_index}.csv")
         t = path.t
         window = t >= t[-1] - 0.5 * (t[-1] - t[0])  # the last half of the run
         tw = t[window]
@@ -276,7 +273,6 @@ def _run_mc(
     exp: Experiment,
     master_seed: int,
     point_index: int,
-    out_dir: Optional[Path],
 ) -> McResult:
     reps = []
     try:
@@ -294,9 +290,8 @@ def _run_mc(
                 stride=exp.mc.stride,
                 rng=rng,
             )
-            if out_dir is not None:
-                name = f"traj_{exp.id}_s{master_seed}_p{point_index}_r{rep}.csv"
-                chain.write_trajectory_csv(traj, out_dir / name)
+            name = f"traj_{exp.id}_s{master_seed}_p{point_index}_r{rep}.csv"
+            chain.write_trajectory_csv(traj, exp.output_dir / name)
             crossings = None
             if traj.frozen:
                 reps.append(
@@ -349,13 +344,16 @@ def _run_stability(
         return StabilityResult(error=_describe(exc))
 
 
-def cross_validate(
-    record: RunRecord,
-    tol_ode: float = 1e-4,
-    tol_mc: float = 0.02,
-    limit_band: float = 0.05,
-    min_crossings: int = 10,
-) -> dict:
+#: Agreement gates of :func:`cross_validate`: the largest |theta|, |psi| gap
+#: from a closed-form point (ODE, each Monte-Carlo replication), and for a
+#: limit set the band around its centre and the fewest threshold crossings.
+_TOL_ODE = 1e-4
+_TOL_MC = 0.02
+_LIMIT_BAND = 0.05
+_MIN_CROSSINGS = 10
+
+
+def cross_validate(record: RunRecord) -> dict:
     """Pairwise agreement verdicts between the enabled layers."""
     verdicts: dict[str, str] = {}
     cf = record.cf
@@ -365,15 +363,15 @@ def cross_validate(
         verdicts["ode_vs_closed_form"] = "not-comparable"
     elif is_limit:
         ok = (
-            abs(record.ode_res.tail_theta - cf.limit_set.center_theta) <= limit_band
-            and (record.ode_res.crossings or 0) >= min_crossings
+            abs(record.ode_res.tail_theta - cf.limit_set.center_theta) <= _LIMIT_BAND
+            and (record.ode_res.crossings or 0) >= _MIN_CROSSINGS
         )
         verdicts["ode_vs_closed_form"] = "agree" if ok else "disagree"
     else:
         d_theta = abs(record.ode_res.theta - cf.attractor.theta_hat)
         d_psi = abs(record.ode_res.psi - cf.attractor.psi_hat)
         verdicts["ode_vs_closed_form"] = (
-            "agree" if max(d_theta, d_psi) <= tol_ode else "disagree"
+            "agree" if max(d_theta, d_psi) <= _TOL_ODE else "disagree"
         )
 
     live = record.mc_res.live
@@ -381,15 +379,15 @@ def cross_validate(
         verdicts["mc_vs_closed_form"] = "not-comparable"
     elif is_limit:
         ok = all(
-            abs(r.theta - cf.limit_set.center_theta) <= limit_band
-            and (r.crossings or 0) >= min_crossings
+            abs(r.theta - cf.limit_set.center_theta) <= _LIMIT_BAND
+            and (r.crossings or 0) >= _MIN_CROSSINGS
             for r in live
         )
         verdicts["mc_vs_closed_form"] = "agree" if ok else "disagree"
     else:
         ok = all(
-            abs(r.theta - cf.attractor.theta_hat) <= tol_mc
-            and abs(r.psi - cf.attractor.psi_hat) <= tol_mc
+            abs(r.theta - cf.attractor.theta_hat) <= _TOL_MC
+            and abs(r.psi - cf.attractor.psi_hat) <= _TOL_MC
             for r in live
         )
         verdicts["mc_vs_closed_form"] = "agree" if ok else "disagree"
@@ -406,14 +404,12 @@ def run_point(
     value: Optional[float],
     point_index: int,
     master_seed: int,
-    write_files: bool = True,
 ) -> RunRecord:
     t0 = time.perf_counter()
     params, policy = exp.params, exp.policy
     if exp.sweep is not None and value is not None:
         params, policy = apply_sweep(params, policy, exp.sweep.variable, value)
 
-    out_dir = exp.output_dir if write_files else None
     record = RunRecord(
         sweep_variable=exp.sweep.variable if exp.sweep else None,
         sweep_value=value,
@@ -424,12 +420,9 @@ def run_point(
     if Layer.CLOSED_FORM in exp.layers or Layer.STABILITY in exp.layers:
         record.cf = _run_closed_form(params, policy)
     if Layer.ODE in exp.layers:
-        ode_path = (
-            out_dir / f"ode_{exp.id}_p{point_index}.csv" if out_dir is not None else None
-        )
-        record.ode_res = _run_ode(params, policy, exp, ode_path)
+        record.ode_res = _run_ode(params, policy, exp, point_index)
     if Layer.MONTE_CARLO in exp.layers:
-        record.mc_res = _run_mc(params, policy, exp, master_seed, point_index, out_dir)
+        record.mc_res = _run_mc(params, policy, exp, master_seed, point_index)
     if Layer.ESS in exp.layers and exp.costs is not None:
         record.ess_res = _run_ess(params, policy, exp.costs)
     if Layer.STABILITY in exp.layers:
@@ -444,15 +437,13 @@ def run(
     exp: Experiment,
     threads: int = 1,
     master_seed: Optional[int] = None,
-    write_files: bool = True,
 ) -> list[RunRecord]:
     """Execute every enabled layer at every sweep point; write CSV outputs."""
     seed = master_seed if master_seed is not None else exp.mc.seed
     values = list(exp.sweep.values) if exp.sweep is not None else [None]
-    if write_files:
-        exp.output_dir.mkdir(parents=True, exist_ok=True)
+    exp.output_dir.mkdir(parents=True, exist_ok=True)
 
-    point = partial(run_point, exp, master_seed=seed, write_files=write_files)
+    point = partial(run_point, exp, master_seed=seed)
     indices = range(len(values))
     if threads > 1 and len(values) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -460,8 +451,7 @@ def run(
     else:
         records = list(map(point, values, indices))
 
-    if write_files:
-        write_summary_csv(records, exp.output_dir / f"summary_{exp.id}.csv")
+    write_summary_csv(records, exp.output_dir / f"summary_{exp.id}.csv")
     return records
 
 

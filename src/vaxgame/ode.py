@@ -27,6 +27,7 @@ smoothing is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,12 @@ EQUILIBRIUM_TOL = 1e-10
 _QUIET_STEPS = 100
 
 _MAX_TIME = 1.0e6
+
+#: The adaptive Runge-Kutta pair of :func:`integrate`.
+_METHOD = "DOP853"
+
+#: Newton iterations per attempt of :func:`find_equilibrium`.
+_MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -159,18 +166,24 @@ class OdePath:
     zeno_truncated: bool = False  # threshold crossings accumulated; run cut short
 
 
-def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Clip rounding-level excursions; anything larger is an integrator bug."""
+def _clip_simplex(y: np.ndarray, eta_floor: float) -> np.ndarray:
+    """(theta, psi) clipped into the simplex, the excess taken evenly; eta floored."""
     theta, psi, eta = y
-    if theta < -tol or psi < -tol or theta + psi > 1.0 + tol:
-        raise StepFailure(f"state left the simplex: {y!r}")
     theta = min(max(theta, 0.0), 1.0)
     psi = min(max(psi, 0.0), 1.0)
     if theta + psi > 1.0:
         excess = theta + psi - 1.0
         theta -= excess * 0.5
         psi -= excess * 0.5
-    return np.array([theta, psi, max(eta, 1e-300)])
+    return np.array([theta, psi, max(eta, eta_floor)])
+
+
+def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Clip rounding-level excursions; anything larger is an integrator bug."""
+    theta, psi, _ = y
+    if theta < -tol or psi < -tol or theta + psi > 1.0 + tol:
+        raise StepFailure(f"state left the simplex: {y!r}")
+    return _clip_simplex(y, 1e-300)
 
 
 def integrate(
@@ -181,7 +194,6 @@ def integrate(
     rtol: float = 1e-12,
     atol: float = 1e-14,
     stop_at_equilibrium: bool = True,
-    method: str = "DOP853",
 ) -> OdePath:
     """Integrate the mean-field ODE from ``initial`` for ``horizon`` time units.
 
@@ -192,9 +204,18 @@ def integrate(
     that floor); t is capped at 1e6 regardless.  Threshold crossings of the
     vigilant policy are located by a terminal event and the solver restarts
     across them.
+
+    Raises InvalidParams for a horizon that is not positive (NaN included),
+    for an ``rtol`` or ``atol`` that is not finite and positive, and for a
+    start state with a non-finite component.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise InvalidParams("horizon must be positive")
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParams(f"{name} must be finite and positive, got {value!r}")
+    if not all(map(math.isfinite, (initial.theta, initial.psi, initial.eta, initial.t))):
+        raise InvalidParams(f"start state must be finite, got {initial!r}")
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
@@ -231,7 +252,7 @@ def integrate(
             g_t,
             (t, t_next),
             y,
-            method=method,
+            method=_METHOD,
             rtol=rtol,
             atol=atol,
             events=events,
@@ -360,8 +381,6 @@ def find_equilibrium(
     guess: OdeState,
     params: ModelParams,
     policy: Policy,
-    residual_tol: float = EQUILIBRIUM_TOL,
-    max_newton: int = 60,
 ) -> EquilibriumResult:
     """Damped Newton on g, with a long-horizon integration fallback.
 
@@ -383,10 +402,10 @@ def find_equilibrium(
     best_res = float(np.max(np.abs(g(y))))
 
     for attempt in range(3):
-        y, res = _newton(g, y, residual_tol, max_newton)
+        y, res = _newton(g, y)
         if res < best_res:
             best_y, best_res = y, res
-        if best_res < residual_tol:
+        if best_res < EQUILIBRIUM_TOL:
             break
         # re-seed Newton from a relaxed trajectory
         path = integrate(
@@ -401,15 +420,15 @@ def find_equilibrium(
 
     state = OdeState(theta=best_y[0], psi=best_y[1], eta=best_y[2], t=guess.t)
     return EquilibriumResult(
-        state=state, residual=best_res, converged=best_res < residual_tol
+        state=state, residual=best_res, converged=best_res < EQUILIBRIUM_TOL
     )
 
 
-def _newton(g, y, residual_tol, max_newton):
+def _newton(g, y):
     res_vec = g(y)
     res = float(np.max(np.abs(res_vec)))
-    for _ in range(max_newton):
-        if res < residual_tol:
+    for _ in range(_MAX_NEWTON):
+        if res < EQUILIBRIUM_TOL:
             break
         jac = _fd_jacobian(g, y)
         try:
@@ -419,17 +438,10 @@ def _newton(g, y, residual_tol, max_newton):
         step = 1.0
         improved = False
         for _ in range(30):
-            trial = y + step * delta
-            trial[0] = min(max(trial[0], 0.0), 1.0)
-            trial[1] = min(max(trial[1], 0.0), 1.0)
-            if trial[0] + trial[1] > 1.0:
-                overflow = trial[0] + trial[1] - 1.0
-                trial[0] -= overflow * 0.5
-                trial[1] -= overflow * 0.5
-            trial[2] = max(trial[2], 1e-12)
+            trial = _clip_simplex(y + step * delta, 1e-12)
             trial_vec = g(trial)
             trial_res = float(np.max(np.abs(trial_vec)))
-            if trial_res < res or trial_res < residual_tol:
+            if trial_res < res or trial_res < EQUILIBRIUM_TOL:
                 y, res_vec, res = trial, trial_vec, trial_res
                 improved = True
                 break

@@ -1,4 +1,4 @@
-"""Model parameters, derived load ratios, and disease-regime classification.
+"""Model parameters and their derived load ratios.
 
 The epidemic/demographic rates live in :class:`ModelParams`.  Everything
 downstream (jump chain, mean-field ODE, closed-form attractors) consumes
@@ -7,25 +7,17 @@ these rates only through the dimensionless ratios of :class:`Ratios`:
   rho    = lam / (r + b + d_e)        infection load factor
   mu     = b / nu                     births per vaccination opportunity
   rho_e  = (lam - d_e) / (r + b)      load factor net of excess deaths
-  mu_e   = (b - d_e) / (beta*nu - d_e)   per-policy deadly analogue of mu
 
 ``nu = 0`` (no vaccine available) is admitted and surfaces as ``mu = inf``,
-which pushes every regime dispatch into its no-vaccination row.  ``mu_e``
-depends on the behaviour parameter ``beta_hat`` and is therefore only
-computed when one is supplied.
+which pushes every regime dispatch into its no-vaccination row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import InvalidParams
-
-#: Default relative half-width of the band around rho = 1 that is reported
-#: as Marginal instead of being silently binned into a regime.
-MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,46 +77,17 @@ def validate(params: ModelParams) -> None:
 class Ratios:
     """Dimensionless load ratios derived from :class:`ModelParams`.
 
-    ``mu`` is ``inf`` when ``nu = 0``.  ``mu_e`` is ``nan`` when no
-    ``beta_hat`` was supplied and ``+/-inf`` when ``beta_hat * nu == d_e``
-    (sign chosen from the numerator), mirroring how the regime conditions
-    degenerate there.
+    ``mu`` is ``inf`` when ``nu = 0``.
     """
 
     rho: float
     mu: float
     rho_e: float
-    mu_e: float = math.nan
 
 
-def derive_ratios(params: ModelParams, beta_hat: float | None = None) -> Ratios:
-    """Compute (rho, mu, rho_e, mu_e); mu_e uses the supplied behaviour parameter."""
+def derive_ratios(params: ModelParams) -> Ratios:
+    """Compute (rho, mu, rho_e)."""
     rho = params.lam / (params.r + params.b + params.d_e)
     mu = params.b / params.nu if params.nu > 0 else math.inf
     rho_e = (params.lam - params.d_e) / (params.r + params.b)
-    mu_e = math.nan
-    if beta_hat is not None:
-        if beta_hat < 0:
-            raise InvalidParams(f"beta_hat must be non-negative, got {beta_hat!r}")
-        denom = beta_hat * params.nu - params.d_e
-        numer = params.b - params.d_e
-        if denom == 0.0:
-            mu_e = math.copysign(math.inf, numer) if numer != 0.0 else math.nan
-        else:
-            mu_e = numer / denom
-    return Ratios(rho=rho, mu=mu, rho_e=rho_e, mu_e=mu_e)
-
-
-class DiseaseRegime(Enum):
-    ENDEMIC = "endemic"
-    SELF_ERADICATING = "self-eradicating"
-    MARGINAL = "marginal"
-
-
-def classify_regime(ratios: Ratios, tol: float = MARGINAL_TOL) -> DiseaseRegime:
-    """Classify by rho against 1 with a configurable marginal band."""
-    if ratios.rho > 1.0 + tol:
-        return DiseaseRegime.ENDEMIC
-    if ratios.rho < 1.0 - tol:
-        return DiseaseRegime.SELF_ERADICATING
-    return DiseaseRegime.MARGINAL
+    return Ratios(rho=rho, mu=mu, rho_e=rho_e)

@@ -196,8 +196,8 @@ def test_deadly_coexistence_continuity(left_params):
     assert psi_d == pytest.approx(psi_e, abs=1e-5)
 
 
-#: kind and clamp of every deadly row, shared by the fc-deadly and fr-deadly labels
-DEADLY_ROW_SHAPES = {
+#: kind and clamp of every catalogue row, shared by all family labels, deadly or not
+ROW_SHAPES = {
     "nvdf": (AttractorKind.BOUNDARY_NVDF, False),
     "origin": (AttractorKind.ORIGIN, False),
     "interior": (AttractorKind.INTERIOR, False),
@@ -247,10 +247,10 @@ def test_deadly_rows_always_field_verified():
         assert ok, f"{att.table_row}: {msg}"
         prefix, row = att.table_row.split("/")
         assert prefix == f"{pol.family.value.lower()}-deadly"
-        assert (att.kind, att.clamp_active) == DEADLY_ROW_SHAPES[row], att.table_row
+        assert (att.kind, att.clamp_active) == ROW_SHAPES[row], att.table_row
         assert att.conjectured and att.proven
     assert seen == {
-        f"{fam}-deadly/{row}" for fam in ("fc", "fr") for row in DEADLY_ROW_SHAPES
+        f"{fam}-deadly/{row}" for fam in ("fc", "fr") for row in ROW_SHAPES
     }
 
 
@@ -294,6 +294,9 @@ def test_rows_have_zero_field_residual(row_id):
         draw = sampler(rng)
         att = closed_form(draw.params, draw.policy)
         assert att.table_row == expected_row
+        assert (att.kind, att.clamp_active) == ROW_SHAPES[expected_row.split("/")[1]]
+        assert att.conjectured is False
+        assert att.proven
         ok, msg = verify_attractor(att, draw.params, draw.policy, tol=1e-10)
         assert ok, f"{row_id}: {msg}"
 

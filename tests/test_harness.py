@@ -234,6 +234,15 @@ ONE_POINT = (
         ("n0 = 1500", "n0 = 9223372036854775807", "mc_error",
          "InvalidParams: max_steps, stride, the initial step and N(0) + max_steps must fit"),
         ("horizon = 50", "horizon = -1", "ode_error", "InvalidParams: horizon must be positive"),
+        ("horizon = 50", "horizon = nan", "ode_error", "InvalidParams: horizon must be positive"),
+        ("horizon = 50", "horizon = 50\nrtol = nan", "ode_error",
+         "InvalidParams: rtol must be finite and positive, got nan"),
+        ("horizon = 50", "horizon = 50\natol = -1", "ode_error",
+         "InvalidParams: atol must be finite and positive, got -1.0"),
+        ("horizon = 50", "horizon = 50\neta0 = nan", "ode_error",
+         "InvalidParams: start state must be finite"),
+        ("theta0 = 0.21", "theta0 = nan", "ode_error", "InvalidParams: start state must be finite"),
+        ("theta0 = 0.21", "theta0 = nan", "mc_error", "DomainError: initial fractions"),
     ],
 )
 def test_bad_layer_input_is_recorded(tmp_path, old, new, column, error):

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vaxgame import (
-    DiseaseRegime,
-    ModelParams,
-    classify_regime,
-    derive_ratios,
-    validate,
-)
+from vaxgame import ModelParams, derive_ratios, validate
 from vaxgame.errors import InvalidParams
 
 
@@ -54,7 +48,6 @@ def test_ratios_reference_values(left_params, right_params):
 def test_ratios_marginal_boundary():
     ratios = derive_ratios(ModelParams(lam=2, r=1, nu=1, b=1, d=0.5))
     assert ratios.rho == 1.0
-    assert classify_regime(ratios) is DiseaseRegime.MARGINAL
 
 
 def test_rho_e_equals_rho_without_excess_deaths(left_params):
@@ -65,30 +58,6 @@ def test_rho_e_equals_rho_without_excess_deaths(left_params):
 def test_mu_infinite_when_no_vaccine():
     ratios = derive_ratios(ModelParams(lam=2, r=1, nu=0, b=1, d=0.2))
     assert math.isinf(ratios.mu)
-
-
-def test_mu_e_uses_policy_parameter():
-    params = ModelParams(lam=2, r=0.5, nu=1.0, b=0.5, d=0.1, d_e=0.1)
-    ratios = derive_ratios(params, beta_hat=0.8)
-    assert ratios.mu_e == pytest.approx((0.5 - 0.1) / (0.8 * 1.0 - 0.1))
-    # degenerate denominator surfaces as a signed sentinel
-    degenerate = derive_ratios(params, beta_hat=0.1)
-    assert math.isinf(degenerate.mu_e)
-    # no beta supplied: mu_e is not defined
-    assert math.isnan(derive_ratios(params).mu_e)
-
-
-@pytest.mark.parametrize(
-    "rho,expected",
-    [
-        (5.66, DiseaseRegime.ENDEMIC),
-        (0.5, DiseaseRegime.SELF_ERADICATING),
-        (1.0, DiseaseRegime.MARGINAL),
-    ],
-)
-def test_classify_regime(rho, expected):
-    ratios = derive_ratios(ModelParams(lam=rho * 2.0, r=1.0, nu=1.0, b=1.0, d=0.1))
-    assert classify_regime(ratios, tol=1e-9) is expected
 
 
 @given(
@@ -108,10 +77,9 @@ def test_ratios_scale_free_in_population(lam, r, nu, b, d_frac, d_e_frac, scale)
     p2 = ModelParams(
         lam=lam * scale, r=r * scale, nu=nu * scale, b=b * scale, d=d * scale, d_e=d_e * scale
     )
-    r1, r2 = derive_ratios(p1, beta_hat=1.0), derive_ratios(p2, beta_hat=1.0)
+    r1, r2 = derive_ratios(p1), derive_ratios(p2)
     assert r1.rho == pytest.approx(r2.rho, rel=1e-12)
     assert r1.mu == pytest.approx(r2.mu, rel=1e-12)
     assert r1.rho_e == pytest.approx(r2.rho_e, rel=1e-12)
     if d_e == 0:
         assert r1.rho_e == r1.rho
-    assert classify_regime(r1) is classify_regime(r2)
