@@ -53,9 +53,9 @@ it loads, else from a Python loop; both draw the same stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -113,14 +113,13 @@ def _eta_at(theta: float, psi: float, params: ModelParams) -> float:
     return (params.b - params.d - params.d_e * theta) / varrho(theta, psi, params)
 
 
-def _near(a: float, b: float, tol: float) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _guard(value: float, pivot: float, tol: float, what: str) -> None:
-    if _near(value, pivot, tol):
+def _guard(value: float, pivot: float, what: str) -> None:
+    """Raise MarginalRegime when ``value`` is within REGIME_TOL (relative) of ``pivot``."""
+    if math.isinf(value) or math.isinf(pivot):
+        near = value == pivot
+    else:
+        near = abs(value - pivot) <= REGIME_TOL * max(1.0, abs(value), abs(pivot))
+    if near:
         raise MarginalRegime(f"{what}: {value!r} sits on the boundary {pivot!r}")
 
 
@@ -215,46 +214,46 @@ _FAMILIES = {
 }
 
 
-def _row(spec: _Family, params, rho, mu, beta, tol) -> tuple[float, float, str]:
+def _row(spec: _Family, params, rho, mu, beta) -> tuple[float, float, str]:
     """Non-deadly (theta, psi, row) of an FC or FR policy under its family's entry."""
     if rho > 1.0:
-        _guard(beta, mu * rho, tol, "beta vs mu*rho")
+        _guard(beta, mu * rho, "beta vs mu*rho")
         if beta < mu * rho:
             return 1.0 - 1.0 / rho, 0.0, "nvdf"
         if spec.mid_band:
-            _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
+            _guard(beta, rho * rho * mu, "beta vs rho^2*mu")
             if beta < rho * rho * mu:
                 # candidate with infection and vaccination co-existing, clamp off
                 q_int = mu * rho - (mu * rho) ** 2 / beta
-                _guard(q_int, 1.0, tol, "interior acceptance vs clamp")
+                _guard(q_int, 1.0, "interior acceptance vs clamp")
                 if q_int < 1.0:
                     return mu * rho / beta - 1.0 / rho, 1.0 - mu * rho / beta, "interior"
                 return (*coexistence_point(params), "coexistence")
     else:
-        _guard(beta, mu, tol, "beta vs mu")
+        _guard(beta, mu, "beta vs mu")
         if beta < mu:
             return 0.0, 0.0, "origin"
     psi, value, pivot = spec.disease_free(mu, beta)
-    _guard(value, pivot, tol, "disease-free acceptance vs clamp")
+    _guard(value, pivot, "disease-free acceptance vs clamp")
     if value < pivot:
         return 0.0, psi, "disease-free"
-    _guard(mu * rho, mu + 1.0, tol, "mu*rho vs mu+1")
+    _guard(mu * rho, mu + 1.0, "mu*rho vs mu+1")
     if mu * rho < mu + 1.0:
         return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
     return (*coexistence_point(params), "coexistence")
 
 
-def _vfc1_row(params, rho, mu, beta, tol) -> tuple[float, float, str, bool]:
+def _vfc1_row(params, rho, mu, beta) -> tuple[float, float, str, bool]:
     """Non-deadly (theta, psi, row, proven) of a VFC1 policy."""
     if rho <= 1.0:
         # vigilance needs infection; the origin absorbs for every beta
         return 0.0, 0.0, "origin", True
     pivot = mu * rho * rho / (rho - 1.0)
-    _guard(beta, pivot, tol, "beta vs mu*rho^2/(rho-1)")
+    _guard(beta, pivot, "beta vs mu*rho^2/(rho-1)")
     if beta < pivot:
         return 1.0 - 1.0 / rho, 0.0, "nvdf", True
     q_int = mu * rho - mu - (mu * rho) ** 2 / beta
-    _guard(q_int, 1.0, tol, "interior acceptance vs clamp")
+    _guard(q_int, 1.0, "interior acceptance vs clamp")
     if q_int < 1.0:
         proven = beta <= 2.0 * mu * rho * rho
         return mu * rho / beta, 1.0 - 1.0 / rho - mu * rho / beta, "interior", proven
@@ -299,9 +298,8 @@ def deadly_coexistence_exact(params: ModelParams) -> tuple[float, float]:
     if p.d_e <= 0.0:
         raise RegimeMismatch("requires d_e > 0")
     b_coef = p.lam * p.b + p.d_e * (p.r + p.d_e - p.lam - p.nu)
+    # a square plus a product of non-negative rates: never negative
     disc = b_coef * b_coef + 4.0 * p.lam * p.d_e * p.nu * (p.r + p.b)
-    if disc < 0.0:
-        raise ComplexRoot(f"discriminant {disc!r} < 0")
     psi = (-b_coef + math.sqrt(disc)) / (2.0 * p.lam * p.d_e)
     rho_e = derive_ratios(p).rho_e
     theta = 1.0 - 1.0 / rho_e - p.lam * psi / (p.lam - p.d_e)
@@ -371,50 +369,50 @@ _DEADLY_FAMILIES = {
 }
 
 
-def _deadly_saturated(params, ratios, tol) -> tuple[float, float, str]:
+def _deadly_saturated(params, ratios) -> tuple[float, float, str]:
     """Pick between the saturated disease-free point and the deadly coexistence."""
     theta, psi = deadly_coexistence_exact(params)
-    _guard(theta, 0.0, tol, "deadly coexistence theta_E vs 0")
+    _guard(theta, 0.0, "deadly coexistence theta_E vs 0")
     if theta > 0.0:
         return theta, psi, "coexistence"
     mu = ratios.mu
-    _guard(mu * ratios.rho, mu + 1.0, tol, "mu*rho vs mu+1")
+    _guard(mu * ratios.rho, mu + 1.0, "mu*rho vs mu+1")
     return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
 
 
-def _deadly_interior_row(spec, params, ratios, policy, tol) -> tuple[float, float, str]:
+def _deadly_interior_row(spec, params, ratios, policy) -> tuple[float, float, str]:
     theta, psi = spec.interior_point(params, ratios, policy.beta)
     q_tilde = propensity_fn(policy)(theta, psi)
-    _guard(q_tilde, 1.0, tol, "deadly interior acceptance vs clamp")
+    _guard(q_tilde, 1.0, "deadly interior acceptance vs clamp")
     if q_tilde < 1.0:
         return theta, psi, "interior"
-    return _deadly_saturated(params, ratios, tol)
+    return _deadly_saturated(params, ratios)
 
 
-def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str]:
+def _deadly_row(spec, params, ratios, policy) -> tuple[float, float, str]:
     """Deadly (theta, psi, row) of the row policy under its family's entry."""
     rho, mu, beta = ratios.rho, ratios.mu, policy.beta
     if rho > 1.0:
-        _guard(beta, mu * rho, tol, "beta vs mu*rho")
+        _guard(beta, mu * rho, "beta vs mu*rho")
         if beta < mu * rho:
             margin = _nvdf_deadly_stable(params, ratios, beta)
-            _guard(margin, 0.0, tol, "deadly nvdf transverse margin")
+            _guard(margin, 0.0, "deadly nvdf transverse margin")
             if margin > 0.0:
                 return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf"
-            return _deadly_interior_row(spec, params, ratios, policy, tol)
+            return _deadly_interior_row(spec, params, ratios, policy)
         if spec.mid_band:
-            _guard(beta, rho * rho * mu, tol, "beta vs rho^2*mu")
+            _guard(beta, rho * rho * mu, "beta vs rho^2*mu")
             if beta < rho * rho * mu:
-                return _deadly_interior_row(spec, params, ratios, policy, tol)
+                return _deadly_interior_row(spec, params, ratios, policy)
     else:
-        _guard(beta, mu, tol, "beta vs mu")
+        _guard(beta, mu, "beta vs mu")
         if beta < mu:
             return 0.0, 0.0, "origin"
     psi, value, pivot = spec.disease_free(mu, beta)
-    _guard(value, pivot, tol, "disease-free acceptance vs clamp")
+    _guard(value, pivot, "disease-free acceptance vs clamp")
     if value < pivot:
         return 0.0, psi, "disease-free"
-    return _deadly_saturated(params, ratios, tol)
+    return _deadly_saturated(params, ratios)
 
 
 # --------------------------------------------------------------------------
@@ -422,22 +420,14 @@ def _deadly_row(spec, params, ratios, policy, tol) -> tuple[float, float, str]:
 # --------------------------------------------------------------------------
 
 
-def closed_form(
-    params: ModelParams,
-    policy: Policy,
-    beta_hat: Optional[float] = None,
-    tol: float = REGIME_TOL,
-) -> Attractor:
+def closed_form(params: ModelParams, policy: Policy) -> Attractor:
     """Dispatch (family, rho, mu, beta) onto the equilibrium catalogue.
 
     Raises MarginalRegime on any dispatch boundary and RegimeMismatch when a
     conjectured (deadly) formula fails its field re-verification.
     """
-    beta = policy.beta if beta_hat is None else beta_hat
-    if policy.beta != beta:
-        policy = replace(policy, beta=beta)
     ratios = derive_ratios(params)
-    _guard(ratios.rho, 1.0, tol, "rho vs 1")
+    _guard(ratios.rho, 1.0, "rho vs 1")
 
     fam = policy.family
     if fam is Family.VFC2:
@@ -452,11 +442,11 @@ def closed_form(
     if deadly:
         if fam not in _DEADLY_FAMILIES:
             raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-        theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy, tol)
+        theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy)
     elif fam is Family.VFC1:
-        theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, beta, tol)
+        theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, policy.beta)
     else:
-        theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, beta, tol)
+        theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, policy.beta)
     label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
     attr = _make(theta, psi, params, row, label, conjectured=deadly, proven=proven)
     if deadly:
@@ -466,12 +456,7 @@ def closed_form(
     return attr
 
 
-def deadly_interior(
-    params: ModelParams,
-    beta_hat: float,
-    family: Family,
-    tol: float = REGIME_TOL,
-) -> Attractor:
+def deadly_interior(params: ModelParams, beta_hat: float, family: Family) -> Attractor:
     """Deadly interior equilibrium (unclamped acceptance), field-verified.
 
     Requires d_e > 0, an endemic load factor, and the no-vaccination level
@@ -483,7 +468,7 @@ def deadly_interior(
         raise RegimeMismatch("deadly interior requires d_e > 0")
     if family not in _DEADLY_FAMILIES:
         raise RegimeMismatch("deadly interior covers FC and FR families only")
-    attr = closed_form(params, Policy(family, beta=beta_hat), tol=tol)
+    attr = closed_form(params, Policy(family, beta=beta_hat))
     if attr.kind is not AttractorKind.INTERIOR or attr.clamp_active:
         raise RegimeMismatch(
             f"parameters select row {attr.table_row!r}, not the unclamped interior"

@@ -53,7 +53,8 @@ Accepted keys; any other key, or any other section, is a ConfigError:
                   values (required)
     [mc]          n0, max_steps, replications, seed, stride, tail_fraction
                   (n0, max_steps and stride must fit in 64 bits)
-    [ode]         horizon, rtol, atol, eta0
+    [ode]         horizon, rtol, atol, eta0 (eta0 > 0; the ode layer
+                  records any other start eta as its error)
 
 Layers are closed_form, ode, monte_carlo, ess and stability.  Values the
 model does not admit (b <= d + d_e, a negative or non-finite beta, a

@@ -19,18 +19,23 @@ stable against static mutations when the acceptance probability it induces
 at its own equilibrium is the unique static best response there, and stays
 so under small static-mutant invasions.
 
-Classification (endemic load rho > 1, no excess deaths):
-  * h at the no-vaccination level (h_m) positive: never-vaccinating is
-    stable; with rho < 1 the same verdict holds at the origin.
-  * h_m < 0: the only candidate is saturated acceptance at the
-    co-existence point, requiring mu*rho > mu + 1 and h(theta_E, psi_E) < 0;
-    the family-specific parameter must push the raw propensity strictly
-    above 1 there (beta* = 1 / per-unit-beta propensity).
-  * otherwise no evolutionary stable response exists.
+:func:`classify_ess` walks one case split and stops at the first case that
+applies; a quantity within tolerance of its boundary makes the verdict
+Marginal.  The no-vaccination level is (1 - 1/rho_e, 0), exact for d_e >= 0.
 
-With d_e > 0 the same logic runs on the deadly analogues (no-vaccination
-level 1 - 1/rho_e, saturated equilibrium from the deadly quadratic) and
-every verdict is flagged conjectured.
+  1. rho vs 1.  Below 1 the disease eradicates itself and the origin is a
+     non-vaccinating ESS for every policy.
+  2. h_m, h at the no-vaccination level.  Positive: never vaccinating is the
+     ESS there.
+  3. h_m < 0 leaves saturated acceptance as the only candidate.  Its point
+     (theta_E, psi_E) must exist: without excess deaths mu*rho > mu + 1
+     (the co-existence point); with d_e > 0 the deadly quadratic root with
+     theta_E > 0 and mu + o < mu*rho_e.  Otherwise no ESS exists.
+  4. h(theta_E, psi_E) < 0: saturated acceptance is the vaccinating ESS,
+     reached once the family parameter pushes the raw propensity strictly
+     above 1 there (beta* = 1 / per-unit-beta propensity).  h > 0: no ESS.
+
+With d_e > 0 every verdict is flagged conjectured.
 """
 
 from __future__ import annotations
@@ -41,16 +46,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .attractor import (
-    REGIME_TOL,
-    Attractor,
-    _eta_at,
-    coexistence_point,
-    deadly_coexistence_exact,
-)
-from .errors import ComplexRoot, EquilibriumNotFound, InvalidParams, RegimeMismatch
+from .attractor import REGIME_TOL, _eta_at, coexistence_point, deadly_coexistence_exact
+from .errors import EquilibriumNotFound, InvalidParams, RegimeMismatch
 from .ode import OdeState, find_equilibrium
-from .params import ModelParams, derive_ratios
+from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, accept_prob, mutant, propensity
 
 
@@ -150,16 +149,10 @@ class BestResponse(Enum):
 
 
 def static_best_response(
-    point: Union[Attractor, tuple[float, float]],
-    params: ModelParams,
-    costs: CostParams,
+    point: tuple[float, float], params: ModelParams, costs: CostParams
 ) -> BestResponse:
-    """argmin over static q of the linear utility: {0}, {1} or the interval."""
-    if isinstance(point, Attractor):
-        theta_hat, psi_hat = point.theta_hat, point.psi_hat
-    else:
-        theta_hat, psi_hat = point
-    h = h_value(theta_hat, psi_hat, params, costs)
+    """argmin over static q of the linear utility at (theta, psi): {0}, {1} or the interval."""
+    h = h_value(*point, params, costs)
     tol = costs.indifference_tol
     if h < -tol:
         return BestResponse.ALWAYS
@@ -197,6 +190,68 @@ def _beta_star_threshold(
     return 1.0 / slope
 
 
+#: What one case of the split decides: (kind, equilibrium, h, detail).
+_Case = tuple[VerdictKind, tuple[float, float], float, str]
+
+
+def _saturated_candidate(
+    params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
+) -> Union[tuple[float, float, float], _Case]:
+    """(theta_E, psi_E, h_E) of saturated acceptance, or the case that ends the search."""
+    if params.d_e > 0.0:
+        eq = deadly_es_equilibrium(params, costs)
+        theta_e, psi_e = eq.theta_exact, eq.psi_exact
+        if abs(theta_e) <= REGIME_TOL:
+            detail = "deadly saturated equilibrium on the theta = 0 boundary"
+            return VerdictKind.MARGINAL, (theta_e, psi_e), math.nan, detail
+        if eq.no_ess or theta_e < 0.0:
+            detail = "mu + o >= mu*rho_e: saturated infection share not positive"
+            return VerdictKind.NO_ESS, nvdf, hm, detail
+        return theta_e, psi_e, eq.h_exact
+    mu, band = ratios.mu, REGIME_TOL * (ratios.mu + 1.0)
+    if not math.isinf(mu) and abs(mu * ratios.rho - (mu + 1.0)) <= band:
+        return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
+    if math.isinf(mu) or mu * ratios.rho <= mu + 1.0 + band:
+        detail = "mu*rho <= mu+1: co-existence point does not exist"
+        return VerdictKind.NO_ESS, nvdf, hm, detail
+    theta_e, psi_e = coexistence_point(params)
+    return theta_e, psi_e, h_value(theta_e, psi_e, params, costs)
+
+
+def _case_split(
+    params: ModelParams,
+    ratios: Ratios,
+    costs: CostParams,
+    nvdf: Optional[tuple[float, float]],
+    hm: Optional[float],
+) -> _Case:
+    """The first case of the split that applies; ``hm`` is None unless endemic."""
+    if hm is None:
+        if ratios.rho < 1.0:
+            detail = "self-eradicating disease; origin is stable for every policy"
+            h0 = h_value(0.0, 0.0, params, costs)
+            return VerdictKind.NON_VACCINATING_ESS, (0.0, 0.0), h0, detail
+        return VerdictKind.MARGINAL, (0.0, 0.0), math.nan, "rho on the endemic boundary"
+    h_tol = costs.indifference_tol
+    if abs(hm) <= h_tol:
+        detail = "h at the no-vaccination level is on its sign boundary"
+        return VerdictKind.MARGINAL, nvdf, hm, detail
+    if hm > 0.0:
+        detail = "never vaccinating is the unique best response at the endemic level"
+        return VerdictKind.NON_VACCINATING_ESS, nvdf, hm, detail
+    candidate = _saturated_candidate(params, ratios, costs, nvdf, hm)
+    if isinstance(candidate[0], VerdictKind):
+        return candidate
+    theta_e, psi_e, h_e = candidate
+    if abs(h_e) <= h_tol:
+        detail = "h at the saturated equilibrium is on its sign boundary"
+        return VerdictKind.MARGINAL, (theta_e, psi_e), h_e, detail
+    if h_e < 0.0:
+        detail = "saturated acceptance is the unique best response"
+        return VerdictKind.VACCINATING_ESS, (theta_e, psi_e), h_e, detail
+    return VerdictKind.NO_ESS, (theta_e, psi_e), h_e, "h >= 0 at the saturated equilibrium"
+
+
 def classify_ess(
     family: Family,
     params: ModelParams,
@@ -204,135 +259,29 @@ def classify_ess(
 ) -> EssVerdict:
     """Evolutionary-stability verdict for one response family.
 
-    Follows the case split on (rho, h_m, mu*rho vs mu+1, h at the saturated
-    equilibrium); any of those quantities within tolerance of its boundary
-    yields Marginal.  Deadly verdicts are conjectured.
+    Walks the case split of the module docstring and stops at the first case
+    that applies; any quantity within tolerance of its boundary yields
+    Marginal.  Deadly verdicts are conjectured.
     """
     if family not in (Family.FC, Family.FR, Family.VFC1):
         raise RegimeMismatch(f"ESS classification covers FC/FR/VFC1, got {family}")
     ratios = derive_ratios(params)
-    rho, mu = ratios.rho, ratios.mu
-    deadly = params.d_e > 0.0
-    h_tol = costs.indifference_tol
-
-    if abs(rho - 1.0) <= REGIME_TOL:
-        return EssVerdict(
-            kind=VerdictKind.MARGINAL,
-            equilibrium=(0.0, 0.0),
-            h_value=math.nan,
-            conjectured=deadly,
-            detail="rho on the endemic boundary",
-        )
-    if rho < 1.0:
-        h0 = h_value(0.0, 0.0, params, costs)
-        return EssVerdict(
-            kind=VerdictKind.NON_VACCINATING_ESS,
-            equilibrium=(0.0, 0.0),
-            h_value=h0,
-            conjectured=deadly,
-            detail="self-eradicating disease; origin is stable for every policy",
-        )
-
-    hm = h_m(params, costs)
-    if abs(hm) <= h_tol:
-        return EssVerdict(
-            kind=VerdictKind.MARGINAL,
-            equilibrium=nvdf_point(params),
-            h_value=hm,
-            h_m=hm,
-            conjectured=deadly,
-            detail="h at the no-vaccination level is on its sign boundary",
-        )
-    if hm > 0.0:
-        point = nvdf_point(params)
-        return EssVerdict(
-            kind=VerdictKind.NON_VACCINATING_ESS,
-            equilibrium=point,
-            h_value=hm,
-            h_m=hm,
-            conjectured=deadly,
-            detail="never vaccinating is the unique best response at the endemic level",
-        )
-
-    # h_m < 0: the saturated-acceptance equilibrium is the only candidate
-    if deadly:
-        try:
-            eq = deadly_es_equilibrium(params, costs)
-        except ComplexRoot:
-            return EssVerdict(
-                kind=VerdictKind.NO_ESS,
-                equilibrium=nvdf_point(params),
-                h_value=hm,
-                h_m=hm,
-                conjectured=True,
-                detail="saturated deadly equilibrium has no real root",
-            )
-        theta_e, psi_e = eq.theta_exact, eq.psi_exact
-        if abs(theta_e) <= REGIME_TOL:
-            return EssVerdict(
-                kind=VerdictKind.MARGINAL,
-                equilibrium=(theta_e, psi_e),
-                h_value=math.nan,
-                h_m=hm,
-                conjectured=True,
-                detail="deadly saturated equilibrium on the theta = 0 boundary",
-            )
-        if eq.no_ess or theta_e < 0.0:
-            return EssVerdict(
-                kind=VerdictKind.NO_ESS,
-                equilibrium=nvdf_point(params),
-                h_value=hm,
-                h_m=hm,
-                conjectured=True,
-                detail="mu + o >= mu*rho_e: saturated infection share not positive",
-            )
-        h_e = eq.h_exact
-    else:
-        if math.isinf(mu) or mu * rho <= mu + 1.0 + REGIME_TOL * (mu + 1.0):
-            if not math.isinf(mu) and abs(mu * rho - (mu + 1.0)) <= REGIME_TOL * (mu + 1.0):
-                return EssVerdict(
-                    kind=VerdictKind.MARGINAL,
-                    equilibrium=nvdf_point(params),
-                    h_value=hm,
-                    h_m=hm,
-                    detail="mu*rho on the mu+1 boundary",
-                )
-            return EssVerdict(
-                kind=VerdictKind.NO_ESS,
-                equilibrium=nvdf_point(params),
-                h_value=hm,
-                h_m=hm,
-                detail="mu*rho <= mu+1: co-existence point does not exist",
-            )
-        theta_e, psi_e = coexistence_point(params)
-        h_e = h_value(theta_e, psi_e, params, costs)
-
-    if abs(h_e) <= h_tol:
-        return EssVerdict(
-            kind=VerdictKind.MARGINAL,
-            equilibrium=(theta_e, psi_e),
-            h_value=h_e,
-            h_m=hm,
-            conjectured=deadly,
-            detail="h at the saturated equilibrium is on its sign boundary",
-        )
-    if h_e < 0.0:
-        return EssVerdict(
-            kind=VerdictKind.VACCINATING_ESS,
-            equilibrium=(theta_e, psi_e),
-            h_value=h_e,
-            h_m=hm,
-            beta_star_threshold=_beta_star_threshold(family, theta_e, psi_e),
-            conjectured=deadly,
-            detail="saturated acceptance is the unique best response",
-        )
+    nvdf = hm = None
+    if ratios.rho - 1.0 > REGIME_TOL:
+        nvdf = nvdf_point(params)
+        hm = h_value(*nvdf, params, costs)
+    kind, point, h, detail = _case_split(params, ratios, costs, nvdf, hm)
+    beta_star = None
+    if kind is VerdictKind.VACCINATING_ESS:
+        beta_star = _beta_star_threshold(family, *point)
     return EssVerdict(
-        kind=VerdictKind.NO_ESS,
-        equilibrium=(theta_e, psi_e),
-        h_value=h_e,
+        kind=kind,
+        equilibrium=point,
+        h_value=h,
         h_m=hm,
-        conjectured=deadly,
-        detail="h >= 0 at the saturated equilibrium",
+        beta_star_threshold=beta_star,
+        conjectured=params.d_e > 0.0,
+        detail=detail,
     )
 
 

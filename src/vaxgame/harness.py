@@ -353,45 +353,41 @@ _LIMIT_BAND = 0.05
 _MIN_CROSSINGS = 10
 
 
+def _agrees(
+    cf: ClosedFormResult,
+    point: tuple[float, float],
+    tail_theta: float,
+    crossings: Optional[int],
+    tol: float,
+) -> bool:
+    """One layer's result against the closed form.
+
+    A limit set needs ``tail_theta`` within its band and enough threshold
+    crossings; a point needs theta and psi of ``point`` both within ``tol``.
+    """
+    if cf.limit_set is not None:
+        return (
+            abs(tail_theta - cf.limit_set.center_theta) <= _LIMIT_BAND
+            and (crossings or 0) >= _MIN_CROSSINGS
+        )
+    theta_hat, psi_hat = cf.attractor.point()
+    return abs(point[0] - theta_hat) <= tol and abs(point[1] - psi_hat) <= tol
+
+
 def cross_validate(record: RunRecord) -> dict:
     """Pairwise agreement verdicts between the enabled layers."""
-    verdicts: dict[str, str] = {}
-    cf = record.cf
-    is_limit = cf.limit_set is not None
-
-    if cf.point is None or math.isnan(record.ode_res.theta):  # NaN also on an ODE error
-        verdicts["ode_vs_closed_form"] = "not-comparable"
-    elif is_limit:
-        ok = (
-            abs(record.ode_res.tail_theta - cf.limit_set.center_theta) <= _LIMIT_BAND
-            and (record.ode_res.crossings or 0) >= _MIN_CROSSINGS
+    cf, ode_res, live = record.cf, record.ode_res, record.mc_res.live
+    ode_ok = mc_ok = None  # None: not comparable
+    if cf.point is not None and not math.isnan(ode_res.theta):  # NaN also on an ODE error
+        ode_ok = _agrees(
+            cf, (ode_res.theta, ode_res.psi), ode_res.tail_theta, ode_res.crossings, _TOL_ODE
         )
-        verdicts["ode_vs_closed_form"] = "agree" if ok else "disagree"
-    else:
-        d_theta = abs(record.ode_res.theta - cf.attractor.theta_hat)
-        d_psi = abs(record.ode_res.psi - cf.attractor.psi_hat)
-        verdicts["ode_vs_closed_form"] = (
-            "agree" if max(d_theta, d_psi) <= _TOL_ODE else "disagree"
-        )
-
-    live = record.mc_res.live
-    if cf.point is None or record.mc_res.error is not None or not live:
-        verdicts["mc_vs_closed_form"] = "not-comparable"
-    elif is_limit:
-        ok = all(
-            abs(r.theta - cf.limit_set.center_theta) <= _LIMIT_BAND
-            and (r.crossings or 0) >= _MIN_CROSSINGS
-            for r in live
-        )
-        verdicts["mc_vs_closed_form"] = "agree" if ok else "disagree"
-    else:
-        ok = all(
-            abs(r.theta - cf.attractor.theta_hat) <= _TOL_MC
-            and abs(r.psi - cf.attractor.psi_hat) <= _TOL_MC
-            for r in live
-        )
-        verdicts["mc_vs_closed_form"] = "agree" if ok else "disagree"
-    return verdicts
+    if cf.point is not None and record.mc_res.error is None and live:
+        mc_ok = all(_agrees(cf, (r.theta, r.psi), r.theta, r.crossings, _TOL_MC) for r in live)
+    return {
+        name: "not-comparable" if ok is None else "agree" if ok else "disagree"
+        for name, ok in (("ode_vs_closed_form", ode_ok), ("mc_vs_closed_form", mc_ok))
+    }
 
 
 # --------------------------------------------------------------------------

@@ -206,8 +206,9 @@ def integrate(
     across them.
 
     Raises InvalidParams for a horizon that is not positive (NaN included),
-    for an ``rtol`` or ``atol`` that is not finite and positive, and for a
-    start state with a non-finite component.
+    for an ``rtol`` or ``atol`` that is not finite and positive, for a start
+    state with a non-finite component, and for a start eta that is not
+    positive (eta = N/(k+1) of a live population).
     """
     if not horizon > 0:
         raise InvalidParams("horizon must be positive")
@@ -216,6 +217,8 @@ def integrate(
             raise InvalidParams(f"{name} must be finite and positive, got {value!r}")
     if not all(map(math.isfinite, (initial.theta, initial.psi, initial.eta, initial.t))):
         raise InvalidParams(f"start state must be finite, got {initial!r}")
+    if initial.eta <= 0:
+        raise InvalidParams(f"start eta must be positive, got {initial.eta!r}")
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)

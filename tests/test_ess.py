@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from vaxgame import (
     BestResponse,
     CostParams,
     Family,
     ModelParams,
+    Policy,
     VerdictKind,
     accept_prob,
     classify_ess,
     closed_form,
     coexistence_point,
+    deadly_coexistence_exact,
     deadly_es_equilibrium,
     fc,
     h_m,
@@ -218,6 +221,127 @@ def test_classify_no_ess_when_coexistence_too_cheap(left_params):
     verdict = classify_ess(Family.FC, left_params, costs)
     assert verdict.h_m < 0 < verdict.h_value
     assert verdict.kind is VerdictKind.NO_ESS
+
+
+_LEFT = dict(lam=8.549, r=1.188, b=0.322, d=0.1)
+
+
+def _nvdf(p):
+    return (1.0 - 1.0 / ((p.lam - p.d_e) / (p.r + p.b)), 0.0)
+
+
+def _saturated(p):
+    return deadly_coexistence_exact(p) if p.d_e > 0.0 else coexistence_point(p)
+
+
+def _h_m_marginal():
+    p = ModelParams(lam=1.749, r=1.0002, nu=0.404, b=0.322, d=0.1)
+    p_n = p_infection(_nvdf(p)[0], p)
+    return p, CostParams(c_v1=p_n * 10.0 - 1.91, c_v2=0.65, c_v2_bar=1.91, c_I1=10.0)
+
+
+def _mu_rho_marginal():
+    # mu*rho = mu + 1 exactly when nu = b*(rho - 1)
+    rho = _LEFT["lam"] / (_LEFT["r"] + _LEFT["b"])
+    return ModelParams(nu=_LEFT["b"] * (rho - 1.0), **_LEFT), scare_costs()
+
+
+def _deadly_theta_zero():
+    def theta_e(nu):
+        return deadly_coexistence_exact(ModelParams(nu=nu, d_e=0.02, **_LEFT))[0]
+
+    nu = brentq(theta_e, 1.0, 2.0, xtol=1e-15)
+    return ModelParams(nu=nu, d_e=0.02, **_LEFT), scare_costs()
+
+
+def _saturated_h(share):
+    # c_I1 a share of the way from h_m = 0 (share 0) to h_E = 0 (share 1)
+    def make():
+        p = ModelParams(nu=0.904, **_LEFT)
+        theta_e, psi_e = coexistence_point(p)
+        c_lo = (2.88 + 1.91) / p_infection(_nvdf(p)[0], p)
+        c_hi = (2.88 + min(1.91, 0.65 / psi_e)) / p_infection(theta_e, p)
+        c_I1 = c_lo + share * (c_hi - c_lo)
+        return p, CostParams(c_v1=2.88, c_v2=0.65, c_v2_bar=1.91, c_I1=c_I1)
+
+    return make
+
+
+def _fixed(params, costs=None):
+    return lambda: (params, costs or scare_costs())
+
+
+# (exit, inputs, kind, equilibrium, h: NaN or h at the named point, h_m set,
+#  beta* set, detail); points are "origin", "nvdf" or "saturated"
+_BRANCHES = [
+    ("rho-marginal", _fixed(ModelParams(lam=2.0, r=1.0, nu=1.0, b=1.0, d=0.1)),
+     VerdictKind.MARGINAL, "origin", "nan", False, False,
+     "rho on the endemic boundary"),
+    ("rho-below-one", _fixed(ModelParams(lam=0.9, r=0.6, nu=1.0, b=0.4, d=0.1)),
+     VerdictKind.NON_VACCINATING_ESS, "origin", "origin", False, False,
+     "self-eradicating disease; origin is stable for every policy"),
+    ("h_m-marginal", _h_m_marginal,
+     VerdictKind.MARGINAL, "nvdf", "nvdf", True, False,
+     "h at the no-vaccination level is on its sign boundary"),
+    ("h_m-positive", _fixed(ModelParams(nu=0.904, **_LEFT), CostParams(2.88, 0.65, 1.91, 4.32)),
+     VerdictKind.NON_VACCINATING_ESS, "nvdf", "nvdf", True, False,
+     "never vaccinating is the unique best response at the endemic level"),
+    ("deadly-theta-zero", _deadly_theta_zero,
+     VerdictKind.MARGINAL, "saturated", "nan", True, False,
+     "deadly saturated equilibrium on the theta = 0 boundary"),
+    ("deadly-no-coexistence", _fixed(ModelParams(nu=5.0, d_e=0.02, **_LEFT)),
+     VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
+     "mu + o >= mu*rho_e: saturated infection share not positive"),
+    ("mu-rho-marginal", _mu_rho_marginal,
+     VerdictKind.MARGINAL, "nvdf", "nvdf", True, False,
+     "mu*rho on the mu+1 boundary"),
+    ("mu-rho-below", _fixed(ModelParams(lam=1.749, r=1.0002, nu=0.404, b=0.322, d=0.1)),
+     VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
+     "mu*rho <= mu+1: co-existence point does not exist"),
+    ("no-vaccine", _fixed(ModelParams(nu=0.0, **_LEFT)),
+     VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
+     "mu*rho <= mu+1: co-existence point does not exist"),
+    ("saturated-h-marginal", _saturated_h(1.0),
+     VerdictKind.MARGINAL, "saturated", "saturated", True, False,
+     "h at the saturated equilibrium is on its sign boundary"),
+    ("vaccinating", _fixed(ModelParams(nu=0.904, **_LEFT)),
+     VerdictKind.VACCINATING_ESS, "saturated", "saturated", True, True,
+     "saturated acceptance is the unique best response"),
+    ("deadly-vaccinating", _fixed(ModelParams(nu=0.904, d_e=0.02, **_LEFT)),
+     VerdictKind.VACCINATING_ESS, "saturated", "saturated", True, True,
+     "saturated acceptance is the unique best response"),
+    ("saturated-h-positive", _saturated_h(0.5),
+     VerdictKind.NO_ESS, "saturated", "saturated", True, False,
+     "h >= 0 at the saturated equilibrium"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, kind, where, h_at, has_h_m, has_beta_star, detail",
+    [case[1:] for case in _BRANCHES],
+    ids=[case[0] for case in _BRANCHES],
+)
+def test_classify_ess_branch_table(make, kind, where, h_at, has_h_m, has_beta_star, detail):
+    params, costs = make()
+    points = {"origin": (0.0, 0.0), "nvdf": _nvdf(params)}
+    if where == "saturated":
+        points["saturated"] = _saturated(params)
+    verdict = classify_ess(Family.FC, params, costs)
+    assert verdict.kind is kind
+    assert verdict.detail == detail
+    assert verdict.equilibrium == points[where]
+    if h_at == "nan":
+        assert math.isnan(verdict.h_value)
+    else:
+        assert verdict.h_value == h_value(*points[h_at], params, costs)
+    assert verdict.h_m == (h_value(*points["nvdf"], params, costs) if has_h_m else None)
+    assert verdict.conjectured is (params.d_e > 0.0)
+    if has_beta_star:
+        theta_e, psi_e = verdict.equilibrium
+        slope = propensity(Policy(Family.FC, beta=1.0), theta_e, psi_e)
+        assert verdict.beta_star_threshold == 1.0 / slope
+    else:
+        assert verdict.beta_star_threshold is None
 
 
 def test_vaccinating_clamp_strictly_active(left_params):

@@ -241,6 +241,10 @@ ONE_POINT = (
          "InvalidParams: atol must be finite and positive, got -1.0"),
         ("horizon = 50", "horizon = 50\neta0 = nan", "ode_error",
          "InvalidParams: start state must be finite"),
+        ("horizon = 50", "horizon = 50\neta0 = 0", "ode_error",
+         "InvalidParams: start eta must be positive, got 0.0"),
+        ("horizon = 50", "horizon = 50\neta0 = -1", "ode_error",
+         "InvalidParams: start eta must be positive, got -1.0"),
         ("theta0 = 0.21", "theta0 = nan", "ode_error", "InvalidParams: start state must be finite"),
         ("theta0 = 0.21", "theta0 = nan", "mc_error", "DomainError: initial fractions"),
     ],
