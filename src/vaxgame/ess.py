@@ -44,7 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .attractor import REGIME_TOL, _eta_at, coexistence_point, deadly_coexistence_exact
 from .errors import EquilibriumNotFound, InvalidParams, RegimeMismatch
@@ -194,10 +194,10 @@ def _beta_star_threshold(
 _Case = tuple[VerdictKind, tuple[float, float], float, str]
 
 
-def _saturated_candidate(
+def _saturated_case(
     params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
-) -> Union[tuple[float, float, float], _Case]:
-    """(theta_E, psi_E, h_E) of saturated acceptance, or the case that ends the search."""
+) -> _Case:
+    """The case of saturated acceptance, the only candidate once h_m < 0."""
     if params.d_e > 0.0:
         eq = deadly_es_equilibrium(params, costs)
         theta_e, psi_e = eq.theta_exact, eq.psi_exact
@@ -207,49 +207,36 @@ def _saturated_candidate(
         if eq.no_ess or theta_e < 0.0:
             detail = "mu + o >= mu*rho_e: saturated infection share not positive"
             return VerdictKind.NO_ESS, nvdf, hm, detail
-        return theta_e, psi_e, eq.h_exact
-    mu, band = ratios.mu, REGIME_TOL * (ratios.mu + 1.0)
-    if not math.isinf(mu) and abs(mu * ratios.rho - (mu + 1.0)) <= band:
-        return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
-    if math.isinf(mu) or mu * ratios.rho <= mu + 1.0 + band:
-        detail = "mu*rho <= mu+1: co-existence point does not exist"
-        return VerdictKind.NO_ESS, nvdf, hm, detail
-    theta_e, psi_e = coexistence_point(params)
-    return theta_e, psi_e, h_value(theta_e, psi_e, params, costs)
-
-
-def _case_split(
-    params: ModelParams,
-    ratios: Ratios,
-    costs: CostParams,
-    nvdf: Optional[tuple[float, float]],
-    hm: Optional[float],
-) -> _Case:
-    """The first case of the split that applies; ``hm`` is None unless endemic."""
-    if hm is None:
-        if ratios.rho < 1.0:
-            detail = "self-eradicating disease; origin is stable for every policy"
-            h0 = h_value(0.0, 0.0, params, costs)
-            return VerdictKind.NON_VACCINATING_ESS, (0.0, 0.0), h0, detail
-        return VerdictKind.MARGINAL, (0.0, 0.0), math.nan, "rho on the endemic boundary"
-    h_tol = costs.indifference_tol
-    if abs(hm) <= h_tol:
-        detail = "h at the no-vaccination level is on its sign boundary"
-        return VerdictKind.MARGINAL, nvdf, hm, detail
-    if hm > 0.0:
-        detail = "never vaccinating is the unique best response at the endemic level"
-        return VerdictKind.NON_VACCINATING_ESS, nvdf, hm, detail
-    candidate = _saturated_candidate(params, ratios, costs, nvdf, hm)
-    if isinstance(candidate[0], VerdictKind):
-        return candidate
-    theta_e, psi_e, h_e = candidate
-    if abs(h_e) <= h_tol:
+        h_e = eq.h_exact
+    else:
+        mu, band = ratios.mu, REGIME_TOL * (ratios.mu + 1.0)
+        if not math.isinf(mu) and abs(mu * ratios.rho - (mu + 1.0)) <= band:
+            return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
+        if math.isinf(mu) or mu * ratios.rho <= mu + 1.0 + band:
+            detail = "mu*rho <= mu+1: co-existence point does not exist"
+            return VerdictKind.NO_ESS, nvdf, hm, detail
+        theta_e, psi_e = coexistence_point(params)
+        h_e = h_value(theta_e, psi_e, params, costs)
+    if abs(h_e) <= costs.indifference_tol:
         detail = "h at the saturated equilibrium is on its sign boundary"
         return VerdictKind.MARGINAL, (theta_e, psi_e), h_e, detail
     if h_e < 0.0:
         detail = "saturated acceptance is the unique best response"
         return VerdictKind.VACCINATING_ESS, (theta_e, psi_e), h_e, detail
     return VerdictKind.NO_ESS, (theta_e, psi_e), h_e, "h >= 0 at the saturated equilibrium"
+
+
+def _endemic_case(
+    params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
+) -> _Case:
+    """The case for an endemic disease (rho > 1), split on the sign of h_m."""
+    if abs(hm) <= costs.indifference_tol:
+        detail = "h at the no-vaccination level is on its sign boundary"
+        return VerdictKind.MARGINAL, nvdf, hm, detail
+    if hm > 0.0:
+        detail = "never vaccinating is the unique best response at the endemic level"
+        return VerdictKind.NON_VACCINATING_ESS, nvdf, hm, detail
+    return _saturated_case(params, ratios, costs, nvdf, hm)
 
 
 def classify_ess(
@@ -266,11 +253,18 @@ def classify_ess(
     if family not in (Family.FC, Family.FR, Family.VFC1):
         raise RegimeMismatch(f"ESS classification covers FC/FR/VFC1, got {family}")
     ratios = derive_ratios(params)
-    nvdf = hm = None
-    if ratios.rho - 1.0 > REGIME_TOL:
+    hm = None
+    if abs(ratios.rho - 1.0) <= REGIME_TOL:
+        case = VerdictKind.MARGINAL, (0.0, 0.0), math.nan, "rho on the endemic boundary"
+    elif ratios.rho < 1.0:
+        detail = "self-eradicating disease; origin is stable for every policy"
+        h0 = h_value(0.0, 0.0, params, costs)
+        case = VerdictKind.NON_VACCINATING_ESS, (0.0, 0.0), h0, detail
+    else:
         nvdf = nvdf_point(params)
         hm = h_value(*nvdf, params, costs)
-    kind, point, h, detail = _case_split(params, ratios, costs, nvdf, hm)
+        case = _endemic_case(params, ratios, costs, nvdf, hm)
+    kind, point, h, detail = case
     beta_star = None
     if kind is VerdictKind.VACCINATING_ESS:
         beta_star = _beta_star_threshold(family, *point)

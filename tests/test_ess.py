@@ -277,6 +277,12 @@ _BRANCHES = [
     ("rho-marginal", _fixed(ModelParams(lam=2.0, r=1.0, nu=1.0, b=1.0, d=0.1)),
      VerdictKind.MARGINAL, "origin", "nan", False, False,
      "rho on the endemic boundary"),
+    ("rho-marginal-below", _fixed(ModelParams(lam=2.0 - 1e-9, r=1.0, nu=1.0, b=1.0, d=0.1)),
+     VerdictKind.MARGINAL, "origin", "nan", False, False,
+     "rho on the endemic boundary"),
+    ("rho-marginal-above", _fixed(ModelParams(lam=2.0 + 1e-9, r=1.0, nu=1.0, b=1.0, d=0.1)),
+     VerdictKind.MARGINAL, "origin", "nan", False, False,
+     "rho on the endemic boundary"),
     ("rho-below-one", _fixed(ModelParams(lam=0.9, r=0.6, nu=1.0, b=0.4, d=0.1)),
      VerdictKind.NON_VACCINATING_ESS, "origin", "origin", False, False,
      "self-eradicating disease; origin is stable for every policy"),
