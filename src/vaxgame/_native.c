@@ -83,6 +83,7 @@ double vaxgame_accept(const law_t *w, double theta, double psi)
 /*
  * The bin edges of one epoch at (theta, psi): the cumulative event masses
  * c1..c7, in the order of chain.Event, and their total varrho in c[7].
+ * A copy of chain.event_edges, with its grouping of every sum.
  */
 static inline void event_edges(const law_t *w, double theta, double psi, double c[8])
 {
@@ -101,7 +102,7 @@ static inline void event_edges(const law_t *w, double theta, double psi, double 
     c[7] = c[6] + w->d * phi;
 }
 
-/* event_edges() for the tests, which compare it with chain._python_loop. */
+/* event_edges() for the tests, which compare it with chain.event_edges. */
 void vaxgame_edges(const law_t *w, double theta, double psi, double *out)
 {
     event_edges(w, theta, psi, out);

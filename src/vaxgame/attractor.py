@@ -70,7 +70,7 @@ from .errors import (
 )
 from .ode import OdeState, _fd_jacobian, field, field_rows, varrho
 from .params import ModelParams, Ratios, derive_ratios
-from .policy import Family, Policy, propensity_fn
+from .policy import Family, Policy, propensity_fn, threshold
 
 #: Relative tolerance deciding that parameters sit on a regime boundary.
 REGIME_TOL = 1e-9
@@ -713,7 +713,8 @@ def _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, radius, n_samples, see
     eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
     side = np.frompyfunc(propensity_fn(policy), 2, 1)(x[:, 0], x[:, 1]).astype(float) > 1.0
     on_disc = bool(side.any() and not side.all())
-    if policy.family is Family.VFC2:
-        on_disc |= bool(np.any((x[:, 0] > policy.gamma) != (attr.theta_hat > policy.gamma)))
+    gamma = threshold(policy)
+    if gamma is not None:
+        on_disc |= bool(np.any((x[:, 0] > gamma) != (attr.theta_hat > gamma)))
     lyap_neg, eucl_neg = int(np.count_nonzero(lyap < 0.0)), int(np.count_nonzero(eucl < 0.0))
     return lyap_neg / kept, eucl_neg / kept, on_disc, kept

@@ -23,11 +23,16 @@ delta = 2/(N(0)-1) these obey
     eta_k >= delta_bar := (N(0)-3) / (N(0)-1)^2,
     |1/eta_{k+1} - 1/eta_k| <= eps_k * (delta_bar+1) / delta_bar^2.
 
+:func:`event_edges` is the one Python definition of the eight event
+masses and varrho, as the cumulative bin edges of one epoch.
+:func:`event_distribution` reads the bin widths from it, and :func:`step`
+and the Python loop :func:`_python_loop` sample an event by the same rule:
+the first bin whose upper edge exceeds u * varrho for a uniform u.
 :func:`simulate` runs its loop in the C kernel of :mod:`vaxgame._native`
-when that loads, else in the Python loop :func:`_python_loop`, the
-reference it is tested against; both give the same trajectory and leave the
-generator in the same state.  :func:`step` samples one epoch from
-:func:`event_distribution`, for checks of the chain's law.
+when that loads, else in :func:`_python_loop`, the reference it is tested
+against; both give the same trajectory and leave the generator in the same
+state.  :func:`step` is one epoch of that loop, for checks of the chain's
+law.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,30 +147,47 @@ class EventDistribution:
         return float(self.probs[event])
 
 
+def event_edges(params: ModelParams) -> Callable[[float, float, float], tuple[float, ...]]:
+    """The chain's event law, resolved once: (theta, psi, q) -> (c1, ..., c7, varrho).
+
+    The one definition of the event masses.  c1..c7 are their cumulative
+    sums in the order of :class:`Event`, and varrho = c7 + d*phi is the
+    total, the upper edge of the last bin.  The sums are grouped as the C
+    kernel's ``event_edges`` in :mod:`vaxgame._native` groups them, so the
+    two agree bit for bit.
+    """
+    lam, r, nu, b, d = params.lam, params.r, params.nu, params.b, params.d
+    d_plus_de = params.d + params.d_e
+
+    def edges(theta: float, psi: float, q: float) -> tuple[float, ...]:
+        phi = 1.0 - theta - psi
+        t_dec = nu * phi
+        t_vac = q * t_dec
+        c1 = lam * theta * phi
+        c2 = c1 + r * theta
+        c3 = c2 + d_plus_de * theta
+        c4 = c3 + t_vac
+        c5 = c4 + (t_dec - t_vac)
+        c6 = c5 + b
+        c7 = c6 + d * psi
+        return c1, c2, c3, c4, c5, c6, c7, c7 + d * phi
+
+    return edges
+
+
 def event_distribution(
     state: FractionState, params: ModelParams, policy: Policy
 ) -> EventDistribution:
-    """Exact one-step event probabilities at the given fractions."""
+    """Exact one-step event probabilities at the given fractions.
+
+    They are the bin widths of :func:`event_edges` over varrho.
+    """
     theta, psi = state.theta, state.psi
-    q = accept_prob(policy, theta, psi)
-    phi = 1.0 - theta - psi
-    p = params
-    masses = np.array(
-        [
-            p.lam * theta * phi,
-            p.r * theta,
-            (p.d + p.d_e) * theta,
-            p.nu * q * phi,
-            p.nu * (1.0 - q) * phi,
-            p.b,
-            p.d * psi,
-            p.d * phi,
-        ]
-    )
-    varrho = float(masses.sum())
+    edges = event_edges(params)(theta, psi, accept_prob(policy, theta, psi))
+    varrho = edges[-1]
     if varrho <= 0.0:
         raise DegenerateState("total event rate is zero")
-    return EventDistribution(probs=masses / varrho, varrho=varrho)
+    return EventDistribution(probs=np.diff(edges, prepend=0.0) / varrho, varrho=varrho)
 
 
 def step(
@@ -173,17 +195,22 @@ def step(
 ) -> tuple[PopState, Event]:
     """Sample and apply one transition; the epoch index always advances.
 
-    The event is the first whose cumulative probability exceeds a uniform
-    draw, else the last.
+    One epoch of :func:`simulate` for the same uniform u: the event is the
+    first whose upper edge in :func:`event_edges` exceeds u * varrho.  A
+    draw past the last edge but one with no susceptible left, possible only
+    by rounding, changes nothing and is returned as a null decision.
     """
     if state.frozen:
         raise FrozenTrajectory("cannot step a frozen state")
-    dist = event_distribution(state.fractions(), params, policy)
-    u = float(rng.random())
-    event = next(
-        (e for e, acc in zip(Event, np.cumsum(dist.probs)) if u < acc),
-        Event.DEATH_SUSCEPTIBLE,
-    )
+    fs = state.fractions()
+    theta, psi = fs.theta, fs.psi
+    *edges, varrho = event_edges(params)(theta, psi, accept_fn(policy)(theta, psi))
+    if varrho <= 0.0:
+        raise DegenerateState("total event rate is zero")
+    x = float(rng.random()) * varrho
+    event = next((e for e, c in zip(Event, edges) if x < c), Event.DEATH_SUSCEPTIBLE)
+    if event is Event.DEATH_SUSCEPTIBLE and state.n_susc == 0:
+        event = Event.NULL_DECISION  # the loop's guard against a 1-ulp overshoot
     dS, dI, dV, dN = EVENT_EFFECTS[event]
     return PopState(
         n_total=state.n_total + dN,
@@ -321,15 +348,7 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
     (None if the chain did not freeze), min eta, the largest scaled jump of
     1/eta, and the records (epochs, theta, psi, eta) from the initial epoch on.
     """
-    lam, r, nu, b, d, de = (
-        params.lam,
-        params.r,
-        params.nu,
-        params.b,
-        params.d,
-        params.d_e,
-    )
-    d_plus_de = d + de
+    edges = event_edges(params)
     qfun = accept_fn(policy)
 
     N = initial.n_total
@@ -350,7 +369,8 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
 
     freeze_epoch: Optional[int] = None
 
-    buf = gen.random(_RNG_BLOCK)
+    # the uniforms as Python floats: indexing a list is cheaper than an array
+    buf = gen.random(_RNG_BLOCK).tolist()
     bi = 0
 
     while k < max_steps:
@@ -360,25 +380,12 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
 
         theta = I / N
         psi = V / N
-        phi = 1.0 - theta - psi
-        q = qfun(theta, psi)
-
-        t_inf = lam * theta * phi
-        t_dec = nu * phi
-        t_vac = q * t_dec
-        c1 = t_inf
-        c2 = c1 + r * theta
-        c3 = c2 + d_plus_de * theta
-        c4 = c3 + t_vac
-        c5 = c4 + (t_dec - t_vac)
-        c6 = c5 + b
-        c7 = c6 + d * psi
-        varrho = c7 + d * phi
+        c1, c2, c3, c4, c5, c6, c7, varrho = edges(theta, psi, qfun(theta, psi))
         if varrho <= 0.0:
             raise DegenerateState("total event rate is zero")
 
         if bi == _RNG_BLOCK:
-            buf = gen.random(_RNG_BLOCK)
+            buf = gen.random(_RNG_BLOCK).tolist()
             bi = 0
         x = buf[bi] * varrho
         bi += 1

@@ -28,9 +28,10 @@ Marginal.  The no-vaccination level is (1 - 1/rho_e, 0), exact for d_e >= 0.
   2. h_m, h at the no-vaccination level.  Positive: never vaccinating is the
      ESS there.
   3. h_m < 0 leaves saturated acceptance as the only candidate.  Its point
-     (theta_E, psi_E) must exist: without excess deaths mu*rho > mu + 1
-     (the co-existence point); with d_e > 0 the deadly quadratic root with
-     theta_E > 0 and mu + o < mu*rho_e.  Otherwise no ESS exists.
+     (theta_E, psi_E) must exist: never without a vaccine (nu = 0, so
+     mu = inf); without excess deaths mu*rho > mu + 1 (the co-existence
+     point); with d_e > 0 the deadly quadratic root with theta_E > 0 and
+     mu + o < mu*rho_e.  Otherwise no ESS exists.
   4. h(theta_E, psi_E) < 0: saturated acceptance is the vaccinating ESS,
      reached once the family parameter pushes the raw propensity strictly
      above 1 there (beta* = 1 / per-unit-beta propensity).  h > 0: no ESS.
@@ -139,14 +140,6 @@ class BestResponse(Enum):
     ALWAYS = "1"
     INDIFFERENT = "indifferent"
 
-    @property
-    def unique_q(self) -> Optional[float]:
-        if self is BestResponse.NEVER:
-            return 0.0
-        if self is BestResponse.ALWAYS:
-            return 1.0
-        return None
-
 
 def static_best_response(
     point: tuple[float, float], params: ModelParams, costs: CostParams
@@ -198,6 +191,9 @@ def _saturated_case(
     params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
 ) -> _Case:
     """The case of saturated acceptance, the only candidate once h_m < 0."""
+    mu, no_coexistence = ratios.mu, "mu*rho <= mu+1: co-existence point does not exist"
+    if math.isinf(mu):  # nu = 0: no vaccine, so nothing to saturate
+        return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
     if params.d_e > 0.0:
         eq = deadly_es_equilibrium(params, costs)
         theta_e, psi_e = eq.theta_exact, eq.psi_exact
@@ -209,12 +205,11 @@ def _saturated_case(
             return VerdictKind.NO_ESS, nvdf, hm, detail
         h_e = eq.h_exact
     else:
-        mu, band = ratios.mu, REGIME_TOL * (ratios.mu + 1.0)
-        if not math.isinf(mu) and abs(mu * ratios.rho - (mu + 1.0)) <= band:
+        band = REGIME_TOL * (mu + 1.0)
+        if abs(mu * ratios.rho - (mu + 1.0)) <= band:
             return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
-        if math.isinf(mu) or mu * ratios.rho <= mu + 1.0 + band:
-            detail = "mu*rho <= mu+1: co-existence point does not exist"
-            return VerdictKind.NO_ESS, nvdf, hm, detail
+        if mu * ratios.rho <= mu + 1.0 + band:
+            return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
         theta_e, psi_e = coexistence_point(params)
         h_e = h_value(theta_e, psi_e, params, costs)
     if abs(h_e) <= costs.indifference_tol:

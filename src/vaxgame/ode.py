@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
 from .params import ModelParams, derive_ratios
-from .policy import Family, Policy, accept_fn
+from .policy import Family, Policy, accept_fn, threshold
 
 #: Residual norm below which a point counts as an equilibrium.
 EQUILIBRIUM_TOL = 1e-10
@@ -66,6 +66,12 @@ class OdeState:
 
 
 def varrho(theta: float, psi: float, params: ModelParams) -> float:
+    """The total event mass at (theta, psi), for the field.
+
+    The chain's :func:`vaxgame.chain.event_edges` sums the same masses in
+    another order; this sum keeps its own grouping, because regrouping it
+    would change the last bits of every ODE output.
+    """
     phi = 1.0 - theta - psi
     return (
         params.b
@@ -201,9 +207,10 @@ def integrate(
     ``stop_at_equilibrium`` is set, the run ends as soon as the residual has
     stayed below EQUILIBRIUM_TOL for 100 consecutive accepted steps (the
     default tolerances are tight enough for the numerical orbit to reach
-    that floor); t is capped at 1e6 regardless.  Threshold crossings of the
-    vigilant policy are located by a terminal event and the solver restarts
-    across them.
+    that floor); t is capped at 1e6 regardless.  Threshold crossings of a
+    threshold-vigilant response (VFC2, or a mutant over one; see
+    :func:`vaxgame.policy.threshold`) are located by a terminal event and
+    the solver restarts across them.
 
     Raises InvalidParams for a horizon that is not positive (NaN included),
     for an ``rtol`` or ``atol`` that is not finite and positive, for a start
@@ -229,8 +236,8 @@ def integrate(
         return g(y)
 
     events = None
-    if policy.family is Family.VFC2:
-        gamma = policy.gamma
+    gamma = threshold(policy)
+    if gamma is not None:
 
         def crossing(t, y):
             return y[0] - gamma
@@ -281,7 +288,7 @@ def integrate(
         if sol.status == 1 and not settled and t < t_end:
             # landed on the threshold; hop strictly across before re-arming
             # the event, otherwise the restart re-fires at zero progress
-            t, y = _hop_across(g_t, t, y, policy.gamma, t_end)
+            t, y = _hop_across(g_t, t, y, gamma, t_end)
             ts.append(np.array([t]))
             ys.append(y[None, :])
             # the switching surface is attracting: orbits spiral into the
@@ -327,19 +334,9 @@ def _hop_across(field, t, y, gamma, t_end, clearance: float = 1e-12):
         y = _rk4_step(field, t, y, h)
         t += h
         h *= 2.0
-    # tangential touch: push through with the plain fixed-step fallback
-    return _fixed_step_advance(field, t, y, t_end)
-
-
-def _fixed_step_advance(field, t, y, t_end, n_steps: int = 200):
-    """Classical RK4 micro-steps to push past an event-chatter point."""
-    h = min(1e-6, (t_end - t) / n_steps)
-    if h <= 0:
-        return t, y
-    for _ in range(n_steps):
-        y = _rk4_step(field, t, y, h)
-        t += h
-    return t, _project_simplex(y)
+    # h >= 1e-9 doubles each try and t_end - t <= _MAX_TIME, so some step
+    # lands on t_end within about 52 tries: this line is never reached
+    raise StepFailure(f"could not hop across the threshold at t={t:.6g}")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class ModelParams:
     def __post_init__(self) -> None:
         validate(self)
 
-    @property
-    def deadly(self) -> bool:
-        return self.d_e > 0.0
-
 
 def validate(params: ModelParams) -> None:
     """Check every admissibility constraint; raise InvalidParams naming the first violation.

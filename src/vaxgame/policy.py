@@ -29,6 +29,8 @@ by the deadly catalogue and the certificates in :mod:`vaxgame.attractor`,
 and :func:`accept_fn` (q; a mutant mixes its clamped base), read by the
 chain's hot loop and by the mean-field field :func:`vaxgame.ode.field`.
 :func:`propensity` and :func:`accept_prob` first check theta, psi in [0, 1].
+:func:`threshold` gives the Gamma at which a response jumps, for the
+integrator's threshold event and the certificates.
 """
 
 from __future__ import annotations
@@ -120,6 +122,15 @@ def static(q: float) -> Policy:
 
 def mutant(base: Policy, p: float, eps: float) -> Policy:
     return Policy(Family.MUTANT, mutant_base=base, mutant_p=p, mutant_eps=eps)
+
+
+def threshold(policy: Policy) -> Optional[float]:
+    """Gamma of a threshold-vigilant response, VFC2 or a mutant over one, else None.
+
+    Where it is not None the response can jump at theta = Gamma.
+    """
+    base = policy.mutant_base if policy.family is Family.MUTANT else policy
+    return base.gamma if base.family is Family.VFC2 else None
 
 
 def _check_fraction(value: float, name: str) -> float:

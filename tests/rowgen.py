@@ -4,7 +4,7 @@ Each sampler rejects until the drawn rates land strictly inside the row's
 dispatch region (relative margin away from every boundary), so the
 catalogue never reports MarginalRegime on these draws.  ``POLICIES`` is
 the hypothesis strategy over policies of all six families, mutants of
-every base family included.
+every base family included, and ``PARAMS`` the one over admissible rates.
 """
 
 from __future__ import annotations
@@ -238,3 +238,20 @@ _BASE_POLICIES = st.one_of(
     st.builds(static, UNIT),
 )
 POLICIES = st.one_of(_BASE_POLICIES, st.builds(mutant, _BASE_POLICIES, UNIT, UNIT))
+
+
+@st.composite
+def _params(draw):
+    b = draw(st.floats(0.05, 3.0))
+    d = draw(UNIT) * 0.5 * b
+    return ModelParams(
+        lam=draw(st.floats(0.05, 20.0)),
+        r=draw(st.floats(0.0, 5.0)),
+        nu=draw(st.floats(0.0, 5.0)),
+        b=b,
+        d=d,
+        d_e=draw(UNIT) * 0.9 * (b - d),
+    )
+
+
+PARAMS = _params()

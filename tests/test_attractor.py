@@ -454,9 +454,8 @@ def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
             q_sign_ref = side
         elif side != q_sign_ref:
             on_disc = True
-        if policy.family is Family.VFC2 and (x[0] > policy.gamma) != (
-            attr.theta_hat > policy.gamma
-        ):
+        base = policy.mutant_base or policy  # a mutant jumps where its VFC2 base does
+        if base.family is Family.VFC2 and (x[0] > base.gamma) != (attr.theta_hat > base.gamma):
             on_disc = True
     if kept == 0:
         raise RegimeMismatch("no feasible samples near the attractor")

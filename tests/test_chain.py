@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vaxgame import (
     Event,
@@ -17,6 +18,7 @@ from vaxgame import (
     one_step_drift,
     simulate,
     static,
+    step,
     vfc1,
     vfc2,
 )
@@ -25,7 +27,7 @@ from vaxgame.errors import FrozenTrajectory, InvalidParams
 from vaxgame.ode import OdeState, rhs
 from vaxgame.policy import accept_fn, propensity_fn
 
-from rowgen import POLICIES, UNIT
+from rowgen import PARAMS, POLICIES, UNIT
 
 
 def hand_params():
@@ -102,13 +104,13 @@ class FixedUniforms(np.random.Generator):
         self.u = u
 
     def random(self, size=None, dtype=np.float64, out=None):
-        return np.full(size, self.u)
+        return np.full(() if size is None else size, self.u)
 
 
-def one_epoch(state, policy, u):
+def one_epoch(state, policy, u, params=None):
     """The state after one epoch of simulate() driven by the uniform u."""
-    traj = simulate(state, hand_params(), policy, max_steps=state.step + 1, stride=1,
-                    rng=FixedUniforms(u))
+    traj = simulate(state, params or hand_params(), policy, max_steps=state.step + 1,
+                    stride=1, rng=FixedUniforms(u))
     return traj.final
 
 
@@ -277,6 +279,36 @@ def test_sample_event_boundaries():
     state = PopState(n_total=4, n_susc=2, n_inf=2, n_vacc=0)  # theta = 0.5, psi = 0
     assert counts(one_epoch(state, fc(0.5), 0.0)) == (4, 1, 3, 0)  # infection
     assert counts(one_epoch(state, fc(0.5), 0.999999999)) == (3, 1, 2, 0)  # susceptible death
+
+
+@given(
+    params=PARAMS,
+    policy=POLICIES,
+    n_total=st.integers(3, 40),
+    shares=st.tuples(UNIT, UNIT),
+    u=st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True)),
+)
+# S = 0 with a rounded phi > 0: a draw past the last edge but one must not
+# remove a susceptible
+@example(
+    params=ModelParams(lam=3.0, r=0.8, nu=1.2, b=0.9, d=0.3, d_e=0.1), policy=fc(1.2),
+    n_total=3, shares=(1 / 3, 1.0), u=1.0 - 2.0**-53,
+)
+def test_step_is_one_epoch_of_simulate(params, policy, n_total, shares, u):
+    n_inf = round(shares[0] * n_total)
+    n_vacc = round(shares[1] * (n_total - n_inf))
+    state = PopState(n_total, n_total - n_inf - n_vacc, n_inf, n_vacc, step=1)
+    try:
+        expected = counts(one_epoch(state, policy, u, params))
+    except InvalidParams:
+        # at S = 0 with phi rounded above 0, u = 0 draws an infection: both
+        # leave a negative S count
+        with pytest.raises(InvalidParams, match="non-negative"):
+            step(state, params, policy, FixedUniforms(u))
+        return
+    stepped, _ = step(state, params, policy, FixedUniforms(u))
+    assert counts(stepped) == expected
+    assert stepped.step == state.step + 1
 
 
 @given(policy=POLICIES, theta=UNIT, psi_share=UNIT)

@@ -307,6 +307,9 @@ _BRANCHES = [
     ("no-vaccine", _fixed(ModelParams(nu=0.0, **_LEFT)),
      VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
      "mu*rho <= mu+1: co-existence point does not exist"),
+    ("deadly-no-vaccine", _fixed(ModelParams(nu=0.0, d_e=0.02, **_LEFT)),
+     VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
+     "mu*rho <= mu+1: co-existence point does not exist"),
     ("saturated-h-marginal", _saturated_h(1.0),
      VerdictKind.MARGINAL, "saturated", "saturated", True, False,
      "h at the saturated equilibrium is on its sign boundary"),

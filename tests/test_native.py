@@ -19,6 +19,7 @@ from vaxgame import (
     ModelParams,
     PopState,
     attractor,
+    chain,
     fc,
     fr,
     make_initial,
@@ -178,7 +179,7 @@ def test_native_response_matches_accept_fn(policy, theta, psi_share):
 
 
 def _reference_edges(params, policy, theta, psi):
-    """The bin edges c1..c7 and varrho of chain._python_loop, written out."""
+    """The bin edges c1..c7 and varrho of chain.event_edges, written out."""
     phi = 1.0 - theta - psi
     q = accept_fn(policy)(theta, psi)
     t_inf = params.lam * theta * phi
@@ -209,11 +210,15 @@ _RATES = st.builds(SimpleNamespace, lam=_RATE, r=_RATE, nu=_RATE, b=_RATE, d=_RA
     theta=0.7, psi_share=0.0,
 )
 def test_native_edges_match_python_loop(policy, params, theta, psi_share):
-    # pins the C copy of the event masses: a trajectory rarely shows a 1-ulp shift of an edge
+    # pins the Python event law and its C copy: a trajectory rarely shows a
+    # 1-ulp shift of an edge
     psi = psi_share * (1.0 - theta)
+    reference = repr(_reference_edges(params, policy, theta, psi))
+    q = accept_fn(policy)(theta, psi)
+    assert repr(list(chain.event_edges(params)(theta, psi, q))) == reference
     edges = np.empty(8)
     _native.library().vaxgame_edges(_native.make_law(params, policy), theta, psi, edges)
-    assert repr(edges.tolist()) == repr(_reference_edges(params, policy, theta, psi))
+    assert repr(edges.tolist()) == reference
 
 
 _WORD = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)

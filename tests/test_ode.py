@@ -14,6 +14,7 @@ from vaxgame import (
     find_equilibrium,
     fr,
     integrate,
+    mutant,
     rhs,
     varrho,
     vfc1,
@@ -22,7 +23,7 @@ from vaxgame import (
 from vaxgame.errors import IndicatorNonstationary
 from vaxgame.ode import field, field_rows
 
-from rowgen import POLICIES, UNIT
+from rowgen import PARAMS, POLICIES, UNIT
 
 
 def ratios(params):
@@ -53,20 +54,6 @@ def test_field_vanishes_at_coexistence(left_params):
     assert abs(g[2]) < 1e-12
 
 
-@st.composite
-def _params(draw):
-    b = draw(st.floats(0.05, 3.0))
-    d = draw(UNIT) * 0.5 * b
-    return ModelParams(
-        lam=draw(st.floats(0.05, 20.0)),
-        r=draw(st.floats(0.0, 5.0)),
-        nu=draw(st.floats(0.0, 5.0)),
-        b=b,
-        d=d,
-        d_e=draw(UNIT) * 0.9 * (b - d),
-    )
-
-
 def _docstring_field(theta, psi, eta, params, policy):
     """g as the vaxgame.ode docstring writes it, and the size of each component's terms."""
     p = params
@@ -88,7 +75,7 @@ def _docstring_field(theta, psi, eta, params, policy):
 
 
 @given(
-    params=_params(),
+    params=PARAMS,
     policy=POLICIES,
     theta=st.one_of(st.just(0.0), UNIT),
     psi_share=st.one_of(st.sampled_from([0.0, 1.0]), UNIT),  # 1.0: theta + psi = 1
@@ -136,7 +123,7 @@ def _threshold_rows(gamma):
     return np.array(rows)
 
 
-@given(params=_params(), case=_policy_and_states())
+@given(params=PARAMS, case=_policy_and_states())
 @example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8),
          case=(vfc2(6.0, 0.25), _threshold_rows(0.25)))  # on the threshold: vaccination off
 @example(params=ModelParams(4.0, 1.0, 2.0, 1.0, 0.8),
@@ -236,6 +223,20 @@ def test_find_equilibrium_unreachable_threshold_is_fine():
     res = find_equilibrium(OdeState(0.4, 0.05, 0.1), params, vfc2(6.0, 0.9))
     assert res.converged
     assert res.state.theta == pytest.approx(1.0 - 1.0 / rho, abs=1e-9)
+
+
+def test_mutant_over_vfc2_arms_the_threshold_event():
+    # a mutant with eps = 0 responds as its VFC2 base and must integrate
+    # the same way: the threshold event and the hop read the base's Gamma
+    params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8)
+    paths = [
+        integrate(OdeState(0.25, 0.1, 1.0), params, pol, horizon=2.5,
+                  stop_at_equilibrium=False, rtol=1e-9, atol=1e-11)
+        for pol in (vfc2(6.0, 0.2), mutant(vfc2(6.0, 0.2), p=0.0, eps=0.0))
+    ]
+    assert paths[1].n_segments == paths[0].n_segments > 1
+    assert np.array_equal(paths[1].t, paths[0].t)
+    assert np.array_equal(paths[1].states, paths[0].states)
 
 
 def test_vfc2_integration_oscillates_then_slides():
