@@ -1,14 +1,18 @@
 /*
- * C kernels for vaxgame: the jump-chain loop of chain.simulate and the
- * certificate draws of attractor._draw_offsets.
+ * C kernels for vaxgame: the jump-chain loop of chain.simulate, one DOP853
+ * segment of ode.integrate (ode._python_segment) and the certificate draws
+ * of attractor._draw_offsets.
  *
- * Both are transcriptions of the Python loops they replace and must stay
- * bit-exact with them: every floating-point expression keeps the Python
+ * All three are transcriptions of the Python code they replace and must
+ * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
- * fused multiply-add) and never with -ffast-math.  vaxgame._native builds
- * this file at first use and falls back to the Python loops when it cannot.
+ * fused multiply-add) and never with -ffast-math.  The ODE field keeps
+ * ode.varrho's grouping of the event masses, not the chain's event_edges.
+ * vaxgame._native builds this file at first use and falls back to the
+ * Python code when it cannot.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -148,9 +152,13 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
         }
         const double x = buf[bi++] * e[7];
 
+        /* at S = 0 a rounded phi > 0 leaves the infection and vaccination
+           bins a width of about 1e-17: a draw there changes nothing */
         if (x < e[0]) {
-            s -= 1;
-            i += 1;
+            if (s > 0) {
+                s -= 1;
+                i += 1;
+            }
         } else if (x < e[1]) {
             i -= 1;
             s += 1;
@@ -158,8 +166,10 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
             i -= 1;
             n -= 1;
         } else if (x < e[3]) {
-            s -= 1;
-            v += 1;
+            if (s > 0) {
+                s -= 1;
+                v += 1;
+            }
         } else if (x < e[4]) {
             /* declined vaccination */
         } else if (x < e[5]) {
@@ -227,4 +237,455 @@ int64_t vaxgame_draw(bitgen_t *bitgen, int64_t attempts, double *directions,
         kept += 1;
     }
     return kept;
+}
+
+/*
+ * The mean-field field g of ode.field and one DOP853 segment of
+ * ode.integrate, transcribed from scipy's DOP853 solver to scalar C.
+ * ode._python_segment does the same arithmetic in Python; every sum runs
+ * over the stages in order, from the first product on.
+ */
+
+enum {
+    ODE_DONE,
+    ODE_EVENT,
+    ODE_TOO_SMALL,
+    ODE_RECORDS_FULL,
+    ODE_DEGENERATE,
+    ODE_NO_ROOT
+};
+
+/* One segment: its settings, then the solver state carried across calls. */
+typedef struct {
+    double t_bound, rtol, atol;
+    int64_t event; /* nonzero: stop at the first crossing of theta = gamma */
+    double gamma;
+    double t, h_abs;
+    double y[3], f[3]; /* the state at t and g there */
+    double ev;         /* the event value theta - gamma at (t, y) */
+    int64_t n_rec;     /* records written by this call */
+} segment_t;
+
+/* The tableau of scipy.integrate._ivp.dop853_coefficients, as repr doubles:
+   A (the last three rows are the dense-output stages), B, E3, E5 and D. */
+static const double DOP_A[16][16] = {
+    {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.05260015195876773, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.0197250569845379, 0.0591751709536137, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.02958758547680685, 0.0, 0.08876275643042054, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671, 20.154067550477894, -43.48988418106996, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.0, 0.0, 0.0, 0.0, 0.0},
+    {0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259, 0.0, 0.0, 0.0, 0.0},
+    {0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298, 0.0, 0.0, 0.0},
+    {0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325, 0.0, 0.0},
+    {-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987, 0.0},
+};
+static const double DOP_B[12] = {
+    0.054293734116568765, 0.0, 0.0,
+    0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+};
+static const double DOP_E3[13] = {
+    -0.18980075407240762, 0.0, 0.0,
+    0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+    0.0,
+};
+static const double DOP_E5[13] = {
+    0.01312004499419488, 0.0, 0.0,
+    0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+    0.0,
+};
+static const double DOP_D[4][16] = {
+    {-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894},
+    {10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028, -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408},
+    {19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279},
+    {-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564},
+};
+
+#define N_STAGES 12
+#define N_EXTENDED 16
+
+/*
+ * g at y, as ode.field computes it: project onto the simplex, floor eta,
+ * ode.varrho's grouping of the total mass, and accept() for q.  Zero at
+ * eta <= 0.  Returns ODE_DEGENERATE where varrho is not positive, else 0.
+ */
+static int field(const law_t *w, const double y[3], double g[3])
+{
+    double theta = y[0], psi = y[1], eta = y[2];
+    if (eta <= 0.0) {
+        g[0] = g[1] = g[2] = 0.0;
+        return 0;
+    }
+    /* Python's min(max(x, 0.0), 1.0): NaN and -0.0 pass through */
+    theta = 0.0 > theta ? 0.0 : theta;
+    theta = 1.0 < theta ? 1.0 : theta;
+    psi = 0.0 > psi ? 0.0 : psi;
+    psi = 1.0 < psi ? 1.0 : psi;
+    const double total = theta + psi;
+    if (total > 1.0) {
+        theta /= total;
+        psi /= total;
+    }
+    eta = 1e-12 > eta ? 1e-12 : eta;
+    const double phi = 1.0 - theta - psi;
+    const double rho_total = w->b + w->d + w->d_e * theta + w->lam * theta * phi
+                             + w->nu * phi + w->r * theta;
+    if (rho_total <= 0.0)
+        return ODE_DEGENERATE;
+    const double q = accept(w, theta + 0.0, psi + 0.0);
+    const double scale = 1.0 / (eta * rho_total);
+    const double net_birth = w->b - w->d_e * theta;
+    g[0] = theta * scale * (phi * w->lam - w->r - w->d_e - net_birth);
+    g[1] = scale * (q * phi * w->nu - net_birth * psi);
+    g[2] = (w->b - w->d - w->d_e * theta) / rho_total - eta;
+    return 0;
+}
+
+/* field() for the tests, which compare it with ode.field. */
+int vaxgame_field(const law_t *w, const double *y, double *g)
+{
+    return field(w, y, g);
+}
+
+/* The tableau for the tests, which compare it with dop853_coefficients. */
+void vaxgame_tableau(double *out)
+{
+    int n = 0;
+    for (int s = 0; s < N_EXTENDED; s++)
+        for (int i = 0; i < N_EXTENDED; i++)
+            out[n++] = DOP_A[s][i];
+    for (int i = 0; i < N_STAGES; i++)
+        out[n++] = DOP_B[i];
+    for (int i = 0; i <= N_STAGES; i++)
+        out[n++] = DOP_E3[i];
+    for (int i = 0; i <= N_STAGES; i++)
+        out[n++] = DOP_E5[i];
+    for (int m = 0; m < 4; m++)
+        for (int i = 0; i < N_EXTENDED; i++)
+            out[n++] = DOP_D[m][i];
+}
+
+/* sum_{i < n} K[i] * a[i] per component, in index order (scipy uses np.dot). */
+static void combine(const double K[][3], int n, const double *a, double out[3])
+{
+    for (int j = 0; j < 3; j++) {
+        double acc = K[0][j] * a[0];
+        for (int i = 1; i < n; i++)
+            acc += K[i][j] * a[i];
+        out[j] = acc;
+    }
+}
+
+/* np.linalg.norm(x / scale): the Euclidean norm of the three quotients. */
+static double norm(const double x[3], const double scale[3])
+{
+    const double a = x[0] / scale[0], b = x[1] / scale[1], c = x[2] / scale[2];
+    return sqrt(a * a + b * b + c * c);
+}
+
+/* scipy's norm(x / scale), the RMS norm. */
+static double rms(const double x[3], const double scale[3])
+{
+    return norm(x, scale) / sqrt(3.0);
+}
+
+/* scipy's select_initial_step for an error estimator of order 7. */
+static int initial_step(const law_t *w, const segment_t *sg, double *h_out)
+{
+    const double interval = fabs(sg->t_bound - sg->t);
+    double scale[3], y1[3], f1[3], df[3];
+    for (int j = 0; j < 3; j++)
+        scale[j] = sg->atol + fabs(sg->y[j]) * sg->rtol;
+    const double d0 = rms(sg->y, scale), d1 = rms(sg->f, scale);
+    double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+    h0 = interval < h0 ? interval : h0;
+    for (int j = 0; j < 3; j++)
+        y1[j] = sg->y[j] + h0 * sg->f[j];
+    if (field(w, y1, f1))
+        return ODE_DEGENERATE;
+    for (int j = 0; j < 3; j++)
+        df[j] = f1[j] - sg->f[j];
+    const double d2 = rms(df, scale) / h0;
+    double h1;
+    if (d1 <= 1e-15 && d2 <= 1e-15) {
+        h1 = h0 * 1e-3;
+        h1 = h1 > 1e-6 ? h1 : 1e-6;
+    } else {
+        h1 = pow(0.01 / (d2 > d1 ? d2 : d1), 1.0 / 8.0);
+    }
+    double h = 100 * h0;
+    h = h1 < h ? h1 : h;
+    *h_out = interval < h ? interval : h;
+    return 0;
+}
+
+/*
+ * Start a segment at (t, y): g there, the first step and the event value.
+ * The caller sets t_bound, rtol, atol, event, gamma, t and y.
+ */
+int vaxgame_segment_start(segment_t *sg, const law_t *w)
+{
+    if (field(w, sg->y, sg->f) || initial_step(w, sg, &sg->h_abs))
+        return ODE_DEGENERATE;
+    sg->ev = sg->y[0] - sg->gamma;
+    return 0;
+}
+
+/* The DOP853 interpolant of one step in component j at x = (t - t_old) / h. */
+static double interpolate(const double F[7][3], const double y_old[3], int j, double x)
+{
+    double y = 0.0;
+    for (int i = 0; i < 7; i++) {
+        y += F[6 - i][j];
+        y *= i % 2 == 0 ? x : 1 - x;
+    }
+    return y + y_old[j];
+}
+
+/*
+ * scipy.optimize.brentq on theta(t) - gamma over [a, b], xtol = rtol =
+ * 4 EPS and at most 100 iterations.  Returns 0 with the root in *root, or
+ * ODE_NO_ROOT where brentq would raise (no sign change, a NaN, no
+ * convergence).
+ */
+static int brent(const double F[7][3], const double y_old[3], double t_old,
+                 double h, double gamma, double a, double b, double *root)
+{
+    const double tol = 4 * DBL_EPSILON;
+#define EVENT_AT(t) (interpolate(F, y_old, 0, ((t) - t_old) / h) - gamma)
+    double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
+    double fpre = EVENT_AT(xpre), fcur = EVENT_AT(xcur);
+    if (isnan(fpre) || isnan(fcur))
+        return ODE_NO_ROOT;
+    if (fpre == 0) {
+        *root = xpre;
+        return 0;
+    }
+    if (fcur == 0) {
+        *root = xcur;
+        return 0;
+    }
+    if ((fpre < 0) == (fcur < 0))
+        return ODE_NO_ROOT;
+    for (int iter = 0; iter < 100; iter++) {
+        if (fpre != 0 && fcur != 0 && (fpre < 0) != (fcur < 0)) {
+            xblk = xpre;
+            fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            xpre = xcur;
+            xcur = xblk;
+            xblk = xpre;
+            fpre = fcur;
+            fcur = fblk;
+            fblk = fpre;
+        }
+        const double delta = (tol + tol * fabs(xcur)) / 2;
+        const double sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return 0;
+        }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk) { /* secant */
+                stry = -fcur * (xcur - xpre) / (fcur - fpre);
+            } else { /* inverse quadratic */
+                const double dpre = (fpre - fcur) / (xpre - xcur);
+                const double dblk = (fblk - fcur) / (xblk - xcur);
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
+            }
+            const double bound = 3 * fabs(sbis) - delta;
+            if (2 * fabs(stry) < (fabs(spre) < bound ? fabs(spre) : bound)) {
+                spre = scur; /* good short step */
+                scur = stry;
+            } else {
+                spre = scur = sbis;
+            }
+        } else {
+            spre = scur = sbis;
+        }
+        xpre = xcur;
+        fpre = fcur;
+        xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
+        fcur = EVENT_AT(xcur);
+        if (isnan(fcur))
+            return ODE_NO_ROOT;
+    }
+#undef EVENT_AT
+    return ODE_NO_ROOT;
+}
+
+/* The stages K[s] of a step of size h from (sg->t, sg->y), s from `from` to `to` - 1. */
+static int stages(const segment_t *sg, const law_t *w, double h, int from, int to,
+                  double K[][3])
+{
+    double dy[3], y_stage[3];
+    for (int s = from; s < to; s++) {
+        combine(K, s, DOP_A[s], dy);
+        for (int j = 0; j < 3; j++)
+            y_stage[j] = sg->y[j] + dy[j] * h;
+        if (field(w, y_stage, K[s]))
+            return ODE_DEGENERATE;
+    }
+    return 0;
+}
+
+/*
+ * One accepted DOP853 step from (sg->t, sg->y): scipy's min_step, the
+ * clipping at t_bound and the step controller.  Leaves the stages in K
+ * (K[N_STAGES] is g at the new state), the new state in *t_new and y_new,
+ * the step in *h and the next step size in *h_abs.
+ */
+static int step(const segment_t *sg, const law_t *w, double K[][3], double *t_new,
+                double y_new[3], double *h, double *h_abs)
+{
+    const double t = sg->t;
+    const double min_step = 10 * fabs(nextafter(t, INFINITY) - t);
+    int rejected = 0;
+    *h_abs = sg->h_abs < min_step ? min_step : sg->h_abs;
+    for (;;) {
+        if (*h_abs < min_step)
+            return ODE_TOO_SMALL;
+        *t_new = t + *h_abs;
+        if (*t_new - sg->t_bound > 0)
+            *t_new = sg->t_bound;
+        *h = *t_new - t;
+        *h_abs = fabs(*h);
+
+        double dy[3], scale[3], e5[3], e3[3], error_norm;
+        for (int j = 0; j < 3; j++)
+            K[0][j] = sg->f[j];
+        if (stages(sg, w, *h, 1, N_STAGES, K))
+            return ODE_DEGENERATE;
+        combine(K, N_STAGES, DOP_B, dy);
+        for (int j = 0; j < 3; j++)
+            y_new[j] = sg->y[j] + *h * dy[j];
+        if (field(w, y_new, K[N_STAGES]))
+            return ODE_DEGENERATE;
+
+        for (int j = 0; j < 3; j++) {
+            const double a = fabs(sg->y[j]), b = fabs(y_new[j]);
+            scale[j] = sg->atol + (b > a ? b : a) * sg->rtol;
+        }
+        combine(K, N_STAGES + 1, DOP_E5, e5);
+        combine(K, N_STAGES + 1, DOP_E3, e3);
+        double n5 = norm(e5, scale), n3 = norm(e3, scale);
+        n5 *= n5;
+        n3 *= n3;
+        if (n5 == 0 && n3 == 0)
+            error_norm = 0.0;
+        else
+            error_norm = fabs(*h) * n5 / sqrt((n5 + 0.01 * n3) * 3);
+
+        if (error_norm < 1) {
+            double factor = 10;
+            if (error_norm != 0) {
+                const double grow = 0.9 * pow(error_norm, -1.0 / 8.0);
+                factor = grow < 10 ? grow : 10;
+            }
+            if (rejected)
+                factor = factor < 1 ? factor : 1;
+            *h_abs *= factor;
+            return 0;
+        }
+        const double shrink = 0.9 * pow(error_norm, -1.0 / 8.0);
+        *h_abs *= shrink > 0.2 ? shrink : 0.2;
+        rejected = 1;
+    }
+}
+
+/*
+ * The crossing of theta = gamma within the step from (sg->t, sg->y) to
+ * (t_new, y_new): the three extra stages, the coefficients F of the dense
+ * interpolant, the root and the interpolant there, written to row.
+ */
+static int crossing(const segment_t *sg, const law_t *w, double K[][3], double h,
+                    double t_new, const double y_new[3], double *row)
+{
+    double F[7][3], dy[3], root;
+    if (stages(sg, w, h, N_STAGES + 1, N_EXTENDED, K))
+        return ODE_DEGENERATE;
+    for (int j = 0; j < 3; j++) {
+        const double delta_y = y_new[j] - sg->y[j];
+        F[0][j] = delta_y;
+        F[1][j] = h * K[0][j] - delta_y;
+        F[2][j] = 2 * delta_y - h * (K[N_STAGES][j] + K[0][j]);
+    }
+    for (int m = 0; m < 4; m++) {
+        combine(K, N_EXTENDED, DOP_D[m], dy);
+        for (int j = 0; j < 3; j++)
+            F[3 + m][j] = h * dy[j];
+    }
+    if (brent(F, sg->y, sg->t, h, sg->gamma, sg->t, t_new, &root))
+        return ODE_NO_ROOT;
+    row[0] = root;
+    for (int j = 0; j < 3; j++)
+        row[1 + j] = interpolate(F, sg->y, j, (root - sg->t) / h);
+    return 0;
+}
+
+/*
+ * Take DOP853 steps from (t, y) until t reaches t_bound, the event fires,
+ * a step falls below scipy's min_step or the rec_cap record rows are full.
+ * Records each accepted step as a row (t, theta, psi, eta) of rec; at the
+ * event the last row is the interpolant at the root.  Returns one of the
+ * ODE_* codes; on ODE_RECORDS_FULL the state is the one before the next
+ * step, and a call with a new record array goes on.
+ */
+int vaxgame_segment(segment_t *sg, const law_t *w, int64_t rec_cap, double *rec)
+{
+    double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs;
+    int64_t n_rec = 0;
+    int code;
+
+    for (;;) {
+        if (n_rec == rec_cap) {
+            code = ODE_RECORDS_FULL;
+            break;
+        }
+        code = step(sg, w, K, &t_new, y_new, &h, &h_abs);
+        if (code)
+            break;
+        double *row = rec + 4 * n_rec;
+        const double ev = y_new[0] - sg->gamma;
+        /* scipy's inclusive sign test for an event of either direction */
+        if (sg->event && ((sg->ev <= 0 && ev >= 0) || (sg->ev >= 0 && ev <= 0))) {
+            code = crossing(sg, w, K, h, t_new, y_new, row);
+            if (code == 0) {
+                n_rec += 1;
+                code = ODE_EVENT;
+            }
+            break;
+        }
+        sg->t = t_new;
+        sg->h_abs = h_abs;
+        sg->ev = ev;
+        row[0] = t_new;
+        for (int j = 0; j < 3; j++) {
+            sg->y[j] = y_new[j];
+            sg->f[j] = K[N_STAGES][j];
+            row[1 + j] = y_new[j];
+        }
+        n_rec += 1;
+        if (t_new - sg->t_bound >= 0) {
+            code = ODE_DONE;
+            break;
+        }
+    }
+    sg->n_rec = n_rec;
+    return code;
 }

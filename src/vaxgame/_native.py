@@ -1,5 +1,10 @@
 """Build-at-first-use loader for the C kernels in ``_native.c``.
 
+There are three kernels: the chain loop of :func:`vaxgame.chain.simulate`,
+one DOP853 segment of :func:`vaxgame.ode.integrate` with the field g (which
+keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
+chain's), and the certificate draws of :func:`vaxgame.attractor._draw_offsets`.
+
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
 and loads it through :mod:`ctypes`.  The shared object goes to a per-user
@@ -9,11 +14,11 @@ later processes load it without compiling.  It is written to a temporary file
 and then renamed into place, because process-pool workers can race to build.
 
 The flags are ``-O2 -ffp-contract=off``: no fused multiply-add and no
-``-ffast-math``, so that every kernel is bit-exact with the Python loop it
+``-ffast-math``, so that every kernel is bit-exact with the Python code it
 replaces.  The draw kernel links numpy's ``libnpyrandom`` and draws from the
 caller's bit generator.  Where the library cannot be built or loaded (no
 compiler, an unwritable cache), :func:`library` returns None and the callers
-run their Python loops, which give the same results.
+run their Python code, which gives the same results.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ _library = _UNRESOLVED
     CHAIN_RECORDS_FULL,
 ) = range(6)
 
+# ODE segment kernel return codes, as in _native.c
+ODE_DONE, ODE_EVENT, ODE_TOO_SMALL, ODE_RECORDS_FULL, ODE_DEGENERATE, ODE_NO_ROOT = range(6)
+
 #: base family codes of _native.c, in the order of policy._RESPONSE
 _FAMILY_CODES = {key: code for code, key in enumerate(_RESPONSE)}
 
@@ -71,6 +79,20 @@ class ChainState(ctypes.Structure):
         *((name, ctypes.c_int64) for name in ("n", "s", "i", "v", "k")),
         *((name, ctypes.c_double) for name in ("eta", "inv_eta", "min_eta", "max_jump")),
         ("bi", ctypes.c_int64),
+        ("n_rec", ctypes.c_int64),
+    ]
+
+
+class Segment(ctypes.Structure):
+    """One ODE segment's settings and solver state (``segment_t``)."""
+
+    _fields_ = [
+        *((name, ctypes.c_double) for name in ("t_bound", "rtol", "atol")),
+        ("event", ctypes.c_int64),
+        *((name, ctypes.c_double) for name in ("gamma", "t", "h_abs")),
+        ("y", ctypes.c_double * 3),
+        ("f", ctypes.c_double * 3),
+        ("ev", ctypes.c_double),
         ("n_rec", ctypes.c_int64),
     ]
 
@@ -177,4 +199,17 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, doubles]
     lib.vaxgame_draw.restype = ctypes.c_int64
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
+    lib.vaxgame_field.restype = ctypes.c_int
+    lib.vaxgame_field.argtypes = [ctypes.POINTER(Law), doubles, doubles]
+    lib.vaxgame_tableau.restype = None
+    lib.vaxgame_tableau.argtypes = [doubles]
+    lib.vaxgame_segment_start.restype = ctypes.c_int
+    lib.vaxgame_segment_start.argtypes = [ctypes.POINTER(Segment), ctypes.POINTER(Law)]
+    lib.vaxgame_segment.restype = ctypes.c_int
+    lib.vaxgame_segment.argtypes = [
+        ctypes.POINTER(Segment),
+        ctypes.POINTER(Law),
+        ctypes.c_int64,  # record rows
+        doubles,  # the records, rows of (t, theta, psi, eta)
+    ]
     return lib

@@ -190,15 +190,20 @@ def event_distribution(
     return EventDistribution(probs=np.diff(edges, prepend=0.0) / varrho, varrho=varrho)
 
 
+#: the events that take a susceptible; at S = 0 only rounding can draw them
+_SUSCEPTIBLE_EVENTS = frozenset({Event.INFECTION, Event.VACCINATION, Event.DEATH_SUSCEPTIBLE})
+
+
 def step(
     state: PopState, params: ModelParams, policy: Policy, rng: np.random.Generator
 ) -> tuple[PopState, Event]:
     """Sample and apply one transition; the epoch index always advances.
 
     One epoch of :func:`simulate` for the same uniform u: the event is the
-    first whose upper edge in :func:`event_edges` exceeds u * varrho.  A
-    draw past the last edge but one with no susceptible left, possible only
-    by rounding, changes nothing and is returned as a null decision.
+    first whose upper edge in :func:`event_edges` exceeds u * varrho.  An
+    infection, vaccination or susceptible death drawn with no susceptible
+    left, possible only by rounding, changes nothing and is returned as a
+    null decision.
     """
     if state.frozen:
         raise FrozenTrajectory("cannot step a frozen state")
@@ -209,8 +214,8 @@ def step(
         raise DegenerateState("total event rate is zero")
     x = float(rng.random()) * varrho
     event = next((e for e, c in zip(Event, edges) if x < c), Event.DEATH_SUSCEPTIBLE)
-    if event is Event.DEATH_SUSCEPTIBLE and state.n_susc == 0:
-        event = Event.NULL_DECISION  # the loop's guard against a 1-ulp overshoot
+    if state.n_susc == 0 and event in _SUSCEPTIBLE_EVENTS:
+        event = Event.NULL_DECISION  # the loop's guard against a rounded bin
     dS, dI, dV, dN = EVENT_EFFECTS[event]
     return PopState(
         n_total=state.n_total + dN,
@@ -390,9 +395,12 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
         x = buf[bi] * varrho
         bi += 1
 
+        # at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
+        # a width of about 1e-17: a draw there changes nothing
         if x < c1:
-            S -= 1
-            I += 1
+            if S > 0:
+                S -= 1
+                I += 1
         elif x < c2:
             I -= 1
             S += 1
@@ -400,8 +408,9 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
             I -= 1
             N -= 1
         elif x < c4:
-            S -= 1
-            V += 1
+            if S > 0:
+                S -= 1
+                V += 1
         elif x < c5:
             pass
         elif x < c6:

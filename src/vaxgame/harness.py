@@ -596,8 +596,9 @@ def write_ess_csv(records: list[RunRecord], path) -> None:
     _write_csv(path, _ESS_FIELDS, records)
 
 
-#: the layers that run a C kernel: the chain loop and the certificate draws
-_KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.STABILITY})
+#: the layers that run a C kernel: the chain loop, the ODE stepper and the
+#: certificate draws
+_KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.ODE, Layer.STABILITY})
 
 
 def write_manifest(exp: Experiment, config_path, master_seed: int, threads: int, path) -> None:

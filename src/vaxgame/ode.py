@@ -17,23 +17,32 @@ states in and (n, 3) components out, each row equal to g bit for bit;
 the settle scan of :func:`integrate` and the certificate sampling in
 :mod:`vaxgame.attractor` evaluate it.
 
-Integration uses an adaptive explicit Runge-Kutta pair.  For the
-threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
-discontinuous; crossings are located with a terminal event, the integrator
-hops strictly across before re-arming, and the run is cut short once
-crossings accumulate into the sliding regime on the threshold.  No
-smoothing is applied.
+Integration uses the package's own DOP853: the adaptive explicit
+Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
+scalar arithmetic.  It has the same tableau, initial step, step
+controller, error norm and dense interpolant, and sums each stage in
+order where scipy hands the sums to the BLAS.  One segment of
+:func:`integrate` runs in the C kernel of :mod:`vaxgame._native` when that
+loads, else in :func:`_python_segment`, the reference it is tested
+against; both give the same bits.  For the threshold-vigilant policy the
+indicator 1{theta > Gamma} makes the field discontinuous; crossings are
+located with a terminal event (scipy's sign test, dense interpolant and
+``brentq`` root), the integrator hops strictly across before re-arming,
+and the run is cut short once crossings accumulate into the sliding
+regime on the threshold.  No smoothing is applied.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+from . import _native
 from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
 from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_fn, threshold
@@ -47,8 +56,8 @@ _QUIET_STEPS = 100
 
 _MAX_TIME = 1.0e6
 
-#: The adaptive Runge-Kutta pair of :func:`integrate`.
-_METHOD = "DOP853"
+#: Record rows per call of the C segment kernel; a longer segment takes more calls.
+_SEGMENT_ROWS = 1024
 
 #: Newton iterations per attempt of :func:`find_equilibrium`.
 _MAX_NEWTON = 60
@@ -94,14 +103,13 @@ def _components(theta, psi, eta, rho_total, q, params: ModelParams):
     return g_theta, g_psi, g_eta
 
 
-def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
-    """The vector field y -> g(y) of (params, policy), resolved once."""
+def _scalar_field(params: ModelParams, policy: Policy):
+    """g as (theta, psi, eta) -> (g_theta, g_psi, g_eta), floats in and out."""
     accept = accept_fn(policy)
 
-    def g(y) -> np.ndarray:
-        theta, psi, eta = float(y[0]), float(y[1]), float(y[2])
+    def g3(theta: float, psi: float, eta: float) -> tuple[float, float, float]:
         if eta <= 0.0:
-            return np.zeros(3)
+            return 0.0, 0.0, 0.0
         # trial stages of the adaptive solver probe outside the simplex;
         # evaluate at the projection so the field stays bounded (identical
         # on-domain, where accepted steps live)
@@ -117,7 +125,17 @@ def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndar
             raise DegenerateState("varrho vanished")
         # + 0.0 maps -0.0 to 0.0, as the fraction check of accept_prob does
         q = accept(theta + 0.0, psi + 0.0)
-        return np.array(_components(theta, psi, eta, rho_total, q, params))
+        return _components(theta, psi, eta, rho_total, q, params)
+
+    return g3
+
+
+def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
+    """The vector field y -> g(y) of (params, policy), resolved once."""
+    g3 = _scalar_field(params, policy)
+
+    def g(y) -> np.ndarray:
+        return np.array(g3(float(y[0]), float(y[1]), float(y[2])))
 
     return g
 
@@ -192,6 +210,235 @@ def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return _clip_simplex(y, 1e-300)
 
 
+# The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients as Python
+# floats: A (its last three rows are the dense-output stages), B, E3, E5, D.
+_A, _B, _E3, _E5, _D = (
+    getattr(dop853_coefficients, name).tolist() for name in ("A", "B", "E3", "E5", "D")
+)
+_N_STAGES = dop853_coefficients.N_STAGES
+_ROOT_TOL = 4 * float(np.finfo(float).eps)  # the xtol and rtol of scipy's event root
+
+
+def _combine(K, a):
+    """sum_i K[i] * a[i] over the rows of K, componentwise, from the first product on."""
+    pairs = zip(K, a)
+    (k0, k1, k2), c = next(pairs)
+    s0, s1, s2 = k0 * c, k1 * c, k2 * c
+    for (k0, k1, k2), c in pairs:
+        s0 += k0 * c
+        s1 += k1 * c
+        s2 += k2 * c
+    return s0, s1, s2
+
+
+def _norm(x, scale) -> float:
+    """np.linalg.norm(x / scale) for three components."""
+    a, b, c = x[0] / scale[0], x[1] / scale[1], x[2] / scale[2]
+    return math.sqrt(a * a + b * b + c * c)
+
+
+def _initial_step(g3, y, f, interval, rtol, atol) -> float:
+    """scipy's select_initial_step for DOP853 (error estimator of order 7)."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _norm(y, scale) / math.sqrt(3.0), _norm(f, scale) / math.sqrt(3.0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = g3(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2])
+    d2 = _norm([a - b for a, b in zip(f1, f)], scale) / math.sqrt(3.0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def _interpolate(F, y_old, j: int, x: float) -> float:
+    """Component j of the DOP853 interpolant of one step at x = (t - t_old) / h."""
+    y = 0.0
+    for i in range(7):
+        y += F[6 - i][j]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old[j]
+
+
+def _brent(F, y_old, t_old, h, gamma, a, b):
+    """scipy's brentq on theta(t) - gamma over [a, b], as scipy's event handling calls it.
+
+    xtol = rtol = 4 EPS and at most 100 iterations.  None where brentq
+    would raise: no sign change, a NaN, or no convergence.
+    """
+
+    def event(t):
+        return _interpolate(F, y_old, 0, (t - t_old) / h) - gamma
+
+    tol = _ROOT_TOL
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = event(xpre), event(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        return None
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        return None
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless the interpolation step below is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to inf or NaN, which bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = event(xcur)
+        if math.isnan(fcur):
+            return None
+    return None
+
+
+def _python_segment(g3, t, t_bound, y, rtol, atol, gamma):
+    """One DOP853 segment of :func:`integrate` in Python: the reference for the C kernel.
+
+    scipy's DOP853 from (t, y) to t_bound, with the terminal threshold
+    event theta = gamma where gamma is not None, written out as scalar
+    arithmetic: every stage sum runs over the stages in order.
+    Returns the rows (t, theta, psi, eta) from the start on and the status
+    ODE_DONE, ODE_EVENT (the last row is the interpolant at the crossing),
+    ODE_TOO_SMALL or ODE_NO_ROOT, as in :mod:`vaxgame._native`.
+    """
+    f = g3(*y)
+    h_abs = _initial_step(g3, y, f, abs(t_bound - t), rtol, atol)
+    ev = None if gamma is None else y[0] - gamma
+    rows = [(t, *y)]
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return rows, _native.ODE_TOO_SMALL
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            K = [f]
+            for a in _A[1:_N_STAGES]:
+                dy = _combine(K, a)
+                K.append(g3(y[0] + dy[0] * h, y[1] + dy[1] * h, y[2] + dy[2] * h))
+            dy = _combine(K, _B)
+            y_new = (y[0] + h * dy[0], y[1] + h * dy[1], y[2] + h * dy[2])
+            K.append(g3(*y_new))
+
+            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            n5 = _norm(_combine(K, _E5), scale)
+            n3 = _norm(_combine(K, _E3), scale)
+            n5 *= n5
+            n3 *= n3
+            if n5 == 0 and n3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * 3)
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm ** (-1.0 / 8.0))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1.0 / 8.0))
+            rejected = True
+
+        if gamma is not None:
+            ev_new = y_new[0] - gamma
+            if (ev <= 0 and ev_new >= 0) or (ev >= 0 and ev_new <= 0):
+                for a in _A[_N_STAGES + 1 :]:
+                    dy = _combine(K, a)
+                    K.append(g3(y[0] + dy[0] * h, y[1] + dy[1] * h, y[2] + dy[2] * h))
+                F = [[0.0] * 3 for _ in range(7)]
+                for j in range(3):
+                    delta_y = y_new[j] - y[j]
+                    F[0][j] = delta_y
+                    F[1][j] = h * K[0][j] - delta_y
+                    F[2][j] = 2 * delta_y - h * (K[_N_STAGES][j] + K[0][j])
+                for m, d in enumerate(_D):
+                    F[3 + m] = [h * v for v in _combine(K, d)]
+                root = _brent(F, y, t, h, gamma, t, t_new)
+                if root is None:
+                    return rows, _native.ODE_NO_ROOT
+                x = (root - t) / h
+                rows.append((root, *(_interpolate(F, y, j, x) for j in range(3))))
+                return rows, _native.ODE_EVENT
+            ev = ev_new
+        t, y, f = t_new, y_new, K[_N_STAGES]
+        rows.append((t, *y))
+        if t - t_bound >= 0:
+            return rows, _native.ODE_DONE
+
+
+def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: float):
+    """(t, t_bound, y) -> (rows, status): one DOP853 segment, resolved once.
+
+    The segment stops at the policy's threshold, if it has one.  It runs in
+    the C kernel of :mod:`vaxgame._native` when that loads, else in
+    :func:`_python_segment`; both give the same rows, an (n, 4) array, and
+    the same status.
+    """
+    gamma = threshold(policy)
+    lib = _native.library()
+    if lib is None:
+        g3 = _scalar_field(params, policy)
+
+        def python(t, t_bound, y):
+            rows, status = _python_segment(g3, t, t_bound, tuple(map(float, y)), rtol, atol, gamma)
+            return np.array(rows), status
+
+        return python
+
+    law = _native.make_law(params, policy)
+
+    def native(t, t_bound, y):
+        state = _native.Segment(
+            t_bound=t_bound, rtol=rtol, atol=atol, event=gamma is not None,
+            gamma=0.0 if gamma is None else gamma, t=t, y=(ctypes.c_double * 3)(*y),
+        )
+        if lib.vaxgame_segment_start(ctypes.byref(state), ctypes.byref(law)):
+            raise DegenerateState("varrho vanished")
+        chunks = [np.array([[t, *y]])]
+        while True:
+            rows = np.empty((_SEGMENT_ROWS, 4))
+            code = lib.vaxgame_segment(ctypes.byref(state), ctypes.byref(law), _SEGMENT_ROWS, rows)
+            chunks.append(rows[: state.n_rec])
+            if code != _native.ODE_RECORDS_FULL:
+                break
+        if code == _native.ODE_DEGENERATE:
+            raise DegenerateState("varrho vanished")
+        return np.concatenate(chunks), code
+
+    return native
+
+
 def integrate(
     initial: OdeState,
     params: ModelParams,
@@ -231,21 +478,12 @@ def integrate(
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
     g = field(params, policy)
     g_rows = field_rows(params, policy)
+    segment = _segment_solver(params, policy, rtol, atol)
 
     def g_t(t, y):
         return g(y)
 
-    events = None
     gamma = threshold(policy)
-    if gamma is not None:
-
-        def crossing(t, y):
-            return y[0] - gamma
-
-        crossing.terminal = True
-        crossing.direction = 0
-        events = [crossing]
-
     ts: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     quiet = 0
@@ -258,34 +496,31 @@ def integrate(
     t = t0
     while t < t_end and not settled:
         t_next = min(t + chunk, t_end)
-        sol = solve_ivp(
-            g_t,
-            (t, t_next),
-            y,
-            method=_METHOD,
-            rtol=rtol,
-            atol=atol,
-            events=events,
-            dense_output=False,
-        )
-        if not sol.success and sol.status != 1:
-            raise StepFailure(f"integrator failed at t={t:.6g}: {sol.message}")
+        rows, status = segment(t, t_next, y)
+        if status == _native.ODE_TOO_SMALL:
+            raise StepFailure(
+                f"integrator failed at t={t:.6g}: "
+                "Required step size is less than spacing between numbers."
+            )
+        if status == _native.ODE_NO_ROOT:
+            raise StepFailure(f"threshold event without a bracketed root after t={t:.6g}")
+        sol_t, sol_y = rows[:, 0], rows[:, 1:]
         n_segments += 1
-        ts.append(sol.t)
-        ys.append(sol.y.T)
+        ts.append(sol_t)
+        ys.append(sol_y)
 
         if stop_at_equilibrium:
-            for res in np.max(np.abs(g_rows(sol.y.T)), axis=1):
+            for res in np.max(np.abs(g_rows(sol_y)), axis=1):
                 quiet = quiet + 1 if res < EQUILIBRIUM_TOL else 0
                 if quiet >= _QUIET_STEPS:
                     settled = True
                     break
 
-        progress = sol.t[-1] - t
-        t = sol.t[-1]
-        y = _project_simplex(sol.y[:, -1])
+        progress = sol_t[-1] - t
+        t = sol_t[-1]
+        y = _project_simplex(sol_y[-1])
 
-        if sol.status == 1 and not settled and t < t_end:
+        if status == _native.ODE_EVENT and not settled and t < t_end:
             # landed on the threshold; hop strictly across before re-arming
             # the event, otherwise the restart re-fires at zero progress
             t, y = _hop_across(g_t, t, y, gamma, t_end)
@@ -299,7 +534,7 @@ def integrate(
             if tiny_segments >= 50 or n_segments >= 100_000:
                 zeno = True
                 break
-        elif sol.status == 0:
+        elif status == _native.ODE_DONE:
             chunk = min(chunk * 2.0, 256.0)
 
     t_all = np.concatenate(ts)
@@ -453,7 +688,7 @@ def _newton(g, y):
 
 def write_path_csv(path: OdePath, file) -> None:
     """CSV export with header t,theta,psi,eta at 17 significant digits."""
+    rows = np.column_stack((path.t, path.states)).tolist()
     with open(file, "w") as fh:
         fh.write("t,theta,psi,eta\n")
-        for t, row in zip(path.t, path.states):
-            fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)

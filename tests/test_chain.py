@@ -1,3 +1,6 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -22,6 +25,7 @@ from vaxgame import (
     vfc1,
     vfc2,
 )
+from vaxgame import _native, chain
 from vaxgame.chain import EVENT_EFFECTS, write_trajectory_csv
 from vaxgame.errors import FrozenTrajectory, InvalidParams
 from vaxgame.ode import OdeState, rhs
@@ -298,17 +302,33 @@ def test_step_is_one_epoch_of_simulate(params, policy, n_total, shares, u):
     n_inf = round(shares[0] * n_total)
     n_vacc = round(shares[1] * (n_total - n_inf))
     state = PopState(n_total, n_total - n_inf - n_vacc, n_inf, n_vacc, step=1)
-    try:
-        expected = counts(one_epoch(state, policy, u, params))
-    except InvalidParams:
-        # at S = 0 with phi rounded above 0, u = 0 draws an infection: both
-        # leave a negative S count
-        with pytest.raises(InvalidParams, match="non-negative"):
-            step(state, params, policy, FixedUniforms(u))
-        return
+    expected = counts(one_epoch(state, policy, u, params))
     stepped, _ = step(state, params, policy, FixedUniforms(u))
     assert counts(stepped) == expected
     assert stepped.step == state.step + 1
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python"])
+@pytest.mark.parametrize(
+    "params,policy,u,event",
+    [
+        # the infection bin [0, lam*theta*phi), with phi = 5.55e-17 at S = 0
+        (ModelParams(lam=1.0, r=0.0, nu=0.0, b=1.0, d=0.0), fc(0.0), 0.0, Event.INFECTION),
+        # the vaccination bin of width q*nu*phi just above it
+        (ModelParams(lam=1.0, r=0.0, nu=1.0, b=1.0, d=0.0), static(1.0), 6e-17, Event.VACCINATION),
+    ],
+)
+def test_rounded_bins_at_no_susceptible_change_nothing(loop, params, policy, u, event):
+    state = PopState(3, 0, 2, 1, step=1)  # theta = 2/3, psi = 1/3: phi rounds above 0
+    edges = chain.event_edges(params)(2 / 3, 1 / 3, accept_fn(policy)(2 / 3, 1 / 3))
+    lower = edges[event - 1] if event > 0 else 0.0
+    assert lower <= u * edges[-1] < edges[event]  # the draw lands in the rounded bin
+    kernels = mock.patch.object(_native, "library", return_value=None) if loop == "python" else nullcontext()
+    with kernels:
+        final = one_epoch(state, policy, u, params)
+    assert counts(final) == counts(state) and final.step == 2
+    stepped, drawn = step(state, params, policy, FixedUniforms(u))
+    assert drawn is Event.NULL_DECISION and counts(stepped) == counts(state)
 
 
 @given(policy=POLICIES, theta=UNIT, psi_share=UNIT)

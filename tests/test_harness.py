@@ -485,10 +485,15 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     manifest = (out / "manifest_demo.txt").read_text()
     assert "config_sha256:" in manifest and "master_seed:" in manifest
     assert f"\nsummary_columns: {SUMMARY_HEADER}\n" in manifest
-    # closed_form and ode run no kernel: the manifest says so and nothing is built
-    assert "\nkernel: none\n" in manifest
+    # the ode layer steps in the C kernel where it loads
+    kernel = "python" if _native.library() is None else "native"
+    assert f"\nkernel: {kernel}\n" in manifest
+    # closed_form alone runs no kernel: the manifest says so and nothing is built
+    cf_only = write_config(tmp_path, CONFIG_TEXT.replace("closed_form, ode", "closed_form"))
     with mock.patch.object(_native, "library", side_effect=AssertionError("loaded")):
-        assert cli_main(["run", str(cfg)]) == 0
+        assert cli_main(["run", str(cf_only)]) == 0
+    assert "\nkernel: none\n" in (out / "manifest_demo.txt").read_text()
+    assert cli_main(["run", str(cfg)]) == 0
 
     assert cli_main(["atlas", str(cfg)]) == 0
     atlas = (out / "atlas_demo.csv").read_text().splitlines()
@@ -507,7 +512,6 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     assert cli_main(["validate", str(cfg_single)]) == 0
     printed = capsys.readouterr().out
     assert "ode_vs_closed_form: agree" in printed
-    kernel = "python" if _native.library() is None else "native"
     assert f"\nkernel: {kernel}\n" in (tmp_path / "val" / "manifest_demo.txt").read_text()
     with mock.patch.object(_native, "library", return_value=None):
         assert cli_main(["validate", str(cfg_single)]) == 0

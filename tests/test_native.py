@@ -1,6 +1,7 @@
 """The C kernels of vaxgame._native against the Python loops they replace."""
 
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -17,13 +18,16 @@ from hypothesis import strategies as st
 import vaxgame
 from vaxgame import (
     ModelParams,
+    OdeState,
     PopState,
     attractor,
     chain,
     fc,
     fr,
+    integrate,
     make_initial,
     mutant,
+    ode,
     simulate,
     static,
     vfc1,
@@ -31,10 +35,11 @@ from vaxgame import (
 )
 from vaxgame import _native
 from vaxgame.chain import _RNG_BLOCK
-from vaxgame.errors import DegenerateState, InvalidParams
+from vaxgame.errors import DegenerateState, InvalidParams, StepFailure
 from vaxgame.policy import accept_fn
+from scipy.integrate._ivp import dop853_coefficients
 
-from rowgen import POLICIES, UNIT
+from rowgen import PARAMS, POLICIES, UNIT
 
 SRC = Path(vaxgame.__file__).resolve().parent
 
@@ -219,6 +224,118 @@ def test_native_edges_match_python_loop(policy, params, theta, psi_share):
     edges = np.empty(8)
     _native.library().vaxgame_edges(_native.make_law(params, policy), theta, psi, edges)
     assert repr(edges.tolist()) == reference
+
+
+def _ode_run(initial, params, policy, horizon, **settings):
+    try:
+        path = integrate(initial, params, policy, horizon, **settings)
+    except StepFailure as exc:
+        return repr(exc)
+    arrays = (path.t.tolist(), path.states.tolist())
+    return repr((arrays, path.endpoint, path.settled, path.n_segments, path.zeno_truncated))
+
+
+# deadly: excess deaths d_e > 0; _THRESHOLD: the VFC2 parameters whose orbit
+# spirals into the threshold and is cut off there
+_DEADLY = ModelParams(lam=3.0, r=0.8, nu=1.2, b=0.9, d=0.3, d_e=0.15)
+_THRESHOLD = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8)
+_TIGHT = {"rtol": 1e-9, "atol": 1e-11}
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    policy=POLICIES,
+    params=PARAMS,
+    theta0=UNIT,
+    psi_share=UNIT,
+    eta0=st.floats(0.05, 3.0),
+    horizon=st.floats(0.5, 12.0),
+)
+@example(fc(3.0), _LEFT, 0.2, 0.1, 1.0, 200.0)
+@example(fr(3.0), _LEFT, 0.2, 0.1, 1.0, 200.0)
+@example(vfc1(5.0), _DEADLY, 0.2, 0.1, 1.0, 200.0)
+@example(fc(3.0), _DEADLY, 0.2, 0.1, 1.0, 200.0)
+@example(fr(0.5), _DEADLY, 0.2, 0.1, 1.0, 200.0)
+@example(static(0.3), _DEADLY, 0.0, 0.5, 0.5, 50.0)  # on the disease-free face
+# at the fixed point (0, 0, (b - d)/(b + d + nu)) g is exactly zero: the
+# initial step and the controller take their zero-error branches
+@example(fc(1.0), _LEFT, 0.0, 0.0, (_LEFT.b - _LEFT.d - 0.0) / (_LEFT.b + _LEFT.d + _LEFT.nu), 5.0)
+@example(mutant(vfc2(6.0, 0.2), p=0.5, eps=0.1), _THRESHOLD, 0.25, 0.1 / 0.75, 1.0, 3.0)
+@example(vfc2(6.0, 0.2, theta_variant=True), _THRESHOLD, 0.2, 0.1, 1.0, 3.0)  # starts on Gamma
+def test_native_integrate_matches_python(policy, params, theta0, psi_share, eta0, horizon):
+    start = OdeState(theta0, psi_share * (1.0 - theta0), eta0)
+    native = _ode_run(start, params, policy, horizon, **_TIGHT)
+    with python_kernels():
+        reference = _ode_run(start, params, policy, horizon, **_TIGHT)
+    assert native == reference
+
+
+@pytest.mark.parametrize("t0,eta0,fails", [(1e10, 1.0, False), (1.5e10, 0.05, True)])
+def test_native_integrate_matches_python_far_from_zero(t0, eta0, fails):
+    # far from t = 0, ten ulps of t bound the step from below (scipy's
+    # min_step); the second run needs smaller steps and fails
+    start = OdeState(0.2, 0.1, eta0, t=t0)
+    native = _ode_run(start, _LEFT, fc(3.0), 20.0)
+    with python_kernels():
+        assert _ode_run(start, _LEFT, fc(3.0), 20.0) == native
+    assert ("Required step size is less than spacing" in native) == fails
+
+
+def test_native_integrate_matches_python_to_the_zeno_cut_off():
+    args = (OdeState(0.25, 0.1, 0.1), _THRESHOLD, vfc2(6.0, 0.2), 30.0)
+    settings = dict(stop_at_equilibrium=False, **_TIGHT)
+    native = _ode_run(*args, **settings)
+    with python_kernels():
+        assert _ode_run(*args, **settings) == native
+    assert integrate(*args, **settings).zeno_truncated
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize(
+    "policy,params,horizon",
+    [(fc(3.0), _LEFT, 60.0), (mutant(vfc2(6.0, 0.2), p=0.5, eps=0.1), _THRESHOLD, 2.0)],
+)
+def test_segment_kernel_resumes_after_full_records(monkeypatch, rows, policy, params, horizon):
+    # a records buffer of a few rows makes many kernel calls per segment:
+    # each resumed call goes on where the last stopped, events included
+    start = OdeState(0.25, 0.1, 1.0)
+    whole = _ode_run(start, params, policy, horizon, **_TIGHT)
+    monkeypatch.setattr(ode, "_SEGMENT_ROWS", rows)
+    assert _ode_run(start, params, policy, horizon, **_TIGHT) == whole
+
+
+_COORD = st.one_of(UNIT, st.sampled_from([0.0, -0.0, 1.0, 0.2, math.nan]), st.floats(-0.2, 1.2))
+_ETA = st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.0, -0.0, -1.0, 1e-13, math.nan]))
+
+
+@given(policy=POLICIES, params=PARAMS, theta=_COORD, psi=_COORD, on_face=st.booleans(), eta=_ETA)
+@example(vfc2(4.0, 0.2), _THRESHOLD, 0.2, 0.4, False, 0.5)  # on the threshold
+@example(fc(1.0), _LEFT, 0.7, 0.95, False, 1.0)  # projected back onto theta + psi = 1
+def test_native_field_matches_ode_field(policy, params, theta, psi, on_face, eta):
+    # off the simplex and at eta <= 0 too, where the adaptive stages probe
+    y = np.array([theta, 1.0 - theta if on_face else psi, eta])
+    g = np.empty(3)
+    code = _native.library().vaxgame_field(_native.make_law(params, policy), y, g)
+    assert code == 0
+    assert repr(g.tolist()) == repr(ode.field(params, policy)(y).tolist())
+
+
+def test_native_field_reports_a_vanishing_varrho():
+    # rates of 1e-300 and a projection rounding theta + psi above 1 give phi < 0
+    params = ModelParams(lam=1e-300, r=0.0, nu=1.0, b=1e-300, d=0.0)
+    y = np.array([0.7, 0.95, 1.0])
+    with pytest.raises(DegenerateState, match="varrho vanished"):
+        ode.field(params, fc(1.0))(y)
+    code = _native.library().vaxgame_field(_native.make_law(params, fc(1.0)), y, np.empty(3))
+    assert code == _native.ODE_DEGENERATE
+
+
+def test_native_tableau_is_scipys():
+    c = dop853_coefficients
+    expected = [*c.A.ravel(), *c.B, *c.E3, *c.E5, *c.D.ravel()]  # the order of vaxgame_tableau
+    out = np.empty(len(expected))
+    _native.library().vaxgame_tableau(out)
+    assert repr(out.tolist()) == repr([float(v) for v in expected])
 
 
 _WORD = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)

@@ -1,9 +1,14 @@
+import math
+import types
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.common as scipy_common
+import scipy.integrate._ivp.rk as scipy_rk
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from vaxgame import (
     ModelParams,
@@ -20,8 +25,10 @@ from vaxgame import (
     vfc1,
     vfc2,
 )
+from vaxgame import _native, ode
 from vaxgame.errors import IndicatorNonstationary
 from vaxgame.ode import field, field_rows
+from vaxgame.policy import threshold
 
 from rowgen import PARAMS, POLICIES, UNIT
 
@@ -253,3 +260,116 @@ def test_vfc2_integration_oscillates_then_slides():
     assert count_crossings(path.states[:, 0], 0.2) >= 10
     assert path.endpoint.theta == pytest.approx(0.2, abs=1e-6)
     assert path.endpoint.psi == pytest.approx(0.3, abs=0.01)
+
+
+def _crossing_event(gamma):
+    def crossing(t, y):
+        return y[0] - gamma
+
+    crossing.terminal = True
+    return [crossing]
+
+
+def _scipy_segments(params, policy, rtol, atol):
+    """integrate's segment solver over scipy's solve_ivp(method="DOP853"): the oracle."""
+    g = field(params, policy)
+    gamma = threshold(policy)
+
+    def segment(t, t_bound, y):
+        events = None if gamma is None else _crossing_event(gamma)
+        sol = solve_ivp(
+            lambda t, y: g(y), (t, t_bound), y, method="DOP853", rtol=rtol, atol=atol,
+            events=events,
+        )
+        assert sol.status in (0, 1), sol.message
+        status = _native.ODE_EVENT if sol.status == 1 else _native.ODE_DONE
+        return np.column_stack((sol.t, sol.y.T)), status
+
+    return segment
+
+
+_LEFT = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
+_DEADLY = ModelParams(lam=3.0, r=0.8, nu=1.2, b=0.9, d=0.3, d_e=0.15)
+
+
+@pytest.mark.parametrize(
+    "policy,params,start",
+    [
+        (fc(3.0), _LEFT, OdeState(0.2, 0.1, 1.0)),
+        (fc(0.5), _LEFT, OdeState(0.21, 0.001, 1.0)),
+        (fr(3.0), _LEFT, OdeState(0.2, 0.1, 1.0)),
+        (vfc1(5.0), _LEFT, OdeState(0.2, 0.1, 1.0)),
+        (fc(3.0), _DEADLY, OdeState(0.2, 0.1, 1.0)),
+        (fr(4.0), _DEADLY, OdeState(0.3, 0.05, 0.5)),
+    ],
+)
+def test_integrate_agrees_with_scipys_dop853(monkeypatch, policy, params, start):
+    # the stepper is a transcription of scipy's DOP853 that sums each stage
+    # in order, where numpy hands the sums to BLAS: the runs differ at
+    # rounding level only
+    ours = integrate(start, params, policy, horizon=1e4)
+    monkeypatch.setattr(ode, "_segment_solver", _scipy_segments)
+    theirs = integrate(start, params, policy, horizon=1e4)
+    assert np.max(np.abs(ours.endpoint.as_array() - theirs.endpoint.as_array())) <= 1e-10
+    assert ours.settled and (ours.settled, ours.n_segments) == (theirs.settled, theirs.n_segments)
+    assert abs(len(ours.t) - len(theirs.t)) <= 0.02 * len(theirs.t)
+
+
+def _dot_in_order(a, b):
+    """np.dot for a matrix and a vector or matrix, each sum in index order."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    columns = b[:, None] if b.ndim == 1 else b
+    out = np.empty((a.shape[0], columns.shape[1]))
+    for m, row in enumerate(a.tolist()):
+        for j, column in enumerate(columns.T.tolist()):
+            acc = row[0] * column[0]
+            for x, y in zip(row[1:], column[1:]):
+                acc += x * y
+            out[m, j] = acc
+    return out[:, 0] if b.ndim == 1 else out
+
+
+def _norm_in_order(x):
+    x = np.ravel(x).tolist()
+    acc = x[0] * x[0]
+    for v in x[1:]:
+        acc += v * v
+    return np.float64(math.sqrt(acc))
+
+
+class _NumpyInOrder(types.ModuleType):
+    """numpy, but with np.dot and np.linalg.norm summing in index order."""
+
+    dot = staticmethod(_dot_in_order)
+    linalg = types.SimpleNamespace(norm=_norm_in_order)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize(
+    "policy,params,start,t_bound",
+    [
+        (fc(3.0), _LEFT, (0.2, 0.1, 1.0), 30.0),
+        (fr(3.0), _DEADLY, (0.2, 0.1, 1.0), 6.0),
+        (vfc2(6.0, 0.2), ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8), (0.25, 0.1, 1.0), 6.0),
+    ],
+)
+def test_python_segment_is_scipys_dop853_summed_in_order(monkeypatch, policy, params, start, t_bound):
+    # scipy's own DOP853, with the sums it hands to BLAS taken in index
+    # order, reproduces the transcription bit for bit, threshold event included
+    in_order = _NumpyInOrder("numpy_in_order")
+    monkeypatch.setattr(scipy_rk, "np", in_order)
+    monkeypatch.setattr(scipy_common, "np", in_order)
+    gamma = threshold(policy)
+    g = field(params, policy)
+    sol = solve_ivp(
+        lambda t, y: g(y), (0.0, t_bound), np.array(start), method="DOP853", rtol=1e-10,
+        atol=1e-12, events=None if gamma is None else _crossing_event(gamma),
+    )
+    rows, status = ode._python_segment(
+        ode._scalar_field(params, policy), 0.0, t_bound, start, 1e-10, 1e-12, gamma
+    )
+    assert status == (_native.ODE_EVENT if sol.status == 1 else _native.ODE_DONE)
+    assert repr(np.column_stack((sol.t, sol.y.T)).tolist()) == repr([list(r) for r in rows])
+
