@@ -25,7 +25,6 @@ from .attractor import (
     closed_form,
     coexistence_point,
     deadly_coexistence_exact,
-    deadly_interior,
     verify_attractor,
     vfc2_limit_set,
 )

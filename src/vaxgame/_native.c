@@ -266,55 +266,15 @@ typedef struct {
     int64_t n_rec;     /* records written by this call */
 } segment_t;
 
-/* The tableau of scipy.integrate._ivp.dop853_coefficients, as repr doubles:
-   A (the last three rows are the dense-output stages), B, E3, E5 and D. */
-static const double DOP_A[16][16] = {
-    {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.05260015195876773, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.0197250569845379, 0.0591751709536137, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.02958758547680685, 0.0, 0.08876275643042054, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671, 20.154067550477894, -43.48988418106996, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.0, 0.0, 0.0, 0.0, 0.0},
-    {0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259, 0.0, 0.0, 0.0, 0.0},
-    {0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298, 0.0, 0.0, 0.0},
-    {0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325, 0.0, 0.0},
-    {-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987, 0.0},
-};
-static const double DOP_B[12] = {
-    0.054293734116568765, 0.0, 0.0,
-    0.0, 0.0, 4.450312892752409,
-    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
-};
-static const double DOP_E3[13] = {
-    -0.18980075407240762, 0.0, 0.0,
-    0.0, 0.0, 4.450312892752409,
-    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
-    0.0,
-};
-static const double DOP_E5[13] = {
-    0.01312004499419488, 0.0, 0.0,
-    0.0, 0.0, -1.2251564463762044,
-    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-    0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
-    0.0,
-};
-static const double DOP_D[4][16] = {
-    {-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894},
-    {10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028, -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408},
-    {19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279},
-    {-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564},
-};
-
 #define N_STAGES 12
 #define N_EXTENDED 16
+
+/* Offsets into the DOP853 tableau, which the caller passes as ode._TABLEAU:
+   A (N_EXTENDED x N_EXTENDED, row-major), B, E3, E5 and D (4 x N_EXTENDED). */
+#define TAB_B (N_EXTENDED * N_EXTENDED)
+#define TAB_E3 (TAB_B + N_STAGES)
+#define TAB_E5 (TAB_E3 + N_STAGES + 1)
+#define TAB_D (TAB_E5 + N_STAGES + 1)
 
 /*
  * g at y, as ode.field computes it: project onto the simplex, floor eta,
@@ -357,24 +317,6 @@ static int field(const law_t *w, const double y[3], double g[3])
 int vaxgame_field(const law_t *w, const double *y, double *g)
 {
     return field(w, y, g);
-}
-
-/* The tableau for the tests, which compare it with dop853_coefficients. */
-void vaxgame_tableau(double *out)
-{
-    int n = 0;
-    for (int s = 0; s < N_EXTENDED; s++)
-        for (int i = 0; i < N_EXTENDED; i++)
-            out[n++] = DOP_A[s][i];
-    for (int i = 0; i < N_STAGES; i++)
-        out[n++] = DOP_B[i];
-    for (int i = 0; i <= N_STAGES; i++)
-        out[n++] = DOP_E3[i];
-    for (int i = 0; i <= N_STAGES; i++)
-        out[n++] = DOP_E5[i];
-    for (int m = 0; m < 4; m++)
-        for (int i = 0; i < N_EXTENDED; i++)
-            out[n++] = DOP_D[m][i];
 }
 
 /* sum_{i < n} K[i] * a[i] per component, in index order (scipy uses np.dot). */
@@ -530,12 +472,12 @@ static int brent(const double F[7][3], const double y_old[3], double t_old,
 }
 
 /* The stages K[s] of a step of size h from (sg->t, sg->y), s from `from` to `to` - 1. */
-static int stages(const segment_t *sg, const law_t *w, double h, int from, int to,
-                  double K[][3])
+static int stages(const segment_t *sg, const law_t *w, const double *tab, double h,
+                  int from, int to, double K[][3])
 {
     double dy[3], y_stage[3];
     for (int s = from; s < to; s++) {
-        combine(K, s, DOP_A[s], dy);
+        combine(K, s, tab + s * N_EXTENDED, dy);
         for (int j = 0; j < 3; j++)
             y_stage[j] = sg->y[j] + dy[j] * h;
         if (field(w, y_stage, K[s]))
@@ -550,8 +492,8 @@ static int stages(const segment_t *sg, const law_t *w, double h, int from, int t
  * (K[N_STAGES] is g at the new state), the new state in *t_new and y_new,
  * the step in *h and the next step size in *h_abs.
  */
-static int step(const segment_t *sg, const law_t *w, double K[][3], double *t_new,
-                double y_new[3], double *h, double *h_abs)
+static int step(const segment_t *sg, const law_t *w, const double *tab, double K[][3],
+                double *t_new, double y_new[3], double *h, double *h_abs)
 {
     const double t = sg->t;
     const double min_step = 10 * fabs(nextafter(t, INFINITY) - t);
@@ -569,9 +511,9 @@ static int step(const segment_t *sg, const law_t *w, double K[][3], double *t_ne
         double dy[3], scale[3], e5[3], e3[3], error_norm;
         for (int j = 0; j < 3; j++)
             K[0][j] = sg->f[j];
-        if (stages(sg, w, *h, 1, N_STAGES, K))
+        if (stages(sg, w, tab, *h, 1, N_STAGES, K))
             return ODE_DEGENERATE;
-        combine(K, N_STAGES, DOP_B, dy);
+        combine(K, N_STAGES, tab + TAB_B, dy);
         for (int j = 0; j < 3; j++)
             y_new[j] = sg->y[j] + *h * dy[j];
         if (field(w, y_new, K[N_STAGES]))
@@ -581,8 +523,8 @@ static int step(const segment_t *sg, const law_t *w, double K[][3], double *t_ne
             const double a = fabs(sg->y[j]), b = fabs(y_new[j]);
             scale[j] = sg->atol + (b > a ? b : a) * sg->rtol;
         }
-        combine(K, N_STAGES + 1, DOP_E5, e5);
-        combine(K, N_STAGES + 1, DOP_E3, e3);
+        combine(K, N_STAGES + 1, tab + TAB_E5, e5);
+        combine(K, N_STAGES + 1, tab + TAB_E3, e3);
         double n5 = norm(e5, scale), n3 = norm(e3, scale);
         n5 *= n5;
         n3 *= n3;
@@ -613,11 +555,11 @@ static int step(const segment_t *sg, const law_t *w, double K[][3], double *t_ne
  * (t_new, y_new): the three extra stages, the coefficients F of the dense
  * interpolant, the root and the interpolant there, written to row.
  */
-static int crossing(const segment_t *sg, const law_t *w, double K[][3], double h,
-                    double t_new, const double y_new[3], double *row)
+static int crossing(const segment_t *sg, const law_t *w, const double *tab, double K[][3],
+                    double h, double t_new, const double y_new[3], double *row)
 {
     double F[7][3], dy[3], root;
-    if (stages(sg, w, h, N_STAGES + 1, N_EXTENDED, K))
+    if (stages(sg, w, tab, h, N_STAGES + 1, N_EXTENDED, K))
         return ODE_DEGENERATE;
     for (int j = 0; j < 3; j++) {
         const double delta_y = y_new[j] - sg->y[j];
@@ -626,7 +568,7 @@ static int crossing(const segment_t *sg, const law_t *w, double K[][3], double h
         F[2][j] = 2 * delta_y - h * (K[N_STAGES][j] + K[0][j]);
     }
     for (int m = 0; m < 4; m++) {
-        combine(K, N_EXTENDED, DOP_D[m], dy);
+        combine(K, N_EXTENDED, tab + TAB_D + m * N_EXTENDED, dy);
         for (int j = 0; j < 3; j++)
             F[3 + m][j] = h * dy[j];
     }
@@ -639,14 +581,16 @@ static int crossing(const segment_t *sg, const law_t *w, double K[][3], double h
 }
 
 /*
- * Take DOP853 steps from (t, y) until t reaches t_bound, the event fires,
- * a step falls below scipy's min_step or the rec_cap record rows are full.
+ * Take DOP853 steps with the tableau tab (the TAB_* layout above) from
+ * (t, y) until t reaches t_bound, the event fires, a step falls below
+ * scipy's min_step or the rec_cap record rows are full.
  * Records each accepted step as a row (t, theta, psi, eta) of rec; at the
  * event the last row is the interpolant at the root.  Returns one of the
  * ODE_* codes; on ODE_RECORDS_FULL the state is the one before the next
  * step, and a call with a new record array goes on.
  */
-int vaxgame_segment(segment_t *sg, const law_t *w, int64_t rec_cap, double *rec)
+int vaxgame_segment(segment_t *sg, const law_t *w, const double *tab, int64_t rec_cap,
+                    double *rec)
 {
     double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs;
     int64_t n_rec = 0;
@@ -657,14 +601,14 @@ int vaxgame_segment(segment_t *sg, const law_t *w, int64_t rec_cap, double *rec)
             code = ODE_RECORDS_FULL;
             break;
         }
-        code = step(sg, w, K, &t_new, y_new, &h, &h_abs);
+        code = step(sg, w, tab, K, &t_new, y_new, &h, &h_abs);
         if (code)
             break;
         double *row = rec + 4 * n_rec;
         const double ev = y_new[0] - sg->gamma;
         /* scipy's inclusive sign test for an event of either direction */
         if (sg->event && ((sg->ev <= 0 && ev >= 0) || (sg->ev >= 0 && ev <= 0))) {
-            code = crossing(sg, w, K, h, t_new, y_new, row);
+            code = crossing(sg, w, tab, K, h, t_new, y_new, row);
             if (code == 0) {
                 n_rec += 1;
                 code = ODE_EVENT;

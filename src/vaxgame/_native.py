@@ -4,6 +4,8 @@ There are three kernels: the chain loop of :func:`vaxgame.chain.simulate`,
 one DOP853 segment of :func:`vaxgame.ode.integrate` with the field g (which
 keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
 chain's), and the certificate draws of :func:`vaxgame.attractor._draw_offsets`.
+The segment kernel holds no tableau of its own: each call takes
+``ode._TABLEAU``, the package's one copy of the DOP853 coefficients.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -201,14 +203,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
     lib.vaxgame_field.restype = ctypes.c_int
     lib.vaxgame_field.argtypes = [ctypes.POINTER(Law), doubles, doubles]
-    lib.vaxgame_tableau.restype = None
-    lib.vaxgame_tableau.argtypes = [doubles]
     lib.vaxgame_segment_start.restype = ctypes.c_int
     lib.vaxgame_segment_start.argtypes = [ctypes.POINTER(Segment), ctypes.POINTER(Law)]
     lib.vaxgame_segment.restype = ctypes.c_int
     lib.vaxgame_segment.argtypes = [
         ctypes.POINTER(Segment),
         ctypes.POINTER(Law),
+        doubles,  # the DOP853 tableau, ode._TABLEAU
         ctypes.c_int64,  # record rows
         doubles,  # the records, rows of (t, theta, psi, eta)
     ]

@@ -42,7 +42,8 @@ Every ``-deadly`` row is conjectured.  ``vfc1/interior`` is returned with
 
 Stability certification combines a finite-difference Jacobian (one-sided at
 simplex faces) with sampling of a quadratic Lyapunov form V(x) =
-(x-x_hat)' P (x-x_hat), P solving J'P + PJ = -I.  The derivative of plain
+(x-x_hat)' P (x-x_hat), P solving J'P + PJ = -I (with numpy, as the 9 x 9
+linear system of its Kronecker form).  The derivative of plain
 squared Euclidean distance is *not* a valid surrogate here: stable
 coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
@@ -58,7 +59,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _native
 from .errors import (
@@ -456,26 +456,6 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
     return attr
 
 
-def deadly_interior(params: ModelParams, beta_hat: float, family: Family) -> Attractor:
-    """Deadly interior equilibrium (unclamped acceptance), field-verified.
-
-    Requires d_e > 0, an endemic load factor, and the no-vaccination level
-    transversally unstable; for FR the mid-range mu*rho < beta < rho^2*mu
-    also lands here.  The returned point is conjectural and has already
-    passed the residual gate.
-    """
-    if params.d_e <= 0.0:
-        raise RegimeMismatch("deadly interior requires d_e > 0")
-    if family not in _DEADLY_FAMILIES:
-        raise RegimeMismatch("deadly interior covers FC and FR families only")
-    attr = closed_form(params, Policy(family, beta=beta_hat))
-    if attr.kind is not AttractorKind.INTERIOR or attr.clamp_active:
-        raise RegimeMismatch(
-            f"parameters select row {attr.table_row!r}, not the unclamped interior"
-        )
-    return attr
-
-
 @dataclass(frozen=True)
 class Vfc2Prediction:
     """Predicted oscillation centre of the threshold-vigilant limit set."""
@@ -610,12 +590,17 @@ def certify_stability(
 
     p_form = np.eye(3)
     if eig_max < 0.0:
+        # P from jac' P + P jac = -I: with a = jac', the row-major
+        # vec(a P + P a') is (kron(I, a) + kron(a, I)) vec(P), a 9 x 9 system
+        # whose eigenvalues are the pairwise sums of jac's, all negative here
+        a, eye = jac.T, np.eye(3)
         try:
-            candidate = scipy.linalg.solve_continuous_lyapunov(jac.T, -np.eye(3))
+            system = np.kron(eye, a) + np.kron(a, eye)
+            candidate = np.linalg.solve(system, -eye.ravel()).reshape(3, 3)
             candidate = 0.5 * (candidate + candidate.T)
             if np.all(np.linalg.eigvalsh(candidate) > 0.0):
                 p_form = candidate
-        except (np.linalg.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             pass  # no usable form: sample the Euclidean one
 
     g_rows = field_rows(params, policy)

@@ -6,8 +6,8 @@
     vaxgame ess <config>       evolutionary-stability sweep
     vaxgame validate <config>  closed form vs ODE vs Monte Carlo agreement
 
-Common flags: --seed (override the master seed), --threads (parallel sweep
-points), --out (override the output directory).
+Common flags: --seed (override the master seed, non-negative), --threads
+(parallel sweep points, at least 1), --out (override the output directory).
 Exit codes: 0 ran, 1 validate found a disagreement, 2 config error.
 """
 

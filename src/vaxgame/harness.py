@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .attractor import (
     closed_form,
     vfc2_limit_set,
 )
-from .errors import VaxGameError
+from .errors import ConfigError, VaxGameError
 from .ess import CostParams, EssVerdict, classify_ess
 from .params import ModelParams
 from .policy import Family, Policy
@@ -434,15 +435,25 @@ def run(
     threads: int = 1,
     master_seed: Optional[int] = None,
 ) -> list[RunRecord]:
-    """Execute every enabled layer at every sweep point; write CSV outputs."""
+    """Execute every enabled layer at every sweep point; write CSV outputs.
+
+    Points run in a process pool of min(threads, points, CPUs) workers when
+    that is more than one.  Raises ConfigError for ``threads`` below 1 and
+    for a negative master seed (the config's or the override).
+    """
     seed = master_seed if master_seed is not None else exp.mc.seed
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    if seed < 0:
+        raise ConfigError(f"master seed must be non-negative, got {seed}")
     values = list(exp.sweep.values) if exp.sweep is not None else [None]
     exp.output_dir.mkdir(parents=True, exist_ok=True)
 
     point = partial(run_point, exp, master_seed=seed)
     indices = range(len(values))
-    if threads > 1 and len(values) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(values), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(point, values, indices))
     else:
         records = list(map(point, values, indices))

@@ -21,7 +21,9 @@ Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
 scalar arithmetic.  It has the same tableau, initial step, step
 controller, error norm and dense interpolant, and sums each stage in
-order where scipy hands the sums to the BLAS.  One segment of
+order where scipy hands the sums to the BLAS.  The tableau has one copy,
+the literals below: :func:`_python_segment` reads its rows and the C
+kernel the flat ``_TABLEAU`` built from them.  One segment of
 :func:`integrate` runs in the C kernel of :mod:`vaxgame._native` when that
 loads, else in :func:`_python_segment`, the reference it is tested
 against; both give the same bits.  For the threshold-vigilant policy the
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients
 
 from . import _native
 from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
@@ -210,12 +211,118 @@ def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return _clip_simplex(y, 1e-300)
 
 
-# The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients as Python
-# floats: A (its last three rows are the dense-output stages), B, E3, E5, D.
-_A, _B, _E3, _E5, _D = (
-    getattr(dop853_coefficients, name).tolist() for name in ("A", "B", "E3", "E5", "D")
+# The DOP853 tableau, the one copy in the package: the coefficients of
+# scipy's DOP853 (Dormand and Prince; Hairer, Norsett and Wanner), as repr
+# doubles.  Row s of A holds A[s][:s]; the zeros on and above the diagonal
+# are left out.  Rows 1 to 11 are the stages, row 12 repeats B, and rows 13
+# to 15 are the extra stages of the dense output.  E3 and E5 are the two
+# error estimators over the 13 stages; D gives the interpolant's four
+# higher coefficients over all 16.
+_A = (
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ],
+    [
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ],
+    [
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ],
+    [
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196,
+    ],
+    [
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636,
+    ],
+    [
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259,
+    ],
+    [
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+        0.007567897660545699, -0.008298,
+    ],
+    [
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+        -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ],
+    [
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+        2.9475147891527724, -9.15095847217987,
+    ],
 )
-_N_STAGES = dop853_coefficients.N_STAGES
+_B = [
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+]
+_E3 = [
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+]
+_E5 = [
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+]
+_D = (
+    [
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+        2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+        0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ],
+    [
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+        -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+        -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ],
+    [
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+        527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+        0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ],
+    [
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+        357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+        29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ],
+)
+_N_STAGES = 12
+
+#: The tableau as the C kernel reads it, 358 doubles: A padded to 16 x 16
+#: (row-major), then B, E3, E5 and D (4 x 16).
+_TABLEAU = np.array(
+    [
+        *(c for row in _A for c in row + [0.0] * (len(_A) - len(row))),
+        *_B,
+        *_E3,
+        *_E5,
+        *(c for row in _D for c in row),
+    ]
+)
 _ROOT_TOL = 4 * float(np.finfo(float).eps)  # the xtol and rtol of scipy's event root
 
 
@@ -428,7 +535,9 @@ def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: floa
         chunks = [np.array([[t, *y]])]
         while True:
             rows = np.empty((_SEGMENT_ROWS, 4))
-            code = lib.vaxgame_segment(ctypes.byref(state), ctypes.byref(law), _SEGMENT_ROWS, rows)
+            code = lib.vaxgame_segment(
+                ctypes.byref(state), ctypes.byref(law), _TABLEAU, _SEGMENT_ROWS, rows
+            )
             chunks.append(rows[: state.n_rec])
             if code != _native.ODE_RECORDS_FULL:
                 break
@@ -480,9 +589,6 @@ def integrate(
     g_rows = field_rows(params, policy)
     segment = _segment_solver(params, policy, rtol, atol)
 
-    def g_t(t, y):
-        return g(y)
-
     gamma = threshold(policy)
     ts: list[np.ndarray] = []
     ys: list[np.ndarray] = []
@@ -523,7 +629,7 @@ def integrate(
         if status == _native.ODE_EVENT and not settled and t < t_end:
             # landed on the threshold; hop strictly across before re-arming
             # the event, otherwise the restart re-fires at zero progress
-            t, y = _hop_across(g_t, t, y, gamma, t_end)
+            t, y = _hop_across(g, t, y, gamma, t_end)
             ts.append(np.array([t]))
             ys.append(y[None, :])
             # the switching surface is attracting: orbits spiral into the
@@ -550,23 +656,18 @@ def integrate(
     )
 
 
-def _rk4_step(field, t, y, h):
-    """One classical RK4 step of size h."""
-    k1 = field(t, y)
-    k2 = field(t + h / 2, y + h / 2 * k1)
-    k3 = field(t + h / 2, y + h / 2 * k2)
-    k4 = field(t + h, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _hop_across(field, t, y, gamma, t_end, clearance: float = 1e-12):
-    """RK4 micro-steps until theta is strictly clear of the threshold."""
+def _hop_across(g, t, y, gamma, t_end, clearance: float = 1e-12):
+    """Classical RK4 micro-steps on the field g until theta is strictly clear of the threshold."""
     h = 1e-9 * max(1.0, abs(t))
     for _ in range(64):
         if abs(y[0] - gamma) > clearance or t >= t_end:
             return t, _project_simplex(y)
         h = min(h, t_end - t)
-        y = _rk4_step(field, t, y, h)
+        k1 = g(y)
+        k2 = g(y + h / 2 * k1)
+        k3 = g(y + h / 2 * k2)
+        k4 = g(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         h *= 2.0
     # h >= 1e-9 doubles each try and t_end - t <= _MAX_TIME, so some step

@@ -17,7 +17,6 @@ from vaxgame import (
     closed_form,
     coexistence_point,
     deadly_coexistence_exact,
-    deadly_interior,
     fc,
     fr,
     verify_attractor,
@@ -152,8 +151,6 @@ def test_deadly_quadratic_coefficients():
     assert quad.b == pytest.approx(-0.64, abs=1e-15)
     assert quad.c == pytest.approx(1.06, abs=1e-15)
     # these rates keep the no-vaccination level stable: no interior row
-    with pytest.raises(RegimeMismatch):
-        deadly_interior(params, 0.4, Family.FR)
     att = closed_form(params, fr(0.4))
     rho_e = (2.0 - 0.1) / (0.5 + 0.5)
     assert att.table_row == "fr-deadly/nvdf"
@@ -163,7 +160,9 @@ def test_deadly_quadratic_coefficients():
 
 def test_deadly_interior_verified_point():
     params = ModelParams(lam=2.0, r=0.3, nu=1.0, b=0.6, d=0.2, d_e=0.15)
-    att = deadly_interior(params, 1.1, Family.FC)
+    att = closed_form(params, fc(1.1))
+    assert att.table_row == "fc-deadly/interior"
+    assert att.kind is AttractorKind.INTERIOR and not att.clamp_active
     assert att.conjectured
     assert att.theta_hat == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert att.psi_hat == pytest.approx(1.0 / 6.0, abs=1e-12)

@@ -206,6 +206,8 @@ def test_unknown_section_is_config_error(tmp_path):
         # the chain kernel counts in int64: 2**64 + 1 would reach it as 1
         ("stride = 200", "stride = 18446744073709551617"),
         ("max_steps = 40000", "max_steps = 9223372036854775808"),
+        # numpy's SeedSequence takes no negative entropy
+        ("seed = 99", "seed = -3"),
     ],
 )
 def test_inadmissible_value_exits_2(tmp_path, capsys, old, new):
@@ -516,6 +518,49 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     with mock.patch.object(_native, "library", return_value=None):
         assert cli_main(["validate", str(cfg_single)]) == 0
     assert "\nkernel: python\n" in (tmp_path / "val" / "manifest_demo.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seed", "-1"], "master seed must be non-negative, got -1"),
+        (["--threads", "0"], "threads must be at least 1, got 0"),
+        (["--threads", "-1"], "threads must be at least 1, got -1"),
+    ],
+)
+def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
+    text = CONFIG_TEXT.replace("layers = closed_form, ode", "layers = closed_form, monte_carlo")
+    assert cli_main(["run", str(write_config(tmp_path, text)), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,workers",
+    [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None), (2, 1, None), (64, None, None)],
+)
+def test_pool_size_is_capped(tmp_path, monkeypatch, threads, cpus, workers):
+    # the pool starts all its workers at once, so it is never larger than the
+    # sweep (3 points here) or the machine; a pool of one runs in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    records = run(load_experiment(write_config(tmp_path)), threads=threads)
+    assert len(records) == 3
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_cli_config_error(tmp_path, capsys):

@@ -37,7 +37,6 @@ from vaxgame import _native
 from vaxgame.chain import _RNG_BLOCK
 from vaxgame.errors import DegenerateState, InvalidParams, StepFailure
 from vaxgame.policy import accept_fn
-from scipy.integrate._ivp import dop853_coefficients
 
 from rowgen import PARAMS, POLICIES, UNIT
 
@@ -328,14 +327,6 @@ def test_native_field_reports_a_vanishing_varrho():
         ode.field(params, fc(1.0))(y)
     code = _native.library().vaxgame_field(_native.make_law(params, fc(1.0)), y, np.empty(3))
     assert code == _native.ODE_DEGENERATE
-
-
-def test_native_tableau_is_scipys():
-    c = dop853_coefficients
-    expected = [*c.A.ravel(), *c.B, *c.E3, *c.E5, *c.D.ravel()]  # the order of vaxgame_tableau
-    out = np.empty(len(expected))
-    _native.library().vaxgame_tableau(out)
-    assert repr(out.tolist()) == repr([float(v) for v in expected])
 
 
 _WORD = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)

@@ -9,6 +9,7 @@ import scipy.integrate._ivp.rk as scipy_rk
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from vaxgame import (
     ModelParams,
@@ -260,6 +261,15 @@ def test_vfc2_integration_oscillates_then_slides():
     assert count_crossings(path.states[:, 0], 0.2) >= 10
     assert path.endpoint.theta == pytest.approx(0.2, abs=1e-6)
     assert path.endpoint.psi == pytest.approx(0.3, abs=0.01)
+
+
+def test_tableau_is_scipys():
+    # ode._TABLEAU is the one copy of the tableau: _python_segment reads its
+    # rows and the C kernel the flat array built from them
+    c = dop853_coefficients
+    assert ode._N_STAGES == c.N_STAGES
+    expected = [*c.A.ravel(), *c.B, *c.E3, *c.E5, *c.D.ravel()]
+    assert repr(ode._TABLEAU.tolist()) == repr([float(v) for v in expected])
 
 
 def _crossing_event(gamma):
