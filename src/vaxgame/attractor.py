@@ -592,7 +592,7 @@ def certify_stability(
     if eig_max < 0.0:
         # P from jac' P + P jac = -I: with a = jac', the row-major
         # vec(a P + P a') is (kron(I, a) + kron(a, I)) vec(P), a 9 x 9 system
-        # whose eigenvalues are the pairwise sums of jac's, all negative here
+        # whose eigenvalues, the pairwise sums of jac's, have negative real parts here
         a, eye = jac.T, np.eye(3)
         try:
             system = np.kron(eye, a) + np.kron(a, eye)

@@ -218,7 +218,7 @@ def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 # to 15 are the extra stages of the dense output.  E3 and E5 are the two
 # error estimators over the 13 stages; D gives the interpolant's four
 # higher coefficients over all 16.
-_A = (
+_A = [
     [],
     [0.05260015195876773],
     [0.0197250569845379, 0.0591751709536137],
@@ -268,7 +268,7 @@ _A = (
         4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
         2.9475147891527724, -9.15095847217987,
     ],
-)
+]
 _B = [
     0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
@@ -284,7 +284,7 @@ _E5 = [
     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
     -0.022355307863886294, 0.0,
 ]
-_D = (
+_D = [
     [
         -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
         2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
@@ -309,7 +309,7 @@ _D = (
         29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
         -149.72683625798564,
     ],
-)
+]
 _N_STAGES = 12
 
 #: The tableau as the C kernel reads it, 358 doubles: A padded to 16 x 16
