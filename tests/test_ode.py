@@ -264,8 +264,8 @@ def test_vfc2_integration_oscillates_then_slides():
 
 
 def test_tableau_is_scipys():
-    # ode._TABLEAU is the one copy of the tableau: _python_segment reads its
-    # rows and the C kernel the flat array built from them
+    # ode.py holds the one copy of the tableau: _python_segment reads its
+    # rows and the C kernel _TABLEAU, the flat array built from them
     c = dop853_coefficients
     assert ode._N_STAGES == c.N_STAGES
     expected = [*c.A.ravel(), *c.B, *c.E3, *c.E5, *c.D.ravel()]
