@@ -1,9 +1,11 @@
 /*
  * C kernels for vaxgame: the jump-chain loop of chain.simulate, one DOP853
- * segment of ode.integrate (ode._python_segment) and the certificate draws
- * of attractor._draw_offsets.
+ * segment of ode.integrate (ode._python_segment), the certificate draws of
+ * attractor._draw_offsets, two row loops (the field g over the rows of
+ * ode.field_rows and the propensity q~ of the certificates' side test) and
+ * the %.17g row formatter of the path and trajectory CSVs.
  *
- * All three are transcriptions of the Python code they replace and must
+ * All of them are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
  * fused multiply-add) and never with -ffast-math.  The ODE field keeps
@@ -13,8 +15,11 @@
  */
 
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 #include "numpy/random/distributions.h"
 
@@ -46,28 +51,32 @@ enum {
     CHAIN_RECORDS_FULL
 };
 
-/* Python's min(1.0, x): x when x < 1, else 1 (NaN included). */
-static double cap1(double x) { return x < 1.0 ? x : 1.0; }
+/* Python's min(cap, x): x when x < cap, else cap (NaN included, so min(inf, nan) is inf). */
+static double capped(double x, double cap) { return x < cap ? x : cap; }
 
-/* Acceptance probability q = min(1, q~); a mutant mixes its clamped base. */
-static double accept(const law_t *w, double theta, double psi)
+/*
+ * The response of policy._RESPONSE capped at cap: 1 gives the acceptance
+ * probability q = min(1, q~), INFINITY the propensity q~.  A mutant mixes
+ * its base, capped the same way, with its static p.
+ */
+static double response(const law_t *w, double theta, double psi, double cap)
 {
     double q;
     switch (w->family) {
     case FC:
-        q = cap1(w->beta * psi);
+        q = capped(w->beta * psi, cap);
         break;
     case FR:
-        q = cap1(w->beta * psi * (1.0 - psi));
+        q = capped(w->beta * psi * (1.0 - psi), cap);
         break;
     case VFC1:
-        q = cap1(w->beta * theta * psi);
+        q = capped(w->beta * theta * psi, cap);
         break;
     case VFC2:
-        q = theta > w->gamma ? cap1(w->beta * psi) : 0.0;
+        q = theta > w->gamma ? capped(w->beta * psi, cap) : 0.0;
         break;
     case VFC2_THETA:
-        q = theta > w->gamma ? cap1(w->beta * theta) : 0.0;
+        q = theta > w->gamma ? capped(w->beta * theta, cap) : 0.0;
         break;
     default: /* STATIC */
         q = w->q;
@@ -76,6 +85,12 @@ static double accept(const law_t *w, double theta, double psi)
     if (w->mutant)
         q = (1.0 - w->eps) * q + w->eps * w->p;
     return q;
+}
+
+/* The acceptance probability q = min(1, q~), as policy.accept_fn gives it. */
+static double accept(const law_t *w, double theta, double psi)
+{
+    return response(w, theta, psi, 1.0);
 }
 
 /* accept() for the tests, which compare it with policy.accept_fn. */
@@ -317,6 +332,31 @@ static int field(const law_t *w, const double y[3], double g[3])
 int vaxgame_field(const law_t *w, const double *y, double *g)
 {
     return field(w, y, g);
+}
+
+/*
+ * field() over n rows of states (n x 3, row-major) into out (n x 3), as
+ * ode.field_rows computes them: a row with eta <= 0 gives 0, a NaN eta is
+ * evaluated.  Returns the first row whose varrho is not positive, where it
+ * stops, or -1.
+ */
+int64_t vaxgame_field_rows(const law_t *w, int64_t n, const double *ys, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (field(w, ys + 3 * i, out + 3 * i))
+            return i;
+    return -1;
+}
+
+/*
+ * The propensity q~ of policy.propensity_fn at the (theta, psi) of n rows
+ * of states (n x 3, row-major) into out (n), for the side test of the
+ * certificates; a mutant mixes its unclamped base.
+ */
+void vaxgame_propensity_rows(const law_t *w, int64_t n, const double *ys, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = response(w, ys[3 * i], ys[3 * i + 1], INFINITY);
 }
 
 /* sum_{i < n} K[i] * a[i] per component, in index order (scipy uses np.dot). */
@@ -632,4 +672,40 @@ int vaxgame_segment(segment_t *sg, const law_t *w, const double *tab, int64_t re
     }
     sg->n_rec = n_rec;
     return code;
+}
+
+/*
+ * CSV rows of the path and trajectory files: per row, keys[i] as %lld and a
+ * comma where keys is not NULL, then the cols doubles of values (row-major)
+ * as %.17g, separated by commas and ended by a newline.  A NaN prints as
+ * "nan", as Python's "%.17g" % x does, where glibc would print "-nan" for a
+ * negative one.  Returns the bytes written to buf, or -1, having written
+ * nothing, where LC_NUMERIC's decimal point is not "." (Python's output
+ * does not depend on it) or buf holds fewer than n * ROW_BYTES(cols) bytes.
+ */
+#define KEY_BYTES 21    /* "-9223372036854775808," */
+#define DOUBLE_BYTES 25 /* "-2.2250738585072014e-308" and its separator */
+#define ROW_BYTES(cols) (KEY_BYTES + (cols) * DOUBLE_BYTES)
+
+int64_t vaxgame_format_rows(int64_t n, int64_t cols, const int64_t *keys, const double *values,
+                            char *buf, int64_t cap)
+{
+    if (strcmp(localeconv()->decimal_point, ".") != 0 || cap / ROW_BYTES(cols) < n)
+        return -1;
+    char *p = buf;
+    for (int64_t i = 0; i < n; i++) {
+        if (keys)
+            p += sprintf(p, "%lld,", (long long)keys[i]);
+        for (int64_t j = 0; j < cols; j++) {
+            const double x = values[i * cols + j];
+            if (isnan(x)) {
+                memcpy(p, "nan", 3);
+                p += 3;
+            } else {
+                p += sprintf(p, "%.17g", x);
+            }
+            *p++ = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    return p - buf;
 }

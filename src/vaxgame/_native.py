@@ -1,11 +1,15 @@
 """Build-at-first-use loader for the C kernels in ``_native.c``.
 
-There are three kernels: the chain loop of :func:`vaxgame.chain.simulate`,
-one DOP853 segment of :func:`vaxgame.ode.integrate` with the field g (which
-keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
-chain's), and the certificate draws of :func:`vaxgame.attractor._draw_offsets`.
-The segment kernel holds no tableau of its own: each call takes
-``ode._TABLEAU``, the package's one copy of the DOP853 coefficients.
+The kernels are the chain loop of :func:`vaxgame.chain.simulate`, one DOP853
+segment of :func:`vaxgame.ode.integrate` with the field g (which keeps
+:func:`vaxgame.ode.varrho`'s grouping of the event masses, not the chain's),
+the certificate draws of :func:`vaxgame.attractor._draw_offsets`, and three
+row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the propensity
+q~ of the certificates' side test (:func:`vaxgame.attractor._propensity_rows`)
+and the ``%.17g`` formatter of the path and trajectory CSVs, which
+:func:`write_rows` drives.  The segment kernel holds no tableau of its own:
+each call takes ``ode._TABLEAU``, the package's one copy of the DOP853
+coefficients.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -58,6 +62,9 @@ _library = _UNRESOLVED
 
 # ODE segment kernel return codes, as in _native.c
 ODE_DONE, ODE_EVENT, ODE_TOO_SMALL, ODE_RECORDS_FULL, ODE_DEGENERATE, ODE_NO_ROOT = range(6)
+
+#: Rows per block of :func:`write_rows`; its text buffer holds one block.
+_CSV_BLOCK = 4096
 
 #: base family codes of _native.c, in the order of policy._RESPONSE
 _FAMILY_CODES = {key: code for code, key in enumerate(_RESPONSE)}
@@ -134,6 +141,44 @@ def kernel_name() -> str:
     return "python" if library() is None else "native"
 
 
+def write_rows(path, header: str, columns, keys=None) -> None:
+    """Write a CSV file: ``header``, then one line per row at 17 significant digits.
+
+    ``columns`` are arrays of n rows each, 1-D or 2-D, laid side by side;
+    each of their values is written as Python's ``"%.17g" % x``.  Where
+    ``keys`` is given, each line starts with its key as an integer.  Rows go
+    out in blocks of ``_CSV_BLOCK`` through one text buffer, formatted by the
+    C formatter when the library loads, else, or where the formatter declines
+    (a locale whose decimal point is not "."), by Python.  Both write the
+    same bytes.
+    """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns) or (keys is not None and len(keys) != n):
+        raise ValueError("every column and the keys must have the same number of rows")
+    cols = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    line = ("%d," if keys is not None else "") + ",".join(["%.17g"] * cols) + "\n"
+    lib = library()
+    # ROW_BYTES of _native.c: the longest key and doubles, with their separators
+    text = None if lib is None else np.empty(min(n, _CSV_BLOCK) * (21 + 25 * cols), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, n, _CSV_BLOCK):
+            block = slice(start, min(start + _CSV_BLOCK, n))
+            values = np.ascontiguousarray(np.column_stack([c[block] for c in columns]), float)
+            key = None if keys is None else np.ascontiguousarray(keys[block], np.int64)
+            size = -1
+            if text is not None:
+                key_ptr = None if key is None else key.ctypes.data
+                size = lib.vaxgame_format_rows(len(values), cols, key_ptr, values, text, len(text))
+            if size >= 0:
+                fh.write(memoryview(text)[:size])
+                continue
+            rows = values.tolist()
+            if key is not None:
+                rows = [(k, *row) for k, row in zip(key.tolist(), rows)]
+            fh.write("".join(line % tuple(row) for row in rows).encode())
+
+
 def _cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(root) / "vaxgame"
@@ -203,6 +248,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
     lib.vaxgame_field.restype = ctypes.c_int
     lib.vaxgame_field.argtypes = [ctypes.POINTER(Law), doubles, doubles]
+    lib.vaxgame_field_rows.restype = ctypes.c_int64
+    lib.vaxgame_field_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
+    lib.vaxgame_propensity_rows.restype = None
+    lib.vaxgame_propensity_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
     lib.vaxgame_segment_start.restype = ctypes.c_int
     lib.vaxgame_segment_start.argtypes = [ctypes.POINTER(Segment), ctypes.POINTER(Law)]
     lib.vaxgame_segment.restype = ctypes.c_int
@@ -212,5 +261,14 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         doubles,  # the DOP853 tableau, ode._TABLEAU
         ctypes.c_int64,  # record rows
         doubles,  # the records, rows of (t, theta, psi, eta)
+    ]
+    lib.vaxgame_format_rows.restype = ctypes.c_int64
+    lib.vaxgame_format_rows.argtypes = [
+        ctypes.c_int64,  # rows
+        ctypes.c_int64,  # doubles per row
+        ctypes.c_void_p,  # the int64 keys, one per row, or None
+        doubles,  # the doubles, row-major
+        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),  # the text
+        ctypes.c_int64,  # its capacity in bytes
     ]
     return lib

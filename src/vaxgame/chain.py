@@ -559,8 +559,11 @@ def count_crossings(values: Sequence[float], level: float) -> int:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export with header k,theta,psi,eta at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("k,theta,psi,eta\n")
-        for k, th, ps, et in zip(traj.epochs, traj.theta, traj.psi, traj.eta):
-            fh.write(f"{int(k)},{th:.17g},{ps:.17g},{et:.17g}\n")
+    """CSV export with header k,theta,psi,eta at 17 significant digits.
+
+    The rows are formatted in C where the kernels load and by Python
+    otherwise (:func:`vaxgame._native.write_rows`); the bytes are the same.
+    """
+    _native.write_rows(
+        path, "k,theta,psi,eta\n", (traj.theta, traj.psi, traj.eta), keys=traj.epochs
+    )

@@ -438,8 +438,9 @@ def run(
     """Execute every enabled layer at every sweep point; write CSV outputs.
 
     Points run in a process pool of min(threads, points, CPUs) workers when
-    that is more than one.  Raises ConfigError for ``threads`` below 1 and
-    for a negative master seed (the config's or the override).
+    that is more than one.  Raises ConfigError for ``threads`` below 1,
+    for a negative master seed (the config's or the override) and for an
+    output directory that cannot be made (a file on its path, say).
     """
     seed = master_seed if master_seed is not None else exp.mc.seed
     if threads < 1:
@@ -447,7 +448,11 @@ def run(
     if seed < 0:
         raise ConfigError(f"master seed must be non-negative, got {seed}")
     values = list(exp.sweep.values) if exp.sweep is not None else [None]
-    exp.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        exp.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot make output directory {exp.output_dir}: {exc.strerror}"
+        raise ConfigError(message) from exc
 
     point = partial(run_point, exp, master_seed=seed)
     indices = range(len(values))

@@ -15,7 +15,9 @@ once; the integrator, Newton and the finite-difference Jacobian evaluate
 it one state at a time.  :func:`field_rows` is its batch form, (n, 3)
 states in and (n, 3) components out, each row equal to g bit for bit;
 the settle scan of :func:`integrate` and the certificate sampling in
-:mod:`vaxgame.attractor` evaluate it.
+:mod:`vaxgame.attractor` evaluate it.  Its rows run through the field of
+the C kernel of :mod:`vaxgame._native` when that loads, else through
+numpy (:func:`_python_field_rows`).
 
 Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
@@ -44,7 +46,13 @@ from typing import Callable
 import numpy as np
 
 from . import _native
-from .errors import DegenerateState, IndicatorNonstationary, InvalidParams, StepFailure
+from .errors import (
+    DegenerateState,
+    DomainError,
+    IndicatorNonstationary,
+    InvalidParams,
+    StepFailure,
+)
 from .params import ModelParams, derive_ratios
 from .policy import Family, Policy, accept_fn, threshold
 
@@ -144,9 +152,33 @@ def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndar
 def field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
     """The row form of :func:`field`: (n, 3) states in, (n, 3) components out.
 
-    Row i equals ``g(ys[i])`` bit for bit: the same projection, the same
-    :func:`varrho` and :func:`_components`, and q from the same
-    :func:`policy.accept_fn` closure, applied elementwise.
+    Row i equals ``g(ys[i])`` bit for bit, and a row whose varrho vanished
+    raises DegenerateState as g does, unless its eta is at most 0 (its row
+    is 0).  The rows run through the field loop of the C kernel of
+    :mod:`vaxgame._native` when that loads, else through
+    :func:`_python_field_rows`, the reference it is tested against.
+    """
+    lib = _native.library()
+    if lib is None:
+        return _python_field_rows(params, policy)
+    law = _native.make_law(params, policy)
+
+    def native(ys: np.ndarray) -> np.ndarray:
+        ys = np.ascontiguousarray(ys, float)  # the settle scan hands a strided view
+        if ys.ndim != 2 or ys.shape[1] != 3:
+            raise ValueError(f"expected (n, 3) states, got shape {ys.shape}")
+        out = np.empty(ys.shape)
+        if lib.vaxgame_field_rows(ctypes.byref(law), len(ys), ys, out) >= 0:
+            raise DegenerateState("varrho vanished")
+        return out
+
+    return native
+
+
+def _python_field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`field_rows` in numpy: the same projection, :func:`varrho` and
+    :func:`_components` as g, on whole columns, and q from the same
+    :func:`policy.accept_fn` closure, one row at a time.
     """
     accept = np.frompyfunc(accept_fn(policy), 2, 1)
 
@@ -203,10 +235,14 @@ def _clip_simplex(y: np.ndarray, eta_floor: float) -> np.ndarray:
     return np.array([theta, psi, max(eta, eta_floor)])
 
 
-def _project_simplex(y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _outside_simplex(theta: float, psi: float) -> bool:
+    """Whether (theta, psi) lies outside the simplex by more than rounding, 1e-9."""
+    return theta < -1e-9 or psi < -1e-9 or theta + psi > 1.0 + 1e-9
+
+
+def _project_simplex(y: np.ndarray) -> np.ndarray:
     """Clip rounding-level excursions; anything larger is an integrator bug."""
-    theta, psi, _ = y
-    if theta < -tol or psi < -tol or theta + psi > 1.0 + tol:
+    if _outside_simplex(y[0], y[1]):
         raise StepFailure(f"state left the simplex: {y!r}")
     return _clip_simplex(y, 1e-300)
 
@@ -571,7 +607,8 @@ def integrate(
     Raises InvalidParams for a horizon that is not positive (NaN included),
     for an ``rtol`` or ``atol`` that is not finite and positive, for a start
     state with a non-finite component, and for a start eta that is not
-    positive (eta = N/(k+1) of a live population).
+    positive (eta = N/(k+1) of a live population).  Raises DomainError for
+    start fractions more than rounding level (1e-9) outside the simplex.
     """
     if not horizon > 0:
         raise InvalidParams("horizon must be positive")
@@ -582,6 +619,11 @@ def integrate(
         raise InvalidParams(f"start state must be finite, got {initial!r}")
     if initial.eta <= 0:
         raise InvalidParams(f"start eta must be positive, got {initial.eta!r}")
+    if _outside_simplex(initial.theta, initial.psi):
+        raise DomainError(
+            f"start fractions must lie in the simplex, got theta={initial.theta!r}, "
+            f"psi={initial.psi!r}"
+        )
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
@@ -788,8 +830,10 @@ def _newton(g, y):
 
 
 def write_path_csv(path: OdePath, file) -> None:
-    """CSV export with header t,theta,psi,eta at 17 significant digits."""
-    rows = np.column_stack((path.t, path.states)).tolist()
-    with open(file, "w") as fh:
-        fh.write("t,theta,psi,eta\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)
+    """CSV export with header t,theta,psi,eta at 17 significant digits.
+
+    The rows are formatted in C where the kernels load and by Python's
+    ``"%.17g"`` otherwise (:func:`vaxgame._native.write_rows`); the bytes
+    are the same.
+    """
+    _native.write_rows(file, "t,theta,psi,eta\n", (path.t, path.states))

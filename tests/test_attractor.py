@@ -496,7 +496,7 @@ def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_sample
     monkeypatch.setattr(
         attractor,
         "_sample_lyapunov",
-        lambda attr, pol, g_rows, *rest: _reference_sample(attr, pol, g, *rest),
+        lambda attr, pol, g_rows, *rest, q_rows: _reference_sample(attr, pol, g, *rest),
     )
     reference = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
     assert repr(batched) == repr(reference)

@@ -249,6 +249,10 @@ ONE_POINT = (
          "InvalidParams: start eta must be positive, got -1.0"),
         ("theta0 = 0.21", "theta0 = nan", "ode_error", "InvalidParams: start state must be finite"),
         ("theta0 = 0.21", "theta0 = nan", "mc_error", "DomainError: initial fractions"),
+        # a start outside the simplex is bad input, not a solver failure
+        ("psi0 = 0.001", "psi0 = 0.9", "ode_error",
+         "DomainError: start fractions must lie in the simplex, got theta=0.21, psi=0.9"),
+        ("psi0 = 0.001", "psi0 = 0.9", "mc_error", "DomainError: initial fractions"),
     ],
 )
 def test_bad_layer_input_is_recorded(tmp_path, old, new, column, error):
@@ -526,13 +530,20 @@ def test_cli_run_atlas_ess_validate(tmp_path, capsys):
         (["--seed", "-1"], "master seed must be non-negative, got -1"),
         (["--threads", "0"], "threads must be at least 1, got 0"),
         (["--threads", "-1"], "threads must be at least 1, got -1"),
+        # an --out that names a regular file, or a path under one
+        (["--out", "{tmp}/file"], "cannot make output directory {tmp}/file: File exists"),
+        (["--out", "{tmp}/file/below"],
+         "cannot make output directory {tmp}/file/below: Not a directory"),
     ],
 )
 def test_bad_flag_exits_2(tmp_path, capsys, flags, message):
     text = CONFIG_TEXT.replace("layers = closed_form, ode", "layers = closed_form, monte_carlo")
+    (tmp_path / "file").write_text("kept\n")
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
     assert cli_main(["run", str(write_config(tmp_path, text)), *flags]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

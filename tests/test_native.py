@@ -3,6 +3,8 @@
 import ctypes
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -36,11 +38,13 @@ from vaxgame import (
 from vaxgame import _native
 from vaxgame.chain import _RNG_BLOCK
 from vaxgame.errors import DegenerateState, InvalidParams, StepFailure
-from vaxgame.policy import accept_fn
+from vaxgame.cli import main as cli_main
+from vaxgame.policy import accept_fn, propensity_fn
 
 from rowgen import PARAMS, POLICIES, UNIT
 
 SRC = Path(vaxgame.__file__).resolve().parent
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -327,6 +331,190 @@ def test_native_field_reports_a_vanishing_varrho():
         ode.field(params, fc(1.0))(y)
     code = _native.library().vaxgame_field(_native.make_law(params, fc(1.0)), y, np.empty(3))
     assert code == _native.ODE_DEGENERATE
+
+
+def _rows_run(rows_fn, ys):
+    try:
+        return repr(rows_fn(ys).tolist())
+    except DegenerateState as exc:
+        return repr(exc)
+
+
+# rates of 1e-300 and a projection rounding theta + psi above 1 give phi < 0
+# and a varrho that vanishes: at a live row, and at a dead one (eta <= 0)
+_VANISHING = ModelParams(lam=1e-300, r=0.0, nu=1.0, b=1e-300, d=0.0)
+_ROWS = st.lists(st.tuples(_COORD, _COORD, _ETA), max_size=30)
+
+
+@settings(deadline=None)
+@given(policy=POLICIES, params=PARAMS, rows=_ROWS, column=st.booleans())
+@example(fc(1.0), _VANISHING, [(0.2, 0.1, 1.0), (0.7, 0.95, 1.0), (0.7, 0.95, 0.5)], False)
+@example(fc(1.0), _VANISHING, [(0.2, 0.1, 1.0), (0.7, 0.95, 0.0), (0.7, 0.95, -1.0)], True)
+@example(vfc2(4.0, 0.2), _THRESHOLD, [(0.2, 0.4, 0.5), (1.3, -0.2, math.nan)], True)
+def test_native_field_rows_match_python(policy, params, rows, column):
+    # off the simplex, at eta <= 0 and at NaN too; ``column`` hands the rows
+    # as the strided view rows[:, 1:] that the settle scan of integrate passes
+    ys = np.array(rows, dtype=float).reshape(-1, 3)
+    if column:
+        ys = np.column_stack((np.arange(len(ys), dtype=float), ys))[:, 1:]
+    native = _rows_run(ode.field_rows(params, policy), ys)
+    assert native == _rows_run(ode._python_field_rows(params, policy), ys)
+    with python_kernels():
+        assert _rows_run(ode.field_rows(params, policy), ys) == native
+
+
+def test_field_rows_vanishing_varrho_cases_are_reached():
+    g_rows = ode.field_rows(_VANISHING, fc(1.0))
+    with pytest.raises(DegenerateState, match="varrho vanished"):
+        g_rows(np.array([[0.2, 0.1, 1.0], [0.7, 0.95, 1.0]]))
+    assert g_rows(np.array([[0.7, 0.95, 0.0]])).tolist() == [[0.0, 0.0, 0.0]]
+
+
+_ANY = st.one_of(
+    UNIT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e308]),
+)
+
+
+@given(policy=POLICIES, points=st.lists(st.tuples(_ANY, _ANY), max_size=30))
+@example(vfc1(2.0), [(math.inf, 0.0), (0.2, math.nan)])  # inf * 0 is NaN; min(inf, nan) is inf
+@example(mutant(fr(50.0), p=0.7, eps=0.04), [(0.2, 0.5), (math.nan, 0.5)])  # base q~ > 1
+@example(vfc2(4.0, 0.25), [(0.25, 0.4), (math.nan, 0.4), (0.3, math.inf)])
+@example(mutant(vfc2(4.0, 0.25, theta_variant=True), p=0.5, eps=0.5), [(math.inf, 0.1)])
+def test_native_propensity_rows_match_propensity_fn(policy, points):
+    xs = np.array([(theta, psi, 1.0) for theta, psi in points]).reshape(-1, 3)
+    q_tilde = propensity_fn(policy)
+    reference = repr([q_tilde(theta, psi) for theta, psi in points])
+    out = np.empty(len(xs))
+    _native.library().vaxgame_propensity_rows(_native.make_law(_LEFT, policy), len(xs), xs, out)
+    assert repr(out.tolist()) == reference
+    assert repr(attractor._propensity_rows(_LEFT, policy)(xs).tolist()) == reference
+    with python_kernels():
+        assert repr(attractor._propensity_rows(_LEFT, policy)(xs).tolist()) == reference
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_SPECIAL = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, _double(0xFFF8 << 48), 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+    2251799813685247.75, 0.1, 1e16, 1e17, 123456789012345678.0,
+]
+# exact half-way cases: 16 integer digits and a fraction of .25 or .75 (or
+# 15 digits and eighths) have 18 significant digits, the last a 5
+_HALF_WAY = st.one_of(
+    st.builds(lambda m, f: m + f, st.integers(2**50, 2**51 - 1), st.sampled_from([0.25, 0.75])),
+    st.builds(
+        lambda m, f: m + f, st.integers(2**49, 2**50 - 1), st.sampled_from([0.125, 0.375, 0.625, 0.875])
+    ),
+)
+_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),  # random bit patterns, NaNs of both signs among them
+    st.integers(0, 2**52 - 1).map(_double),  # subnormals
+    st.sampled_from(_SPECIAL),
+    _HALF_WAY,
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_KEYS = st.integers(-(2**63), 2**63 - 1)
+
+
+def _written(tmp_path, name, columns, keys):
+    path = tmp_path / name
+    _native.write_rows(path, "h\n", columns, keys=keys)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(st.tuples(_KEYS, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES), max_size=40),
+    keyed=st.booleans(),
+    block=st.sampled_from([1, 3, 4096]),
+)
+@example(rows=[(k, x, -x, x, 1.0) for k, x in enumerate(_SPECIAL)], keyed=True, block=5)
+def test_native_rows_format_as_python(tmp_path_factory, rows, keyed, block):
+    # the path CSV's "%.17g" % row and the trajectory CSV's f"{int(k)},{x:.17g},...",
+    # in blocks of one row, three rows and the default
+    tmp_path = tmp_path_factory.mktemp("rows")
+    keys = np.array([row[0] for row in rows], dtype=np.int64)
+    values = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 4)
+    if keyed:
+        columns = (values[:, 1], values[:, 2], values[:, 3])
+        lines = [f"{int(k)},{x:.17g},{y:.17g},{z:.17g}\n" for k, _, x, y, z in rows]
+    else:
+        columns = (values[:, 0], values[:, 1:])
+        lines = ["%.17g,%.17g,%.17g,%.17g\n" % row[1:] for row in rows]
+    reference = ("h\n" + "".join(lines)).encode()
+    key_column = keys if keyed else None
+    with mock.patch.object(_native, "_CSV_BLOCK", block):
+        assert _written(tmp_path, "native.csv", columns, key_column) == reference
+        with python_kernels():
+            assert _written(tmp_path, "python.csv", columns, key_column) == reference
+
+
+class _Declining:
+    """The library, except that the formatter declines, as under a decimal comma."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    @staticmethod
+    def vaxgame_format_rows(*args):
+        return -1
+
+
+def test_declined_blocks_are_written_by_python(tmp_path, monkeypatch):
+    columns = (np.array([0.5, math.nan, -math.nan]), np.array([[1e-300, -0.0], [math.inf, 3.0], [2.0, 1.0]]))
+    expected = _written(tmp_path, "native.csv", columns, np.array([1, 2, 3]))
+    lib = _native.library()
+    monkeypatch.setattr(_native, "library", lambda: _Declining(lib))
+    assert _written(tmp_path, "declined.csv", columns, np.array([1, 2, 3])) == expected
+    assert expected == b"h\n1,0.5,1e-300,-0\n2,nan,inf,3\n3,nan,2,1\n"
+
+
+def test_row_kernels_reject_mismatched_shapes(tmp_path):
+    # a pointer to fewer rows or columns than the kernel reads is never passed
+    with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
+        ode.field_rows(_LEFT, fc(1.0))(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
+        attractor._propensity_rows(_LEFT, fc(1.0))(np.zeros(3))
+    with pytest.raises(ValueError, match="same number of rows"):
+        _native.write_rows(tmp_path / "x.csv", "h\n", (np.zeros(3),), keys=np.arange(2))
+    with pytest.raises(ValueError, match="same number of rows"):
+        _native.write_rows(tmp_path / "x.csv", "h\n", (np.zeros(3), np.zeros((2, 3))))
+
+
+def test_formatter_declines_a_small_buffer():
+    text = np.empty(46, np.uint8)  # a row of one double fits, one of four (21 + 4 * 25) does not
+    lib = _native.library()
+    assert lib.vaxgame_format_rows(1, 4, None, np.zeros((1, 4)), text, len(text)) == -1
+    assert lib.vaxgame_format_rows(1, 1, None, np.zeros((1, 1)), text, len(text)) == 2
+
+
+@pytest.mark.parametrize("config", ["validate_strong_nvdf.cfg", "vfc2_oscillation.cfg"])
+def test_shipped_csvs_are_byte_identical_from_python(tmp_path, monkeypatch, config):
+    # each path and trajectory CSV of a validate run is written a second time
+    # by the Python formatter, from the same rows
+    write_rows = _native.write_rows
+    copies = []
+
+    def both(path, *args, **kwargs):
+        write_rows(path, *args, **kwargs)
+        with python_kernels():
+            write_rows(f"{path}.python", *args, **kwargs)
+        copies.append(Path(path))
+
+    monkeypatch.setattr(_native, "write_rows", both)
+    assert cli_main(["validate", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    kinds = {path.name.split("_")[0] for path in copies}
+    assert kinds == {"ode", "traj"}
+    for path in copies:
+        assert path.read_bytes() == Path(f"{path}.python").read_bytes()
 
 
 _WORD = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)

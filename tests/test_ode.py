@@ -27,7 +27,7 @@ from vaxgame import (
     vfc2,
 )
 from vaxgame import _native, ode
-from vaxgame.errors import IndicatorNonstationary
+from vaxgame.errors import DomainError, IndicatorNonstationary
 from vaxgame.ode import field, field_rows
 from vaxgame.policy import threshold
 
@@ -185,6 +185,19 @@ def test_integrate_saturated_disease_free(right_params):
 def test_disease_free_face_stays_invariant(left_params):
     path = integrate(OdeState(0.0, 0.25, 1.0), left_params, fc(2.5), horizon=50.0)
     assert np.all(path.states[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("theta,psi", [(0.3, 0.9), (-0.01, 0.5), (0.5, -2e-9), (1.0 + 2e-9, 0.0)])
+def test_integrate_rejects_a_start_outside_the_simplex(left_params, theta, psi):
+    # bad input, not the "integrator bug" of a state that left the simplex
+    with pytest.raises(DomainError, match="start fractions must lie in the simplex"):
+        integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
+
+
+@pytest.mark.parametrize("theta,psi", [(-1e-9, 0.5), (0.5, 0.5 + 5e-10), (0.0, 1.0)])
+def test_integrate_clips_a_start_within_rounding_of_the_simplex(left_params, theta, psi):
+    path = integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
+    assert path.states[0, 0] >= 0.0 and path.states[0, 0] + path.states[0, 1] <= 1.0
 
 
 def test_simplex_forward_invariance(left_params):
