@@ -1,9 +1,10 @@
 /*
  * C kernels for vaxgame: the jump-chain loop of chain.simulate, one DOP853
  * segment of ode.integrate (ode._python_segment), the certificate draws of
- * attractor._draw_offsets, two row loops (the field g over the rows of
- * ode.field_rows and the propensity q~ of the certificates' side test) and
- * the %.17g row formatter of the path and trajectory CSVs.
+ * attractor._draw_offsets, two loops over rows of states (the field g of
+ * ode.field_rows and the response at a given cap, which the certificates'
+ * side test takes uncapped as the propensity q~) and the %.17g row
+ * formatter of the path and trajectory CSVs.
  *
  * All of them are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
@@ -91,12 +92,6 @@ static double response(const law_t *w, double theta, double psi, double cap)
 static double accept(const law_t *w, double theta, double psi)
 {
     return response(w, theta, psi, 1.0);
-}
-
-/* accept() for the tests, which compare it with policy.accept_fn. */
-double vaxgame_accept(const law_t *w, double theta, double psi)
-{
-    return accept(w, theta, psi);
 }
 
 /*
@@ -328,12 +323,6 @@ static int field(const law_t *w, const double y[3], double g[3])
     return 0;
 }
 
-/* field() for the tests, which compare it with ode.field. */
-int vaxgame_field(const law_t *w, const double *y, double *g)
-{
-    return field(w, y, g);
-}
-
 /*
  * field() over n rows of states (n x 3, row-major) into out (n x 3), as
  * ode.field_rows computes them: a row with eta <= 0 gives 0, a NaN eta is
@@ -349,14 +338,14 @@ int64_t vaxgame_field_rows(const law_t *w, int64_t n, const double *ys, double *
 }
 
 /*
- * The propensity q~ of policy.propensity_fn at the (theta, psi) of n rows
- * of states (n x 3, row-major) into out (n), for the side test of the
- * certificates; a mutant mixes its unclamped base.
+ * response() capped at cap at the (theta, psi) of n rows of states (n x 3,
+ * row-major) into out (n): cap 1 gives policy.accept_fn's q, INFINITY
+ * policy.propensity_fn's q~, the side test of the certificates.
  */
-void vaxgame_propensity_rows(const law_t *w, int64_t n, const double *ys, double *out)
+void vaxgame_response_rows(const law_t *w, int64_t n, const double *ys, double cap, double *out)
 {
     for (int64_t i = 0; i < n; i++)
-        out[i] = response(w, ys[3 * i], ys[3 * i + 1], INFINITY);
+        out[i] = response(w, ys[3 * i], ys[3 * i + 1], cap);
 }
 
 /* sum_{i < n} K[i] * a[i] per component, in index order (scipy uses np.dot). */

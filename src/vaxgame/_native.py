@@ -4,10 +4,12 @@ The kernels are the chain loop of :func:`vaxgame.chain.simulate`, one DOP853
 segment of :func:`vaxgame.ode.integrate` with the field g (which keeps
 :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the chain's),
 the certificate draws of :func:`vaxgame.attractor._draw_offsets`, and three
-row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the propensity
-q~ of the certificates' side test (:func:`vaxgame.attractor._propensity_rows`)
-and the ``%.17g`` formatter of the path and trajectory CSVs, which
-:func:`write_rows` drives.  The segment kernel holds no tableau of its own:
+row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the response
+capped at a given cap (the propensity q~ of the certificates' side test in
+:func:`vaxgame.attractor._propensity_rows` takes it uncapped) and the
+``%.17g`` formatter of the path and trajectory CSVs, which
+:func:`write_rows` drives.  The two state-row loops read the arrays that
+:func:`states` checks.  The segment kernel holds no tableau of its own:
 each call takes ``ode._TABLEAU``, the package's one copy of the DOP853
 coefficients.
 
@@ -141,6 +143,17 @@ def kernel_name() -> str:
     return "python" if library() is None else "native"
 
 
+def states(ys) -> np.ndarray:
+    """``ys`` as the C-contiguous (n, 3) doubles a state-row loop reads.
+
+    Raises ValueError for any other shape: the loops would read past it.
+    """
+    ys = np.ascontiguousarray(ys, float)  # the settle scan hands a strided view
+    if ys.ndim != 2 or ys.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) states, got shape {ys.shape}")
+    return ys
+
+
 def write_rows(path, header: str, columns, keys=None) -> None:
     """Write a CSV file: ``header``, then one line per row at 17 significant digits.
 
@@ -240,18 +253,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         doubles,  # recorded psi
         doubles,  # recorded eta
     ]
-    lib.vaxgame_accept.restype = ctypes.c_double
-    lib.vaxgame_accept.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double]
     lib.vaxgame_edges.restype = None
     lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, doubles]
     lib.vaxgame_draw.restype = ctypes.c_int64
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
-    lib.vaxgame_field.restype = ctypes.c_int
-    lib.vaxgame_field.argtypes = [ctypes.POINTER(Law), doubles, doubles]
     lib.vaxgame_field_rows.restype = ctypes.c_int64
     lib.vaxgame_field_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
-    lib.vaxgame_propensity_rows.restype = None
-    lib.vaxgame_propensity_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
+    lib.vaxgame_response_rows.restype = None
+    lib.vaxgame_response_rows.argtypes = [
+        ctypes.POINTER(Law), ctypes.c_int64, doubles, ctypes.c_double, doubles
+    ]
     lib.vaxgame_segment_start.restype = ctypes.c_int
     lib.vaxgame_segment_start.argtypes = [ctypes.POINTER(Segment), ctypes.POINTER(Law)]
     lib.vaxgame_segment.restype = ctypes.c_int

@@ -50,7 +50,8 @@ distance-to-attractor grows transiently in a fat cone of directions.
 The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
 it loads, else from a Python loop; both draw the same stream.  The field
 and the propensity at the samples come from that kernel's row loops, else
-from numpy and the policy's closures; both give the same bits.
+from loops over the scalar field and the policy's closure; both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -613,9 +614,7 @@ def certify_stability(
     q_rows = _propensity_rows(params, policy)
     r = radius
     while True:
-        result = _sample_lyapunov(
-            attr, policy, g_rows, x_hat, p_form, r, n_samples, seed, q_rows=q_rows
-        )
+        result = _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, r, n_samples, seed)
         lyap_frac = result[0]
         if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= _MIN_RADIUS * 10.0:
             break
@@ -636,29 +635,22 @@ def _propensity_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarra
     """(n, 3) states -> the propensity q~ at the (theta, psi) of each row.
 
     Each value equals :func:`vaxgame.policy.propensity_fn`'s.  The rows run
-    through the propensity loop of the C kernel of :mod:`vaxgame._native`
+    through the response loop of the C kernel of :mod:`vaxgame._native`
     when that loads, else through that closure one row at a time.
     """
     lib = _native.library()
     if lib is None:
-        return _python_propensity_rows(policy)
+        q_tilde = propensity_fn(policy)
+        return lambda xs: np.array([q_tilde(theta, psi) for theta, psi, _ in xs.tolist()])
     law = _native.make_law(params, policy)
 
     def native(xs: np.ndarray) -> np.ndarray:
-        xs = np.ascontiguousarray(xs, float)
-        if xs.ndim != 2 or xs.shape[1] != 3:
-            raise ValueError(f"expected (n, 3) states, got shape {xs.shape}")
+        xs = _native.states(xs)
         out = np.empty(len(xs))
-        lib.vaxgame_propensity_rows(ctypes.byref(law), len(xs), xs, out)
+        lib.vaxgame_response_rows(ctypes.byref(law), len(xs), xs, math.inf, out)
         return out
 
     return native
-
-
-def _python_propensity_rows(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`_propensity_rows` through the policy's closure, one row at a time."""
-    q_tilde = np.frompyfunc(propensity_fn(policy), 2, 1)
-    return lambda xs: q_tilde(xs[:, 0], xs[:, 1]).astype(float)
 
 
 def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.ndarray:
@@ -702,11 +694,11 @@ def _python_draws(rng: np.random.Generator, attempts: int):
     return np.array(directions), np.array(squares), np.array(cube_roots)
 
 
-def _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, radius, n_samples, seed, q_rows=None):
+def _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, radius, n_samples, seed):
     """Pass fractions of the Lyapunov and Euclidean forms over feasible ball samples.
 
     ``g_rows`` gives the field at the samples and ``q_rows`` the propensity
-    for the side test q~ > 1 (by default :func:`_python_propensity_rows`).
+    for the side test q~ > 1.
 
     Samples are the first ``n_samples`` feasible points of the attempt
     sequence of :func:`_draw_offsets`, within ``50 * n_samples`` attempts.
@@ -737,8 +729,6 @@ def _sample_lyapunov(attr, policy, g_rows, x_hat, p_form, radius, n_samples, see
     # per row the same matrix-vector product and dot as z @ (p_form @ gx)
     lyap = (z[:, None, :] @ (p_form @ gx[:, :, None]))[:, 0, 0]
     eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
-    if q_rows is None:
-        q_rows = _python_propensity_rows(policy)
     side = q_rows(x) > 1.0
     on_disc = bool(side.any() and not side.all())
     gamma = threshold(policy)

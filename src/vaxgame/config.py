@@ -49,8 +49,9 @@ Accepted keys; any other key, or any other section, is a ConfigError:
                   plus the keys of its base, to which it hands them (a beta
                   or gamma sweep then moves the base)
     [costs]       c_v1, c_v2, c_v2_bar, c_I1 (required), c_I2 (default 0)
-    [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma),
-                  values (required)
+    [sweep]       variable (one of beta, lambda, nu, r, b, d, d_e, gamma;
+                  beta and gamma only where the policy, or a MUTANT's
+                  base, reads them), values (required)
     [mc]          n0, max_steps, replications, seed, stride, tail_fraction
                   (n0, max_steps and stride must fit in 64 bits)
     [ode]         horizon, rtol, atol, eta0 (eta0 > 0; the ode layer
@@ -343,6 +344,9 @@ def _load_experiment(path: Path) -> Experiment:
             raise ConfigError(
                 f"sweep variable must be one of {_SWEEP_VARIABLES}, got {variable!r}"
             )
+        base = policy.mutant_base or policy  # a mutant hands beta and gamma to its base
+        if variable in ("beta", "gamma") and variable not in _POLICY_KEYS[base.family]:
+            raise ConfigError(f"[sweep] variable = {variable} is not read by {base.family.value}")
         if "values" not in sw:
             raise ConfigError("[sweep] values is required")
         sweep = SweepSpec(variable=variable, values=tuple(parse_grid(sw["values"])))

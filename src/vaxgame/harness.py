@@ -46,7 +46,7 @@ from .attractor import (
     closed_form,
     vfc2_limit_set,
 )
-from .errors import ConfigError, VaxGameError
+from .errors import ConfigError, InvalidParams, VaxGameError
 from .ess import CostParams, EssVerdict, classify_ess
 from .params import ModelParams
 from .policy import Family, Policy
@@ -277,6 +277,8 @@ def _run_mc(
 ) -> McResult:
     reps = []
     try:
+        if exp.mc.replications < 1:
+            raise InvalidParams(f"replications must be at least 1, got {exp.mc.replications}")
         for rep in range(exp.mc.replications):
             seq = np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(point_index, rep)
@@ -612,8 +614,10 @@ def write_ess_csv(records: list[RunRecord], path) -> None:
     _write_csv(path, _ESS_FIELDS, records)
 
 
-#: the layers that run a C kernel: the chain loop, the ODE stepper and the
-#: certificate draws
+#: the layers that run a C kernel: the chain loop and the trajectory CSV
+#: formatter (monte_carlo); the ODE stepper, the settle scan's field rows and
+#: the path CSV formatter (ode); the certificate draws and the field and
+#: propensity rows (stability)
 _KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.ODE, Layer.STABILITY})
 
 

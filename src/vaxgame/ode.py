@@ -16,8 +16,9 @@ it one state at a time.  :func:`field_rows` is its batch form, (n, 3)
 states in and (n, 3) components out, each row equal to g bit for bit;
 the settle scan of :func:`integrate` and the certificate sampling in
 :mod:`vaxgame.attractor` evaluate it.  Its rows run through the field of
-the C kernel of :mod:`vaxgame._native` when that loads, else through
-numpy (:func:`_python_field_rows`).
+the C kernel of :mod:`vaxgame._native` when that loads, else through a
+loop over the scalar field (:func:`_scalar_field`), the one Python
+definition of g.
 
 Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
@@ -101,17 +102,6 @@ def varrho(theta: float, psi: float, params: ModelParams) -> float:
     )
 
 
-def _components(theta, psi, eta, rho_total, q, params: ModelParams):
-    """(g_theta, g_psi, g_eta) at projected fractions, for floats and arrays alike."""
-    phi = 1.0 - theta - psi
-    scale = 1.0 / (eta * rho_total)
-    net_birth = params.b - params.d_e * theta
-    g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
-    g_psi = scale * (q * phi * params.nu - net_birth * psi)
-    g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
-    return g_theta, g_psi, g_eta
-
-
 def _scalar_field(params: ModelParams, policy: Policy):
     """g as (theta, psi, eta) -> (g_theta, g_psi, g_eta), floats in and out."""
     accept = accept_fn(policy)
@@ -134,7 +124,13 @@ def _scalar_field(params: ModelParams, policy: Policy):
             raise DegenerateState("varrho vanished")
         # + 0.0 maps -0.0 to 0.0, as the fraction check of accept_prob does
         q = accept(theta + 0.0, psi + 0.0)
-        return _components(theta, psi, eta, rho_total, q, params)
+        phi = 1.0 - theta - psi
+        scale = 1.0 / (eta * rho_total)
+        net_birth = params.b - params.d_e * theta
+        g_theta = theta * scale * (phi * params.lam - params.r - params.d_e - net_birth)
+        g_psi = scale * (q * phi * params.nu - net_birth * psi)
+        g_eta = (params.b - params.d - params.d_e * theta) / rho_total - eta
+        return g_theta, g_psi, g_eta
 
     return g3
 
@@ -155,55 +151,23 @@ def field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np
     Row i equals ``g(ys[i])`` bit for bit, and a row whose varrho vanished
     raises DegenerateState as g does, unless its eta is at most 0 (its row
     is 0).  The rows run through the field loop of the C kernel of
-    :mod:`vaxgame._native` when that loads, else through
-    :func:`_python_field_rows`, the reference it is tested against.
+    :mod:`vaxgame._native` when that loads, else through a loop over
+    :func:`_scalar_field`, the reference it is tested against.
     """
     lib = _native.library()
     if lib is None:
-        return _python_field_rows(params, policy)
+        g3 = _scalar_field(params, policy)
+        return lambda ys: np.array([g3(*y) for y in ys.tolist()]).reshape(-1, 3)
     law = _native.make_law(params, policy)
 
     def native(ys: np.ndarray) -> np.ndarray:
-        ys = np.ascontiguousarray(ys, float)  # the settle scan hands a strided view
-        if ys.ndim != 2 or ys.shape[1] != 3:
-            raise ValueError(f"expected (n, 3) states, got shape {ys.shape}")
+        ys = _native.states(ys)
         out = np.empty(ys.shape)
         if lib.vaxgame_field_rows(ctypes.byref(law), len(ys), ys, out) >= 0:
             raise DegenerateState("varrho vanished")
         return out
 
     return native
-
-
-def _python_field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`field_rows` in numpy: the same projection, :func:`varrho` and
-    :func:`_components` as g, on whole columns, and q from the same
-    :func:`policy.accept_fn` closure, one row at a time.
-    """
-    accept = np.frompyfunc(accept_fn(policy), 2, 1)
-
-    def g_rows(ys: np.ndarray) -> np.ndarray:
-        theta, psi, eta = ys[:, 0], ys[:, 1], ys[:, 2]
-        live = ~(eta <= 0.0)  # a NaN eta is evaluated, as in g
-        # where() keeps Python's min/max on -0.0 and NaN
-        theta = np.where(0.0 > theta, 0.0, theta)
-        theta = np.where(1.0 < theta, 1.0, theta)
-        psi = np.where(0.0 > psi, 0.0, psi)
-        psi = np.where(1.0 < psi, 1.0, psi)
-        total = theta + psi
-        over = total > 1.0
-        np.divide(theta, total, out=theta, where=over)
-        np.divide(psi, total, out=psi, where=over)
-        eta = np.where(1e-12 > eta, 1e-12, eta)
-        rho_total = varrho(theta, psi, params)
-        if (live & (rho_total <= 0.0)).any():
-            raise DegenerateState("varrho vanished")
-        q = accept(theta + 0.0, psi + 0.0).astype(float)
-        out = np.column_stack(_components(theta, psi, eta, rho_total, q, params))
-        out[~live] = 0.0
-        return out
-
-    return g_rows
 
 
 def rhs(state: OdeState, params: ModelParams, policy: Policy) -> np.ndarray:
@@ -238,6 +202,15 @@ def _clip_simplex(y: np.ndarray, eta_floor: float) -> np.ndarray:
 def _outside_simplex(theta: float, psi: float) -> bool:
     """Whether (theta, psi) lies outside the simplex by more than rounding, 1e-9."""
     return theta < -1e-9 or psi < -1e-9 or theta + psi > 1.0 + 1e-9
+
+
+def _require_simplex(what: str, state: OdeState) -> None:
+    """DomainError where the fractions of ``state`` fail :func:`_outside_simplex`."""
+    if _outside_simplex(state.theta, state.psi):
+        raise DomainError(
+            f"{what} fractions must lie in the simplex, got theta={state.theta!r}, "
+            f"psi={state.psi!r}"
+        )
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:
@@ -554,7 +527,9 @@ def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: floa
         g3 = _scalar_field(params, policy)
 
         def python(t, t_bound, y):
-            rows, status = _python_segment(g3, t, t_bound, tuple(map(float, y)), rtol, atol, gamma)
+            # Python floats throughout: numpy scalars would warn where _brent divides by zero
+            t, t_bound, y = float(t), float(t_bound), tuple(map(float, y))
+            rows, status = _python_segment(g3, t, t_bound, y, rtol, atol, gamma)
             return np.array(rows), status
 
         return python
@@ -619,11 +594,7 @@ def integrate(
         raise InvalidParams(f"start state must be finite, got {initial!r}")
     if initial.eta <= 0:
         raise InvalidParams(f"start eta must be positive, got {initial.eta!r}")
-    if _outside_simplex(initial.theta, initial.psi):
-        raise DomainError(
-            f"start fractions must lie in the simplex, got theta={initial.theta!r}, "
-            f"psi={initial.psi!r}"
-        )
+    _require_simplex("start", initial)
     y = _project_simplex(initial.as_array())
     t0 = initial.t
     t_end = min(t0 + horizon, t0 + _MAX_TIME)
@@ -765,8 +736,11 @@ def find_equilibrium(
     Raises IndicatorNonstationary for a threshold-vigilant policy whose
     threshold is dynamically reachable (Gamma below the no-vaccination
     endemic level): the limit object there is a switching limit set around
-    the threshold, not a zero of either one-sided field.
+    the threshold, not a zero of either one-sided field.  Raises DomainError
+    for guess fractions more than rounding level (1e-9) outside the simplex,
+    as :func:`integrate` does for its start.
     """
+    _require_simplex("guess", guess)
     if policy.family is Family.VFC2:
         rho = derive_ratios(params).rho
         if rho > 1.0 and policy.gamma < 1.0 - 1.0 / rho:

@@ -25,7 +25,7 @@ from vaxgame import (
     vfc2_limit_set,
 )
 from vaxgame import attractor
-from vaxgame.attractor import DeadlyQuadratic, _eta_at, _sample_lyapunov
+from vaxgame.attractor import DeadlyQuadratic, _eta_at, _propensity_rows, _sample_lyapunov
 from vaxgame.errors import (
     DegenerateState,
     MarginalRegime,
@@ -496,7 +496,7 @@ def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_sample
     monkeypatch.setattr(
         attractor,
         "_sample_lyapunov",
-        lambda attr, pol, g_rows, *rest, q_rows: _reference_sample(attr, pol, g, *rest),
+        lambda attr, pol, g_rows, q_rows, *rest: _reference_sample(attr, pol, g, *rest),
     )
     reference = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
     assert repr(batched) == repr(reference)
@@ -542,7 +542,8 @@ def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_sa
     if lyapunov:
         p_form = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
     args = (x_hat, p_form, radius, n_samples, seed)
-    batched = _sample_lyapunov(att, policy, field_rows(params, policy), *args)
+    rows = (field_rows(params, policy), _propensity_rows(params, policy))
+    batched = _sample_lyapunov(att, policy, *rows, *args)
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
 
 
@@ -558,6 +559,7 @@ def test_sample_lyapunov_flags_discontinuity(policy, point):
     params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
     att = Attractor(*point, _eta_at(*point, params), AttractorKind.INTERIOR, "x", False)
     args = (np.array([*point, att.eta_hat]), np.eye(3), 1e-2, 200, 0)
-    batched = _sample_lyapunov(att, policy, field_rows(params, policy), *args)
+    rows = (field_rows(params, policy), _propensity_rows(params, policy))
+    batched = _sample_lyapunov(att, policy, *rows, *args)
     assert batched[2] is True
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))

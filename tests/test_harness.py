@@ -145,13 +145,19 @@ def test_grid_malformed_is_config_error(before, junk, after, sep):
         (lambda s: s.replace("lambda = 8.549\n", ""), "missing"),
         (lambda s: s.replace("family = FC", "family = XX"), "family"),
         (lambda s: s.replace("variable = beta", "variable = q"), "sweep variable"),
+        # sweeps over a value the policy does not read
+        (lambda s: s.replace("variable = beta", "variable = gamma"), "not read by FC"),
+        (
+            lambda s: s.replace("family = FC\nbeta = 0.5", "family = STATIC\nq = 0.5"),
+            "not read by STATIC",
+        ),
         (lambda s: s + "\n[params]\nbogus = 1\n", "."),
     ],
 )
 def test_config_errors(tmp_path, mangle, match):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(mangle(CONFIG_TEXT.format(out=tmp_path / "out")))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         load_experiment(cfg)
 
 
@@ -233,6 +239,8 @@ ONE_POINT = (
         ("tail_fraction = 0.2", "tail_fraction = 1.5", "mc_error",
          "InvalidParams: tail_fraction must lie in (0, 1)"),
         ("stride = 200", "stride = 0", "mc_error", "InvalidParams: stride must be"),
+        ("replications = 2", "replications = 0", "mc_error",
+         "InvalidParams: replications must be at least 1, got 0"),
         ("n0 = 1500", "n0 = 9223372036854775807", "mc_error",
          "InvalidParams: max_steps, stride, the initial step and N(0) + max_steps must fit"),
         ("horizon = 50", "horizon = -1", "ode_error", "InvalidParams: horizon must be positive"),

@@ -182,8 +182,10 @@ def test_chain_kernel_stops_at_full_record_arrays():
 def test_native_response_matches_accept_fn(policy, theta, psi_share):
     # pins the C copy of the response table; the chain rarely shows a 1-ulp change of q
     psi = psi_share * (1.0 - theta)
-    native = _native.library().vaxgame_accept(_native.make_law(_LEFT, policy), theta, psi)
-    assert repr(native) == repr(accept_fn(policy)(theta, psi))
+    out = np.empty(1)
+    law = _native.make_law(_LEFT, policy)
+    _native.library().vaxgame_response_rows(law, 1, np.array([[theta, psi, 1.0]]), 1.0, out)
+    assert repr(out.tolist()) == repr([accept_fn(policy)(theta, psi)])
 
 
 def _reference_edges(params, policy, theta, psi):
@@ -265,6 +267,11 @@ _TIGHT = {"rtol": 1e-9, "atol": 1e-11}
 @example(fc(1.0), _LEFT, 0.0, 0.0, (_LEFT.b - _LEFT.d - 0.0) / (_LEFT.b + _LEFT.d + _LEFT.nu), 5.0)
 @example(mutant(vfc2(6.0, 0.2), p=0.5, eps=0.1), _THRESHOLD, 0.25, 0.1 / 0.75, 1.0, 3.0)
 @example(vfc2(6.0, 0.2, theta_variant=True), _THRESHOLD, 0.2, 0.1, 1.0, 3.0)  # starts on Gamma
+# a subnormal threshold: brentq's inverse quadratic step divides 0 by 0
+@example(
+    vfc2(0.0, 2.2250738585e-313), ModelParams(lam=1.0, r=1.0, nu=0.0, b=1.0, d=0.0, d_e=0.9),
+    2.225073858507203e-309, 0.0, 1.0, 5.0,
+)
 def test_native_integrate_matches_python(policy, params, theta0, psi_share, eta0, horizon):
     start = OdeState(theta0, psi_share * (1.0 - theta0), eta0)
     native = _ode_run(start, params, policy, horizon, **_TIGHT)
@@ -318,8 +325,8 @@ def test_native_field_matches_ode_field(policy, params, theta, psi, on_face, eta
     # off the simplex and at eta <= 0 too, where the adaptive stages probe
     y = np.array([theta, 1.0 - theta if on_face else psi, eta])
     g = np.empty(3)
-    code = _native.library().vaxgame_field(_native.make_law(params, policy), y, g)
-    assert code == 0
+    code = _native.library().vaxgame_field_rows(_native.make_law(params, policy), 1, y, g)
+    assert code == -1
     assert repr(g.tolist()) == repr(ode.field(params, policy)(y).tolist())
 
 
@@ -329,8 +336,8 @@ def test_native_field_reports_a_vanishing_varrho():
     y = np.array([0.7, 0.95, 1.0])
     with pytest.raises(DegenerateState, match="varrho vanished"):
         ode.field(params, fc(1.0))(y)
-    code = _native.library().vaxgame_field(_native.make_law(params, fc(1.0)), y, np.empty(3))
-    assert code == _native.ODE_DEGENERATE
+    law = _native.make_law(params, fc(1.0))
+    assert _native.library().vaxgame_field_rows(law, 1, y, np.empty(3)) == 0  # the first row
 
 
 def _rows_run(rows_fn, ys):
@@ -358,7 +365,8 @@ def test_native_field_rows_match_python(policy, params, rows, column):
     if column:
         ys = np.column_stack((np.arange(len(ys), dtype=float), ys))[:, 1:]
     native = _rows_run(ode.field_rows(params, policy), ys)
-    assert native == _rows_run(ode._python_field_rows(params, policy), ys)
+    g = ode.field(params, policy)
+    assert native == _rows_run(lambda ys: np.array([g(y) for y in ys]).reshape(-1, 3), ys)
     with python_kernels():
         assert _rows_run(ode.field_rows(params, policy), ys) == native
 
@@ -387,7 +395,8 @@ def test_native_propensity_rows_match_propensity_fn(policy, points):
     q_tilde = propensity_fn(policy)
     reference = repr([q_tilde(theta, psi) for theta, psi in points])
     out = np.empty(len(xs))
-    _native.library().vaxgame_propensity_rows(_native.make_law(_LEFT, policy), len(xs), xs, out)
+    law = _native.make_law(_LEFT, policy)
+    _native.library().vaxgame_response_rows(law, len(xs), xs, math.inf, out)
     assert repr(out.tolist()) == reference
     assert repr(attractor._propensity_rows(_LEFT, policy)(xs).tolist()) == reference
     with python_kernels():

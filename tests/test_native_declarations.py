@@ -22,6 +22,8 @@ def test_every_exported_kernel_is_declared():
         attr: set(re.findall(rf"lib\.(vaxgame_\w+)\.{attr} =", declare))
         for attr in ("argtypes", "restype")
     }
-    assert {"vaxgame_field_rows", "vaxgame_format_rows", "vaxgame_chain"} <= exported
+    assert {
+        "vaxgame_field_rows", "vaxgame_response_rows", "vaxgame_format_rows", "vaxgame_chain"
+    } <= exported
     assert declared["argtypes"] == exported
     assert declared["restype"] == exported

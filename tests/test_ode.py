@@ -194,6 +194,13 @@ def test_integrate_rejects_a_start_outside_the_simplex(left_params, theta, psi):
         integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
 
 
+@pytest.mark.parametrize("theta,psi", [(0.3, 0.9), (-0.01, 0.5), (0.5, -2e-9), (1.0 + 2e-9, 0.0)])
+def test_find_equilibrium_rejects_a_guess_outside_the_simplex(left_params, theta, psi):
+    # (0.3, 0.9) used to raise StepFailure ("state left the simplex")
+    with pytest.raises(DomainError, match="guess fractions must lie in the simplex"):
+        find_equilibrium(OdeState(theta, psi, 1.0), left_params, fc(1.0))
+
+
 @pytest.mark.parametrize("theta,psi", [(-1e-9, 0.5), (0.5, 0.5 + 5e-10), (0.0, 1.0)])
 def test_integrate_clips_a_start_within_rounding_of_the_simplex(left_params, theta, psi):
     path = integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
