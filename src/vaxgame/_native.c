@@ -4,9 +4,10 @@
  * attractor._draw_offsets, two loops over rows of states (the field g of
  * ode.field_rows and the response at a given cap, which the certificates'
  * side test takes uncapped as the propensity q~) and the %.17g row
- * formatter of the path and trajectory CSVs.
+ * formatter of the path and trajectory CSVs, which writes Python's bytes
+ * from exact integer arithmetic.
  *
- * All of them are transcriptions of the Python code they replace and must
+ * The others are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
  * fused multiply-add) and never with -ffast-math.  The ODE field keeps
@@ -664,17 +665,142 @@ int vaxgame_segment(segment_t *sg, const law_t *w, const double *tab, int64_t re
 }
 
 /*
- * CSV rows of the path and trajectory files: per row, keys[i] as %lld and a
- * comma where keys is not NULL, then the cols doubles of values (row-major)
- * as %.17g, separated by commas and ended by a newline.  A NaN prints as
- * "nan", as Python's "%.17g" % x does, where glibc would print "-nan" for a
- * negative one.  Returns the bytes written to buf, or -1, having written
- * nothing, where LC_NUMERIC's decimal point is not "." (Python's output
- * does not depend on it) or buf holds fewer than n * ROW_BYTES(cols) bytes.
+ * CSV rows of the path and trajectory files: per row, keys[i] as a decimal
+ * integer and a comma where keys is not NULL, then the cols doubles of
+ * values (row-major) as %.17g, separated by commas and ended by a newline.
+ * A NaN prints as "nan", as Python's "%.17g" % x does, where glibc would
+ * print "-nan" for a negative one.  Returns the bytes written to buf, or -1,
+ * having written nothing, where LC_NUMERIC's decimal point is not "."
+ * (Python's output does not depend on it) or buf holds fewer than
+ * n * ROW_BYTES(cols) bytes.
  */
 #define KEY_BYTES 21    /* "-9223372036854775808," */
 #define DOUBLE_BYTES 25 /* "-2.2250738585072014e-308" and its separator */
 #define ROW_BYTES(cols) (KEY_BYTES + (cols) * DOUBLE_BYTES)
+
+/* 5^j for j <= 27, the largest power of 5 below 2^64 */
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
+};
+#define E16 10000000000000000ULL
+
+/* The decimal digits of u, without leading zeros, at p; returns the end. */
+static char *put_digits(char *p, uint64_t u)
+{
+    char d[20];
+    int n = 0;
+    do {
+        d[19 - n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    memcpy(p, d + 20 - n, n);
+    return p + n;
+}
+
+/*
+ * x as Python's "%.17g" % x, at p; returns the end.  For 10^-16 <= |x| <
+ * 2^127 (the double 1e-16 lies just below 10^-16) in integer arithmetic:
+ * with |x| = m 2^e and k = floor(log10 |x|), the 17 digits are |x| / 10^s,
+ * s = k - 16, rounded half to even on the exact remainder.  For s <= 0 that
+ * quotient is m 5^-s 2^(e - s), at most 2^53 5^32 < 2^128 before the shift;
+ * for s > 0 it is (m << (e - s)) / 5^s, as 10^s = 5^s 2^s.  The digits are
+ * then laid out by C's %g rule at precision 17.  Zero and NaN are written
+ * directly; subnormals, infinities and the rest go through sprintf.
+ */
+static char *format_double(char *p, double x)
+{
+    const double ax = fabs(x);
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (ax == 0.0) {
+        if (signbit(x))
+            *p++ = '-';
+        *p++ = '0';
+        return p;
+    }
+    if (!(ax > 1e-16 && ax < 0x1p127))
+        return p + sprintf(p, "%.17g", x);
+
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    const uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    const int e = biased - 1075;
+    /* floor((e2 + 1) log10 2) for |x| in [2^e2, 2^(e2 + 1)): k or k + 1
+       (gcc shifts a negative int arithmetically, so >> is floor) */
+    int k = (biased - 1022) * 78913 >> 18;
+    uint64_t q;
+    int up;
+    for (;;) {
+        const int s = k - 16;
+        if (s > 0) {
+            const unsigned __int128 num = (unsigned __int128)m << (e - s);
+            const uint64_t r = (uint64_t)(num % POW5[s]);
+            q = (uint64_t)(num / POW5[s]);
+            up = 2 * r > POW5[s] || (2 * r == POW5[s] && q & 1);
+        } else if (e - s >= 0) {
+            q = m * POW5[-s] << (e - s); /* s is 0 or -1: no remainder, and no overflow */
+            up = 0;
+        } else {
+            unsigned __int128 num = (unsigned __int128)m * POW5[-s < 27 ? -s : 27];
+            if (-s > 27)
+                num *= POW5[-s - 27];
+            const int shift = s - e;
+            const unsigned __int128 half = (unsigned __int128)1 << (shift - 1);
+            const unsigned __int128 r = num & (2 * half - 1);
+            q = (uint64_t)(num >> shift);
+            up = r > half || (r == half && q & 1);
+        }
+        if (q >= E16)
+            break;
+        k -= 1; /* the estimate was one too high */
+    }
+    q += up;
+    if (q == 10 * E16) {
+        q = E16;
+        k += 1;
+    }
+
+    char d[17];
+    put_digits(d, q);
+    int n = 17;
+    while (d[n - 1] == '0')
+        n--;
+    if (x < 0)
+        *p++ = '-';
+    if (k >= 0 && k < 17) {
+        memcpy(p, d, k + 1);
+        p += k + 1;
+        if (n > k + 1) {
+            *p++ = '.';
+            memcpy(p, d + k + 1, n - k - 1);
+            p += n - k - 1;
+        }
+    } else if (k >= -4 && k < 0) {
+        memcpy(p, "0.000", 1 - k); /* "0." and -k - 1 zeros */
+        memcpy(p + 1 - k, d, n);
+        p += 1 - k + n;
+    } else {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        const int ak = k < 0 ? -k : k; /* 5 <= |k| <= 38: two digits */
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        *p++ = (char)('0' + ak / 10);
+        *p++ = (char)('0' + ak % 10);
+    }
+    return p;
+}
 
 int64_t vaxgame_format_rows(int64_t n, int64_t cols, const int64_t *keys, const double *values,
                             char *buf, int64_t cap)
@@ -683,16 +809,15 @@ int64_t vaxgame_format_rows(int64_t n, int64_t cols, const int64_t *keys, const 
         return -1;
     char *p = buf;
     for (int64_t i = 0; i < n; i++) {
-        if (keys)
-            p += sprintf(p, "%lld,", (long long)keys[i]);
+        if (keys) {
+            if (keys[i] < 0)
+                *p++ = '-';
+            /* the magnitude in unsigned arithmetic, which INT64_MIN needs */
+            p = put_digits(p, keys[i] < 0 ? 0 - (uint64_t)keys[i] : (uint64_t)keys[i]);
+            *p++ = ',';
+        }
         for (int64_t j = 0; j < cols; j++) {
-            const double x = values[i * cols + j];
-            if (isnan(x)) {
-                memcpy(p, "nan", 3);
-                p += 3;
-            } else {
-                p += sprintf(p, "%.17g", x);
-            }
+            p = format_double(p, values[i * cols + j]);
             *p++ = j + 1 < cols ? ',' : '\n';
         }
     }

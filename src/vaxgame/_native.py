@@ -8,10 +8,13 @@ row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the response
 capped at a given cap (the propensity q~ of the certificates' side test in
 :func:`vaxgame.attractor._propensity_rows` takes it uncapped) and the
 ``%.17g`` formatter of the path and trajectory CSVs, which
-:func:`write_rows` drives.  The two state-row loops read the arrays that
-:func:`states` checks.  The segment kernel holds no tableau of its own:
-each call takes ``ode._TABLEAU``, the package's one copy of the DOP853
-coefficients.
+:func:`write_rows` drives.  The formatter writes a double with
+10^-16 <= |x| < 2^127 in 128-bit integer arithmetic, correctly rounded
+(half to even) as Python does; zeros and NaNs directly; and subnormals,
+infinities and the rest through ``sprintf("%.17g")``.  The two state-row
+loops read the arrays that :func:`states` checks.  The segment kernel
+holds no tableau of its own: each call takes ``ode._TABLEAU``, the
+package's one copy of the DOP853 coefficients.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -163,7 +166,10 @@ def write_rows(path, header: str, columns, keys=None) -> None:
     out in blocks of ``_CSV_BLOCK`` through one text buffer, formatted by the
     C formatter when the library loads, else, or where the formatter declines
     (a locale whose decimal point is not "."), by Python.  Both write the
-    same bytes.
+    same bytes.  The C formatter takes the digits of 10^-16 <= |x| < 2^127
+    from exact integer arithmetic, writes zeros and NaNs directly, and hands
+    subnormals, infinities and the values outside that range to
+    ``sprintf("%.17g")``.
     """
     n = len(columns[0])
     if any(len(c) != n for c in columns) or (keys is not None and len(keys) != n):

@@ -8,7 +8,8 @@
 
 Common flags: --seed (override the master seed, non-negative), --threads
 (parallel sweep points, at least 1), --out (override the output directory).
-Exit codes: 0 ran, 1 validate found a disagreement, 2 config error.
+Exit codes: 0 ran, 1 validate found a disagreement or a layer it compares
+(closed form, ODE, Monte Carlo) recorded an error, 2 config error.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ def _report_validation(exp, records) -> int:
         for pair, verdict in record.cross.items():
             print(f"{exp.id} [{tag}] {pair}: {verdict}")
             if verdict == "disagree":
+                worst = 1
+        # a layer that failed leaves its pairs not-comparable: that is no pass
+        for column, result in (
+            ("cf_error", record.cf),
+            ("ode_error", record.ode_res),
+            ("mc_error", record.mc_res),
+        ):
+            if result.error is not None:
+                print(f"{exp.id} [{tag}] {column}: {result.error}")
                 worst = 1
     return worst
 

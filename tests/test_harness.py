@@ -271,6 +271,24 @@ def test_bad_layer_input_is_recorded(tmp_path, old, new, column, error):
     assert row["cf_error"] == ""
 
 
+@pytest.mark.parametrize(
+    "old,new,error",
+    [
+        ("replications = 2", "replications = 0", "InvalidParams: replications must be at least 1"),
+        ("tail_fraction = 0.2", "tail_fraction = 0", "InvalidParams: tail_fraction must lie in (0, 1)"),
+        ("stride = 200", "stride = -5", "InvalidParams: stride must be"),
+        ("n0 = 1500", "n0 = -3", "InvalidParams: counts must be non-negative"),
+    ],
+)
+def test_validate_fails_on_a_recorded_layer_error(tmp_path, capsys, old, new, error):
+    # the failed layer leaves its pairs not-comparable, which is no pass
+    assert old in ONE_POINT
+    assert cli_main(["validate", str(write_config(tmp_path, ONE_POINT.replace(old, new)))]) == 1
+    printed = capsys.readouterr().out
+    assert f"demo [single point] mc_error: {error}" in printed
+    assert "disagree" not in printed
+
+
 def test_rows_keep_point_order(tmp_path):
     text = CONFIG_TEXT.replace("values = 0.5, 1.0, 3.0", "values = 3.0, 0.5")
     assert cli_main(["run", str(write_config(tmp_path, text))]) == 0

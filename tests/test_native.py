@@ -420,12 +420,33 @@ _HALF_WAY = st.one_of(
         lambda m, f: m + f, st.integers(2**49, 2**50 - 1), st.sampled_from([0.125, 0.375, 0.625, 0.875])
     ),
 )
+# exact half-way cases at every magnitude: m 2^-k = m 5^k 10^-k for odd m
+# with 18 digits in m 5^k, for each k (of 1 to 74) where such an m < 2^53
+# exists; a dyadic fraction with k > 25 has more than 18 significant digits
+_HALF_WAY_ODD = [
+    (k, -(-(10**17) // 5**k) // 2, (min((10**18 - 1) // 5**k, 2**53 - 1) - 1) // 2)
+    for k in range(1, 75)
+]
+_ANY_HALF_WAY = st.sampled_from([(k, lo, hi) for k, lo, hi in _HALF_WAY_ODD if lo <= hi]).flatmap(
+    lambda r: st.integers(r[1], r[2]).map(lambda j: math.ldexp(2 * j + 1, -r[0]))
+)
+# the doubles next to 10^k, where the estimate of k is corrected, and the
+# edges of the formatter's integer path, 10^-16 <= |x| < 2^127
+_NEXT_TO_TEN = st.builds(
+    math.nextafter, st.integers(-25, 40).map(lambda k: float(f"1e{k}")), st.sampled_from([0.0, math.inf])
+)
+_EDGES = [
+    y for x in (1e-16, 2.0**127) for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+]
 _DOUBLES = st.one_of(
     st.integers(0, 2**64 - 1).map(_double),  # random bit patterns, NaNs of both signs among them
     st.integers(0, 2**52 - 1).map(_double),  # subnormals
     st.sampled_from(_SPECIAL),
     _HALF_WAY,
     st.floats(allow_nan=True, allow_infinity=True),
+    _ANY_HALF_WAY,
+    _NEXT_TO_TEN,
+    st.sampled_from(_EDGES),
 )
 _KEYS = st.integers(-(2**63), 2**63 - 1)
 
@@ -443,6 +464,13 @@ def _written(tmp_path, name, columns, keys):
     block=st.sampled_from([1, 3, 4096]),
 )
 @example(rows=[(k, x, -x, x, 1.0) for k, x in enumerate(_SPECIAL)], keyed=True, block=5)
+# the last digits before the switch from fixed to exponent notation, and
+# 1e-14, the one double of the integer path whose 17 digits carry to 10^17
+@example(
+    rows=[(-1, math.nextafter(1e-4, 0.0), math.nextafter(1e17, 0.0), 1e-14, -1e-14)],
+    keyed=True,
+    block=1,
+)
 def test_native_rows_format_as_python(tmp_path_factory, rows, keyed, block):
     # the path CSV's "%.17g" % row and the trajectory CSV's f"{int(k)},{x:.17g},...",
     # in blocks of one row, three rows and the default

@@ -1,12 +1,21 @@
-"""The ctypes declarations of vaxgame._native against the exports of _native.c.
+"""The ctypes declarations of vaxgame._native against the exports of _native.c,
+and _native.c against the compiler's warnings.
 
-Read from the two source files, so that the check runs without a compiler.
+The declarations are read from the two source files, so that their check
+runs without a compiler; the warnings check skips where gcc is missing.
 """
 
 import re
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import vaxgame
+from vaxgame import _native
 
 SRC = Path(vaxgame.__file__).resolve().parent
 
@@ -27,3 +36,22 @@ def test_every_exported_kernel_is_declared():
     } <= exported
     assert declared["argtypes"] == exported
     assert declared["restype"] == exported
+
+
+@pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
+def test_native_source_compiles_without_warnings(tmp_path):
+    # the library's own flags plus every warning as an error: the 128-bit
+    # shifts and the signed/unsigned mixes of the formatter are where a
+    # new warning would hide
+    build = subprocess.run(
+        [
+            _native._COMPILER, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+            "-I", sysconfig.get_paths()["include"],
+            "-I", np.get_include(),
+            "-c", str(SRC / "_native.c"),
+            "-o", str(tmp_path / "_native.o"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stderr
