@@ -1,6 +1,10 @@
 /*
- * C kernels for vaxgame: the jump-chain loop of chain.simulate, one DOP853
- * segment of ode.integrate (ode._python_segment), the certificate draws of
+ * C kernels for vaxgame: the jump-chain loop of chain.simulate, the chunk
+ * loop of ode.integrate (ode._PythonChunks, its DOP853 segments
+ * ode._python_segment, its settle count and its projection of each chunk
+ * end), the damped Newton of ode.find_equilibrium (ode._newton) with its
+ * finite-difference Jacobian (ode._fd_jacobian, also exported for the
+ * certificates' eigenvalues), the certificate draws of
  * attractor._draw_offsets, two loops over rows of states (the field g of
  * ode.field_rows and the response at a given cap, which the certificates'
  * side test takes uncapped as the propensity q~) and the %.17g row
@@ -251,10 +255,11 @@ int64_t vaxgame_draw(bitgen_t *bitgen, int64_t attempts, double *directions,
 }
 
 /*
- * The mean-field field g of ode.field and one DOP853 segment of
- * ode.integrate, transcribed from scipy's DOP853 solver to scalar C.
- * ode._python_segment does the same arithmetic in Python; every sum runs
- * over the stages in order, from the first product on.
+ * The mean-field field g of ode.field, the chunk loop of ode.integrate with
+ * its DOP853 segments, transcribed from scipy's DOP853 solver to scalar C,
+ * and the Newton of ode.find_equilibrium.  ode._python_segment does the
+ * same arithmetic in Python; every sum runs over the stages in order, from
+ * the first product on.
  */
 
 enum {
@@ -263,7 +268,9 @@ enum {
     ODE_TOO_SMALL,
     ODE_RECORDS_FULL,
     ODE_DEGENERATE,
-    ODE_NO_ROOT
+    ODE_NO_ROOT,
+    ODE_LEFT_SIMPLEX,
+    ODE_SINGULAR
 };
 
 /* One segment: its settings, then the solver state carried across calls. */
@@ -274,7 +281,6 @@ typedef struct {
     double t, h_abs;
     double y[3], f[3]; /* the state at t and g there */
     double ev;         /* the event value theta - gamma at (t, y) */
-    int64_t n_rec;     /* records written by this call */
 } segment_t;
 
 #define N_STAGES 12
@@ -403,11 +409,8 @@ static int initial_step(const law_t *w, const segment_t *sg, double *h_out)
     return 0;
 }
 
-/*
- * Start a segment at (t, y): g there, the first step and the event value.
- * The caller sets t_bound, rtol, atol, event, gamma, t and y.
- */
-int vaxgame_segment_start(segment_t *sg, const law_t *w)
+/* Start a segment at (sg->t, sg->y): g there, the first step and the event value. */
+static int segment_start(segment_t *sg, const law_t *w)
 {
     if (field(w, sg->y, sg->f) || initial_step(w, sg, &sg->h_abs))
         return ODE_DEGENERATE;
@@ -611,22 +614,117 @@ static int crossing(const segment_t *sg, const law_t *w, const double *tab, doub
 }
 
 /*
- * Take DOP853 steps with the tableau tab (the TAB_* layout above) from
- * (t, y) until t reaches t_bound, the event fires, a step falls below
- * scipy's min_step or the rec_cap record rows are full.
- * Records each accepted step as a row (t, theta, psi, eta) of rec; at the
- * event the last row is the interpolant at the root.  Returns one of the
- * ODE_* codes; on ODE_RECORDS_FULL the state is the one before the next
- * step, and a call with a new record array goes on.
+ * (theta, psi) clipped into the simplex, the excess taken evenly, and eta
+ * floored at eta_floor, as ode._clip_simplex: Python's min and max, so NaN
+ * passes through.
  */
-int vaxgame_segment(segment_t *sg, const law_t *w, const double *tab, int64_t rec_cap,
-                    double *rec)
+static void clip_simplex(const double y[3], double eta_floor, double out[3])
 {
-    double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs;
+    double theta = 0.0 > y[0] ? 0.0 : y[0], psi = 0.0 > y[1] ? 0.0 : y[1];
+    theta = 1.0 < theta ? 1.0 : theta;
+    psi = 1.0 < psi ? 1.0 : psi;
+    if (theta + psi > 1.0) {
+        const double excess = theta + psi - 1.0;
+        theta -= excess * 0.5;
+        psi -= excess * 0.5;
+    }
+    out[0] = theta;
+    out[1] = psi;
+    out[2] = eta_floor > y[2] ? eta_floor : y[2];
+}
+
+/* np.max(np.abs(v)) of three components: NaN where any is NaN. */
+static double max_abs(const double v[3])
+{
+    double m = fabs(v[0]);
+    for (int j = 1; j < 3; j++) {
+        const double a = fabs(v[j]);
+        if (isnan(a) || a > m) /* a NaN m stays */
+            m = a;
+    }
+    return m;
+}
+
+/*
+ * The chunk loop of ode.integrate: segments of 2 time units, doubling up to
+ * max_chunk after each one that reaches its bound, t_next = min(t + chunk,
+ * t_end).  Its settings, then the state carried across calls.
+ */
+typedef struct {
+    double t_end, max_chunk;
+    int64_t stop;        /* nonzero: settle after quiet_steps quiet rows in a row */
+    int64_t quiet_steps;
+    double tol;          /* a row is quiet when every |g| is below tol */
+    double chunk;
+    int64_t quiet, settled, n_segments;
+    int64_t open; /* nonzero: seg is a segment in progress */
+    double t0;    /* the start time of the last segment begun */
+    segment_t seg; /* while no segment is open: the next one's t, y and settings */
+    int64_t n_rec; /* records written by this call */
+} loop_t;
+
+/* The settle count of ode.integrate at one row whose field is g. */
+static void count_quiet(loop_t *lp, const double g[3])
+{
+    if (lp->settled)
+        return;
+    if (fabs(g[0]) < lp->tol && fabs(g[1]) < lp->tol && fabs(g[2]) < lp->tol)
+        lp->settled = ++lp->quiet >= lp->quiet_steps;
+    else
+        lp->quiet = 0;
+}
+
+/*
+ * Run the segments of ode.integrate from (lp->seg.t, lp->seg.y), with the
+ * tableau tab (the TAB_* layout above), until the run settles or reaches
+ * t_end (ODE_DONE), a segment ends at the threshold event short of both
+ * (ODE_EVENT: the caller hops across and goes on from the new seg.t and
+ * seg.y), a step falls below scipy's min_step (ODE_TOO_SMALL), the event
+ * has no root (ODE_NO_ROOT), varrho vanishes (ODE_DEGENERATE), a segment
+ * ends more than rounding outside the simplex (ODE_LEFT_SIMPLEX, seg.y
+ * holds that end) or the rec_cap record rows are full (ODE_RECORDS_FULL,
+ * and a call with a new record array goes on).
+ *
+ * Records the start of each segment and each accepted step as a row (t,
+ * theta, psi, eta) of rec; at the event the last row of the segment is the
+ * interpolant at the root.  With stop set, each row counts toward the
+ * settle rule through the field the stepper has there: f at the start,
+ * K[N_STAGES] after a step, and one field() call at an event row.  A
+ * segment ends as it would without the count; its end is projected as
+ * ode._project_simplex projects it and becomes the next segment's start.
+ */
+int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec_cap,
+                      double *rec)
+{
+    segment_t *sg = &lp->seg;
+    double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs, end[3];
     int64_t n_rec = 0;
     int code;
 
     for (;;) {
+        if (!lp->open) {
+            if (!(sg->t < lp->t_end) || lp->settled) {
+                code = ODE_DONE;
+                break;
+            }
+            if (n_rec == rec_cap) {
+                code = ODE_RECORDS_FULL;
+                break;
+            }
+            const double t_next = sg->t + lp->chunk;
+            sg->t_bound = lp->t_end < t_next ? lp->t_end : t_next;
+            if (segment_start(sg, w)) {
+                code = ODE_DEGENERATE;
+                break;
+            }
+            double *row = rec + 4 * n_rec++;
+            row[0] = lp->t0 = sg->t;
+            for (int j = 0; j < 3; j++)
+                row[1 + j] = sg->y[j];
+            if (lp->stop)
+                count_quiet(lp, sg->f);
+            lp->open = 1;
+        }
         if (n_rec == rec_cap) {
             code = ODE_RECORDS_FULL;
             break;
@@ -637,31 +735,207 @@ int vaxgame_segment(segment_t *sg, const law_t *w, const double *tab, int64_t re
         double *row = rec + 4 * n_rec;
         const double ev = y_new[0] - sg->gamma;
         /* scipy's inclusive sign test for an event of either direction */
-        if (sg->event && ((sg->ev <= 0 && ev >= 0) || (sg->ev >= 0 && ev <= 0))) {
+        const int event = sg->event && ((sg->ev <= 0 && ev >= 0) || (sg->ev >= 0 && ev <= 0));
+        if (event) {
             code = crossing(sg, w, tab, K, h, t_new, y_new, row);
-            if (code == 0) {
-                n_rec += 1;
-                code = ODE_EVENT;
+            if (code)
+                break;
+            n_rec += 1;
+            if (lp->stop) {
+                double g[3];
+                if (field(w, row + 1, g)) {
+                    code = ODE_DEGENERATE;
+                    break;
+                }
+                count_quiet(lp, g);
             }
+        } else {
+            sg->t = t_new;
+            sg->h_abs = h_abs;
+            sg->ev = ev;
+            row[0] = t_new;
+            for (int j = 0; j < 3; j++) {
+                sg->y[j] = y_new[j];
+                sg->f[j] = K[N_STAGES][j];
+                row[1 + j] = y_new[j];
+            }
+            n_rec += 1;
+            if (lp->stop)
+                count_quiet(lp, K[N_STAGES]);
+            if (!(t_new - sg->t_bound >= 0))
+                continue;
+        }
+
+        /* the segment has ended, at the event row or at t_bound */
+        lp->open = 0;
+        lp->n_segments += 1;
+        sg->t = row[0];
+        for (int j = 0; j < 3; j++)
+            end[j] = sg->y[j] = row[1 + j];
+        /* ode._outside_simplex */
+        if (end[0] < -1e-9 || end[1] < -1e-9 || end[0] + end[1] > 1.0 + 1e-9) {
+            code = ODE_LEFT_SIMPLEX;
             break;
         }
-        sg->t = t_new;
-        sg->h_abs = h_abs;
-        sg->ev = ev;
-        row[0] = t_new;
-        for (int j = 0; j < 3; j++) {
-            sg->y[j] = y_new[j];
-            sg->f[j] = K[N_STAGES][j];
-            row[1 + j] = y_new[j];
-        }
-        n_rec += 1;
-        if (t_new - sg->t_bound >= 0) {
-            code = ODE_DONE;
-            break;
+        clip_simplex(end, 1e-300, sg->y);
+        if (event) {
+            if (!lp->settled && sg->t < lp->t_end) {
+                code = ODE_EVENT;
+                break;
+            }
+        } else {
+            const double doubled = lp->chunk * 2.0;
+            lp->chunk = lp->max_chunk < doubled ? lp->max_chunk : doubled;
         }
     }
-    sg->n_rec = n_rec;
+    lp->n_rec = n_rec;
     return code;
+}
+
+/*
+ * The finite-difference Jacobian of g at y into jac (row-major), as
+ * ode._fd_jacobian: per column j a step h = rel_step max(1, |y_j|), central
+ * differences, or the second-order one-sided stencil where a step of h
+ * leaves the simplex on one side; a column blocked on both sides is 0.
+ * Returns ODE_DEGENERATE where varrho vanishes at a stencil point, else 0.
+ */
+static int jacobian(const law_t *w, const double y[3], double rel_step, double jac[3][3])
+{
+    double g0[3];
+    int have_g0 = 0;
+    for (int j = 0; j < 3; j++) {
+        const double h = rel_step * (fabs(y[j]) > 1.0 ? fabs(y[j]) : 1.0);
+        const int lo_blocked = j < 2 && y[j] - h < 0.0;
+        const int hi_blocked = j < 2 && (y[0] + y[1] + h > 1.0 || y[j] + h > 1.0);
+        double p1[3] = {y[0], y[1], y[2]}, p2[3] = {y[0], y[1], y[2]}, g1[3], g2[3];
+        if (lo_blocked && hi_blocked) {
+            for (int i = 0; i < 3; i++)
+                jac[i][j] = 0.0;
+            continue;
+        }
+        if (!lo_blocked && !hi_blocked) {
+            p1[j] += h;
+            p2[j] -= h;
+        } else if (!hi_blocked) {
+            p1[j] += h;
+            p2[j] += 2.0 * h;
+        } else {
+            p1[j] -= h;
+            p2[j] -= 2.0 * h;
+        }
+        if (field(w, p1, g1) || field(w, p2, g2))
+            return ODE_DEGENERATE;
+        if (!lo_blocked && !hi_blocked) {
+            for (int i = 0; i < 3; i++)
+                jac[i][j] = (g1[i] - g2[i]) / (2.0 * h);
+            continue;
+        }
+        if (!have_g0) {
+            if (field(w, y, g0))
+                return ODE_DEGENERATE;
+            have_g0 = 1;
+        }
+        for (int i = 0; i < 3; i++)
+            jac[i][j] = hi_blocked ? (3.0 * g0[i] - 4.0 * g1[i] + g2[i]) / (2.0 * h)
+                                   : (-3.0 * g0[i] + 4.0 * g1[i] - g2[i]) / (2.0 * h);
+    }
+    return 0;
+}
+
+/* jacobian() for ode.field_jacobian, which certify_stability's eigenvalues read. */
+int vaxgame_jacobian(const law_t *w, const double *y, double rel_step, double *jac)
+{
+    return jacobian(w, y, rel_step, (double(*)[3])jac);
+}
+
+/*
+ * x with a x = b for a 3 x 3 a, as ode._solve3: Gaussian elimination with
+ * partial pivoting (the first row of largest |pivot|), then back
+ * substitution.  Returns ODE_SINGULAR, with x unset, at an exact zero pivot.
+ */
+static int solve3(const double a[3][3], const double b[3], double x[3])
+{
+    double m[3][4];
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 3; j++)
+            m[i][j] = a[i][j];
+        m[i][3] = b[i];
+    }
+    for (int k = 0; k < 3; k++) {
+        int p = k;
+        for (int i = k + 1; i < 3; i++)
+            if (fabs(m[i][k]) > fabs(m[p][k]))
+                p = i;
+        if (m[p][k] == 0.0)
+            return ODE_SINGULAR;
+        for (int j = 0; j < 4; j++) {
+            const double swap = m[k][j];
+            m[k][j] = m[p][j];
+            m[p][j] = swap;
+        }
+        for (int i = k + 1; i < 3; i++) {
+            const double f = m[i][k] / m[k][k];
+            for (int j = k + 1; j < 4; j++)
+                m[i][j] -= f * m[k][j];
+        }
+    }
+    for (int i = 2; i >= 0; i--) {
+        double s = m[i][3];
+        for (int j = i + 1; j < 3; j++)
+            s -= m[i][j] * x[j];
+        x[i] = s / m[i][i];
+    }
+    return 0;
+}
+
+/*
+ * The damped Newton of ode._newton from y, in place: at most max_iter
+ * iterations, each stopping once max|g| < tol, solving jacobian() dy = -g
+ * with solve3() and halving the step up to 30 times through
+ * clip_simplex(.., 1e-12) until max|g| falls or drops below tol.  Writes
+ * max|g| at the final y to *res.  Returns 0, ODE_DEGENERATE where varrho
+ * vanishes, or ODE_SINGULAR at an exact zero pivot, where ode._newton
+ * takes a least-squares step and the caller runs it instead.
+ */
+int vaxgame_newton(const law_t *w, int64_t max_iter, double tol, double rel_step, double *y,
+                   double *res)
+{
+    double r[3], jac[3][3], minus_r[3], delta[3], trial[3], moved[3], trial_r[3];
+    if (field(w, y, r))
+        return ODE_DEGENERATE;
+    double norm = max_abs(r);
+    for (int64_t it = 0; it < max_iter && !(norm < tol); it++) {
+        if (jacobian(w, y, rel_step, jac))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++)
+            minus_r[j] = -r[j];
+        if (solve3(jac, minus_r, delta))
+            return ODE_SINGULAR;
+        double step = 1.0;
+        int improved = 0;
+        for (int k = 0; k < 30; k++) {
+            for (int j = 0; j < 3; j++)
+                moved[j] = y[j] + step * delta[j];
+            clip_simplex(moved, 1e-12, trial);
+            if (field(w, trial, trial_r))
+                return ODE_DEGENERATE;
+            const double trial_norm = max_abs(trial_r);
+            if (trial_norm < norm || trial_norm < tol) {
+                for (int j = 0; j < 3; j++) {
+                    y[j] = trial[j];
+                    r[j] = trial_r[j];
+                }
+                norm = trial_norm;
+                improved = 1;
+                break;
+            }
+            step *= 0.5;
+        }
+        if (!improved)
+            break;
+    }
+    *res = norm;
+    return 0;
 }
 
 /*

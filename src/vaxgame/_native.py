@@ -1,9 +1,13 @@
 """Build-at-first-use loader for the C kernels in ``_native.c``.
 
-The kernels are the chain loop of :func:`vaxgame.chain.simulate`, one DOP853
-segment of :func:`vaxgame.ode.integrate` with the field g (which keeps
-:func:`vaxgame.ode.varrho`'s grouping of the event masses, not the chain's),
-the certificate draws of :func:`vaxgame.attractor._draw_offsets`, and three
+The kernels are the chain loop of :func:`vaxgame.chain.simulate`, the
+chunk loop of :func:`vaxgame.ode.integrate` (segment after segment of its
+DOP853 stepper, with the settle count and the projection of each chunk
+end; the state :class:`Loop` carries across calls) and the field g (which
+keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
+chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
+its finite-difference Jacobian, which is exported on its own too, the
+certificate draws of :func:`vaxgame.attractor._draw_offsets`, and three
 row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the response
 capped at a given cap (the propensity q~ of the certificates' side test in
 :func:`vaxgame.attractor._propensity_rows` takes it uncapped) and the
@@ -12,9 +16,11 @@ capped at a given cap (the propensity q~ of the certificates' side test in
 10^-16 <= |x| < 2^127 in 128-bit integer arithmetic, correctly rounded
 (half to even) as Python does; zeros and NaNs directly; and subnormals,
 infinities and the rest through ``sprintf("%.17g")``.  The two state-row
-loops read the arrays that :func:`states` checks.  The segment kernel
-holds no tableau of its own: each call takes ``ode._TABLEAU``, the
-package's one copy of the DOP853 coefficients.
+loops read the arrays that :func:`states` checks.  The chunk loop holds
+no tableau of its own: each call takes ``ode._TABLEAU``, the package's one
+copy of the DOP853 coefficients; it takes the settle tolerance, the quiet
+step count and the largest chunk from :mod:`vaxgame.ode` as well, and the
+Newton its iterations, tolerance and Jacobian step.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -65,8 +71,17 @@ _library = _UNRESOLVED
     CHAIN_RECORDS_FULL,
 ) = range(6)
 
-# ODE segment kernel return codes, as in _native.c
-ODE_DONE, ODE_EVENT, ODE_TOO_SMALL, ODE_RECORDS_FULL, ODE_DEGENERATE, ODE_NO_ROOT = range(6)
+# ODE kernel return codes, as in _native.c
+(
+    ODE_DONE,
+    ODE_EVENT,
+    ODE_TOO_SMALL,
+    ODE_RECORDS_FULL,
+    ODE_DEGENERATE,
+    ODE_NO_ROOT,
+    ODE_LEFT_SIMPLEX,
+    ODE_SINGULAR,
+) = range(8)
 
 #: Rows per block of :func:`write_rows`; its text buffer holds one block.
 _CSV_BLOCK = 4096
@@ -107,6 +122,19 @@ class Segment(ctypes.Structure):
         ("y", ctypes.c_double * 3),
         ("f", ctypes.c_double * 3),
         ("ev", ctypes.c_double),
+    ]
+
+
+class Loop(ctypes.Structure):
+    """The chunk loop of one ODE run: settings and state (``loop_t``)."""
+
+    _fields_ = [
+        *((name, ctypes.c_double) for name in ("t_end", "max_chunk")),
+        *((name, ctypes.c_int64) for name in ("stop", "quiet_steps")),
+        *((name, ctypes.c_double) for name in ("tol", "chunk")),
+        *((name, ctypes.c_int64) for name in ("quiet", "settled", "n_segments", "open")),
+        ("t0", ctypes.c_double),
+        ("seg", Segment),
         ("n_rec", ctypes.c_int64),
     ]
 
@@ -269,15 +297,24 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_response_rows.argtypes = [
         ctypes.POINTER(Law), ctypes.c_int64, doubles, ctypes.c_double, doubles
     ]
-    lib.vaxgame_segment_start.restype = ctypes.c_int
-    lib.vaxgame_segment_start.argtypes = [ctypes.POINTER(Segment), ctypes.POINTER(Law)]
-    lib.vaxgame_segment.restype = ctypes.c_int
-    lib.vaxgame_segment.argtypes = [
-        ctypes.POINTER(Segment),
+    lib.vaxgame_integrate.restype = ctypes.c_int
+    lib.vaxgame_integrate.argtypes = [
+        ctypes.POINTER(Loop),
         ctypes.POINTER(Law),
         doubles,  # the DOP853 tableau, ode._TABLEAU
         ctypes.c_int64,  # record rows
         doubles,  # the records, rows of (t, theta, psi, eta)
+    ]
+    lib.vaxgame_jacobian.restype = ctypes.c_int
+    lib.vaxgame_jacobian.argtypes = [ctypes.POINTER(Law), doubles, ctypes.c_double, doubles]
+    lib.vaxgame_newton.restype = ctypes.c_int
+    lib.vaxgame_newton.argtypes = [
+        ctypes.POINTER(Law),
+        ctypes.c_int64,  # iterations
+        ctypes.c_double,  # the residual tolerance
+        ctypes.c_double,  # the Jacobian's relative step
+        doubles,  # the state, updated in place
+        ctypes.POINTER(ctypes.c_double),  # the final residual
     ]
     lib.vaxgame_format_rows.restype = ctypes.c_int64
     lib.vaxgame_format_rows.argtypes = [

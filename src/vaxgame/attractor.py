@@ -41,14 +41,18 @@ Every ``-deadly`` row is conjectured.  ``vfc1/interior`` is returned with
 ``proven=False`` when beta > 2*mu*rho^2, outside the proven regime.
 
 Stability certification combines a finite-difference Jacobian (one-sided at
-simplex faces) with sampling of a quadratic Lyapunov form V(x) =
+simplex faces; :func:`vaxgame.ode.field_jacobian`, in the C kernel of
+:mod:`vaxgame._native` where it loads) with sampling of a quadratic
+Lyapunov form V(x) =
 (x-x_hat)' P (x-x_hat), P solving J'P + PJ = -I (with numpy, as the 9 x 9
 linear system of its Kronecker form).  The derivative of plain
 squared Euclidean distance is *not* a valid surrogate here: stable
 coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
 The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
-it loads, else from a Python loop; both draw the same stream.  The field
+it loads, else from a Python loop; both draw the same stream.  The draws of
+a (seed, radius) are kept and extended on demand (:class:`_Draws`), a few
+such streams per process.  The field
 and the propensity at the samples come from that kernel's row loops, else
 from loops over the scalar field and the policy's closure; both give the
 same bits.
@@ -58,6 +62,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -68,11 +75,12 @@ from . import _native
 from .errors import (
     ComplexRoot,
     DegenerateState,
+    InvalidParams,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
 )
-from .ode import OdeState, _fd_jacobian, field, field_rows, varrho
+from .ode import OdeState, field, field_jacobian, field_rows, varrho
 from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, propensity_fn, threshold
 
@@ -84,6 +92,11 @@ CONJECTURE_RESIDUAL_TOL = 1e-8
 
 #: Smallest ball radius the certificate's sampling retries at.
 _MIN_RADIUS = 1e-6
+
+#: The (seed, radius) streams of certificate draws kept, and the largest
+#: attempt budget whose draws are kept; a larger one draws afresh.
+_DRAW_CACHE_STREAMS = 4
+_DRAW_CACHE_ATTEMPTS = 1 << 16
 
 
 class AttractorKind(Enum):
@@ -583,12 +596,22 @@ def certify_stability(
     radius because its escape cone is a property of the linearisation.
     Clamp boundaries or thresholds inside the ball mark the certificate
     one-sided (``on_discontinuity``).
+
+    Raises InvalidParams unless ``radius`` is finite and positive,
+    ``n_samples`` an integer of at least 1 and ``seed`` an integer of at
+    least 0.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise InvalidParams(f"radius must be finite and positive, got {radius!r}")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise InvalidParams(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParams(f"seed must be an integer of at least 0, got {seed!r}")
     if attr.kind is AttractorKind.LIMIT_SET:
         raise RegimeMismatch("limit sets carry no point certificate")
     x_hat = np.array([attr.theta_hat, attr.psi_hat, attr.eta_hat])
 
-    jac = _fd_jacobian(field(params, policy), x_hat)
+    jac = field_jacobian(params, policy, x_hat)
     if not np.all(np.isfinite(jac)):
         raise DegenerateState(f"non-finite Jacobian at {x_hat!r}")
     eigs = np.linalg.eigvals(jac)
@@ -694,6 +717,63 @@ def _python_draws(rng: np.random.Generator, attempts: int):
     return np.array(directions), np.array(squares), np.array(cube_roots)
 
 
+class _Draws:
+    """The offsets of the attempt stream of :func:`_draw_offsets` for one (seed, radius).
+
+    Attempts are drawn on demand and kept; ``kept[a]`` counts the offsets
+    of the first a attempts, so an all-zero direction, which yields no
+    offset, is skipped where the stream skips it.  A lock keeps the drawing
+    of one stream to one thread at a time.
+    """
+
+    def __init__(self, seed: int, radius: float):
+        self.rng = np.random.default_rng(seed)
+        self.radius = radius
+        self.offsets = np.empty((0, 3))
+        self.kept = np.zeros(1, dtype=np.int64)
+        self.lock = threading.Lock()
+
+    def between(self, start: int, stop: int) -> np.ndarray:
+        """The offsets of attempts ``start`` to ``stop`` - 1."""
+        with self.lock:
+            if stop >= len(self.kept):
+                self._draw(stop + 1 - len(self.kept))
+            return self.offsets[self.kept[start] : self.kept[stop]]
+
+    def _draw(self, attempts: int) -> None:
+        state = self.rng.bit_generator.state
+        offsets = _draw_offsets(self.rng, attempts, self.radius)
+        if len(offsets) == attempts:
+            per_attempt = np.ones(attempts, dtype=np.int64)
+        else:  # some direction was all zero: redraw one attempt at a time to find it
+            self.rng.bit_generator.state = state
+            per_attempt = [len(_draw_offsets(self.rng, 1, self.radius)) for _ in range(attempts)]
+        self.offsets = np.concatenate([self.offsets, offsets])
+        self.kept = np.concatenate([self.kept, self.kept[-1] + np.cumsum(per_attempt)])
+
+
+_draw_cache: OrderedDict[tuple[int, float], _Draws] = OrderedDict()
+_draw_cache_lock = threading.Lock()
+
+
+def _draws(seed: int, radius: float, budget: int) -> _Draws:
+    """The kept :class:`_Draws` of (seed, radius) where ``budget`` attempts fit the cache.
+
+    At most ``_DRAW_CACHE_STREAMS`` streams are kept, the least recently
+    used dropped first; a budget above ``_DRAW_CACHE_ATTEMPTS`` gets a
+    stream of its own.
+    """
+    if budget > _DRAW_CACHE_ATTEMPTS:
+        return _Draws(seed, radius)
+    key = (int(seed), float(radius))
+    with _draw_cache_lock:
+        draws = _draw_cache.pop(key, None) or _Draws(seed, radius)
+        _draw_cache[key] = draws
+        while len(_draw_cache) > _DRAW_CACHE_STREAMS:
+            _draw_cache.popitem(last=False)
+    return draws
+
+
 def _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, radius, n_samples, seed):
     """Pass fractions of the Lyapunov and Euclidean forms over feasible ball samples.
 
@@ -702,19 +782,20 @@ def _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, radius, n_samp
 
     Samples are the first ``n_samples`` feasible points of the attempt
     sequence of :func:`_draw_offsets`, within ``50 * n_samples`` attempts.
-    Attempts are drawn in rounds sized from the feasible share seen so far;
-    draws past the last sample taken are discarded, so the samples do not
-    depend on the round sizes.
+    Attempts are taken in rounds sized from the feasible share seen so far;
+    draws past the last sample taken are not used, so the samples do not
+    depend on the round sizes.  The draws of a (seed, radius) are kept
+    across calls (:func:`_draws`).
     """
-    rng = np.random.default_rng(seed)
     budget = 50 * n_samples
+    draws = _draws(seed, radius, budget)
     chunks = []
     kept = attempts = 0
     while kept < n_samples and attempts < budget:
         missing = n_samples - kept
         batch = missing if kept == 0 else -(-missing * attempts // kept)
         batch = min(batch, budget - attempts)
-        x = x_hat + _draw_offsets(rng, batch, radius)
+        x = x_hat + draws.between(attempts, attempts + batch)
         attempts += batch
         feasible = (
             (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)

@@ -11,14 +11,14 @@ with phi = 1 - theta - psi, q the clamped acceptance probability, and
 varrho as in :mod:`vaxgame.chain`.  g has no extinction freeze (with
 b > d + d_e eta stays far above any realistic freeze level) and is zero
 only at eta <= 0.  :func:`field` resolves (params, policy) into y -> g(y)
-once; the integrator, Newton and the finite-difference Jacobian evaluate
-it one state at a time.  :func:`field_rows` is its batch form, (n, 3)
-states in and (n, 3) components out, each row equal to g bit for bit;
-the settle scan of :func:`integrate` and the certificate sampling in
-:mod:`vaxgame.attractor` evaluate it.  Its rows run through the field of
-the C kernel of :mod:`vaxgame._native` when that loads, else through a
-loop over the scalar field (:func:`_scalar_field`), the one Python
-definition of g.
+once; the Python integrator, Newton and the finite-difference Jacobian
+evaluate it one state at a time.  :func:`field_rows` is its batch form,
+(n, 3) states in and (n, 3) components out, each row equal to g bit for
+bit; the settle scan of the Python chunk loop and the certificate
+sampling in :mod:`vaxgame.attractor` evaluate it.  Its rows run through
+the field of the C kernel of :mod:`vaxgame._native` when that loads, else
+through a loop over the scalar field (:func:`_scalar_field`), the one
+Python definition of g.
 
 Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
@@ -26,15 +26,27 @@ scalar arithmetic.  It has the same tableau, initial step, step
 controller, error norm and dense interpolant, and sums each stage in
 order where scipy hands the sums to the BLAS.  The tableau has one copy,
 the literals below: :func:`_python_segment` reads its rows and the C
-kernel the flat ``_TABLEAU`` built from them.  One segment of
-:func:`integrate` runs in the C kernel of :mod:`vaxgame._native` when that
-loads, else in :func:`_python_segment`, the reference it is tested
-against; both give the same bits.  For the threshold-vigilant policy the
+kernel the flat ``_TABLEAU`` built from them.  :func:`integrate` runs its
+segments in chunks of 2 time units, doubling up to 256, and settles after
+100 quiet steps in a row.  When the C kernel of :mod:`vaxgame._native`
+loads, that chunk loop runs in it, many segments per call, and counts the
+quiet steps from the field values its stepper already has; else it runs
+in :class:`_PythonChunks`, segment by segment through
+:func:`_python_segment`, the reference it is tested against.  Both give
+the same bits.  For the threshold-vigilant policy the
 indicator 1{theta > Gamma} makes the field discontinuous; crossings are
 located with a terminal event (scipy's sign test, dense interpolant and
 ``brentq`` root), the integrator hops strictly across before re-arming,
 and the run is cut short once crossings accumulate into the sliding
 regime on the threshold.  No smoothing is applied.
+
+:func:`find_equilibrium` runs a damped Newton on g with a finite-difference
+Jacobian, one-sided at the simplex faces, and a 3 x 3 Gaussian
+elimination for each step.  It too runs in the C kernel where that loads
+(``vaxgame_newton``), else in :func:`_newton`, with the same bits; at an
+exact zero pivot the kernel declines and :func:`_newton` takes a
+least-squares step.  :func:`field_jacobian` gives the kernel's Jacobian on
+its own, the input of the certificates' eigenvalues.
 """
 
 from __future__ import annotations
@@ -66,11 +78,18 @@ _QUIET_STEPS = 100
 
 _MAX_TIME = 1.0e6
 
-#: Record rows per call of the C segment kernel; a longer segment takes more calls.
+#: Record rows per call of the C chunk loop; a longer run takes more calls.
 _SEGMENT_ROWS = 1024
+
+#: The first chunk of :func:`integrate` and the largest one it doubles up to.
+_FIRST_CHUNK = 2.0
+_MAX_CHUNK = 256.0
 
 #: Newton iterations per attempt of :func:`find_equilibrium`.
 _MAX_NEWTON = 60
+
+#: Relative step of the finite-difference Jacobian.
+_REL_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -204,8 +223,17 @@ def _outside_simplex(theta: float, psi: float) -> bool:
     return theta < -1e-9 or psi < -1e-9 or theta + psi > 1.0 + 1e-9
 
 
-def _require_simplex(what: str, state: OdeState) -> None:
-    """DomainError where the fractions of ``state`` fail :func:`_outside_simplex`."""
+def _require_state(what: str, state: OdeState) -> None:
+    """Check a start state: finite, with a positive eta, inside the simplex.
+
+    Raises InvalidParams for a non-finite component or an eta that is not
+    positive, and DomainError where the fractions fail
+    :func:`_outside_simplex`.
+    """
+    if not all(map(math.isfinite, (state.theta, state.psi, state.eta, state.t))):
+        raise InvalidParams(f"{what} state must be finite, got {state!r}")
+    if state.eta <= 0:
+        raise InvalidParams(f"{what} eta must be positive, got {state.eta!r}")
     if _outside_simplex(state.theta, state.psi):
         raise DomainError(
             f"{what} fractions must lie in the simplex, got theta={state.theta!r}, "
@@ -514,49 +542,132 @@ def _python_segment(g3, t, t_bound, y, rtol, atol, gamma):
 
 
 def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: float):
-    """(t, t_bound, y) -> (rows, status): one DOP853 segment, resolved once.
+    """(t, t_bound, y) -> (rows, status): one DOP853 segment in Python, resolved once.
 
-    The segment stops at the policy's threshold, if it has one.  It runs in
-    the C kernel of :mod:`vaxgame._native` when that loads, else in
-    :func:`_python_segment`; both give the same rows, an (n, 4) array, and
-    the same status.
+    The segment stops at the policy's threshold, if it has one.  The rows
+    are an (n, 4) array of (t, theta, psi, eta) from the start on.
     """
     gamma = threshold(policy)
-    lib = _native.library()
-    if lib is None:
-        g3 = _scalar_field(params, policy)
+    g3 = _scalar_field(params, policy)
 
-        def python(t, t_bound, y):
-            # Python floats throughout: numpy scalars would warn where _brent divides by zero
-            t, t_bound, y = float(t), float(t_bound), tuple(map(float, y))
-            rows, status = _python_segment(g3, t, t_bound, y, rtol, atol, gamma)
-            return np.array(rows), status
+    def python(t, t_bound, y):
+        # Python floats throughout: numpy scalars would warn where _brent divides by zero
+        t, t_bound, y = float(t), float(t_bound), tuple(map(float, y))
+        rows, status = _python_segment(g3, t, t_bound, y, rtol, atol, gamma)
+        return np.array(rows), status
 
-        return python
+    return python
 
-    law = _native.make_law(params, policy)
 
-    def native(t, t_bound, y):
-        state = _native.Segment(
-            t_bound=t_bound, rtol=rtol, atol=atol, event=gamma is not None,
-            gamma=0.0 if gamma is None else gamma, t=t, y=(ctypes.c_double * 3)(*y),
+def _raise_for(status: int, t0: float, end) -> None:
+    """The error of a segment from t0 that ended with ``status`` at the state ``end``."""
+    if status == _native.ODE_TOO_SMALL:
+        raise StepFailure(
+            f"integrator failed at t={t0:.6g}: "
+            "Required step size is less than spacing between numbers."
         )
-        if lib.vaxgame_segment_start(ctypes.byref(state), ctypes.byref(law)):
-            raise DegenerateState("varrho vanished")
-        chunks = [np.array([[t, *y]])]
-        while True:
-            rows = np.empty((_SEGMENT_ROWS, 4))
-            code = lib.vaxgame_segment(
-                ctypes.byref(state), ctypes.byref(law), _TABLEAU, _SEGMENT_ROWS, rows
-            )
-            chunks.append(rows[: state.n_rec])
-            if code != _native.ODE_RECORDS_FULL:
-                break
-        if code == _native.ODE_DEGENERATE:
-            raise DegenerateState("varrho vanished")
-        return np.concatenate(chunks), code
+    if status == _native.ODE_NO_ROOT:
+        raise StepFailure(f"threshold event without a bracketed root after t={t0:.6g}")
+    if status == _native.ODE_DEGENERATE:
+        raise DegenerateState("varrho vanished")
+    if status == _native.ODE_LEFT_SIMPLEX:
+        _project_simplex(end)
 
-    return native
+
+class _PythonChunks:
+    """The chunk loop of :func:`integrate` in Python: the reference for the C kernel.
+
+    :meth:`run` takes segments of :func:`_segment_solver` from (t, y): the
+    first spans ``_FIRST_CHUNK`` time units, and each one that reaches its
+    bound doubles the next, up to ``_MAX_CHUNK``; no segment passes
+    ``t_end``.  With ``stop`` set, every recorded row counts toward the
+    settle rule: ``_QUIET_STEPS`` rows in a row whose max|g| is below
+    ``EQUILIBRIUM_TOL`` settle the run once its segment ends.  The state
+    (chunk, quiet count, segments) carries over from one call to the next.
+    """
+
+    def __init__(self, params, policy, t_end, rtol, atol, stop):
+        self.segment = _segment_solver(params, policy, rtol, atol)
+        self.g_rows = field_rows(params, policy) if stop else None
+        self.t_end = t_end
+        self.chunk = _FIRST_CHUNK
+        self.quiet = 0
+        self.settled = False
+        self.n_segments = 0
+        self.t0 = None  # the start of the last segment
+
+    def run(self, t, y, out: list):
+        """Segments from (t, y) until the run settles or reaches t_end, or a
+        segment ends at the threshold short of both.
+
+        Appends the rows of each segment to ``out`` and returns (status, t,
+        y): ODE_EVENT where the caller hops across the threshold and calls
+        again from there, else ODE_DONE; y is projected onto the simplex.
+        """
+        while t < self.t_end and not self.settled:
+            rows, status = self.segment(t, min(t + self.chunk, self.t_end), y)
+            _raise_for(status, t, None)
+            self.t0 = t
+            self.n_segments += 1
+            out.append(rows)
+            if self.g_rows is not None:
+                for res in np.max(np.abs(self.g_rows(rows[:, 1:])), axis=1):
+                    self.quiet = self.quiet + 1 if res < EQUILIBRIUM_TOL else 0
+                    if self.quiet >= _QUIET_STEPS:
+                        self.settled = True
+                        break
+            t, y = rows[-1, 0], _project_simplex(rows[-1, 1:])
+            if status == _native.ODE_EVENT:
+                if not self.settled and t < self.t_end:
+                    return status, t, y
+            else:
+                self.chunk = min(self.chunk * 2.0, _MAX_CHUNK)
+        return _native.ODE_DONE, t, y
+
+
+class _NativeChunks:
+    """:class:`_PythonChunks` in the C kernel of :mod:`vaxgame._native`, with the same bits.
+
+    Each kernel call runs segment after segment and takes the quiet count
+    from the field values its stepper has; it returns at an event, at the
+    end of the run, on an error, or when its ``_SEGMENT_ROWS`` record rows
+    are full.
+    """
+
+    def __init__(self, lib, params, policy, t_end, rtol, atol, stop):
+        gamma = threshold(policy)
+        self.lib = lib
+        self.law = _native.make_law(params, policy)
+        self.loop = _native.Loop(
+            t_end=t_end, max_chunk=_MAX_CHUNK, stop=stop, quiet_steps=_QUIET_STEPS,
+            tol=EQUILIBRIUM_TOL, chunk=_FIRST_CHUNK,
+            seg=_native.Segment(
+                rtol=rtol, atol=atol, event=gamma is not None,
+                gamma=0.0 if gamma is None else gamma,
+            ),
+        )
+        self.records = np.empty((_SEGMENT_ROWS, 4))
+
+    settled = property(lambda self: bool(self.loop.settled))
+    n_segments = property(lambda self: self.loop.n_segments)
+    t0 = property(lambda self: self.loop.t0)
+
+    def run(self, t, y, out: list):
+        """:meth:`_PythonChunks.run`."""
+        loop = self.loop
+        loop.seg.t = t
+        loop.seg.y[:] = tuple(y)
+        while True:
+            status = self.lib.vaxgame_integrate(
+                ctypes.byref(loop), ctypes.byref(self.law), _TABLEAU, len(self.records),
+                self.records,
+            )
+            out.append(self.records[: loop.n_rec].copy())
+            if status != _native.ODE_RECORDS_FULL:
+                break
+        y = np.array(loop.seg.y)
+        _raise_for(status, loop.t0, y)
+        return status, loop.seg.t, y
 
 
 def integrate(
@@ -577,7 +688,9 @@ def integrate(
     that floor); t is capped at 1e6 regardless.  Threshold crossings of a
     threshold-vigilant response (VFC2, or a mutant over one; see
     :func:`vaxgame.policy.threshold`) are located by a terminal event and
-    the solver restarts across them.
+    the solver restarts across them.  The chunks run in the C kernel of
+    :mod:`vaxgame._native` when that loads, else in :class:`_PythonChunks`;
+    both give the same path.
 
     Raises InvalidParams for a horizon that is not positive (NaN included),
     for an ``rtol`` or ``atol`` that is not finite and positive, for a start
@@ -590,81 +703,45 @@ def integrate(
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidParams(f"{name} must be finite and positive, got {value!r}")
-    if not all(map(math.isfinite, (initial.theta, initial.psi, initial.eta, initial.t))):
-        raise InvalidParams(f"start state must be finite, got {initial!r}")
-    if initial.eta <= 0:
-        raise InvalidParams(f"start eta must be positive, got {initial.eta!r}")
-    _require_simplex("start", initial)
+    _require_state("start", initial)
     y = _project_simplex(initial.as_array())
-    t0 = initial.t
-    t_end = min(t0 + horizon, t0 + _MAX_TIME)
-    g = field(params, policy)
-    g_rows = field_rows(params, policy)
-    segment = _segment_solver(params, policy, rtol, atol)
+    t = initial.t
+    t_end = min(t + horizon, t + _MAX_TIME)
+    lib = _native.library()
+    settings = (params, policy, t_end, rtol, atol, stop_at_equilibrium)
+    loop = _PythonChunks(*settings) if lib is None else _NativeChunks(lib, *settings)
 
+    g = field(params, policy)
     gamma = threshold(policy)
-    ts: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    quiet = 0
-    settled = False
-    n_segments = 0
-    chunk = 2.0
+    chunks: list[np.ndarray] = []
     tiny_segments = 0
     zeno = False
+    while True:
+        status, t, y = loop.run(t, y, chunks)
+        if status != _native.ODE_EVENT:
+            break
+        progress = t - loop.t0
+        # landed on the threshold; hop strictly across before re-arming
+        # the event, otherwise the restart re-fires at zero progress
+        t, y = _hop_across(g, t, y, gamma, t_end)
+        chunks.append(np.array([[t, *y]]))
+        # the switching surface is attracting: orbits spiral into the
+        # centre with geometrically accumulating crossings and then
+        # chatter-slide along theta = Gamma; once inter-event progress
+        # stays far below any genuine half-cycle, stop the run there
+        tiny_segments = tiny_segments + 1 if progress < 1e-3 else 0
+        if tiny_segments >= 50 or loop.n_segments >= 100_000:
+            zeno = True
+            break
 
-    t = t0
-    while t < t_end and not settled:
-        t_next = min(t + chunk, t_end)
-        rows, status = segment(t, t_next, y)
-        if status == _native.ODE_TOO_SMALL:
-            raise StepFailure(
-                f"integrator failed at t={t:.6g}: "
-                "Required step size is less than spacing between numbers."
-            )
-        if status == _native.ODE_NO_ROOT:
-            raise StepFailure(f"threshold event without a bracketed root after t={t:.6g}")
-        sol_t, sol_y = rows[:, 0], rows[:, 1:]
-        n_segments += 1
-        ts.append(sol_t)
-        ys.append(sol_y)
-
-        if stop_at_equilibrium:
-            for res in np.max(np.abs(g_rows(sol_y)), axis=1):
-                quiet = quiet + 1 if res < EQUILIBRIUM_TOL else 0
-                if quiet >= _QUIET_STEPS:
-                    settled = True
-                    break
-
-        progress = sol_t[-1] - t
-        t = sol_t[-1]
-        y = _project_simplex(sol_y[-1])
-
-        if status == _native.ODE_EVENT and not settled and t < t_end:
-            # landed on the threshold; hop strictly across before re-arming
-            # the event, otherwise the restart re-fires at zero progress
-            t, y = _hop_across(g, t, y, gamma, t_end)
-            ts.append(np.array([t]))
-            ys.append(y[None, :])
-            # the switching surface is attracting: orbits spiral into the
-            # centre with geometrically accumulating crossings and then
-            # chatter-slide along theta = Gamma; once inter-event progress
-            # stays far below any genuine half-cycle, stop the run there
-            tiny_segments = tiny_segments + 1 if progress < 1e-3 else 0
-            if tiny_segments >= 50 or n_segments >= 100_000:
-                zeno = True
-                break
-        elif status == _native.ODE_DONE:
-            chunk = min(chunk * 2.0, 256.0)
-
-    t_all = np.concatenate(ts)
-    y_all = np.vstack(ys)
+    rows = np.concatenate(chunks)
     endpoint = OdeState(theta=y[0], psi=y[1], eta=y[2], t=float(t))
     return OdePath(
-        t=t_all,
-        states=y_all,
+        t=np.ascontiguousarray(rows[:, 0]),
+        states=np.ascontiguousarray(rows[:, 1:]),
         endpoint=endpoint,
-        settled=settled,
-        n_segments=n_segments,
+        settled=loop.settled,
+        n_segments=loop.n_segments,
         zeno_truncated=zeno,
     )
 
@@ -695,7 +772,7 @@ class EquilibriumResult:
     converged: bool
 
 
-def _fd_jacobian(g, y, rel_step: float = 1e-7) -> np.ndarray:
+def _fd_jacobian(g, y, rel_step: float = _REL_STEP) -> np.ndarray:
     """Finite-difference Jacobian of the field g, stepping only inside the admissible set.
 
     Central differences in the interior; second-order one-sided stencils
@@ -726,6 +803,24 @@ def _fd_jacobian(g, y, rel_step: float = 1e-7) -> np.ndarray:
     return jac
 
 
+def field_jacobian(params: ModelParams, policy: Policy, y) -> np.ndarray:
+    """:func:`_fd_jacobian` of g at y, in the C kernel of :mod:`vaxgame._native` where it loads.
+
+    Both give the same bits.  Raises ValueError unless y has three
+    components, and DegenerateState where varrho vanishes at a stencil point.
+    """
+    y = np.array(y, dtype=float)
+    if y.shape != (3,):
+        raise ValueError(f"expected a state of 3 components, got shape {y.shape}")
+    lib = _native.library()
+    if lib is None:
+        return _fd_jacobian(field(params, policy), y)
+    jac = np.empty((3, 3))
+    if lib.vaxgame_jacobian(ctypes.byref(_native.make_law(params, policy)), y, _REL_STEP, jac):
+        raise DegenerateState("varrho vanished")
+    return jac
+
+
 def find_equilibrium(
     guess: OdeState,
     params: ModelParams,
@@ -733,14 +828,18 @@ def find_equilibrium(
 ) -> EquilibriumResult:
     """Damped Newton on g, with a long-horizon integration fallback.
 
-    Raises IndicatorNonstationary for a threshold-vigilant policy whose
-    threshold is dynamically reachable (Gamma below the no-vaccination
-    endemic level): the limit object there is a switching limit set around
-    the threshold, not a zero of either one-sided field.  Raises DomainError
-    for guess fractions more than rounding level (1e-9) outside the simplex,
-    as :func:`integrate` does for its start.
+    The Newton runs in the C kernel of :mod:`vaxgame._native` where it
+    loads, else in :func:`_newton`, with the same bits.
+
+    Raises InvalidParams for a guess with a non-finite component or an eta
+    that is not positive, and DomainError for guess fractions more than
+    rounding level (1e-9) outside the simplex, as :func:`integrate` does for
+    its start.  Raises IndicatorNonstationary for a threshold-vigilant
+    policy whose threshold is dynamically reachable (Gamma below the
+    no-vaccination endemic level): the limit object there is a switching
+    limit set around the threshold, not a zero of either one-sided field.
     """
-    _require_simplex("guess", guess)
+    _require_state("guess", guess)
     if policy.family is Family.VFC2:
         rho = derive_ratios(params).rho
         if rho > 1.0 and policy.gamma < 1.0 - 1.0 / rho:
@@ -749,12 +848,13 @@ def find_equilibrium(
             )
 
     g = field(params, policy)
+    newton = _newton_solver(g, params, policy)
     y = _project_simplex(guess.as_array())
     best_y = y
     best_res = float(np.max(np.abs(g(y))))
 
     for attempt in range(3):
-        y, res = _newton(g, y)
+        y, res = newton(y)
         if res < best_res:
             best_y, best_res = y, res
         if best_res < EQUILIBRIUM_TOL:
@@ -776,16 +876,77 @@ def find_equilibrium(
     )
 
 
+def _newton_solver(g, params: ModelParams, policy: Policy):
+    """y -> (y, residual): :func:`_newton` on the field g of (params, policy).
+
+    It runs in the C kernel of :mod:`vaxgame._native` where that loads.  At
+    an exact zero pivot the kernel declines, and :func:`_newton` runs with
+    its least-squares step.
+    """
+    lib = _native.library()
+    if lib is None:
+        return lambda y: _newton(g, y)
+    law = _native.make_law(params, policy)
+
+    def native(y):
+        out = np.array(y, dtype=float)
+        res = ctypes.c_double()
+        code = lib.vaxgame_newton(
+            ctypes.byref(law), _MAX_NEWTON, EQUILIBRIUM_TOL, _REL_STEP, out, ctypes.byref(res)
+        )
+        if code == _native.ODE_DEGENERATE:
+            raise DegenerateState("varrho vanished")
+        if code == _native.ODE_SINGULAR:
+            return _newton(g, y)
+        return out, res.value
+
+    return native
+
+
+def _solve3(a: np.ndarray, b: np.ndarray):
+    """x with a x = b for a 3 x 3 a, or None at an exact zero pivot.
+
+    Gaussian elimination with partial pivoting (the first row of largest
+    |pivot|), then back substitution, in Python floats: the C kernel's
+    ``solve3`` does the same arithmetic.
+    """
+    m = [[*row, v] for row, v in zip(a.tolist(), b.tolist())]
+    for k in range(3):
+        p = k
+        for i in range(k + 1, 3):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        if m[p][k] == 0.0:
+            return None
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, 3):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, 4):
+                m[i][j] -= f * m[k][j]
+    x = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        s = m[i][3]
+        for j in range(i + 1, 3):
+            s -= m[i][j] * x[j]
+        x[i] = s / m[i][i]
+    return np.array(x)
+
+
 def _newton(g, y):
+    """Damped Newton on g from y: the reference for the C kernel's ``vaxgame_newton``.
+
+    Each iteration solves J delta = -g(y) with :func:`_solve3` on the
+    finite-difference Jacobian (a least-squares step at an exact zero
+    pivot) and halves the step until max|g| falls.
+    """
     res_vec = g(y)
     res = float(np.max(np.abs(res_vec)))
     for _ in range(_MAX_NEWTON):
         if res < EQUILIBRIUM_TOL:
             break
         jac = _fd_jacobian(g, y)
-        try:
-            delta = np.linalg.solve(jac, -res_vec)
-        except np.linalg.LinAlgError:
+        delta = _solve3(jac, -res_vec)
+        if delta is None:
             delta = -np.linalg.lstsq(jac, res_vec, rcond=None)[0]
         step = 1.0
         improved = False

@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+import warnings
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from vaxgame import attractor
 from vaxgame.attractor import DeadlyQuadratic, _eta_at, _propensity_rows, _sample_lyapunov
 from vaxgame.errors import (
     DegenerateState,
+    InvalidParams,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
@@ -563,3 +568,98 @@ def test_sample_lyapunov_flags_discontinuity(policy, point):
     batched = _sample_lyapunov(att, policy, *rows, *args)
     assert batched[2] is True
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        # nan, 0 and -5 raised "no feasible samples"; 0 and -1e-3 gave a
+        # certificate at that radius; inf warned; -1 was numpy's ValueError
+        ({"radius": math.nan}, "radius must be finite and positive"),
+        ({"radius": math.inf}, "radius must be finite and positive"),
+        ({"radius": 0.0}, "radius must be finite and positive"),
+        ({"radius": -1e-3}, "radius must be finite and positive"),
+        ({"n_samples": 0}, "n_samples must be an integer of at least 1"),
+        ({"n_samples": -5}, "n_samples must be an integer of at least 1"),
+        ({"n_samples": 2.5}, "n_samples must be an integer of at least 1"),
+        ({"seed": -1}, "seed must be an integer of at least 0"),
+        ({"seed": 0.5}, "seed must be an integer of at least 0"),
+    ],
+)
+def test_certify_stability_rejects_bad_arguments(left_params, kwargs, match):
+    att = closed_form(left_params, fc(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=match):
+            certify_stability(att, left_params, fc(3.0), **kwargs)
+
+
+@pytest.mark.parametrize("row_id", ["fc/coexistence", "fr/disease-free", "fc/origin"])
+def test_cached_draws_give_the_fresh_certificate(monkeypatch, row_id):
+    att, params, policy = _row_case(row_id)
+    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    fresh = repr(certify_stability(att, params, policy, n_samples=500, seed=11))
+    assert (11, 1e-3) in attractor._draw_cache
+    assert repr(certify_stability(att, params, policy, n_samples=500, seed=11)) == fresh
+    # a budget above the cache's bound draws its own stream
+    monkeypatch.setattr(attractor, "_DRAW_CACHE_ATTEMPTS", 100)
+    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    assert repr(certify_stability(att, params, policy, n_samples=500, seed=11)) == fresh
+    assert not attractor._draw_cache
+
+
+def test_cached_draws_skip_the_attempts_the_stream_skips(monkeypatch):
+    # an all-zero direction yields no offset; the cache finds which attempt
+    # did and keeps the offsets of the others, wherever a round starts
+    def offsets(rng, attempts, radius):
+        u = rng.random(attempts)
+        return np.column_stack([u * radius] * 3)[(u * 1e6).astype(np.int64) % 3 != 2]
+
+    monkeypatch.setattr(attractor, "_draw_offsets", offsets)
+    u = np.random.default_rng(5).random(400)
+    expected = np.column_stack([u * 0.1] * 3)
+    kept = (u * 1e6).astype(np.int64) % 3 != 2
+    draws = attractor._Draws(5, 0.1)
+    for start, stop in [(0, 7), (7, 7), (7, 100), (3, 50), (100, 400), (0, 400)]:
+        want = expected[start:stop][kept[start:stop]]
+        assert np.array_equal(draws.between(start, stop), want)
+
+
+def test_draw_cache_keeps_a_bounded_number_of_streams(monkeypatch, left_params):
+    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    att = closed_form(left_params, fc(3.0))
+    for seed in range(attractor._DRAW_CACHE_STREAMS + 3):
+        certify_stability(att, left_params, fc(3.0), n_samples=50, seed=seed)
+    assert list(attractor._draw_cache) == [
+        (seed, 1e-3)
+        for seed in range(3, attractor._DRAW_CACHE_STREAMS + 3)
+    ]
+
+
+def test_draw_stream_is_shared_safely_between_threads():
+    # threads extending one stream at once must each see the stream's
+    # offsets: an extension lost or drawn twice would shift them
+    reference = attractor._draw_offsets(np.random.default_rng(9), 4000, 1e-3)
+    draws = attractor._Draws(9, 1e-3)
+    results, errors = [], []
+
+    def take(step):
+        try:
+            got = [draws.between(a, min(a + step, 4000)) for a in range(0, 4000, step)]
+            results.append(np.concatenate(got))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(step,)) for step in (7, 13, 50, 333, 4000, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert len(results) == len(threads)
+    assert all(np.array_equal(got, reference) for got in results)

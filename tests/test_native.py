@@ -314,6 +314,7 @@ def test_segment_kernel_resumes_after_full_records(monkeypatch, rows, policy, pa
     assert _ode_run(start, params, policy, horizon, **_TIGHT) == whole
 
 
+
 _COORD = st.one_of(UNIT, st.sampled_from([0.0, -0.0, 1.0, 0.2, math.nan]), st.floats(-0.2, 1.2))
 _ETA = st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.0, -0.0, -1.0, 1e-13, math.nan]))
 
@@ -376,6 +377,211 @@ def test_field_rows_vanishing_varrho_cases_are_reached():
     with pytest.raises(DegenerateState, match="varrho vanished"):
         g_rows(np.array([[0.2, 0.1, 1.0], [0.7, 0.95, 1.0]]))
     assert g_rows(np.array([[0.7, 0.95, 0.0]])).tolist() == [[0.0, 0.0, 0.0]]
+
+
+# rows that settle: the quiet run of fc(1.0) lies inside its last segment,
+# which goes on past it; the one of fc(0.5) takes in the start row of a
+# segment; the threshold of _QUIET_EVENT lies 1.5e-12 below the endemic
+# level 1 - (r + b)/lam of _LEFT, so its orbit on psi = 0 crosses it while
+# the field is quiet and settles at an event row
+_QUIET_EVENT = vfc2(3.0, 0.8233711545194966)
+_SETTLING = {
+    "mid-chunk": (fc(1.0), OdeState(0.2, 0.1, 1.0)),
+    "across-segments": (fc(0.5), OdeState(0.2, 0.1, 1.0)),
+    "event-row": (_QUIET_EVENT, OdeState(0.2, 0.0, 1.0)),
+}
+_python_settling = {}
+
+
+def _quiet_run(path, policy):
+    """The rows of the first run of ode._QUIET_STEPS quiet rows of path.
+
+    Every row counts but the hop across the threshold after an event row,
+    which lies on theta = Gamma.
+    """
+    gamma = vaxgame.policy.threshold(policy)
+    g = ode.field_rows(_LEFT, policy)(path.states)
+    run = []
+    for i, res in enumerate(np.max(np.abs(g), axis=1)):
+        if i and path.states[i - 1, 0] == gamma and path.t[i] != path.t[i - 1]:
+            continue
+        run = run + [i] if res < ode.EQUILIBRIUM_TOL else []
+        if len(run) == ode._QUIET_STEPS:
+            return run
+    return None
+
+
+def _segment_starts(path):
+    return {i for i in range(1, len(path.t)) if path.t[i] == path.t[i - 1]}
+
+
+def test_settling_cases_reach_their_branches():
+    runs = {}
+    for case, (policy, start) in _SETTLING.items():
+        path = integrate(start, _LEFT, policy, 1e4)
+        assert path.settled
+        runs[case] = path, _quiet_run(path, policy)
+    path, quiet = runs["mid-chunk"]
+    assert not _segment_starts(path) & set(quiet) and quiet[-1] < len(path.t) - 1
+    path, quiet = runs["across-segments"]
+    assert _segment_starts(path) & set(quiet[1:])
+    # quiet event rows inside the run; the run ends at a later crossing,
+    # with no hop after it
+    path, quiet = runs["event-row"]
+    assert np.count_nonzero(path.states[quiet, 0] == _QUIET_EVENT.gamma) >= 3
+    assert path.states[-1, 0] == _QUIET_EVENT.gamma and quiet[-1] < len(path.t) - 1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, ode._SEGMENT_ROWS])
+@pytest.mark.parametrize("case", sorted(_SETTLING))
+def test_chunk_loop_settles_as_python(monkeypatch, rows, case):
+    # the quiet count, carried across segments and record buffers, counts
+    # the rows the Python scan counts, the event row among them
+    policy, start = _SETTLING[case]
+    if case not in _python_settling:
+        with python_kernels():
+            _python_settling[case] = _ode_run(start, _LEFT, policy, 1e4)
+    monkeypatch.setattr(ode, "_SEGMENT_ROWS", rows)
+    assert _ode_run(start, _LEFT, policy, 1e4) == _python_settling[case]
+
+
+# at loose tolerances the fast decay of theta overshoots below 0 within a step
+_OVERSHOOT = ModelParams(lam=2.4, r=36.75, nu=0.245, b=36.34, d=10.2)
+
+
+@pytest.mark.parametrize(
+    "params,start,error",
+    [
+        (_OVERSHOOT, OdeState(0.42, 0.48, 0.5), "state left the simplex: array([-3.19345730e-04"),
+        (_VANISHING, OdeState(0.7, 0.3, 1.0), "varrho vanished"),
+    ],
+)
+def test_chunk_loop_errors_as_python(params, start, error):
+    # the kernel's error codes become the errors of the Python loop
+    def run():
+        try:
+            return repr(integrate(start, params, fc(5.0), 50.0, rtol=1.7e-3, atol=1.7e-3))
+        except (StepFailure, DegenerateState) as exc:
+            return repr(exc)
+
+    native = run()
+    assert error in native
+    with python_kernels():
+        assert run() == native
+
+
+def _kernel_newton(params, policy, y):
+    """(code, y, residual) of vaxgame_newton from y."""
+    out, res = np.array(y, dtype=float), ctypes.c_double()
+    code = _native.library().vaxgame_newton(
+        _native.make_law(params, policy), ode._MAX_NEWTON, ode.EQUILIBRIUM_TOL, ode._REL_STEP,
+        out, ctypes.byref(res),
+    )
+    return code, repr((out.tolist(), res.value))
+
+
+_FACE = st.one_of(UNIT, st.sampled_from([0.0, 1.0, 1e-8, 1.0 - 1e-8]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(policy=POLICIES, params=PARAMS, theta=_FACE, psi_share=_FACE, eta=st.floats(0.01, 5.0))
+# the vertex (0, 1): the theta column is blocked on both sides, so it is
+# zero and the first pivot is exactly 0.0
+@example(fc(1.0), _LEFT, 0.0, 1.0, 0.5)
+@example(mutant(fc(3.0), p=0.5, eps=0.1), _LEFT, 0.5, 0.8, 0.1)
+@example(static(0.3), _DEADLY, 0.0, 0.5, 0.5)  # on the disease-free face
+def test_native_newton_matches_python(policy, params, theta, psi_share, eta):
+    y = np.array([theta, psi_share * (1.0 - theta), eta])
+    code, native = _kernel_newton(params, policy, y)
+    pivots = []
+
+    def solve3(a, b):
+        pivots.append(ode_solve3(a, b) is None)
+        return ode_solve3(a, b)
+
+    ode_solve3 = ode._solve3
+    with mock.patch.object(ode, "_solve3", solve3):
+        try:
+            out, res = ode._newton(ode.field(params, policy), y)
+            reference = repr((out.tolist(), res))
+        except DegenerateState:
+            reference = None
+    if code == _native.ODE_SINGULAR:
+        assert pivots.count(True) >= 1
+        return
+    assert not any(pivots)
+    if code == _native.ODE_DEGENERATE:
+        assert reference is None
+    else:
+        assert code == 0 and native == reference
+
+
+def test_newton_kernel_declines_at_a_zero_pivot():
+    y = np.array([0.0, 1.0, 0.5])
+    assert _kernel_newton(_LEFT, fc(1.0), y)[0] == _native.ODE_SINGULAR
+    g = ode.field(_LEFT, fc(1.0))
+    assert ode._fd_jacobian(g, y)[:, 0].tolist() == [0.0, 0.0, 0.0]
+    # find_equilibrium then runs the Python Newton and its least-squares step
+    native = repr(ode.find_equilibrium(OdeState(*y), _LEFT, fc(1.0)))
+    with python_kernels():
+        assert repr(ode.find_equilibrium(OdeState(*y), _LEFT, fc(1.0))) == native
+
+
+@pytest.mark.parametrize(
+    "policy,guess",
+    [
+        (fc(3.0), OdeState(0.3, 0.45, 0.1)),
+        (mutant(fc(3.0), p=0.5, eps=0.1), OdeState(0.3, 0.45, 0.1)),
+        (mutant(fr(4.0), p=0.0, eps=0.02), OdeState(0.2, 0.6, 0.3)),
+        (fc(0.3), OdeState(0.0, 0.0, 0.3)),
+        (vfc1(5.0), OdeState(0.5, 0.1, 1.0)),
+    ],
+)
+def test_find_equilibrium_matches_python(policy, guess):
+    native = repr(ode.find_equilibrium(guess, _LEFT, policy))
+    with python_kernels():
+        assert repr(ode.find_equilibrium(guess, _LEFT, policy)) == native
+
+
+@settings(deadline=None, max_examples=80)
+@given(policy=POLICIES, params=PARAMS, theta=_FACE, psi_share=_FACE, eta=st.floats(0.01, 5.0))
+@example(fc(3.0), _LEFT, 0.3, 0.5, 1.0)  # interior: central differences
+@example(fc(3.0), _LEFT, 0.0, 0.5, 1.0)  # theta = 0: forward
+@example(fc(3.0), _LEFT, 0.4, 1.0, 1.0)  # theta + psi = 1: backward in both
+@example(fc(3.0), _LEFT, 1e-8, 0.0, 1.0)  # within h of both faces: forward
+@example(fc(1.0), _LEFT, 0.0, 1.0, 0.5)  # the vertex (0, 1): a zero column
+def test_native_jacobian_matches_fd_jacobian(policy, params, theta, psi_share, eta):
+    y = np.array([theta, psi_share * (1.0 - theta), eta])
+    try:
+        reference = repr(ode._fd_jacobian(ode.field(params, policy), y).tolist())
+    except DegenerateState as exc:
+        reference = repr(exc)
+    try:
+        native = repr(ode.field_jacobian(params, policy, y).tolist())
+    except DegenerateState as exc:
+        native = repr(exc)
+    assert native == reference
+    with python_kernels():
+        assert repr(ode.field_jacobian(params, policy, y).tolist()) == native
+
+
+def test_jacobian_kernel_reports_a_vanishing_varrho():
+    y = np.array([0.7, 0.95, 1.0])  # projected back onto theta + psi = 1, where phi < 0
+    with pytest.raises(DegenerateState, match="varrho vanished"):
+        ode._fd_jacobian(ode.field(_VANISHING, fc(1.0)), y)
+    with pytest.raises(DegenerateState, match="varrho vanished"):
+        ode.field_jacobian(_VANISHING, fc(1.0), y)
+    with pytest.raises(ValueError, match="expected a state of 3 components"):
+        ode.field_jacobian(_LEFT, fc(1.0), y[:2])
+
+
+@settings(deadline=None)
+@given(a=st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9), b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_solve3_solves_as_numpy_does(a, b):
+    a, b = np.array(a).reshape(3, 3), np.array(b)
+    x = ode._solve3(a, b)
+    if np.linalg.cond(a) < 1e6:
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-8, atol=1e-8)
 
 
 _ANY = st.one_of(

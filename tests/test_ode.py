@@ -27,7 +27,7 @@ from vaxgame import (
     vfc2,
 )
 from vaxgame import _native, ode
-from vaxgame.errors import DomainError, IndicatorNonstationary
+from vaxgame.errors import DomainError, IndicatorNonstationary, InvalidParams
 from vaxgame.ode import field, field_rows
 from vaxgame.policy import threshold
 
@@ -201,6 +201,27 @@ def test_find_equilibrium_rejects_a_guess_outside_the_simplex(left_params, theta
         find_equilibrium(OdeState(theta, psi, 1.0), left_params, fc(1.0))
 
 
+@pytest.mark.parametrize(
+    "guess,match",
+    [
+        # a NaN ran a full Newton and then failed in the integration fallback
+        (OdeState(math.nan, 0.1, 1.0), "guess state must be finite"),
+        (OdeState(0.3, math.inf, 1.0), "guess state must be finite"),
+        # an infinite eta warned "invalid value encountered in subtract"
+        (OdeState(0.3, 0.1, math.inf), "guess state must be finite"),
+        (OdeState(0.3, 0.1, 1.0, t=math.nan), "guess state must be finite"),
+        # eta <= 0 was floored to 1e-300 and reported as converged
+        (OdeState(0.3, 0.1, 0.0), "guess eta must be positive"),
+        (OdeState(0.0, 0.0, -1.0), "guess eta must be positive"),
+    ],
+)
+def test_find_equilibrium_rejects_a_bad_guess(left_params, guess, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=match):
+            find_equilibrium(guess, left_params, fc(1.0))
+
+
 @pytest.mark.parametrize("theta,psi", [(-1e-9, 0.5), (0.5, 0.5 + 5e-10), (0.0, 1.0)])
 def test_integrate_clips_a_start_within_rounding_of_the_simplex(left_params, theta, psi):
     path = integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
@@ -338,6 +359,8 @@ def test_integrate_agrees_with_scipys_dop853(monkeypatch, policy, params, start)
     # in order, where numpy hands the sums to BLAS: the runs differ at
     # rounding level only
     ours = integrate(start, params, policy, horizon=1e4)
+    # the Python chunk loop, which takes its segments from _segment_solver
+    monkeypatch.setattr(_native, "library", lambda: None)
     monkeypatch.setattr(ode, "_segment_solver", _scipy_segments)
     theirs = integrate(start, params, policy, horizon=1e4)
     assert np.max(np.abs(ours.endpoint.as_array() - theirs.endpoint.as_array())) <= 1e-10
