@@ -697,7 +697,7 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
                       double *rec)
 {
     segment_t *sg = &lp->seg;
-    double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs, end[3];
+    double K[N_EXTENDED][3], t_new, y_new[3], h, h_abs;
     int64_t n_rec = 0;
     int code;
 
@@ -770,10 +770,11 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
         lp->open = 0;
         lp->n_segments += 1;
         sg->t = row[0];
-        for (int j = 0; j < 3; j++)
-            end[j] = sg->y[j] = row[1 + j];
+        const double *end = row + 1;
         /* ode._outside_simplex */
         if (end[0] < -1e-9 || end[1] < -1e-9 || end[0] + end[1] > 1.0 + 1e-9) {
+            for (int j = 0; j < 3; j++)
+                sg->y[j] = end[j];
             code = ODE_LEFT_SIMPLEX;
             break;
         }

@@ -653,7 +653,8 @@ def test_draw_stream_is_shared_safely_between_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=take, args=(step,)) for step in (7, 13, 50, 333, 4000, 1)]
+        steps = (7, 13, 50, 333, 4000, 1)
+        threads = [threading.Thread(target=take, args=(step,)) for step in steps]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -576,7 +576,10 @@ def test_jacobian_kernel_reports_a_vanishing_varrho():
 
 
 @settings(deadline=None)
-@given(a=st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9), b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+@given(
+    a=st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9),
+    b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+)
 def test_solve3_solves_as_numpy_does(a, b):
     a, b = np.array(a).reshape(3, 3), np.array(b)
     x = ode._solve3(a, b)
