@@ -5,19 +5,21 @@
  * end), the damped Newton of ode.find_equilibrium (ode._newton) with its
  * finite-difference Jacobian (ode._fd_jacobian, also exported for the
  * certificates' eigenvalues), the certificate draws of
- * attractor._draw_offsets, two loops over rows of states (the field g of
- * ode.field_rows and the response at a given cap, which the certificates'
- * side test takes uncapped as the propensity q~) and the %.17g row
- * formatter of the path and trajectory CSVs, which writes Python's bytes
- * from exact integer arithmetic.
+ * attractor._draw_offsets, the certificate's pass over its samples
+ * (attractor._numpy_tally), the loop of the field g over rows of states
+ * (ode.field_rows) and the %.17g row formatter of the path and trajectory
+ * CSVs, which writes Python's bytes from exact integer arithmetic.
  *
  * The others are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
- * fused multiply-add) and never with -ffast-math.  The ODE field keeps
- * ode.varrho's grouping of the event masses, not the chain's event_edges.
- * vaxgame._native builds this file at first use and falls back to the
- * Python code when it cannot.
+ * fused multiply-add) and never with -ffast-math.  The sample pass sums its
+ * two quadratic forms in index order, where numpy's @ may go through a BLAS
+ * that fuses or reorders the products: its forms can differ in the last
+ * bit, and the counts of their signs only where a form is within rounding
+ * of 0.  The ODE field keeps ode.varrho's grouping of the event masses,
+ * not the chain's event_edges.  vaxgame._native builds this file at first
+ * use and falls back to the Python code when it cannot.
  */
 
 #include <float.h>
@@ -344,15 +346,51 @@ int64_t vaxgame_field_rows(const law_t *w, int64_t n, const double *ys, double *
     return -1;
 }
 
+/* The certificate's sample pass: its settings, then the counts of one round. */
+typedef struct {
+    double x_hat[3], p_form[9]; /* the form P, row-major */
+    double gamma;               /* the threshold; NaN where there is none */
+    int64_t counts[6];
+} sample_t;
+
 /*
- * response() capped at cap at the (theta, psi) of n rows of states (n x 3,
- * row-major) into out (n): cap 1 gives policy.accept_fn's q, INFINITY
- * policy.propensity_fn's q~, the side test of the certificates.
+ * One round of the certificate's samples, as attractor._numpy_tally counts
+ * them: x = x_hat + offset for the n offsets (row-major) in order, keeping
+ * each feasible x (theta >= 0, psi >= 0, theta + psi <= 1, eta > 0) until
+ * `missing` are kept.  At each kept x, with z = x - x_hat and g = field(x),
+ * it forms z.(P g) and z.g, each sum in index order from the first product.
+ * Counts the x kept, the offsets read, and the kept x with z.(P g) < 0, with
+ * z.g < 0, with q~ = response(.., INFINITY) > 1 and with theta across gamma
+ * from x_hat.  Returns ODE_DEGENERATE where varrho vanishes at a kept x.
  */
-void vaxgame_response_rows(const law_t *w, int64_t n, const double *ys, double cap, double *out)
+int vaxgame_certify(sample_t *sp, const law_t *w, const double *offsets, int64_t n,
+                    int64_t missing)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = response(w, ys[3 * i], ys[3 * i + 1], cap);
+    const double *x_hat = sp->x_hat, *p_form = sp->p_form, gamma = sp->gamma;
+    const int hat_side = x_hat[0] > gamma;
+    int64_t kept = 0, used = 0, lyap = 0, eucl = 0, side = 0, crossed = 0;
+    while (kept < missing && used < n) {
+        const double *off = offsets + 3 * used++;
+        double x[3], z[3], g[3], pg[3];
+        for (int j = 0; j < 3; j++)
+            x[j] = x_hat[j] + off[j];
+        if (!(x[0] >= 0.0 && x[1] >= 0.0 && x[0] + x[1] <= 1.0 && x[2] > 0.0))
+            continue;
+        kept += 1;
+        if (field(w, x, g))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++) {
+            z[j] = x[j] - x_hat[j];
+            pg[j] = p_form[3 * j] * g[0] + p_form[3 * j + 1] * g[1] + p_form[3 * j + 2] * g[2];
+        }
+        lyap += z[0] * pg[0] + z[1] * pg[1] + z[2] * pg[2] < 0.0;
+        eucl += z[0] * g[0] + z[1] * g[1] + z[2] * g[2] < 0.0;
+        side += response(w, x[0], x[1], INFINITY) > 1.0;
+        crossed += (x[0] > gamma) != hat_side;
+    }
+    const int64_t counts[6] = {kept, used, lyap, eucl, side, crossed};
+    memcpy(sp->counts, counts, sizeof counts);
+    return 0;
 }
 
 /* sum_{i < n} K[i] * a[i] per component, in index order (scipy uses np.dot). */
@@ -894,17 +932,18 @@ static int solve3(const double a[3][3], const double b[3], double x[3])
  * iterations, each stopping once max|g| < tol, solving jacobian() dy = -g
  * with solve3() and halving the step up to 30 times through
  * clip_simplex(.., 1e-12) until max|g| falls or drops below tol.  Writes
- * max|g| at the final y to *res.  Returns 0, ODE_DEGENERATE where varrho
- * vanishes, or ODE_SINGULAR at an exact zero pivot, where ode._newton
- * takes a least-squares step and the caller runs it instead.
+ * max|g| at the start y to *start_res and at the final y to *res.  Returns
+ * 0, ODE_DEGENERATE where varrho vanishes, or ODE_SINGULAR at an exact zero
+ * pivot, where ode._newton takes a least-squares step and the caller runs
+ * it instead (*start_res is written by then).
  */
 int vaxgame_newton(const law_t *w, int64_t max_iter, double tol, double rel_step, double *y,
-                   double *res)
+                   double *res, double *start_res)
 {
     double r[3], jac[3][3], minus_r[3], delta[3], trial[3], moved[3], trial_r[3];
     if (field(w, y, r))
         return ODE_DEGENERATE;
-    double norm = max_abs(r);
+    double norm = *start_res = max_abs(r);
     for (int64_t it = 0; it < max_iter && !(norm < tol); it++) {
         if (jacobian(w, y, rel_step, jac))
             return ODE_DEGENERATE;

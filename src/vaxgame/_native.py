@@ -7,20 +7,20 @@ end; the state :class:`Loop` carries across calls) and the field g (which
 keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
 chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
 its finite-difference Jacobian, which is exported on its own too, the
-certificate draws of :func:`vaxgame.attractor._draw_offsets`, and three
-row loops: g over the rows of :func:`vaxgame.ode.field_rows`, the response
-capped at a given cap (the propensity q~ of the certificates' side test in
-:func:`vaxgame.attractor._propensity_rows` takes it uncapped) and the
-``%.17g`` formatter of the path and trajectory CSVs, which
-:func:`write_rows` drives.  The formatter writes a double with
-10^-16 <= |x| < 2^127 in 128-bit integer arithmetic, correctly rounded
-(half to even) as Python does; zeros and NaNs directly; and subnormals,
-infinities and the rest through ``sprintf("%.17g")``.  The two state-row
-loops read the arrays that :func:`states` checks.  The chunk loop holds
-no tableau of its own: each call takes ``ode._TABLEAU``, the package's one
-copy of the DOP853 coefficients; it takes the settle tolerance, the quiet
-step count and the largest chunk from :mod:`vaxgame.ode` as well, and the
-Newton its iterations, tolerance and Jacobian step.
+certificate draws of :func:`vaxgame.attractor._draw_offsets`, the
+certificate's pass over its samples (feasibility, g, the signs of its two
+quadratic forms and the side tests, counted per round of
+:func:`vaxgame.attractor._sample_lyapunov`), the loop of g over the rows of
+:func:`vaxgame.ode.field_rows`, which reads the arrays that :func:`states`
+checks, and the ``%.17g`` formatter of the path and trajectory CSVs, which
+:func:`write_rows` drives.  The formatter writes a double with 10^-16 <=
+|x| < 2^127 in 128-bit integer arithmetic, correctly rounded (half to even)
+as Python does; zeros and NaNs directly; and subnormals, infinities and the
+rest through ``sprintf("%.17g")``.  The chunk loop holds no tableau of its
+own: each call takes ``ode._TABLEAU``, the package's one copy of the DOP853
+coefficients; it takes the settle tolerance, the quiet step count and the
+largest chunk from :mod:`vaxgame.ode` as well, and the Newton its
+iterations, tolerance and Jacobian step.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -32,10 +32,14 @@ and then renamed into place, because process-pool workers can race to build.
 
 The flags are ``-O2 -ffp-contract=off``: no fused multiply-add and no
 ``-ffast-math``, so that every kernel is bit-exact with the Python code it
-replaces.  The draw kernel links numpy's ``libnpyrandom`` and draws from the
-caller's bit generator.  Where the library cannot be built or loaded (no
-compiler, an unwritable cache), :func:`library` returns None and the callers
-run their Python code, which gives the same results.
+replaces.  The one exception is the sample pass: it sums its forms in index
+order, while numpy's ``@`` in the Python pass may go through a BLAS that
+fuses or reorders the products, so the forms can differ in the last bit and
+their sign counts only where a form is within rounding of 0.  The draw
+kernel links numpy's ``libnpyrandom`` and draws from the caller's bit
+generator.  Where the library cannot be built or loaded (no compiler, an
+unwritable cache), :func:`library` returns None and the callers run their
+Python code, which gives the same results.
 """
 
 from __future__ import annotations
@@ -136,6 +140,17 @@ class Loop(ctypes.Structure):
         ("t0", ctypes.c_double),
         ("seg", Segment),
         ("n_rec", ctypes.c_int64),
+    ]
+
+
+class Sample(ctypes.Structure):
+    """The certificate's sample pass: its settings and one round's counts (``sample_t``)."""
+
+    _fields_ = [
+        ("x_hat", ctypes.c_double * 3),
+        ("p_form", ctypes.c_double * 9),
+        ("gamma", ctypes.c_double),
+        ("counts", ctypes.c_int64 * 6),
     ]
 
 
@@ -293,9 +308,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
     lib.vaxgame_field_rows.restype = ctypes.c_int64
     lib.vaxgame_field_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
-    lib.vaxgame_response_rows.restype = None
-    lib.vaxgame_response_rows.argtypes = [
-        ctypes.POINTER(Law), ctypes.c_int64, doubles, ctypes.c_double, doubles
+    lib.vaxgame_certify.restype = ctypes.c_int
+    lib.vaxgame_certify.argtypes = [
+        ctypes.POINTER(Sample),
+        ctypes.POINTER(Law),
+        doubles,  # the offsets, row-major
+        ctypes.c_int64,  # their count
+        ctypes.c_int64,  # the samples still missing
     ]
     lib.vaxgame_integrate.restype = ctypes.c_int
     lib.vaxgame_integrate.argtypes = [
@@ -315,6 +334,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double,  # the Jacobian's relative step
         doubles,  # the state, updated in place
         ctypes.POINTER(ctypes.c_double),  # the final residual
+        ctypes.POINTER(ctypes.c_double),  # the start's residual
     ]
     lib.vaxgame_format_rows.restype = ctypes.c_int64
     lib.vaxgame_format_rows.argtypes = [

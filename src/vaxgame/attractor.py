@@ -52,10 +52,10 @@ distance-to-attractor grows transiently in a fat cone of directions.
 The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
 it loads, else from a Python loop; both draw the same stream.  The draws of
 a (seed, radius) are kept and extended on demand (:class:`_Draws`), a few
-such streams per process.  The field
-and the propensity at the samples come from that kernel's row loops, else
-from loops over the scalar field and the policy's closure; both give the
-same bits.
+such streams per process.  Each round of samples is counted in one pass of
+that kernel (feasibility, the field, the signs of both forms and the side
+tests), else in numpy by :func:`_numpy_tally`, the reference it is tested
+against; both give the same counts.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ _MIN_RADIUS = 1e-6
 #: attempt budget whose draws are kept; a larger one draws afresh.
 _DRAW_CACHE_STREAMS = 4
 _DRAW_CACHE_ATTEMPTS = 1 << 16
+
+_EYE = np.eye(3)
+_MINUS_VEC_EYE = -_EYE.ravel()
 
 
 class AttractorKind(Enum):
@@ -580,14 +583,12 @@ def certify_stability(
     radius-``radius`` ball intersected with the simplex: the certificate
     passes when the form decreases along the field at >= 99% of samples.
 
-    The Jacobian takes the scalar field; the samples are evaluated in one
-    batch through :func:`vaxgame.ode.field_rows`, whose rows equal the
-    scalar field bit for bit, and their side of q~ = 1 through
-    :func:`_propensity_rows`, whose values equal
-    :func:`vaxgame.policy.propensity_fn`'s, so the certificate is that of a
-    loop over the samples.  Both rows run in the C kernel where it loads.
-    A point whose Jacobian is not finite (a NaN ``eta_hat``, say) raises
-    DegenerateState.
+    The Jacobian takes the scalar field.  The samples are counted round by
+    round in one pass of the C kernel where it loads, else by
+    :func:`_numpy_tally` over :func:`vaxgame.ode.field_rows` and
+    :func:`vaxgame.policy.propensity_fn`; both count as a loop over the
+    samples does (:func:`_sample_lyapunov`).  A point whose Jacobian is not
+    finite (a NaN ``eta_hat``, say) raises DegenerateState.
 
     Weakly contracting equilibria can leave the quadratic regime inside the
     initial ball (cubic terms of the field flip a thin cone of directions);
@@ -618,26 +619,22 @@ def certify_stability(
     eig_max = float(np.max(eigs.real))
     marginal = abs(eig_max) <= 1e-8
 
-    p_form = np.eye(3)
+    p_form = _EYE
     if eig_max < 0.0:
         # P from jac' P + P jac = -I: with a = jac', the row-major
         # vec(a P + P a') is (kron(I, a) + kron(a, I)) vec(P), a 9 x 9 system
         # whose eigenvalues, the pairwise sums of jac's, have negative real parts here
-        a, eye = jac.T, np.eye(3)
         try:
-            system = np.kron(eye, a) + np.kron(a, eye)
-            candidate = np.linalg.solve(system, -eye.ravel()).reshape(3, 3)
+            candidate = np.linalg.solve(_kronecker_system(jac.T), _MINUS_VEC_EYE).reshape(3, 3)
             candidate = 0.5 * (candidate + candidate.T)
             if np.all(np.linalg.eigvalsh(candidate) > 0.0):
                 p_form = candidate
         except np.linalg.LinAlgError:
             pass  # no usable form: sample the Euclidean one
 
-    g_rows = field_rows(params, policy)
-    q_rows = _propensity_rows(params, policy)
     r = radius
     while True:
-        result = _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, r, n_samples, seed)
+        result = _sample_lyapunov(params, policy, x_hat, p_form, r, n_samples, seed)
         lyap_frac = result[0]
         if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= _MIN_RADIUS * 10.0:
             break
@@ -654,26 +651,15 @@ def certify_stability(
     )
 
 
-def _propensity_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
-    """(n, 3) states -> the propensity q~ at the (theta, psi) of each row.
+def _kronecker_system(a: np.ndarray) -> np.ndarray:
+    """``np.kron(I, a) + np.kron(a, I)`` for a 3 x 3 a, bit for bit.
 
-    Each value equals :func:`vaxgame.policy.propensity_fn`'s.  The rows run
-    through the response loop of the C kernel of :mod:`vaxgame._native`
-    when that loads, else through that closure one row at a time.
+    Entry (3i + k, 3j + l) is I[i, j] * a[k, l] + a[i, j] * I[k, l]: the
+    products np.kron forms against the identity's 1.0 and 0.0 entries
+    (0.0 * a[k, l] is -0.0 where a[k, l] < 0), summed as there.
     """
-    lib = _native.library()
-    if lib is None:
-        q_tilde = propensity_fn(policy)
-        return lambda xs: np.array([q_tilde(theta, psi) for theta, psi, _ in xs.tolist()])
-    law = _native.make_law(params, policy)
-
-    def native(xs: np.ndarray) -> np.ndarray:
-        xs = _native.states(xs)
-        out = np.empty(len(xs))
-        lib.vaxgame_response_rows(ctypes.byref(law), len(xs), xs, math.inf, out)
-        return out
-
-    return native
+    return (_EYE[:, None, :, None] * a[None, :, None, :]
+            + a[:, None, :, None] * _EYE[None, :, None, :]).reshape(9, 9)
 
 
 def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.ndarray:
@@ -774,46 +760,97 @@ def _draws(seed: int, radius: float, budget: int) -> _Draws:
     return draws
 
 
-def _sample_lyapunov(attr, policy, g_rows, q_rows, x_hat, p_form, radius, n_samples, seed):
-    """Pass fractions of the Lyapunov and Euclidean forms over feasible ball samples.
-
-    ``g_rows`` gives the field at the samples and ``q_rows`` the propensity
-    for the side test q~ > 1.
+def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
+    """Pass fractions of the form ``p_form`` and the Euclidean one over feasible ball samples.
 
     Samples are the first ``n_samples`` feasible points of the attempt
     sequence of :func:`_draw_offsets`, within ``50 * n_samples`` attempts.
     Attempts are taken in rounds sized from the feasible share seen so far;
     draws past the last sample taken are not used, so the samples do not
     depend on the round sizes.  The draws of a (seed, radius) are kept
-    across calls (:func:`_draws`).
+    across calls (:func:`_draws`).  The counts of each round
+    (:func:`_tally`) are summed.
     """
+    tally = _tally(params, policy, x_hat, p_form)
     budget = 50 * n_samples
     draws = _draws(seed, radius, budget)
-    chunks = []
-    kept = attempts = 0
-    while kept < n_samples and attempts < budget:
+    counts = [0] * 6
+    attempts = 0
+    while counts[0] < n_samples and attempts < budget:
+        kept = counts[0]
         missing = n_samples - kept
         batch = missing if kept == 0 else -(-missing * attempts // kept)
         batch = min(batch, budget - attempts)
-        x = x_hat + draws.between(attempts, attempts + batch)
+        round_counts = tally(draws.between(attempts, attempts + batch), missing)
+        counts = [int(a + b) for a, b in zip(counts, round_counts)]
         attempts += batch
-        feasible = (
-            (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)
-        )
-        chunks.append(x[feasible][:missing])
-        kept += len(chunks[-1])
+    kept, _, lyap_neg, eucl_neg, side, crossed = counts
     if kept == 0:
         raise RegimeMismatch("no feasible samples near the attractor")
-    x = np.concatenate(chunks)
-    z = x - x_hat
-    gx = g_rows(x)
-    # per row the same matrix-vector product and dot as z @ (p_form @ gx)
-    lyap = (z[:, None, :] @ (p_form @ gx[:, :, None]))[:, 0, 0]
-    eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
-    side = q_rows(x) > 1.0
-    on_disc = bool(side.any() and not side.all())
+    return lyap_neg / kept, eucl_neg / kept, 0 < side < kept or crossed > 0, kept
+
+
+def _tally(params, policy, x_hat, p_form):
+    """(offsets, missing) -> the counts of one round: the first ``missing``
+    feasible samples x = x_hat + offset kept, the offsets read, and the kept
+    x with z.(P g) < 0 and with z.g < 0 (z = x - x_hat, g the field at x),
+    with the propensity q~ > 1 and with theta across the threshold from x_hat.
+
+    One pass of the C kernel of :mod:`vaxgame._native` where that loads,
+    else :func:`_numpy_tally`.  Raises DegenerateState where varrho vanishes
+    at a kept x, and ValueError for shapes the kernel would read past.
+    """
+    x_hat = np.asarray(x_hat, float)
+    p_form = np.asarray(p_form, float)
+    if x_hat.shape != (3,) or p_form.shape != (3, 3):
+        raise ValueError(f"expected x_hat (3,), p_form (3, 3), got {x_hat.shape}, {p_form.shape}")
+    lib = _native.library()
+    if lib is None:
+        return _numpy_tally(params, policy, x_hat, p_form)
+    law = _native.make_law(params, policy)
     gamma = threshold(policy)
-    if gamma is not None:
-        on_disc |= bool(np.any((x[:, 0] > gamma) != (attr.theta_hat > gamma)))
-    lyap_neg, eucl_neg = int(np.count_nonzero(lyap < 0.0)), int(np.count_nonzero(eucl < 0.0))
-    return lyap_neg / kept, eucl_neg / kept, on_disc, kept
+    sample = _native.Sample(
+        x_hat=tuple(x_hat.tolist()),
+        p_form=tuple(p_form.ravel().tolist()),
+        gamma=math.nan if gamma is None else gamma,  # theta > NaN never holds
+    )
+
+    def native(offsets: np.ndarray, missing: int) -> list:
+        offsets = _native.states(offsets)
+        if lib.vaxgame_certify(ctypes.byref(sample), ctypes.byref(law), offsets, len(offsets),
+                               missing):
+            raise DegenerateState("varrho vanished")
+        return sample.counts[:]
+
+    return native
+
+
+def _numpy_tally(params, policy, x_hat, p_form):
+    """:func:`_tally` in numpy: the reference for the C kernel's ``vaxgame_certify``."""
+    g_rows = field_rows(params, policy)
+    q_tilde = propensity_fn(policy)
+    gamma = threshold(policy)
+
+    def tally(offsets: np.ndarray, missing: int) -> list:
+        # silent where x is not finite, as the C pass is: such an x is not feasible
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x_hat + offsets
+            feasible = (
+                (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)
+            )
+        taken = np.flatnonzero(feasible)[:missing]
+        used = int(taken[-1]) + 1 if len(taken) == missing else len(x)
+        x = x[taken]
+        z = x - x_hat
+        gx = g_rows(x)
+        # per row the same matrix-vector product and dot as z @ (p_form @ gx)
+        lyap = (z[:, None, :] @ (p_form @ gx[:, :, None]))[:, 0, 0]
+        eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
+        side = [q_tilde(theta, psi) > 1.0 for theta, psi, _ in x.tolist()]
+        crossed = 0 if gamma is None else (x[:, 0] > gamma) != (x_hat[0] > gamma)
+        return [
+            len(x), used, np.count_nonzero(lyap < 0.0), np.count_nonzero(eucl < 0.0),
+            sum(side), np.count_nonzero(crossed),
+        ]
+
+    return tally

@@ -692,11 +692,12 @@ def integrate(
     :mod:`vaxgame._native` when that loads, else in :class:`_PythonChunks`;
     both give the same path.
 
-    Raises InvalidParams for a horizon that is not positive (NaN included),
-    for an ``rtol`` or ``atol`` that is not finite and positive, for a start
-    state with a non-finite component, and for a start eta that is not
-    positive (eta = N/(k+1) of a live population).  Raises DomainError for
-    start fractions more than rounding level (1e-9) outside the simplex.
+    Raises InvalidParams for a horizon that is not positive (NaN included)
+    or too small to move the start t, for an ``rtol`` or ``atol`` that is
+    not finite and positive, for a start state with a non-finite component,
+    and for a start eta that is not positive (eta = N/(k+1) of a live
+    population).  Raises DomainError for start fractions more than rounding
+    level (1e-9) outside the simplex.
     """
     if not horizon > 0:
         raise InvalidParams("horizon must be positive")
@@ -707,6 +708,8 @@ def integrate(
     y = _project_simplex(initial.as_array())
     t = initial.t
     t_end = min(t + horizon, t + _MAX_TIME)
+    if not t_end > t:
+        raise InvalidParams(f"horizon {horizon!r} (capped at {_MAX_TIME:g}) does not move t={t!r}")
     lib = _native.library()
     settings = (params, policy, t_end, rtol, atol, stop_at_equilibrium)
     loop = _PythonChunks(*settings) if lib is None else _NativeChunks(lib, *settings)
@@ -847,14 +850,13 @@ def find_equilibrium(
                 "threshold policy with reachable Gamma has no fixed point"
             )
 
-    g = field(params, policy)
-    newton = _newton_solver(g, params, policy)
-    y = _project_simplex(guess.as_array())
-    best_y = y
-    best_res = float(np.max(np.abs(g(y))))
-
+    newton = _newton_solver(params, policy)
+    # the guess passed _outside_simplex above: this is _project_simplex's clip
+    best_y = y = _clip_simplex(guess.as_array().tolist(), 1e-300)
     for attempt in range(3):
-        y, res = newton(y)
+        y, res, start_res = newton(y)
+        if attempt == 0:
+            best_res = start_res  # the guess's own residual
         if res < best_res:
             best_y, best_res = y, res
         if best_res < EQUILIBRIUM_TOL:
@@ -876,8 +878,8 @@ def find_equilibrium(
     )
 
 
-def _newton_solver(g, params: ModelParams, policy: Policy):
-    """y -> (y, residual): :func:`_newton` on the field g of (params, policy).
+def _newton_solver(params: ModelParams, policy: Policy):
+    """y -> (y, residual, start residual): :func:`_newton` on the field g of (params, policy).
 
     It runs in the C kernel of :mod:`vaxgame._native` where that loads.  At
     an exact zero pivot the kernel declines, and :func:`_newton` runs with
@@ -885,20 +887,22 @@ def _newton_solver(g, params: ModelParams, policy: Policy):
     """
     lib = _native.library()
     if lib is None:
+        g = field(params, policy)
         return lambda y: _newton(g, y)
     law = _native.make_law(params, policy)
 
     def native(y):
         out = np.array(y, dtype=float)
-        res = ctypes.c_double()
+        res, start_res = ctypes.c_double(), ctypes.c_double()
         code = lib.vaxgame_newton(
-            ctypes.byref(law), _MAX_NEWTON, EQUILIBRIUM_TOL, _REL_STEP, out, ctypes.byref(res)
+            ctypes.byref(law), _MAX_NEWTON, EQUILIBRIUM_TOL, _REL_STEP, out, ctypes.byref(res),
+            ctypes.byref(start_res),
         )
         if code == _native.ODE_DEGENERATE:
             raise DegenerateState("varrho vanished")
         if code == _native.ODE_SINGULAR:
-            return _newton(g, y)
-        return out, res.value
+            return _newton(field(params, policy), y)
+        return out, res.value, start_res.value
 
     return native
 
@@ -937,10 +941,11 @@ def _newton(g, y):
 
     Each iteration solves J delta = -g(y) with :func:`_solve3` on the
     finite-difference Jacobian (a least-squares step at an exact zero
-    pivot) and halves the step until max|g| falls.
+    pivot) and halves the step until max|g| falls.  Returns the final y,
+    its max|g| and the max|g| of the start.
     """
     res_vec = g(y)
-    res = float(np.max(np.abs(res_vec)))
+    res = start_res = float(np.max(np.abs(res_vec)))
     for _ in range(_MAX_NEWTON):
         if res < EQUILIBRIUM_TOL:
             break
@@ -961,7 +966,7 @@ def _newton(g, y):
             step *= 0.5
         if not improved:
             break
-    return y, res
+    return y, res, start_res
 
 
 def write_path_csv(path: OdePath, file) -> None:

@@ -4,13 +4,14 @@ import threading
 import warnings
 import zlib
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rowgen import POLICIES, ROW_SAMPLERS
+from rowgen import PARAMS, POLICIES, ROW_SAMPLERS
 from vaxgame import (
     Attractor,
     AttractorKind,
@@ -23,13 +24,15 @@ from vaxgame import (
     deadly_coexistence_exact,
     fc,
     fr,
+    mutant,
+    static,
     verify_attractor,
     vfc1,
     vfc2,
     vfc2_limit_set,
 )
-from vaxgame import attractor
-from vaxgame.attractor import DeadlyQuadratic, _eta_at, _propensity_rows, _sample_lyapunov
+from vaxgame import _native, attractor
+from vaxgame.attractor import DeadlyQuadratic, _eta_at, _sample_lyapunov
 from vaxgame.errors import (
     DegenerateState,
     InvalidParams,
@@ -37,7 +40,7 @@ from vaxgame.errors import (
     NoCoexistence,
     RegimeMismatch,
 )
-from vaxgame.ode import field, field_rows
+from vaxgame.ode import field
 from vaxgame.policy import propensity_fn
 
 
@@ -466,6 +469,11 @@ def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
     return lyap_neg / kept, eucl_neg / kept, on_disc, kept
 
 
+def python_kernels():
+    """Run the Python code, as on a machine where the C kernels do not load."""
+    return mock.patch.object(_native, "library", return_value=None)
+
+
 def _row_case(row_id, seed=3):
     draw = ROW_SAMPLERS[row_id][0](np.random.default_rng(seed))
     return closed_form(draw.params, draw.policy), draw.params, draw.policy
@@ -501,10 +509,14 @@ def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_sample
     monkeypatch.setattr(
         attractor,
         "_sample_lyapunov",
-        lambda attr, pol, g_rows, q_rows, *rest: _reference_sample(attr, pol, g, *rest),
+        lambda prm, pol, *rest: _reference_sample(att, pol, g, *rest),
     )
     reference = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
     assert repr(batched) == repr(reference)
+    monkeypatch.undo()
+    with python_kernels():
+        python = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+    assert repr(python) == repr(reference)
 
 
 @pytest.mark.parametrize("seed,radius", [(0, 1e-3), (1, 0.3), (7, 1e-5)])
@@ -547,9 +559,10 @@ def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_sa
     if lyapunov:
         p_form = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
     args = (x_hat, p_form, radius, n_samples, seed)
-    rows = (field_rows(params, policy), _propensity_rows(params, policy))
-    batched = _sample_lyapunov(att, policy, *rows, *args)
+    batched = _sample_lyapunov(params, policy, *args)
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
+    with python_kernels():
+        assert repr(_sample_lyapunov(params, policy, *args)) == repr(batched)
 
 
 @pytest.mark.parametrize(
@@ -564,10 +577,97 @@ def test_sample_lyapunov_flags_discontinuity(policy, point):
     params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
     att = Attractor(*point, _eta_at(*point, params), AttractorKind.INTERIOR, "x", False)
     args = (np.array([*point, att.eta_hat]), np.eye(3), 1e-2, 200, 0)
-    rows = (field_rows(params, policy), _propensity_rows(params, policy))
-    batched = _sample_lyapunov(att, policy, *rows, *args)
+    batched = _sample_lyapunov(params, policy, *args)
     assert batched[2] is True
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
+
+
+_FORM = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
+_FACES = st.one_of(
+    _POINTS,
+    st.sampled_from([(1e-9, 0.5), (0.3, 1.0 - 0.3 - 1e-12), (1.0 - 1e-9, 0.0), (0.0, 1.0 - 1e-9)]),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    policy=POLICIES,
+    params=PARAMS,
+    point=_FACES,
+    radius=st.sampled_from([1e-9, 1e-3, 0.05, 0.3]),
+    seed=st.integers(0, 3),
+    attempts=st.integers(1, 300),
+    missing=st.integers(1, 300),
+    lyapunov=st.booleans(),
+)
+# theta == Gamma: half the samples lie across the threshold
+@example(vfc2(4.0, 0.3), _DEADLY_PARAMS, (0.3, 0.2), 1e-3, 0, 200, 200, True)
+@example(vfc2(4.0, 0.3, theta_variant=True), _DEADLY_PARAMS, (0.3, 0.2), 1e-3, 1, 200, 150, False)
+@example(mutant(vfc2(4.0, 0.3), p=0.5, eps=0.1), _DEADLY_PARAMS, (0.3, 0.2), 0.05, 2, 300, 40, True)
+# a mutant over every base family, with a base q~ > 1 where it can have one
+@example(mutant(fc(3.0), p=0.2, eps=0.1), _DEADLY_PARAMS, (0.2, 0.3), 0.3, 0, 300, 300, True)
+@example(mutant(fr(50.0), p=0.7, eps=0.04), _DEADLY_PARAMS, (0.2, 0.5), 0.05, 1, 300, 100, True)
+@example(mutant(vfc1(9.0), p=0.0, eps=0.5), _DEADLY_PARAMS, (0.4, 0.4), 0.05, 2, 300, 300, False)
+@example(mutant(vfc2(9.0, 0.1, theta_variant=True), p=1.0, eps=0.2), _DEADLY_PARAMS, (0.1, 0.6),
+         0.3, 3, 300, 300, True)
+@example(mutant(static(0.4), p=0.9, eps=0.3), _DEADLY_PARAMS, (0.2, 0.3), 0.05, 0, 50, 10, True)
+# vertices: a quarter, a half or less of the ball is feasible
+@example(fc(2.0), _DEADLY_PARAMS, (0.0, 0.0), 0.3, 0, 300, 300, True)
+@example(fc(2.0), _DEADLY_PARAMS, (0.0, 1.0), 0.3, 1, 300, 300, False)
+@example(fr(3.0), _DEADLY_PARAMS, (1.0, 0.0), 0.05, 2, 300, 300, True)
+def test_certify_pass_counts_as_numpy(policy, params, point, radius, seed, attempts, missing,
+                                      lyapunov):
+    # the C pass against the numpy pass, all six counts: kept, offsets read,
+    # the two form signs, the side test and the threshold crossings
+    if _native.library() is None:
+        pytest.skip("the C kernels cannot be built here")
+    theta, psi = point
+    x_hat = np.array([theta, psi, _eta_at(theta, psi, params)])
+    p_form = _FORM if lyapunov else np.eye(3)
+    offsets = attractor._draw_offsets(np.random.default_rng(seed), attempts, radius)
+    native = attractor._tally(params, policy, x_hat, p_form)(offsets, missing)
+    numpy_pass = attractor._numpy_tally(params, policy, x_hat, p_form)(offsets, missing)
+    assert native == [int(count) for count in numpy_pass]
+
+
+def test_certify_pass_skips_the_attempts_the_stream_skips(monkeypatch):
+    # a stream whose all-zero directions yield no offset: the rounds of the
+    # C pass and of the numpy pass take the same samples
+    def offsets(rng, attempts, radius):
+        u = rng.random(attempts)
+        rows = np.column_stack([np.cos(7e3 * u), np.sin(1e4 * u), np.cos(3e4 * u)]) * radius
+        return rows[(u * 1e6).astype(np.int64) % 4 != 1]
+
+    monkeypatch.setattr(attractor, "_draw_offsets", offsets)
+    params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
+    x_hat = np.array([0.02, 0.3, _eta_at(0.02, 0.3, params)])
+    args = (params, vfc2(4.0, 0.02), x_hat, _FORM, 0.05, 300, 5)
+    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    native = _sample_lyapunov(*args)
+    draws = attractor._draw_cache[(5, 0.05)]
+    assert draws.kept[-1] < len(draws.kept) - 1  # some attempt yielded no offset
+    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    with python_kernels():
+        assert repr(_sample_lyapunov(*args)) == repr(native)
+    assert native[3] == 300 and native[2] is True
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, -1.0, 1.0, -2.5, -1e-300])
+)
+
+
+@given(st.lists(_ENTRIES, min_size=9, max_size=9))
+@example([-1.0, 0.0, -0.0, 2.0, -3.0, 0.5, -0.0, 0.0, -1e-300])
+def test_kronecker_system_matches_np_kron(entries):
+    # bit for bit, the signed zeros of 0.0 * a[k, l] included; a is the
+    # transposed view certify_stability passes
+    a = np.array(entries).reshape(3, 3).T
+    eye = np.eye(3)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0.0, inf - inf
+        expected = np.kron(eye, a) + np.kron(a, eye)
+        built = attractor._kronecker_system(a)
+    assert repr(built.tolist()) == repr(expected.tolist())
 
 
 @pytest.mark.parametrize(

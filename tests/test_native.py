@@ -172,6 +172,9 @@ def test_chain_kernel_stops_at_full_record_arrays():
     assert epochs == [1, 2, 3, 4, 5, 6] and state.k == 6 and state.bi == 6
 
 
+_Q_ONLY = SimpleNamespace(lam=0.0, r=0.0, nu=1.0, b=0.0, d=0.0, d_e=0.0)
+
+
 @given(policy=POLICIES, theta=UNIT, psi_share=UNIT)
 @example(policy=vfc2(4.0, 0.25), theta=0.25, psi_share=0.4)  # on the threshold
 @example(policy=vfc2(4.0, 0.25, theta_variant=True), theta=0.25, psi_share=0.4)
@@ -180,12 +183,14 @@ def test_chain_kernel_stops_at_full_record_arrays():
 @example(policy=fr(3.0), theta=0.0, psi_share=0.3)
 @example(policy=vfc1(3.0), theta=0.1, psi_share=0.1)
 def test_native_response_matches_accept_fn(policy, theta, psi_share):
-    # pins the C copy of the response table; the chain rarely shows a 1-ulp change of q
+    # pins the C copy of the response table; the chain rarely shows a 1-ulp
+    # change of q.  With nu = 1 and every other rate 0 the edge c4 is the one
+    # rounded product q * phi, where a change of q shows
     psi = psi_share * (1.0 - theta)
-    out = np.empty(1)
-    law = _native.make_law(_LEFT, policy)
-    _native.library().vaxgame_response_rows(law, 1, np.array([[theta, psi, 1.0]]), 1.0, out)
-    assert repr(out.tolist()) == repr([accept_fn(policy)(theta, psi)])
+    edges = np.empty(8)
+    _native.library().vaxgame_edges(_native.make_law(_Q_ONLY, policy), theta, psi, edges)
+    assert repr(edges.tolist()) == repr(_reference_edges(_Q_ONLY, policy, theta, psi))
+    assert edges[3] == accept_fn(policy)(theta, psi) * (1.0 - theta - psi)
 
 
 def _reference_edges(params, policy, theta, psi):
@@ -471,13 +476,13 @@ def test_chunk_loop_errors_as_python(params, start, error):
 
 
 def _kernel_newton(params, policy, y):
-    """(code, y, residual) of vaxgame_newton from y."""
-    out, res = np.array(y, dtype=float), ctypes.c_double()
+    """(code, repr of (y, residual, start residual)) of vaxgame_newton from y."""
+    out, res, start_res = np.array(y, dtype=float), ctypes.c_double(), ctypes.c_double()
     code = _native.library().vaxgame_newton(
         _native.make_law(params, policy), ode._MAX_NEWTON, ode.EQUILIBRIUM_TOL, ode._REL_STEP,
-        out, ctypes.byref(res),
+        out, ctypes.byref(res), ctypes.byref(start_res),
     )
-    return code, repr((out.tolist(), res.value))
+    return code, repr((out.tolist(), res.value, start_res.value))
 
 
 _FACE = st.one_of(UNIT, st.sampled_from([0.0, 1.0, 1e-8, 1.0 - 1e-8]))
@@ -502,12 +507,14 @@ def test_native_newton_matches_python(policy, params, theta, psi_share, eta):
     ode_solve3 = ode._solve3
     with mock.patch.object(ode, "_solve3", solve3):
         try:
-            out, res = ode._newton(ode.field(params, policy), y)
-            reference = repr((out.tolist(), res))
+            out, res, start_res = ode._newton(ode.field(params, policy), y)
+            reference = repr((out.tolist(), res, start_res))
         except DegenerateState:
             reference = None
     if code == _native.ODE_SINGULAR:
         assert pivots.count(True) >= 1
+        # the start's residual is written before the decline
+        assert native.endswith(f", {start_res!r})")
         return
     assert not any(pivots)
     if code == _native.ODE_DEGENERATE:
@@ -599,17 +606,29 @@ _ANY = st.one_of(
 @example(mutant(fr(50.0), p=0.7, eps=0.04), [(0.2, 0.5), (math.nan, 0.5)])  # base q~ > 1
 @example(vfc2(4.0, 0.25), [(0.25, 0.4), (math.nan, 0.4), (0.3, math.inf)])
 @example(mutant(vfc2(4.0, 0.25, theta_variant=True), p=0.5, eps=0.5), [(math.inf, 0.1)])
+@example(fc(2.0), [(0.2, 0.5), (0.2, 0.5000000000000001)])  # q~ = 1 exactly, then just above
+@example(fr(5.0), [(0.6, 0.4), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])  # on the simplex's edges
+@example(fc(0.0), [(1e308, 1e308)])  # theta + psi overflows: not kept, and no numpy warning
 def test_native_propensity_rows_match_propensity_fn(policy, points):
-    xs = np.array([(theta, psi, 1.0) for theta, psi in points]).reshape(-1, 3)
+    # the sample pass tests q~ > 1 at each kept sample: one point per call,
+    # as the offset from x_hat = (0, 0, 1), which adds it exactly; a point
+    # outside the simplex (NaN and infinities included) is not kept
     q_tilde = propensity_fn(policy)
-    reference = repr([q_tilde(theta, psi) for theta, psi in points])
-    out = np.empty(len(xs))
-    law = _native.make_law(_LEFT, policy)
-    _native.library().vaxgame_response_rows(law, len(xs), xs, math.inf, out)
-    assert repr(out.tolist()) == reference
-    assert repr(attractor._propensity_rows(_LEFT, policy)(xs).tolist()) == reference
+    x_hat = np.array([0.0, 0.0, 1.0])
+    native = attractor._tally(_LEFT, policy, x_hat, np.eye(3))
     with python_kernels():
-        assert repr(attractor._propensity_rows(_LEFT, policy)(xs).tolist()) == reference
+        python = attractor._tally(_LEFT, policy, x_hat, np.eye(3))
+    for theta, psi in points:
+        offset = np.array([[theta, psi, 0.0]])
+        counts = native(offset, 1)
+        assert counts == python(offset, 1)
+        if not (theta >= 0.0 and psi >= 0.0 and theta + psi <= 1.0):
+            assert counts == [0, 1, 0, 0, 0, 0]
+            continue
+        assert counts[:2] == [1, 1]
+        assert counts[4] == int(q_tilde(theta, psi) > 1.0)
+    # eta must stay positive: x_hat's eta 1 plus an offset of -1 is not kept
+    assert native(np.array([[0.2, 0.2, -1.0]]), 1) == [0, 1, 0, 0, 0, 0]
 
 
 def _double(bits: int) -> float:
@@ -728,7 +747,11 @@ def test_row_kernels_reject_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
         ode.field_rows(_LEFT, fc(1.0))(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
-        attractor._propensity_rows(_LEFT, fc(1.0))(np.zeros(3))
+        attractor._tally(_LEFT, fc(1.0), np.ones(3), np.eye(3))(np.zeros(3), 1)
+    with pytest.raises(ValueError, match="expected x_hat"):
+        attractor._tally(_LEFT, fc(1.0), np.ones(2), np.eye(3))
+    with pytest.raises(ValueError, match="expected x_hat"):
+        attractor._tally(_LEFT, fc(1.0), np.ones(3), np.eye(2))
     with pytest.raises(ValueError, match="same number of rows"):
         _native.write_rows(tmp_path / "x.csv", "h\n", (np.zeros(3),), keys=np.arange(2))
     with pytest.raises(ValueError, match="same number of rows"):

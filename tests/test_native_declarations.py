@@ -32,7 +32,7 @@ def test_every_exported_kernel_is_declared():
         for attr in ("argtypes", "restype")
     }
     assert {
-        "vaxgame_field_rows", "vaxgame_response_rows", "vaxgame_format_rows", "vaxgame_chain"
+        "vaxgame_field_rows", "vaxgame_certify", "vaxgame_format_rows", "vaxgame_chain"
     } <= exported
     assert declared["argtypes"] == exported
     assert declared["restype"] == exported

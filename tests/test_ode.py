@@ -222,6 +222,22 @@ def test_find_equilibrium_rejects_a_bad_guess(left_params, guess, match):
             find_equilibrium(guess, left_params, fc(1.0))
 
 
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("t,horizon", [(1e10, 1e-7), (1.0, 1e-16), (1e300, 1e280)])
+def test_integrate_rejects_a_horizon_that_does_not_move_t(monkeypatch, left_params, native, t,
+                                                          horizon):
+    # t + horizon == t (at 1e300, t + 1e6, the cap, too): the C loop returned
+    # a path of 0 rows, the Python loop numpy's bare "need at least one array
+    # to concatenate"
+    if not native:
+        monkeypatch.setattr(_native, "library", lambda: None)
+    with pytest.raises(InvalidParams, match="does not move t"):
+        integrate(OdeState(0.2, 0.1, 1.0, t=t), left_params, fc(1.0), horizon=horizon)
+    if t == 1.0:  # one ulp of t does move it
+        path = integrate(OdeState(0.2, 0.1, 1.0, t=t), left_params, fc(1.0), horizon=2.3e-16)
+        assert path.t.tolist() == [1.0, 1.0000000000000002]
+
+
 @pytest.mark.parametrize("theta,psi", [(-1e-9, 0.5), (0.5, 0.5 + 5e-10), (0.0, 1.0)])
 def test_integrate_clips_a_start_within_rounding_of_the_simplex(left_params, theta, psi):
     path = integrate(OdeState(theta, psi, 1.0), left_params, fc(2.5), horizon=1.0)
