@@ -5,10 +5,11 @@
  * end), the damped Newton of ode.find_equilibrium (ode._newton) with its
  * finite-difference Jacobian (ode._fd_jacobian, also exported for the
  * certificates' eigenvalues), the certificate draws of
- * attractor._draw_offsets, the certificate's pass over its samples
- * (attractor._numpy_tally), the loop of the field g over rows of states
- * (ode.field_rows) and the %.17g row formatter of the path and trajectory
- * CSVs, which writes Python's bytes from exact integer arithmetic.
+ * attractor._draw_offsets (one row per attempt, NaN for an all-zero
+ * direction), the certificate's pass over its samples, which counts five
+ * numbers per round (attractor._numpy_tally), and the %.17g row formatter
+ * of the path and trajectory CSVs, which writes Python's bytes from exact
+ * integer arithmetic.
  *
  * The others are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
@@ -231,29 +232,25 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
 }
 
 /*
- * The draws of `attempts` certificate attempts: each takes a normal
+ * The draws of `attempts` certificate attempts, one row each: a normal
  * direction (three normal(0, 1) draws) and then, unless every square of it
- * is 0.0, a uniform whose cube root scales the radius.  Writes the kept
- * directions (row-major, three per row) and cube roots; returns their count.
- * The caller holds the bit generator's lock.
+ * is 0.0, a uniform whose cube root scales the radius.  Writes the
+ * directions (row-major, three per row) and cube roots; an all-zero
+ * direction draws no uniform and writes a row of NaN, which no sample pass
+ * keeps.  The caller holds the bit generator's lock.
  */
-int64_t vaxgame_draw(bitgen_t *bitgen, int64_t attempts, double *directions,
-                     double *cube_roots)
+void vaxgame_draw(bitgen_t *bitgen, int64_t attempts, double *directions, double *cube_roots)
 {
-    int64_t kept = 0;
     for (int64_t a = 0; a < attempts; a++) {
-        const double x = random_normal(bitgen, 0.0, 1.0);
-        const double y = random_normal(bitgen, 0.0, 1.0);
-        const double z = random_normal(bitgen, 0.0, 1.0);
-        if (x * x == 0.0 && y * y == 0.0 && z * z == 0.0)
+        double *dir = directions + 3 * a;
+        for (int j = 0; j < 3; j++)
+            dir[j] = random_normal(bitgen, 0.0, 1.0);
+        if (dir[0] * dir[0] == 0.0 && dir[1] * dir[1] == 0.0 && dir[2] * dir[2] == 0.0) {
+            dir[0] = dir[1] = dir[2] = cube_roots[a] = NAN;
             continue;
-        directions[3 * kept] = x;
-        directions[3 * kept + 1] = y;
-        directions[3 * kept + 2] = z;
-        cube_roots[kept] = pow(random_standard_uniform(bitgen), 1.0 / 3.0);
-        kept += 1;
+        }
+        cube_roots[a] = pow(random_standard_uniform(bitgen), 1.0 / 3.0);
     }
-    return kept;
 }
 
 /*
@@ -332,25 +329,11 @@ static int field(const law_t *w, const double y[3], double g[3])
     return 0;
 }
 
-/*
- * field() over n rows of states (n x 3, row-major) into out (n x 3), as
- * ode.field_rows computes them: a row with eta <= 0 gives 0, a NaN eta is
- * evaluated.  Returns the first row whose varrho is not positive, where it
- * stops, or -1.
- */
-int64_t vaxgame_field_rows(const law_t *w, int64_t n, const double *ys, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        if (field(w, ys + 3 * i, out + 3 * i))
-            return i;
-    return -1;
-}
-
 /* The certificate's sample pass: its settings, then the counts of one round. */
 typedef struct {
     double x_hat[3], p_form[9]; /* the form P, row-major */
     double gamma;               /* the threshold; NaN where there is none */
-    int64_t counts[6];
+    int64_t counts[5];
 } sample_t;
 
 /*
@@ -359,18 +342,19 @@ typedef struct {
  * each feasible x (theta >= 0, psi >= 0, theta + psi <= 1, eta > 0) until
  * `missing` are kept.  At each kept x, with z = x - x_hat and g = field(x),
  * it forms z.(P g) and z.g, each sum in index order from the first product.
- * Counts the x kept, the offsets read, and the kept x with z.(P g) < 0, with
- * z.g < 0, with q~ = response(.., INFINITY) > 1 and with theta across gamma
- * from x_hat.  Returns ODE_DEGENERATE where varrho vanishes at a kept x.
+ * Counts the x kept, and the kept x with z.(P g) < 0, with z.g < 0, with
+ * q~ = response(.., INFINITY) > 1 and with theta across gamma from x_hat.
+ * A NaN offset, an all-zero direction's, gives an x that is not feasible.
+ * Returns ODE_DEGENERATE where varrho vanishes at a kept x.
  */
 int vaxgame_certify(sample_t *sp, const law_t *w, const double *offsets, int64_t n,
                     int64_t missing)
 {
     const double *x_hat = sp->x_hat, *p_form = sp->p_form, gamma = sp->gamma;
     const int hat_side = x_hat[0] > gamma;
-    int64_t kept = 0, used = 0, lyap = 0, eucl = 0, side = 0, crossed = 0;
-    while (kept < missing && used < n) {
-        const double *off = offsets + 3 * used++;
+    int64_t kept = 0, lyap = 0, eucl = 0, side = 0, crossed = 0;
+    for (int64_t i = 0; i < n && kept < missing; i++) {
+        const double *off = offsets + 3 * i;
         double x[3], z[3], g[3], pg[3];
         for (int j = 0; j < 3; j++)
             x[j] = x_hat[j] + off[j];
@@ -388,7 +372,7 @@ int vaxgame_certify(sample_t *sp, const law_t *w, const double *offsets, int64_t
         side += response(w, x[0], x[1], INFINITY) > 1.0;
         crossed += (x[0] > gamma) != hat_side;
     }
-    const int64_t counts[6] = {kept, used, lyap, eucl, side, crossed};
+    const int64_t counts[5] = {kept, lyap, eucl, side, crossed};
     memcpy(sp->counts, counts, sizeof counts);
     return 0;
 }

@@ -7,17 +7,17 @@ end; the state :class:`Loop` carries across calls) and the field g (which
 keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
 chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
 its finite-difference Jacobian, which is exported on its own too, the
-certificate draws of :func:`vaxgame.attractor._draw_offsets`, the
-certificate's pass over its samples (feasibility, g, the signs of its two
-quadratic forms and the side tests, counted per round of
-:func:`vaxgame.attractor._sample_lyapunov`), the loop of g over the rows of
-:func:`vaxgame.ode.field_rows`, which reads the arrays that :func:`states`
-checks, and the ``%.17g`` formatter of the path and trajectory CSVs, which
-:func:`write_rows` drives.  The formatter writes a double with 10^-16 <=
-|x| < 2^127 in 128-bit integer arithmetic, correctly rounded (half to even)
-as Python does; zeros and NaNs directly; and subnormals, infinities and the
-rest through ``sprintf("%.17g")``.  The chunk loop holds no tableau of its
-own: each call takes ``ode._TABLEAU``, the package's one copy of the DOP853
+certificate draws of :func:`vaxgame.attractor._draw_offsets` (one row per
+attempt, a row of NaN for an all-zero direction), the certificate's pass
+over its samples (feasibility, g, the signs of its two quadratic forms and
+the side tests: five counts per round of
+:func:`vaxgame.attractor._sample_lyapunov`), and the ``%.17g`` formatter of
+the path and trajectory CSVs, which :func:`write_rows` drives.  The
+formatter writes a double with 10^-16 <= |x| < 2^127 in 128-bit integer
+arithmetic, correctly rounded (half to even) as Python does; zeros and NaNs
+directly; and subnormals, infinities and the rest through
+``sprintf("%.17g")``.  The chunk loop holds no tableau of its own: each
+call takes ``ode._TABLEAU``, the package's one copy of the DOP853
 coefficients; it takes the settle tolerance, the quiet step count and the
 largest chunk from :mod:`vaxgame.ode` as well, and the Newton its
 iterations, tolerance and Jacobian step.
@@ -150,7 +150,7 @@ class Sample(ctypes.Structure):
         ("x_hat", ctypes.c_double * 3),
         ("p_form", ctypes.c_double * 9),
         ("gamma", ctypes.c_double),
-        ("counts", ctypes.c_int64 * 6),
+        ("counts", ctypes.c_int64 * 5),
     ]
 
 
@@ -187,17 +187,6 @@ def library() -> Optional[ctypes.CDLL]:
 def kernel_name() -> str:
     """``native`` when the kernels load, else ``python``."""
     return "python" if library() is None else "native"
-
-
-def states(ys) -> np.ndarray:
-    """``ys`` as the C-contiguous (n, 3) doubles a state-row loop reads.
-
-    Raises ValueError for any other shape: the loops would read past it.
-    """
-    ys = np.ascontiguousarray(ys, float)  # the settle scan hands a strided view
-    if ys.ndim != 2 or ys.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) states, got shape {ys.shape}")
-    return ys
 
 
 def write_rows(path, header: str, columns, keys=None) -> None:
@@ -304,10 +293,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.vaxgame_edges.restype = None
     lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, doubles]
-    lib.vaxgame_draw.restype = ctypes.c_int64
+    lib.vaxgame_draw.restype = None
     lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
-    lib.vaxgame_field_rows.restype = ctypes.c_int64
-    lib.vaxgame_field_rows.argtypes = [ctypes.POINTER(Law), ctypes.c_int64, doubles, doubles]
     lib.vaxgame_certify.restype = ctypes.c_int
     lib.vaxgame_certify.argtypes = [
         ctypes.POINTER(Sample),

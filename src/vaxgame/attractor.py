@@ -50,12 +50,14 @@ squared Euclidean distance is *not* a valid surrogate here: stable
 coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
 The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
-it loads, else from a Python loop; both draw the same stream.  The draws of
-a (seed, radius) are kept and extended on demand (:class:`_Draws`), a few
-such streams per process.  Each round of samples is counted in one pass of
-that kernel (feasibility, the field, the signs of both forms and the side
-tests), else in numpy by :func:`_numpy_tally`, the reference it is tested
-against; both give the same counts.
+it loads, else from a Python loop; both draw the same stream, one offset
+row per attempt (a row of NaN, never feasible, where the direction is all
+zero).  The draws of a (seed, radius) are kept and extended on demand
+(:class:`_Draws`), a few such streams per process.  Each round of samples
+is counted in one pass of that kernel (feasibility, the field, the signs of
+both forms and the side tests: five counts), else in numpy by
+:func:`_numpy_tally`, the reference it is tested against; both give the
+same counts.
 """
 
 from __future__ import annotations
@@ -666,9 +668,10 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
     """Offsets of ``attempts`` draws, uniform in the radius ball.
 
     Each attempt draws a normal direction and then a uniform radius, in that
-    order; an all-zero direction draws no radius and yields no offset.  The
-    draws come from the C kernel of :mod:`vaxgame._native` when it loads,
-    else from :func:`_python_draws`; both leave the same offsets and the same
+    order, and gives one row; an all-zero direction draws no radius and
+    gives a row of NaN, which no sample is taken from.  The draws come from
+    the C kernel of :mod:`vaxgame._native` when it loads, else from
+    :func:`_python_draws`; both leave the same offsets and the same
     generator state.
     """
     lib = _native.library()
@@ -679,63 +682,47 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
         cube_roots = np.empty(attempts)
         bitgen = rng.bit_generator
         with bitgen.lock:
-            kept = lib.vaxgame_draw(bitgen.ctypes.bit_generator, attempts, directions, cube_roots)
-        directions, cube_roots = directions[:kept], cube_roots[:kept]
+            lib.vaxgame_draw(bitgen.ctypes.bit_generator, attempts, directions, cube_roots)
         # per row the same product as the Python loop's direction.dot(direction)
         squares = (directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
-    if not len(directions):
-        return np.empty((0, 3))
     norms = np.sqrt(squares)[:, None]
     return directions / norms * radius * cube_roots[:, None]
 
 
 def _python_draws(rng: np.random.Generator, attempts: int):
-    """The attempt loop in Python: kept directions, their squares and cube roots."""
-    directions, squares, cube_roots = [], [], []
-    for _ in range(attempts):
+    """The attempt loop in Python: directions, their squares and cube roots, NaN where all zero."""
+    directions = np.full((attempts, 3), np.nan)
+    squares = np.full(attempts, np.nan)
+    cube_roots = np.full(attempts, np.nan)
+    for a in range(attempts):
         direction = rng.normal(size=3)
         square = direction.dot(direction)  # np.linalg.norm's own dot
-        if square == 0.0:
-            continue
-        directions.append(direction)
-        squares.append(square)
-        cube_roots.append(rng.random() ** (1.0 / 3.0))
-    return np.array(directions), np.array(squares), np.array(cube_roots)
+        if square != 0.0:
+            directions[a], squares[a] = direction, square
+            cube_roots[a] = rng.random() ** (1.0 / 3.0)
+    return directions, squares, cube_roots
 
 
 class _Draws:
     """The offsets of the attempt stream of :func:`_draw_offsets` for one (seed, radius).
 
-    Attempts are drawn on demand and kept; ``kept[a]`` counts the offsets
-    of the first a attempts, so an all-zero direction, which yields no
-    offset, is skipped where the stream skips it.  A lock keeps the drawing
-    of one stream to one thread at a time.
+    Attempts are drawn on demand and kept, one offset row each.  A lock
+    keeps the drawing of one stream to one thread at a time.
     """
 
     def __init__(self, seed: int, radius: float):
         self.rng = np.random.default_rng(seed)
         self.radius = radius
         self.offsets = np.empty((0, 3))
-        self.kept = np.zeros(1, dtype=np.int64)
         self.lock = threading.Lock()
 
     def between(self, start: int, stop: int) -> np.ndarray:
         """The offsets of attempts ``start`` to ``stop`` - 1."""
         with self.lock:
-            if stop >= len(self.kept):
-                self._draw(stop + 1 - len(self.kept))
-            return self.offsets[self.kept[start] : self.kept[stop]]
-
-    def _draw(self, attempts: int) -> None:
-        state = self.rng.bit_generator.state
-        offsets = _draw_offsets(self.rng, attempts, self.radius)
-        if len(offsets) == attempts:
-            per_attempt = np.ones(attempts, dtype=np.int64)
-        else:  # some direction was all zero: redraw one attempt at a time to find it
-            self.rng.bit_generator.state = state
-            per_attempt = [len(_draw_offsets(self.rng, 1, self.radius)) for _ in range(attempts)]
-        self.offsets = np.concatenate([self.offsets, offsets])
-        self.kept = np.concatenate([self.kept, self.kept[-1] + np.cumsum(per_attempt)])
+            if stop > len(self.offsets):
+                more = _draw_offsets(self.rng, stop - len(self.offsets), self.radius)
+                self.offsets = np.concatenate([self.offsets, more])
+            return self.offsets[start:stop]
 
 
 _draw_cache: OrderedDict[tuple[int, float], _Draws] = OrderedDict()
@@ -765,16 +752,16 @@ def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
 
     Samples are the first ``n_samples`` feasible points of the attempt
     sequence of :func:`_draw_offsets`, within ``50 * n_samples`` attempts.
-    Attempts are taken in rounds sized from the feasible share seen so far;
-    draws past the last sample taken are not used, so the samples do not
-    depend on the round sizes.  The draws of a (seed, radius) are kept
-    across calls (:func:`_draws`).  The counts of each round
-    (:func:`_tally`) are summed.
+    Attempts are taken in rounds sized from the feasible share seen so far,
+    attempt a being row a of the offsets; draws past the last sample taken
+    are not used, so the samples do not depend on the round sizes.  The
+    draws of a (seed, radius) are kept across calls (:func:`_draws`).  The
+    five counts of each round (:func:`_tally`) are summed.
     """
     tally = _tally(params, policy, x_hat, p_form)
     budget = 50 * n_samples
     draws = _draws(seed, radius, budget)
-    counts = [0] * 6
+    counts = [0] * 5
     attempts = 0
     while counts[0] < n_samples and attempts < budget:
         kept = counts[0]
@@ -784,7 +771,7 @@ def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
         round_counts = tally(draws.between(attempts, attempts + batch), missing)
         counts = [int(a + b) for a, b in zip(counts, round_counts)]
         attempts += batch
-    kept, _, lyap_neg, eucl_neg, side, crossed = counts
+    kept, lyap_neg, eucl_neg, side, crossed = counts
     if kept == 0:
         raise RegimeMismatch("no feasible samples near the attractor")
     return lyap_neg / kept, eucl_neg / kept, 0 < side < kept or crossed > 0, kept
@@ -792,9 +779,10 @@ def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
 
 def _tally(params, policy, x_hat, p_form):
     """(offsets, missing) -> the counts of one round: the first ``missing``
-    feasible samples x = x_hat + offset kept, the offsets read, and the kept
-    x with z.(P g) < 0 and with z.g < 0 (z = x - x_hat, g the field at x),
-    with the propensity q~ > 1 and with theta across the threshold from x_hat.
+    feasible samples x = x_hat + offset kept (a NaN offset is not feasible),
+    and the kept x with z.(P g) < 0 and with z.g < 0 (z = x - x_hat, g the
+    field at x), with the propensity q~ > 1 and with theta across the
+    threshold from x_hat.
 
     One pass of the C kernel of :mod:`vaxgame._native` where that loads,
     else :func:`_numpy_tally`.  Raises DegenerateState where varrho vanishes
@@ -816,7 +804,9 @@ def _tally(params, policy, x_hat, p_form):
     )
 
     def native(offsets: np.ndarray, missing: int) -> list:
-        offsets = _native.states(offsets)
+        offsets = np.ascontiguousarray(offsets, float)
+        if offsets.ndim != 2 or offsets.shape[1] != 3:  # the kernel would read past them
+            raise ValueError(f"expected (n, 3) states, got shape {offsets.shape}")
         if lib.vaxgame_certify(ctypes.byref(sample), ctypes.byref(law), offsets, len(offsets),
                                missing):
             raise DegenerateState("varrho vanished")
@@ -838,9 +828,7 @@ def _numpy_tally(params, policy, x_hat, p_form):
             feasible = (
                 (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)
             )
-        taken = np.flatnonzero(feasible)[:missing]
-        used = int(taken[-1]) + 1 if len(taken) == missing else len(x)
-        x = x[taken]
+        x = x[np.flatnonzero(feasible)[:missing]]
         z = x - x_hat
         gx = g_rows(x)
         # per row the same matrix-vector product and dot as z @ (p_form @ gx)
@@ -849,7 +837,7 @@ def _numpy_tally(params, policy, x_hat, p_form):
         side = [q_tilde(theta, psi) > 1.0 for theta, psi, _ in x.tolist()]
         crossed = 0 if gamma is None else (x[:, 0] > gamma) != (x_hat[0] > gamma)
         return [
-            len(x), used, np.count_nonzero(lyap < 0.0), np.count_nonzero(eucl < 0.0),
+            len(x), np.count_nonzero(lyap < 0.0), np.count_nonzero(eucl < 0.0),
             sum(side), np.count_nonzero(crossed),
         ]
 

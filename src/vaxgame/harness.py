@@ -615,9 +615,8 @@ def write_ess_csv(records: list[RunRecord], path) -> None:
 
 
 #: the layers that run a C kernel: the chain loop and the trajectory CSV
-#: formatter (monte_carlo); the ODE stepper, the settle scan's field rows and
-#: the path CSV formatter (ode); the certificate draws and the field and
-#: propensity rows (stability)
+#: formatter (monte_carlo); the ODE chunk loop and the path CSV formatter
+#: (ode); the certificate's Jacobian, draws and sample pass (stability)
 _KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.ODE, Layer.STABILITY})
 
 

@@ -14,11 +14,10 @@ only at eta <= 0.  :func:`field` resolves (params, policy) into y -> g(y)
 once; the Python integrator, Newton and the finite-difference Jacobian
 evaluate it one state at a time.  :func:`field_rows` is its batch form,
 (n, 3) states in and (n, 3) components out, each row equal to g bit for
-bit; the settle scan of the Python chunk loop and the certificate
-sampling in :mod:`vaxgame.attractor` evaluate it.  Its rows run through
-the field of the C kernel of :mod:`vaxgame._native` when that loads, else
-through a loop over the scalar field (:func:`_scalar_field`), the one
-Python definition of g.
+bit: a loop over the scalar field (:func:`_scalar_field`), the one Python
+definition of g.  The settle scan of the Python chunk loop and the numpy
+sample pass of :mod:`vaxgame.attractor` evaluate it; with the C kernels of
+:mod:`vaxgame._native` loaded, both run in C instead.
 
 Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
@@ -169,24 +168,10 @@ def field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np
 
     Row i equals ``g(ys[i])`` bit for bit, and a row whose varrho vanished
     raises DegenerateState as g does, unless its eta is at most 0 (its row
-    is 0).  The rows run through the field loop of the C kernel of
-    :mod:`vaxgame._native` when that loads, else through a loop over
-    :func:`_scalar_field`, the reference it is tested against.
+    is 0): a loop over :func:`_scalar_field`.
     """
-    lib = _native.library()
-    if lib is None:
-        g3 = _scalar_field(params, policy)
-        return lambda ys: np.array([g3(*y) for y in ys.tolist()]).reshape(-1, 3)
-    law = _native.make_law(params, policy)
-
-    def native(ys: np.ndarray) -> np.ndarray:
-        ys = _native.states(ys)
-        out = np.empty(ys.shape)
-        if lib.vaxgame_field_rows(ctypes.byref(law), len(ys), ys, out) >= 0:
-            raise DegenerateState("varrho vanished")
-        return out
-
-    return native
+    g3 = _scalar_field(params, policy)
+    return lambda ys: np.array([g3(*y) for y in ys.tolist()]).reshape(-1, 3)
 
 
 def rhs(state: OdeState, params: ModelParams, policy: Policy) -> np.ndarray:
@@ -783,26 +768,28 @@ def _fd_jacobian(g, y, rel_step: float = _REL_STEP) -> np.ndarray:
     """
     n = len(y)
     jac = np.zeros((n, n))
-    for j in range(n):
-        h = rel_step * max(1.0, abs(y[j]))
-        lo_blocked = j < 2 and y[j] - h < 0.0
-        hi_blocked = j < 2 and (y[0] + y[1] + h > 1.0 or y[j] + h > 1.0)
-        if not lo_blocked and not hi_blocked:
-            up, dn = y.copy(), y.copy()
-            up[j] += h
-            dn[j] -= h
-            jac[:, j] = (g(up) - g(dn)) / (2.0 * h)
-        elif not hi_blocked:
-            p1, p2 = y.copy(), y.copy()
-            p1[j] += h
-            p2[j] += 2.0 * h
-            jac[:, j] = (-3.0 * g(y) + 4.0 * g(p1) - g(p2)) / (2.0 * h)
-        elif not lo_blocked:
-            p1, p2 = y.copy(), y.copy()
-            p1[j] -= h
-            p2[j] -= 2.0 * h
-            jac[:, j] = (3.0 * g(y) - 4.0 * g(p1) + g(p2)) / (2.0 * h)
-        # a column blocked on both sides stays zero (degenerate face width)
+    # silent where a step leaves the finite numbers (inf - inf), as the C kernel is
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(n):
+            h = rel_step * max(1.0, abs(y[j]))
+            lo_blocked = j < 2 and y[j] - h < 0.0
+            hi_blocked = j < 2 and (y[0] + y[1] + h > 1.0 or y[j] + h > 1.0)
+            if not lo_blocked and not hi_blocked:
+                up, dn = y.copy(), y.copy()
+                up[j] += h
+                dn[j] -= h
+                jac[:, j] = (g(up) - g(dn)) / (2.0 * h)
+            elif not hi_blocked:
+                p1, p2 = y.copy(), y.copy()
+                p1[j] += h
+                p2[j] += 2.0 * h
+                jac[:, j] = (-3.0 * g(y) + 4.0 * g(p1) - g(p2)) / (2.0 * h)
+            elif not lo_blocked:
+                p1, p2 = y.copy(), y.copy()
+                p1[j] -= h
+                p2[j] -= 2.0 * h
+                jac[:, j] = (3.0 * g(y) - 4.0 * g(p1) + g(p2)) / (2.0 * h)
+            # a column blocked on both sides stays zero (degenerate face width)
     return jac
 
 

@@ -4,6 +4,7 @@ import threading
 import warnings
 import zlib
 from collections import OrderedDict
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -426,10 +427,13 @@ def test_certificate_non_normal_stable_case():
 
 
 def test_certificate_of_nan_eta_is_degenerate(left_params):
+    # an infinite eta too, with the C kernels and without them
     att = closed_form(left_params, fc(3.0))
-    bad = Attractor(att.theta_hat, att.psi_hat, math.nan, att.kind, att.table_row, True)
-    with pytest.raises(DegenerateState, match="non-finite Jacobian"):
-        certify_stability(bad, left_params, fc(3.0))
+    for eta in (math.nan, math.inf):
+        bad = Attractor(att.theta_hat, att.psi_hat, eta, att.kind, att.table_row, True)
+        for kernels in (nullcontext(), python_kernels()):
+            with kernels, pytest.raises(DegenerateState, match="non-finite Jacobian"):
+                certify_stability(bad, left_params, fc(3.0))
 
 
 def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
@@ -617,8 +621,8 @@ _FACES = st.one_of(
 @example(fr(3.0), _DEADLY_PARAMS, (1.0, 0.0), 0.05, 2, 300, 300, True)
 def test_certify_pass_counts_as_numpy(policy, params, point, radius, seed, attempts, missing,
                                       lyapunov):
-    # the C pass against the numpy pass, all six counts: kept, offsets read,
-    # the two form signs, the side test and the threshold crossings
+    # the C pass against the numpy pass, all five counts: kept, the two form
+    # signs, the side test and the threshold crossings
     if _native.library() is None:
         pytest.skip("the C kernels cannot be built here")
     theta, psi = point
@@ -631,12 +635,13 @@ def test_certify_pass_counts_as_numpy(policy, params, point, radius, seed, attem
 
 
 def test_certify_pass_skips_the_attempts_the_stream_skips(monkeypatch):
-    # a stream whose all-zero directions yield no offset: the rounds of the
+    # a stream whose all-zero directions give rows of NaN: the rounds of the
     # C pass and of the numpy pass take the same samples
     def offsets(rng, attempts, radius):
         u = rng.random(attempts)
         rows = np.column_stack([np.cos(7e3 * u), np.sin(1e4 * u), np.cos(3e4 * u)]) * radius
-        return rows[(u * 1e6).astype(np.int64) % 4 != 1]
+        rows[(u * 1e6).astype(np.int64) % 4 == 1] = np.nan
+        return rows
 
     monkeypatch.setattr(attractor, "_draw_offsets", offsets)
     params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
@@ -645,7 +650,7 @@ def test_certify_pass_skips_the_attempts_the_stream_skips(monkeypatch):
     monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
     native = _sample_lyapunov(*args)
     draws = attractor._draw_cache[(5, 0.05)]
-    assert draws.kept[-1] < len(draws.kept) - 1  # some attempt yielded no offset
+    assert np.isnan(draws.offsets).any()  # some attempt had an all-zero direction
     monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
     with python_kernels():
         assert repr(_sample_lyapunov(*args)) == repr(native)
@@ -709,20 +714,20 @@ def test_cached_draws_give_the_fresh_certificate(monkeypatch, row_id):
 
 
 def test_cached_draws_skip_the_attempts_the_stream_skips(monkeypatch):
-    # an all-zero direction yields no offset; the cache finds which attempt
-    # did and keeps the offsets of the others, wherever a round starts
+    # an all-zero direction gives a row of NaN; the cache keeps one row per
+    # attempt, so each round gets its attempts' rows wherever it starts
     def offsets(rng, attempts, radius):
         u = rng.random(attempts)
-        return np.column_stack([u * radius] * 3)[(u * 1e6).astype(np.int64) % 3 != 2]
+        rows = np.column_stack([u * radius] * 3)
+        rows[(u * 1e6).astype(np.int64) % 3 == 2] = np.nan
+        return rows
 
     monkeypatch.setattr(attractor, "_draw_offsets", offsets)
-    u = np.random.default_rng(5).random(400)
-    expected = np.column_stack([u * 0.1] * 3)
-    kept = (u * 1e6).astype(np.int64) % 3 != 2
+    expected = offsets(np.random.default_rng(5), 400, 0.1)
+    assert np.isnan(expected).any()
     draws = attractor._Draws(5, 0.1)
     for start, stop in [(0, 7), (7, 7), (7, 100), (3, 50), (100, 400), (0, 400)]:
-        want = expected[start:stop][kept[start:stop]]
-        assert np.array_equal(draws.between(start, stop), want)
+        assert np.array_equal(draws.between(start, stop), expected[start:stop], equal_nan=True)
 
 
 def test_draw_cache_keeps_a_bounded_number_of_streams(monkeypatch, left_params):

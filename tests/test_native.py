@@ -324,64 +324,53 @@ _COORD = st.one_of(UNIT, st.sampled_from([0.0, -0.0, 1.0, 0.2, math.nan]), st.fl
 _ETA = st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.0, -0.0, -1.0, 1e-13, math.nan]))
 
 
+def _c_field(params, policy, y):
+    """The C field() at y: the kernel's return code and the g it writes.
+
+    ``vaxgame_integrate`` with one record row starts its first segment,
+    which writes g at y to ``seg.f``, records the start row and returns
+    ODE_RECORDS_FULL; where varrho vanishes at y it returns ODE_DEGENERATE
+    and leaves ``seg.f`` as it was (NaN here).
+    """
+    loop = _native.Loop(
+        t_end=1.0, max_chunk=ode._MAX_CHUNK, chunk=ode._FIRST_CHUNK,
+        seg=_native.Segment(rtol=1e-12, atol=1e-14),
+    )
+    loop.seg.y[:] = tuple(y)
+    loop.seg.f[:] = (math.nan,) * 3
+    law = _native.make_law(params, policy)
+    code = _native.library().vaxgame_integrate(
+        ctypes.byref(loop), ctypes.byref(law), ode._TABLEAU, 1, np.empty((1, 4))
+    )
+    return code, list(loop.seg.f)
+
+
 @given(policy=POLICIES, params=PARAMS, theta=_COORD, psi=_COORD, on_face=st.booleans(), eta=_ETA)
 @example(vfc2(4.0, 0.2), _THRESHOLD, 0.2, 0.4, False, 0.5)  # on the threshold
 @example(fc(1.0), _LEFT, 0.7, 0.95, False, 1.0)  # projected back onto theta + psi = 1
+@example(vfc1(2.0), _LEFT, -0.0, 0.0, False, 1.0)  # q of theta + 0.0, not of -0.0: g_psi is 0.0
+@example(fc(3.0), _THRESHOLD, 0.3, 0.2, False, 1.0)  # varrho's grouping shows in the last bit
+@example(fc(3.0), _LEFT, 0.2, 0.1, False, 0.0)  # eta = 0: g is 0
+@example(fc(3.0), _LEFT, math.nan, 0.1, False, 1.0)  # the clamps pass a NaN through
 def test_native_field_matches_ode_field(policy, params, theta, psi, on_face, eta):
     # off the simplex and at eta <= 0 too, where the adaptive stages probe
     y = np.array([theta, 1.0 - theta if on_face else psi, eta])
-    g = np.empty(3)
-    code = _native.library().vaxgame_field_rows(_native.make_law(params, policy), 1, y, g)
-    assert code == -1
-    assert repr(g.tolist()) == repr(ode.field(params, policy)(y).tolist())
-
-
-def test_native_field_reports_a_vanishing_varrho():
-    # rates of 1e-300 and a projection rounding theta + psi above 1 give phi < 0
-    params = ModelParams(lam=1e-300, r=0.0, nu=1.0, b=1e-300, d=0.0)
-    y = np.array([0.7, 0.95, 1.0])
-    with pytest.raises(DegenerateState, match="varrho vanished"):
-        ode.field(params, fc(1.0))(y)
-    law = _native.make_law(params, fc(1.0))
-    assert _native.library().vaxgame_field_rows(law, 1, y, np.empty(3)) == 0  # the first row
-
-
-def _rows_run(rows_fn, ys):
-    try:
-        return repr(rows_fn(ys).tolist())
-    except DegenerateState as exc:
-        return repr(exc)
+    code, g = _c_field(params, policy, y)
+    assert code == _native.ODE_RECORDS_FULL
+    assert repr(g) == repr(ode.field(params, policy)(y).tolist())
 
 
 # rates of 1e-300 and a projection rounding theta + psi above 1 give phi < 0
-# and a varrho that vanishes: at a live row, and at a dead one (eta <= 0)
+# and a varrho that vanishes
 _VANISHING = ModelParams(lam=1e-300, r=0.0, nu=1.0, b=1e-300, d=0.0)
-_ROWS = st.lists(st.tuples(_COORD, _COORD, _ETA), max_size=30)
 
 
-@settings(deadline=None)
-@given(policy=POLICIES, params=PARAMS, rows=_ROWS, column=st.booleans())
-@example(fc(1.0), _VANISHING, [(0.2, 0.1, 1.0), (0.7, 0.95, 1.0), (0.7, 0.95, 0.5)], False)
-@example(fc(1.0), _VANISHING, [(0.2, 0.1, 1.0), (0.7, 0.95, 0.0), (0.7, 0.95, -1.0)], True)
-@example(vfc2(4.0, 0.2), _THRESHOLD, [(0.2, 0.4, 0.5), (1.3, -0.2, math.nan)], True)
-def test_native_field_rows_match_python(policy, params, rows, column):
-    # off the simplex, at eta <= 0 and at NaN too; ``column`` hands the rows
-    # as the strided view rows[:, 1:] that the settle scan of integrate passes
-    ys = np.array(rows, dtype=float).reshape(-1, 3)
-    if column:
-        ys = np.column_stack((np.arange(len(ys), dtype=float), ys))[:, 1:]
-    native = _rows_run(ode.field_rows(params, policy), ys)
-    g = ode.field(params, policy)
-    assert native == _rows_run(lambda ys: np.array([g(y) for y in ys]).reshape(-1, 3), ys)
-    with python_kernels():
-        assert _rows_run(ode.field_rows(params, policy), ys) == native
-
-
-def test_field_rows_vanishing_varrho_cases_are_reached():
-    g_rows = ode.field_rows(_VANISHING, fc(1.0))
+def test_native_field_reports_a_vanishing_varrho():
+    y = np.array([0.7, 0.95, 1.0])
     with pytest.raises(DegenerateState, match="varrho vanished"):
-        g_rows(np.array([[0.2, 0.1, 1.0], [0.7, 0.95, 1.0]]))
-    assert g_rows(np.array([[0.7, 0.95, 0.0]])).tolist() == [[0.0, 0.0, 0.0]]
+        ode.field(_VANISHING, fc(1.0))(y)
+    code, g = _c_field(_VANISHING, fc(1.0), y)
+    assert code == _native.ODE_DEGENERATE and all(map(math.isnan, g))  # field() wrote no g
 
 
 # rows that settle: the quiet run of fc(1.0) lies inside its last segment,
@@ -557,6 +546,9 @@ def test_find_equilibrium_matches_python(policy, guess):
 @example(fc(3.0), _LEFT, 0.4, 1.0, 1.0)  # theta + psi = 1: backward in both
 @example(fc(3.0), _LEFT, 1e-8, 0.0, 1.0)  # within h of both faces: forward
 @example(fc(1.0), _LEFT, 0.0, 1.0, 0.5)  # the vertex (0, 1): a zero column
+# an infinite eta or psi: steps of inf give inf - inf, NaN columns and no warning
+@example(fc(1.0), _LEFT, 0.2, 0.125, math.inf)
+@example(fc(1.0), _LEFT, 0.2, math.inf, 1.0)
 def test_native_jacobian_matches_fd_jacobian(policy, params, theta, psi_share, eta):
     y = np.array([theta, psi_share * (1.0 - theta), eta])
     try:
@@ -623,12 +615,12 @@ def test_native_propensity_rows_match_propensity_fn(policy, points):
         counts = native(offset, 1)
         assert counts == python(offset, 1)
         if not (theta >= 0.0 and psi >= 0.0 and theta + psi <= 1.0):
-            assert counts == [0, 1, 0, 0, 0, 0]
+            assert counts == [0, 0, 0, 0, 0]
             continue
-        assert counts[:2] == [1, 1]
-        assert counts[4] == int(q_tilde(theta, psi) > 1.0)
+        assert counts[0] == 1
+        assert counts[3] == int(q_tilde(theta, psi) > 1.0)
     # eta must stay positive: x_hat's eta 1 plus an offset of -1 is not kept
-    assert native(np.array([[0.2, 0.2, -1.0]]), 1) == [0, 1, 0, 0, 0, 0]
+    assert native(np.array([[0.2, 0.2, -1.0]]), 1) == [0, 0, 0, 0, 0]
 
 
 def _double(bits: int) -> float:
@@ -745,8 +737,6 @@ def test_declined_blocks_are_written_by_python(tmp_path, monkeypatch):
 def test_row_kernels_reject_mismatched_shapes(tmp_path):
     # a pointer to fewer rows or columns than the kernel reads is never passed
     with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
-        ode.field_rows(_LEFT, fc(1.0))(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="expected \\(n, 3\\) states"):
         attractor._tally(_LEFT, fc(1.0), np.ones(3), np.eye(3))(np.zeros(3), 1)
     with pytest.raises(ValueError, match="expected x_hat"):
         attractor._tally(_LEFT, fc(1.0), np.ones(2), np.eye(3))
@@ -805,7 +795,8 @@ class _BitGen(ctypes.Structure):
 
 def test_draw_kernel_skips_zero_directions():
     # the ziggurat maps the word 0 to the normal 0.0, 1 << 8 to -0.0 and
-    # 5 << 9 to 5 * wi[0] > 0: the first attempt has an all-zero direction
+    # 5 << 9 to 5 * wi[0] > 0: the first attempt has an all-zero direction,
+    # which draws no uniform and writes a row of NaN
     words = iter([0, 1 << 8, 0, 5 << 9, 0, 7 << 9])
     uniforms = []
 
@@ -818,10 +809,18 @@ def test_draw_kernel_skips_zero_directions():
         _WORD(lambda _: 0),
     )
     directions, cube_roots = np.empty((2, 3)), np.empty(2)
-    kept = _native.library().vaxgame_draw(ctypes.addressof(bitgen), 2, directions, cube_roots)
-    assert kept == 1 and len(uniforms) == 1  # no uniform for the zero direction
-    assert directions[0, 0] > 0.0 and directions[0, 1] == 0.0 and directions[0, 2] > 0.0
-    assert cube_roots[0] == 0.25 ** (1.0 / 3.0)
+    _native.library().vaxgame_draw(ctypes.addressof(bitgen), 2, directions, cube_roots)
+    assert len(uniforms) == 1  # no uniform for the zero direction
+    assert np.all(np.isnan(directions[0])) and math.isnan(cube_roots[0])
+    assert directions[1, 0] > 0.0 and directions[1, 1] == 0.0 and directions[1, 2] > 0.0
+    assert cube_roots[1] == 0.25 ** (1.0 / 3.0)
+    # the Python loop, fed the same normals and uniform, writes the same rows
+    normals = iter([np.array([0.0, -0.0, 0.0]), directions[1].copy()])
+    rng = SimpleNamespace(normal=lambda size: next(normals), random=lambda: next_double(None))
+    python_directions, _, python_cube_roots = attractor._python_draws(rng, 2)
+    assert len(uniforms) == 2
+    assert np.array_equal(python_directions, directions, equal_nan=True)
+    assert np.array_equal(python_cube_roots, cube_roots, equal_nan=True)
 
 
 def _draws(seed, sizes, radius):
