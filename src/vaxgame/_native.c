@@ -1,7 +1,7 @@
 /*
  * C kernels for vaxgame: the jump-chain loop of chain.simulate, the chunk
  * loop of ode.integrate (ode._PythonChunks, its DOP853 segments
- * ode._python_segment, its settle count and its projection of each chunk
+ * ode._python_segment, its settle test and its projection of each chunk
  * end), the damped Newton of ode.find_equilibrium (ode._newton) with its
  * finite-difference Jacobian (ode._fd_jacobian, also exported for the
  * certificates' eigenvalues), the certificate draws of
@@ -269,7 +269,8 @@ enum {
     ODE_DEGENERATE,
     ODE_NO_ROOT,
     ODE_LEFT_SIMPLEX,
-    ODE_SINGULAR
+    ODE_SINGULAR,
+    ODE_SETTLED
 };
 
 /* One segment: its settings, then the solver state carried across calls. */
@@ -674,46 +675,35 @@ static double max_abs(const double v[3])
  */
 typedef struct {
     double t_end, max_chunk;
-    int64_t stop;        /* nonzero: settle after quiet_steps quiet rows in a row */
-    int64_t quiet_steps;
-    double tol;          /* a row is quiet when every |g| is below tol */
+    int64_t stop; /* nonzero: settle at the first quiet row after a step or at an event */
+    double tol;   /* a row is quiet when every |g| is below tol */
     double chunk;
-    int64_t quiet, settled, n_segments;
+    int64_t n_segments;
     int64_t open; /* nonzero: seg is a segment in progress */
     double t0;    /* the start time of the last segment begun */
     segment_t seg; /* while no segment is open: the next one's t, y and settings */
     int64_t n_rec; /* records written by this call */
 } loop_t;
 
-/* The settle count of ode.integrate at one row whose field is g. */
-static void count_quiet(loop_t *lp, const double g[3])
-{
-    if (lp->settled)
-        return;
-    if (fabs(g[0]) < lp->tol && fabs(g[1]) < lp->tol && fabs(g[2]) < lp->tol)
-        lp->settled = ++lp->quiet >= lp->quiet_steps;
-    else
-        lp->quiet = 0;
-}
-
 /*
  * Run the segments of ode.integrate from (lp->seg.t, lp->seg.y), with the
- * tableau tab (the TAB_* layout above), until the run settles or reaches
- * t_end (ODE_DONE), a segment ends at the threshold event short of both
- * (ODE_EVENT: the caller hops across and goes on from the new seg.t and
- * seg.y), a step falls below scipy's min_step (ODE_TOO_SMALL), the event
- * has no root (ODE_NO_ROOT), varrho vanishes (ODE_DEGENERATE), a segment
- * ends more than rounding outside the simplex (ODE_LEFT_SIMPLEX, seg.y
- * holds that end) or the rec_cap record rows are full (ODE_RECORDS_FULL,
- * and a call with a new record array goes on).
+ * tableau tab (the TAB_* layout above), until the run reaches t_end
+ * (ODE_DONE) or settles (ODE_SETTLED), a segment ends at the threshold
+ * event short of t_end (ODE_EVENT: the caller hops across and goes on from
+ * the new seg.t and seg.y), a step falls below scipy's min_step
+ * (ODE_TOO_SMALL), the event has no root (ODE_NO_ROOT), varrho vanishes
+ * (ODE_DEGENERATE), a segment ends more than rounding outside the simplex
+ * (ODE_LEFT_SIMPLEX, seg.y holds that end) or the rec_cap record rows are
+ * full (ODE_RECORDS_FULL, and a call with a new record array goes on).
  *
  * Records the start of each segment and each accepted step as a row (t,
  * theta, psi, eta) of rec; at the event the last row of the segment is the
- * interpolant at the root.  With stop set, each row counts toward the
- * settle rule through the field the stepper has there: f at the start,
- * K[N_STAGES] after a step, and one field() call at an event row.  A
- * segment ends as it would without the count; its end is projected as
- * ode._project_simplex projects it and becomes the next segment's start.
+ * interpolant at the root.  With stop set, the run settles at the first
+ * row after an accepted step, or at an event row, whose max|g| is below
+ * tol: the field the stepper has there, K[N_STAGES], or one field() call
+ * at the event row.  A segment ends at that row, at the event or at
+ * t_bound; its end is projected as ode._project_simplex projects it and
+ * becomes the next segment's start.
  */
 int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec_cap,
                       double *rec)
@@ -725,7 +715,7 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
 
     for (;;) {
         if (!lp->open) {
-            if (!(sg->t < lp->t_end) || lp->settled) {
+            if (!(sg->t < lp->t_end)) {
                 code = ODE_DONE;
                 break;
             }
@@ -743,8 +733,6 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
             row[0] = lp->t0 = sg->t;
             for (int j = 0; j < 3; j++)
                 row[1 + j] = sg->y[j];
-            if (lp->stop)
-                count_quiet(lp, sg->f);
             lp->open = 1;
         }
         if (n_rec == rec_cap) {
@@ -758,6 +746,7 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
         const double ev = y_new[0] - sg->gamma;
         /* scipy's inclusive sign test for an event of either direction */
         const int event = sg->event && ((sg->ev <= 0 && ev >= 0) || (sg->ev >= 0 && ev <= 0));
+        int settled = 0;
         if (event) {
             code = crossing(sg, w, tab, K, h, t_new, y_new, row);
             if (code)
@@ -769,7 +758,7 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
                     code = ODE_DEGENERATE;
                     break;
                 }
-                count_quiet(lp, g);
+                settled = max_abs(g) < lp->tol;
             }
         } else {
             sg->t = t_new;
@@ -782,13 +771,12 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
                 row[1 + j] = y_new[j];
             }
             n_rec += 1;
-            if (lp->stop)
-                count_quiet(lp, K[N_STAGES]);
-            if (!(t_new - sg->t_bound >= 0))
+            settled = lp->stop && max_abs(K[N_STAGES]) < lp->tol;
+            if (!settled && !(t_new - sg->t_bound >= 0))
                 continue;
         }
 
-        /* the segment has ended, at the event row or at t_bound */
+        /* the segment has ended, at the event row, at the first quiet row or at t_bound */
         lp->open = 0;
         lp->n_segments += 1;
         sg->t = row[0];
@@ -801,12 +789,11 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
             break;
         }
         clip_simplex(end, 1e-300, sg->y);
-        if (event) {
-            if (!lp->settled && sg->t < lp->t_end) {
-                code = ODE_EVENT;
-                break;
-            }
-        } else {
+        if (settled || (event && sg->t < lp->t_end)) {
+            code = settled ? ODE_SETTLED : ODE_EVENT;
+            break;
+        }
+        if (!event) {
             const double doubled = lp->chunk * 2.0;
             lp->chunk = lp->max_chunk < doubled ? lp->max_chunk : doubled;
         }

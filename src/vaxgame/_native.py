@@ -2,10 +2,10 @@
 
 The kernels are the chain loop of :func:`vaxgame.chain.simulate`, the
 chunk loop of :func:`vaxgame.ode.integrate` (segment after segment of its
-DOP853 stepper, with the settle count and the projection of each chunk
-end; the state :class:`Loop` carries across calls) and the field g (which
-keeps :func:`vaxgame.ode.varrho`'s grouping of the event masses, not the
-chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
+DOP853 stepper, ending at the first quiet row, with the projection of
+each chunk end; the state :class:`Loop` carries across calls) and the
+field g (which keeps :func:`vaxgame.ode.varrho`'s grouping of the event
+masses, not the chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
 its finite-difference Jacobian, which is exported on its own too, the
 certificate draws of :func:`vaxgame.attractor._draw_offsets` (one row per
 attempt, a row of NaN for an all-zero direction), the certificate's pass
@@ -18,9 +18,12 @@ arithmetic, correctly rounded (half to even) as Python does; zeros and NaNs
 directly; and subnormals, infinities and the rest through
 ``sprintf("%.17g")``.  The chunk loop holds no tableau of its own: each
 call takes ``ode._TABLEAU``, the package's one copy of the DOP853
-coefficients; it takes the settle tolerance, the quiet step count and the
-largest chunk from :mod:`vaxgame.ode` as well, and the Newton its
-iterations, tolerance and Jacobian step.
+coefficients; it takes the settle tolerance and the largest chunk from
+:mod:`vaxgame.ode` as well, and the Newton its iterations, tolerance and
+Jacobian step.  The ODE kernels take ctypes arrays, not numpy arrays
+checked on each call: ``ode._TABLEAU_C`` views the tableau once, each run
+allocates its records, and a state or Jacobian is a :data:`State` or
+:data:`Matrix`.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -85,13 +88,19 @@ _library = _UNRESOLVED
     ODE_NO_ROOT,
     ODE_LEFT_SIMPLEX,
     ODE_SINGULAR,
-) = range(8)
+    ODE_SETTLED,
+) = range(9)
 
 #: Rows per block of :func:`write_rows`; its text buffer holds one block.
 _CSV_BLOCK = 4096
 
 #: base family codes of _native.c, in the order of policy._RESPONSE
 _FAMILY_CODES = {key: code for code, key in enumerate(_RESPONSE)}
+
+#: A state (theta, psi, eta) and a 3 x 3 matrix, row-major, as the Newton and
+#: Jacobian kernels take them: float64 and contiguous by construction.
+State = ctypes.c_double * 3
+Matrix = ctypes.c_double * 9
 
 
 class Law(ctypes.Structure):
@@ -134,9 +143,9 @@ class Loop(ctypes.Structure):
 
     _fields_ = [
         *((name, ctypes.c_double) for name in ("t_end", "max_chunk")),
-        *((name, ctypes.c_int64) for name in ("stop", "quiet_steps")),
+        ("stop", ctypes.c_int64),
         *((name, ctypes.c_double) for name in ("tol", "chunk")),
-        *((name, ctypes.c_int64) for name in ("quiet", "settled", "n_segments", "open")),
+        *((name, ctypes.c_int64) for name in ("n_segments", "open")),
         ("t0", ctypes.c_double),
         ("seg", Segment),
         ("n_rec", ctypes.c_int64),
@@ -307,19 +316,19 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.vaxgame_integrate.argtypes = [
         ctypes.POINTER(Loop),
         ctypes.POINTER(Law),
-        doubles,  # the DOP853 tableau, ode._TABLEAU
+        ctypes.POINTER(ctypes.c_double),  # the DOP853 tableau, ode._TABLEAU
         ctypes.c_int64,  # record rows
-        doubles,  # the records, rows of (t, theta, psi, eta)
+        ctypes.POINTER(ctypes.c_double),  # the records, rows of (t, theta, psi, eta)
     ]
     lib.vaxgame_jacobian.restype = ctypes.c_int
-    lib.vaxgame_jacobian.argtypes = [ctypes.POINTER(Law), doubles, ctypes.c_double, doubles]
+    lib.vaxgame_jacobian.argtypes = [ctypes.POINTER(Law), State, ctypes.c_double, Matrix]
     lib.vaxgame_newton.restype = ctypes.c_int
     lib.vaxgame_newton.argtypes = [
         ctypes.POINTER(Law),
         ctypes.c_int64,  # iterations
         ctypes.c_double,  # the residual tolerance
         ctypes.c_double,  # the Jacobian's relative step
-        doubles,  # the state, updated in place
+        State,  # updated in place
         ctypes.POINTER(ctypes.c_double),  # the final residual
         ctypes.POINTER(ctypes.c_double),  # the start's residual
     ]

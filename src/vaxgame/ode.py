@@ -15,9 +15,9 @@ once; the Python integrator, Newton and the finite-difference Jacobian
 evaluate it one state at a time.  :func:`field_rows` is its batch form,
 (n, 3) states in and (n, 3) components out, each row equal to g bit for
 bit: a loop over the scalar field (:func:`_scalar_field`), the one Python
-definition of g.  The settle scan of the Python chunk loop and the numpy
-sample pass of :mod:`vaxgame.attractor` evaluate it; with the C kernels of
-:mod:`vaxgame._native` loaded, both run in C instead.
+definition of g.  The numpy sample pass of :mod:`vaxgame.attractor`
+evaluates it; with the C kernels of :mod:`vaxgame._native` loaded, that
+pass runs in C instead.
 
 Integration uses the package's own DOP853: the adaptive explicit
 Runge-Kutta 8(5,3) pair of scipy's ``DOP853`` solver, transcribed to
@@ -26,18 +26,20 @@ controller, error norm and dense interpolant, and sums each stage in
 order where scipy hands the sums to the BLAS.  The tableau has one copy,
 the literals below: :func:`_python_segment` reads its rows and the C
 kernel the flat ``_TABLEAU`` built from them.  :func:`integrate` runs its
-segments in chunks of 2 time units, doubling up to 256, and settles after
-100 quiet steps in a row.  When the C kernel of :mod:`vaxgame._native`
-loads, that chunk loop runs in it, many segments per call, and counts the
-quiet steps from the field values its stepper already has; else it runs
-in :class:`_PythonChunks`, segment by segment through
-:func:`_python_segment`, the reference it is tested against.  Both give
-the same bits.  For the threshold-vigilant policy the
-indicator 1{theta > Gamma} makes the field discontinuous; crossings are
-located with a terminal event (scipy's sign test, dense interpolant and
-``brentq`` root), the integrator hops strictly across before re-arming,
-and the run is cut short once crossings accumulate into the sliding
-regime on the threshold.  No smoothing is applied.
+segments in chunks of 2 time units, doubling up to 256, and settles at the
+first row after an accepted step, or at an event row, where max|g| is
+below ``EQUILIBRIUM_TOL``, the test :func:`find_equilibrium` converges by;
+the segment ends there.  When the C kernel of :mod:`vaxgame._native`
+loads, that chunk loop runs in it, many segments per call, and tests the
+field values its stepper already has; else it runs in
+:class:`_PythonChunks`, segment by segment through :func:`_python_segment`,
+the reference it is tested against.  Both give the same bits.  For the
+threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
+discontinuous; crossings are located with a terminal event (scipy's sign
+test, dense interpolant and ``brentq`` root), the integrator hops strictly
+across before re-arming, and the run is cut short once crossings
+accumulate into the sliding regime on the threshold.  No smoothing is
+applied.
 
 :func:`find_equilibrium` runs a damped Newton on g with a finite-difference
 Jacobian, one-sided at the simplex faces, and a 3 x 3 Gaussian
@@ -70,10 +72,6 @@ from .policy import Family, Policy, accept_fn, threshold
 
 #: Residual norm below which a point counts as an equilibrium.
 EQUILIBRIUM_TOL = 1e-10
-
-#: Number of consecutive accepted steps with small residual that ends an
-#: open-horizon integration early.
-_QUIET_STEPS = 100
 
 _MAX_TIME = 1.0e6
 
@@ -186,7 +184,7 @@ class OdePath:
     t: np.ndarray
     states: np.ndarray  # shape (n, 3)
     endpoint: OdeState
-    settled: bool  # residual stayed below EQUILIBRIUM_TOL for _QUIET_STEPS steps
+    settled: bool  # ended at its first quiet row: after a step, or an event row, max|g| < tol
     n_segments: int = 1
     zeno_truncated: bool = False  # threshold crossings accumulated; run cut short
 
@@ -345,6 +343,8 @@ _TABLEAU = np.array(
         *(c for row in _D for c in row),
     ]
 )
+#: The same memory as a ctypes array, for the C kernel
+_TABLEAU_C = np.ctypeslib.as_ctypes(_TABLEAU)
 _ROOT_TOL = 4 * float(np.finfo(float).eps)  # the xtol and rtol of scipy's event root
 
 
@@ -358,6 +358,11 @@ def _combine(K, a):
         s1 += k1 * c
         s2 += k2 * c
     return s0, s1, s2
+
+
+def _quiet(g) -> bool:
+    """Whether every component of g is below EQUILIBRIUM_TOL in magnitude; NaN is not."""
+    return all(abs(c) < EQUILIBRIUM_TOL for c in g)
 
 
 def _norm(x, scale) -> float:
@@ -446,15 +451,17 @@ def _brent(F, y_old, t_old, h, gamma, a, b):
     return None
 
 
-def _python_segment(g3, t, t_bound, y, rtol, atol, gamma):
+def _python_segment(g3, t, t_bound, y, rtol, atol, gamma, settle=False):
     """One DOP853 segment of :func:`integrate` in Python: the reference for the C kernel.
 
     scipy's DOP853 from (t, y) to t_bound, with the terminal threshold
     event theta = gamma where gamma is not None, written out as scalar
-    arithmetic: every stage sum runs over the stages in order.
+    arithmetic: every stage sum runs over the stages in order.  With
+    ``settle`` set, the segment ends early at the first row after a step,
+    or at the event row, where g is :func:`_quiet`.
     Returns the rows (t, theta, psi, eta) from the start on and the status
     ODE_DONE, ODE_EVENT (the last row is the interpolant at the crossing),
-    ODE_TOO_SMALL or ODE_NO_ROOT, as in :mod:`vaxgame._native`.
+    ODE_SETTLED, ODE_TOO_SMALL or ODE_NO_ROOT, as in :mod:`vaxgame._native`.
     """
     f = g3(*y)
     h_abs = _initial_step(g3, y, f, abs(t_bound - t), rtol, atol)
@@ -517,20 +524,26 @@ def _python_segment(g3, t, t_bound, y, rtol, atol, gamma):
                 if root is None:
                     return rows, _native.ODE_NO_ROOT
                 x = (root - t) / h
-                rows.append((root, *(_interpolate(F, y, j, x) for j in range(3))))
+                row = tuple(_interpolate(F, y, j, x) for j in range(3))
+                rows.append((root, *row))
+                if settle and _quiet(g3(*row)):
+                    return rows, _native.ODE_SETTLED
                 return rows, _native.ODE_EVENT
             ev = ev_new
         t, y, f = t_new, y_new, K[_N_STAGES]
         rows.append((t, *y))
+        if settle and _quiet(f):
+            return rows, _native.ODE_SETTLED
         if t - t_bound >= 0:
             return rows, _native.ODE_DONE
 
 
-def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: float):
+def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: float, settle: bool):
     """(t, t_bound, y) -> (rows, status): one DOP853 segment in Python, resolved once.
 
-    The segment stops at the policy's threshold, if it has one.  The rows
-    are an (n, 4) array of (t, theta, psi, eta) from the start on.
+    The segment stops at the policy's threshold, if it has one, and with
+    ``settle`` set at its first quiet row (:func:`_python_segment`).  The
+    rows are an (n, 4) array of (t, theta, psi, eta) from the start on.
     """
     gamma = threshold(policy)
     g3 = _scalar_field(params, policy)
@@ -538,7 +551,7 @@ def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: floa
     def python(t, t_bound, y):
         # Python floats throughout: numpy scalars would warn where _brent divides by zero
         t, t_bound, y = float(t), float(t_bound), tuple(map(float, y))
-        rows, status = _python_segment(g3, t, t_bound, y, rtol, atol, gamma)
+        rows, status = _python_segment(g3, t, t_bound, y, rtol, atol, gamma, settle)
         return np.array(rows), status
 
     return python
@@ -565,58 +578,47 @@ class _PythonChunks:
     :meth:`run` takes segments of :func:`_segment_solver` from (t, y): the
     first spans ``_FIRST_CHUNK`` time units, and each one that reaches its
     bound doubles the next, up to ``_MAX_CHUNK``; no segment passes
-    ``t_end``.  With ``stop`` set, every recorded row counts toward the
-    settle rule: ``_QUIET_STEPS`` rows in a row whose max|g| is below
-    ``EQUILIBRIUM_TOL`` settle the run once its segment ends.  The state
-    (chunk, quiet count, segments) carries over from one call to the next.
+    ``t_end``.  With ``stop`` set, the segments end at their first quiet
+    row, which settles the run.  The state (chunk, segments) carries over
+    from one call to the next.
     """
 
     def __init__(self, params, policy, t_end, rtol, atol, stop):
-        self.segment = _segment_solver(params, policy, rtol, atol)
-        self.g_rows = field_rows(params, policy) if stop else None
+        self.segment = _segment_solver(params, policy, rtol, atol, stop)
         self.t_end = t_end
         self.chunk = _FIRST_CHUNK
-        self.quiet = 0
-        self.settled = False
         self.n_segments = 0
         self.t0 = None  # the start of the last segment
 
     def run(self, t, y, out: list):
         """Segments from (t, y) until the run settles or reaches t_end, or a
-        segment ends at the threshold short of both.
+        segment ends at the threshold short of t_end.
 
         Appends the rows of each segment to ``out`` and returns (status, t,
         y): ODE_EVENT where the caller hops across the threshold and calls
-        again from there, else ODE_DONE; y is projected onto the simplex.
+        again from there, ODE_SETTLED, or else ODE_DONE; y is projected onto
+        the simplex.
         """
-        while t < self.t_end and not self.settled:
+        while t < self.t_end:
             rows, status = self.segment(t, min(t + self.chunk, self.t_end), y)
             _raise_for(status, t, None)
             self.t0 = t
             self.n_segments += 1
             out.append(rows)
-            if self.g_rows is not None:
-                for res in np.max(np.abs(self.g_rows(rows[:, 1:])), axis=1):
-                    self.quiet = self.quiet + 1 if res < EQUILIBRIUM_TOL else 0
-                    if self.quiet >= _QUIET_STEPS:
-                        self.settled = True
-                        break
             t, y = rows[-1, 0], _project_simplex(rows[-1, 1:])
-            if status == _native.ODE_EVENT:
-                if not self.settled and t < self.t_end:
-                    return status, t, y
-            else:
+            if status == _native.ODE_DONE:
                 self.chunk = min(self.chunk * 2.0, _MAX_CHUNK)
+            elif status == _native.ODE_SETTLED or t < self.t_end:
+                return status, t, y
         return _native.ODE_DONE, t, y
 
 
 class _NativeChunks:
     """:class:`_PythonChunks` in the C kernel of :mod:`vaxgame._native`, with the same bits.
 
-    Each kernel call runs segment after segment and takes the quiet count
-    from the field values its stepper has; it returns at an event, at the
-    end of the run, on an error, or when its ``_SEGMENT_ROWS`` record rows
-    are full.
+    Each kernel call runs segment after segment and tests the field values
+    its stepper has; it returns at an event, at the end of the run, on an
+    error, or when its ``_SEGMENT_ROWS`` record rows are full.
     """
 
     def __init__(self, lib, params, policy, t_end, rtol, atol, stop):
@@ -624,16 +626,15 @@ class _NativeChunks:
         self.lib = lib
         self.law = _native.make_law(params, policy)
         self.loop = _native.Loop(
-            t_end=t_end, max_chunk=_MAX_CHUNK, stop=stop, quiet_steps=_QUIET_STEPS,
-            tol=EQUILIBRIUM_TOL, chunk=_FIRST_CHUNK,
+            t_end=t_end, max_chunk=_MAX_CHUNK, stop=stop, tol=EQUILIBRIUM_TOL, chunk=_FIRST_CHUNK,
             seg=_native.Segment(
                 rtol=rtol, atol=atol, event=gamma is not None,
                 gamma=0.0 if gamma is None else gamma,
             ),
         )
-        self.records = np.empty((_SEGMENT_ROWS, 4))
+        self.records = (ctypes.c_double * (4 * _SEGMENT_ROWS))()
+        self.rows = np.frombuffer(self.records).reshape(-1, 4)
 
-    settled = property(lambda self: bool(self.loop.settled))
     n_segments = property(lambda self: self.loop.n_segments)
     t0 = property(lambda self: self.loop.t0)
 
@@ -644,10 +645,10 @@ class _NativeChunks:
         loop.seg.y[:] = tuple(y)
         while True:
             status = self.lib.vaxgame_integrate(
-                ctypes.byref(loop), ctypes.byref(self.law), _TABLEAU, len(self.records),
+                ctypes.byref(loop), ctypes.byref(self.law), _TABLEAU_C, len(self.rows),
                 self.records,
             )
-            out.append(self.records[: loop.n_rec].copy())
+            out.append(self.rows[: loop.n_rec].copy())
             if status != _native.ODE_RECORDS_FULL:
                 break
         y = np.array(loop.seg.y)
@@ -667,10 +668,11 @@ def integrate(
     """Integrate the mean-field ODE from ``initial`` for ``horizon`` time units.
 
     Integration proceeds in geometrically growing chunks so that, when
-    ``stop_at_equilibrium`` is set, the run ends as soon as the residual has
-    stayed below EQUILIBRIUM_TOL for 100 consecutive accepted steps (the
-    default tolerances are tight enough for the numerical orbit to reach
-    that floor); t is capped at 1e6 regardless.  Threshold crossings of a
+    ``stop_at_equilibrium`` is set, the run ends at the first row after an
+    accepted step, or at an event row, where max|g| is below
+    EQUILIBRIUM_TOL (the default tolerances are tight enough for the
+    numerical orbit to reach that floor); its path is then the path without
+    the stop, cut at that row.  t is capped at 1e6 regardless.  Threshold crossings of a
     threshold-vigilant response (VFC2, or a mutant over one; see
     :func:`vaxgame.policy.threshold`) are located by a terminal event and
     the solver restarts across them.  The chunks run in the C kernel of
@@ -728,7 +730,7 @@ def integrate(
         t=np.ascontiguousarray(rows[:, 0]),
         states=np.ascontiguousarray(rows[:, 1:]),
         endpoint=endpoint,
-        settled=loop.settled,
+        settled=status == _native.ODE_SETTLED,
         n_segments=loop.n_segments,
         zeno_truncated=zeno,
     )
@@ -805,10 +807,11 @@ def field_jacobian(params: ModelParams, policy: Policy, y) -> np.ndarray:
     lib = _native.library()
     if lib is None:
         return _fd_jacobian(field(params, policy), y)
-    jac = np.empty((3, 3))
-    if lib.vaxgame_jacobian(ctypes.byref(_native.make_law(params, policy)), y, _REL_STEP, jac):
+    jac = _native.Matrix()
+    law = _native.make_law(params, policy)
+    if lib.vaxgame_jacobian(ctypes.byref(law), _native.State(*y), _REL_STEP, jac):
         raise DegenerateState("varrho vanished")
-    return jac
+    return np.frombuffer(jac).reshape(3, 3)
 
 
 def find_equilibrium(
@@ -879,7 +882,7 @@ def _newton_solver(params: ModelParams, policy: Policy):
     law = _native.make_law(params, policy)
 
     def native(y):
-        out = np.array(y, dtype=float)
+        out = _native.State(*y)
         res, start_res = ctypes.c_double(), ctypes.c_double()
         code = lib.vaxgame_newton(
             ctypes.byref(law), _MAX_NEWTON, EQUILIBRIUM_TOL, _REL_STEP, out, ctypes.byref(res),
@@ -889,7 +892,7 @@ def _newton_solver(params: ModelParams, policy: Policy):
             raise DegenerateState("varrho vanished")
         if code == _native.ODE_SINGULAR:
             return _newton(field(params, policy), y)
-        return out, res.value, start_res.value
+        return np.frombuffer(out), res.value, start_res.value
 
     return native
 

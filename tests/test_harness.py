@@ -604,3 +604,25 @@ def test_cli_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli_main(["run", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+ATLAS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def test_atlas_sweeps_settle_in_few_segments(monkeypatch, tmp_path):
+    # the 101 points of perfbench's atlas-certify sweeps: each ODE run ends
+    # at its first quiet row, 470 segments in all (595 when a run settled
+    # after 100 quiet steps in a row and finished its segment)
+    runs = []
+    integrate = harness.ode.integrate
+
+    def counted(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness.ode, "integrate", counted)
+    for name in ("atlas_fc", "atlas_fr", "atlas_vfc1", "atlas_fc_deadly", "atlas_fr_deadly"):
+        argv = ["run", str(ATLAS / f"{name}.cfg"), "--threads", "1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+    assert len(runs) == 101 and all(path.settled for path in runs)
+    assert sum(path.n_segments for path in runs) <= 470

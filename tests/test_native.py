@@ -340,7 +340,7 @@ def _c_field(params, policy, y):
     loop.seg.f[:] = (math.nan,) * 3
     law = _native.make_law(params, policy)
     code = _native.library().vaxgame_integrate(
-        ctypes.byref(loop), ctypes.byref(law), ode._TABLEAU, 1, np.empty((1, 4))
+        ctypes.byref(loop), ctypes.byref(law), ode._TABLEAU_C, 1, (ctypes.c_double * 4)()
     )
     return code, list(loop.seg.f)
 
@@ -373,70 +373,86 @@ def test_native_field_reports_a_vanishing_varrho():
     assert code == _native.ODE_DEGENERATE and all(map(math.isnan, g))  # field() wrote no g
 
 
-# rows that settle: the quiet run of fc(1.0) lies inside its last segment,
-# which goes on past it; the one of fc(0.5) takes in the start row of a
-# segment; the threshold of _QUIET_EVENT lies 1.5e-12 below the endemic
-# level 1 - (r + b)/lam of _LEFT, so its orbit on psi = 0 crosses it while
-# the field is quiet and settles at an event row
-_QUIET_EVENT = vfc2(3.0, 0.8233711545194966)
+# runs that settle: fc(1.0) turns quiet in the middle of a segment; the
+# threshold of _QUIET_EVENT lies 1.0e-12 above the endemic level
+# 1 - (r + b)/lam of _LEFT, inside the rounding chatter of its orbit on
+# psi = 0, which crosses it first at a quiet row: an event row; the orbit
+# of atlas-fr-deadly's first point turns quiet on its way to an exact
+# landing on g == 0
+_QUIET_EVENT = vfc2(3.0, 0.8233711545220148)
+_FR_DEADLY = ModelParams(lam=2.0, r=0.3, nu=1.0, b=0.6, d=0.2, d_e=0.15)
 _SETTLING = {
-    "mid-chunk": (fc(1.0), OdeState(0.2, 0.1, 1.0)),
-    "across-segments": (fc(0.5), OdeState(0.2, 0.1, 1.0)),
-    "event-row": (_QUIET_EVENT, OdeState(0.2, 0.0, 1.0)),
+    "mid-chunk": (_LEFT, fc(1.0), OdeState(0.2, 0.1, 1.0)),
+    "event-row": (_LEFT, _QUIET_EVENT, OdeState(0.2, 0.0, 1.0)),
+    "exact-landing": (_FR_DEADLY, fr(0.2), OdeState(0.3, 0.2, 1.0)),
 }
+# the horizon of the runs without the stop: the bound of a chunk past every
+# case's settling row, so that those runs take the same segments
+_UNSTOPPED = 126.0
 _python_settling = {}
 
 
-def _quiet_run(path, policy):
-    """The rows of the first run of ode._QUIET_STEPS quiet rows of path.
+def _first_quiet_row(path, params, policy):
+    """The index of the first row of path after a step, or at an event, with max|g| < tol.
 
-    Every row counts but the hop across the threshold after an event row,
-    which lies on theta = Gamma.
+    A segment's start repeats the t of the row before it, and the hop across
+    the threshold follows an event row, which lies on theta = Gamma: neither
+    counts.
     """
     gamma = vaxgame.policy.threshold(policy)
-    g = ode.field_rows(_LEFT, policy)(path.states)
-    run = []
-    for i, res in enumerate(np.max(np.abs(g), axis=1)):
-        if i and path.states[i - 1, 0] == gamma and path.t[i] != path.t[i - 1]:
-            continue
-        run = run + [i] if res < ode.EQUILIBRIUM_TOL else []
-        if len(run) == ode._QUIET_STEPS:
-            return run
+    g = ode.field_rows(params, policy)(path.states)
+    for i in range(1, len(path.t)):
+        counted = path.t[i] != path.t[i - 1] and path.states[i - 1, 0] != gamma
+        if counted and np.max(np.abs(g[i])) < ode.EQUILIBRIUM_TOL:
+            return i
     return None
 
 
-def _segment_starts(path):
-    return {i for i in range(1, len(path.t)) if path.t[i] == path.t[i - 1]}
+def _cut_run(params, policy, start):
+    """:func:`_ode_run` of the run without the stop, cut at its first quiet row.
+
+    This is what the run with the stop must give: the same rows, the end
+    projected onto the simplex, and as many segments as began by then.
+    """
+    whole = integrate(start, params, policy, _UNSTOPPED, stop_at_equilibrium=False)
+    i = _first_quiet_row(whole, params, policy)
+    t, states = whole.t[: i + 1], whole.states[: i + 1]
+    end = ode._project_simplex(states[-1])
+    endpoint = OdeState(theta=end[0], psi=end[1], eta=end[2], t=float(t[-1]))
+    n_segments = 1 + int(np.count_nonzero(t[1:] == t[:-1]))
+    return repr(((t.tolist(), states.tolist()), endpoint, True, n_segments, False))
 
 
 def test_settling_cases_reach_their_branches():
-    runs = {}
-    for case, (policy, start) in _SETTLING.items():
-        path = integrate(start, _LEFT, policy, 1e4)
-        assert path.settled
-        runs[case] = path, _quiet_run(path, policy)
-    path, quiet = runs["mid-chunk"]
-    assert not _segment_starts(path) & set(quiet) and quiet[-1] < len(path.t) - 1
-    path, quiet = runs["across-segments"]
-    assert _segment_starts(path) & set(quiet[1:])
-    # quiet event rows inside the run; the run ends at a later crossing,
-    # with no hop after it
-    path, quiet = runs["event-row"]
-    assert np.count_nonzero(path.states[quiet, 0] == _QUIET_EVENT.gamma) >= 3
-    assert path.states[-1, 0] == _QUIET_EVENT.gamma and quiet[-1] < len(path.t) - 1
+    for case, (params, policy, start) in _SETTLING.items():
+        path = integrate(start, params, policy, 1e4)
+        whole = integrate(start, params, policy, _UNSTOPPED, stop_at_equilibrium=False)
+        i = _first_quiet_row(whole, params, policy)
+        assert path.settled and not whole.settled and len(path.t) == i + 1
+        if case == "mid-chunk":  # the segment without the stop goes on past the row
+            assert whole.t[i + 1] != whole.t[i]
+        elif case == "event-row":
+            assert path.states[-1, 0] == _QUIET_EVENT.gamma
+        else:  # the quiet row comes well before the landing, in the fourth segment
+            g = ode.field_rows(params, policy)(whole.states)
+            landed = np.flatnonzero(~g.any(axis=1))
+            assert landed.size and whole.t[landed[0]] > 2 * path.t[-1]
+            assert path.n_segments == 4
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, ode._SEGMENT_ROWS])
 @pytest.mark.parametrize("case", sorted(_SETTLING))
 def test_chunk_loop_settles_as_python(monkeypatch, rows, case):
-    # the quiet count, carried across segments and record buffers, counts
-    # the rows the Python scan counts, the event row among them
-    policy, start = _SETTLING[case]
+    # in Python, and natively at every record buffer, the run with the stop
+    # is the run without it cut at its first quiet row
+    params, policy, start = _SETTLING[case]
     if case not in _python_settling:
         with python_kernels():
-            _python_settling[case] = _ode_run(start, _LEFT, policy, 1e4)
+            _python_settling[case] = _ode_run(start, params, policy, 1e4)
+            assert _cut_run(params, policy, start) == _python_settling[case]
     monkeypatch.setattr(ode, "_SEGMENT_ROWS", rows)
-    assert _ode_run(start, _LEFT, policy, 1e4) == _python_settling[case]
+    assert _ode_run(start, params, policy, 1e4) == _python_settling[case]
+    assert _cut_run(params, policy, start) == _python_settling[case]
 
 
 # at loose tolerances the fast decay of theta overshoots below 0 within a step
@@ -466,12 +482,12 @@ def test_chunk_loop_errors_as_python(params, start, error):
 
 def _kernel_newton(params, policy, y):
     """(code, repr of (y, residual, start residual)) of vaxgame_newton from y."""
-    out, res, start_res = np.array(y, dtype=float), ctypes.c_double(), ctypes.c_double()
+    out, res, start_res = _native.State(*y), ctypes.c_double(), ctypes.c_double()
     code = _native.library().vaxgame_newton(
         _native.make_law(params, policy), ode._MAX_NEWTON, ode.EQUILIBRIUM_TOL, ode._REL_STEP,
         out, ctypes.byref(res), ctypes.byref(start_res),
     )
-    return code, repr((out.tolist(), res.value, start_res.value))
+    return code, repr((list(out), res.value, start_res.value))
 
 
 _FACE = st.one_of(UNIT, st.sampled_from([0.0, 1.0, 1e-8, 1.0 - 1e-8]))

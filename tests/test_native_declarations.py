@@ -1,10 +1,12 @@
-"""The ctypes declarations of vaxgame._native against the exports of _native.c,
-and _native.c against the compiler's warnings.
+"""The ctypes declarations of vaxgame._native against the exports and structs
+of _native.c, and _native.c against the compiler's warnings.
 
-The declarations are read from the two source files, so that their check
-runs without a compiler; the warnings check skips where gcc is missing.
+The declarations are read from the two source files and the ctypes
+classes, so that their checks run without a compiler; the warnings check
+skips where gcc is missing.
 """
 
+import ctypes
 import re
 import shutil
 import subprocess
@@ -51,6 +53,49 @@ def test_every_exported_kernel_has_a_reader():
     texts = [declare.sub("", path.read_text()) for path in SRC.glob("*.py")]
     read = {name for name in _exports() if any(re.search(rf"\b{name}\(", t) for t in texts)}
     assert _exports() - read == _TEST_ONLY_EXPORTS
+
+
+# the ctypes Structure of each typedef struct of _native.c
+_STRUCTS = {
+    "law_t": _native.Law,
+    "chain_t": _native.ChainState,
+    "segment_t": _native.Segment,
+    "loop_t": _native.Loop,
+    "sample_t": _native.Sample,
+}
+_C_TYPES = {ctypes.c_double: "double", ctypes.c_int64: "int64_t"}
+
+
+def _c_fields():
+    """Each typedef struct of _native.c: its name -> its fields as (name, type) in order."""
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_native.c").read_text(), flags=re.S)
+    structs = {}
+    for body, name in re.findall(r"typedef struct \{(.*?)\} (\w+);", source, re.S):
+        fields = []
+        for declaration in filter(None, map(str.strip, body.split(";"))):
+            kind, declarators = declaration.split(None, 1)
+            for declarator in declarators.split(","):
+                field, _, length = declarator.strip().partition("[")
+                fields.append((field, f"{kind}[{length}" if length else kind))
+        structs[name] = fields
+    return structs
+
+
+def _ctypes_name(kind):
+    if issubclass(kind, ctypes.Array):
+        return f"{_ctypes_name(kind._type_)}[{kind._length_}]"
+    c_names = {cls: name for name, cls in _STRUCTS.items()}
+    return c_names[kind] if issubclass(kind, ctypes.Structure) else _C_TYPES[kind]
+
+
+def test_every_struct_is_declared_field_for_field():
+    # ctypes lays a Structure out from its _fields_ alone: a field the C
+    # struct gained, lost or moved shifts every field after it, silently
+    structs = _c_fields()
+    assert set(structs) == set(_STRUCTS)
+    for name, cls in _STRUCTS.items():
+        declared = [(field, _ctypes_name(kind)) for field, kind in cls._fields_]
+        assert declared == structs[name], name
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")

@@ -359,8 +359,12 @@ def _crossing_event(gamma):
     return [crossing]
 
 
-def _scipy_segments(params, policy, rtol, atol):
-    """integrate's segment solver over scipy's solve_ivp(method="DOP853"): the oracle."""
+def _scipy_segments(params, policy, rtol, atol, settle):
+    """integrate's segment solver over scipy's solve_ivp(method="DOP853"): the oracle.
+
+    With ``settle`` set, the segment is cut at its first row after the start
+    where max|g| is below EQUILIBRIUM_TOL.
+    """
     g = field(params, policy)
     gamma = threshold(policy)
 
@@ -371,14 +375,46 @@ def _scipy_segments(params, policy, rtol, atol):
             events=events,
         )
         assert sol.status in (0, 1), sol.message
-        status = _native.ODE_EVENT if sol.status == 1 else _native.ODE_DONE
-        return np.column_stack((sol.t, sol.y.T)), status
+        rows = np.column_stack((sol.t, sol.y.T))
+        res = [np.max(np.abs(g(row[1:]))) for row in rows[1:]]
+        quiet = [i for i, r in enumerate(res, 1) if r < ode.EQUILIBRIUM_TOL]
+        if settle and quiet:
+            return rows[: quiet[0] + 1], _native.ODE_SETTLED
+        return rows, _native.ODE_EVENT if sol.status == 1 else _native.ODE_DONE
 
     return segment
 
 
 _LEFT = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
 _DEADLY = ModelParams(lam=3.0, r=0.8, nu=1.2, b=0.9, d=0.3, d_e=0.15)
+
+
+# the small-eta VFC1 orbit (eta * varrho = 0.013), whose stiff field keeps
+# chattering at the rounding floor, and the first point of atlas-fr-deadly,
+# whose orbit lands exactly on g == 0
+_SMALL_ETA = (
+    vfc1(0.29064836322973253),
+    ModelParams(
+        lam=7.712682861231661, r=0.7231240520924253, nu=0.054900193501863453,
+        b=0.12211948428163746, d=0.08477374817391488, d_e=0.02722291124369868,
+    ),
+    OdeState(0.620290372097154, 0.0, 0.11358443905066375),
+)
+_EXACT_LANDING = (
+    fr(0.2), ModelParams(lam=2.0, r=0.3, nu=1.0, b=0.6, d=0.2, d_e=0.15), OdeState(0.3, 0.2, 1.0)
+)
+
+
+def test_integrate_settles_at_its_first_quiet_row():
+    # under a count of 100 quiet steps in a row, the first never settled and
+    # took 815,451 rows to t = 1e4, and the second ran on to t = 2046 over
+    # 14 segments
+    policy, params, start = _SMALL_ETA
+    path = integrate(start, params, policy, horizon=1e4)
+    assert path.settled and path.t[-1] <= 62
+    policy, params, start = _EXACT_LANDING
+    path = integrate(start, params, policy, horizon=1e4)
+    assert path.settled and path.n_segments <= 4
 
 
 @pytest.mark.parametrize(
