@@ -1,9 +1,11 @@
 /*
- * C kernels for vaxgame: the jump-chain loop of chain.simulate, the chunk
- * loop of ode.integrate (ode._PythonChunks, its DOP853 segments
- * ode._python_segment, its settle test and its projection of each chunk
- * end), the damped Newton of ode.find_equilibrium (ode._newton) with its
- * finite-difference Jacobian (ode._fd_jacobian, also exported for the
+ * C kernels for vaxgame: the jump-chain loop of chain.simulate, which steps
+ * numpy's PCG64 itself (or reads blocks of uniforms where it is given
+ * them), the chunk loop of ode.integrate (ode._PythonChunks, its DOP853
+ * segments ode._python_segment, its settle test, its projection of each
+ * chunk end, the hop across the threshold ode._hop_across and the Zeno
+ * cut-off), the damped Newton of ode.find_equilibrium (ode._newton) with
+ * its finite-difference Jacobian (ode._fd_jacobian, also exported for the
  * certificates' eigenvalues), the certificate draws of
  * attractor._draw_offsets (one row per attempt, NaN for an all-zero
  * direction), the certificate's pass over its samples, which counts five
@@ -43,12 +45,15 @@ typedef struct {
     double beta, gamma, q, eps, p;
 } law_t;
 
-/* Chain state carried across calls, one call per block of uniforms. */
+/* Chain state carried across calls, one call per block of uniforms or per
+   record arrays.  Without a block the kernel steps numpy's PCG64 from
+   (state, inc), each a 128-bit integer as its high and low halves. */
 typedef struct {
     int64_t n, s, i, v, k;
     double eta, inv_eta, min_eta, max_jump;
-    int64_t bi;    /* next unused uniform of the block */
+    int64_t bi;    /* uniforms taken from the current block */
     int64_t n_rec; /* records written by this call */
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
 } chain_t;
 
 enum {
@@ -131,12 +136,52 @@ void vaxgame_edges(const law_t *w, double theta, double psi, double *out)
 }
 
 /*
+ * numpy's PCG64, pcg_setseq_128_xsl_rr_64: the 128-bit state steps as
+ * state * PCG_MULT + inc, and each output is the XSL-RR of the new state,
+ * rotr64(hi ^ lo, state >> 122).  A uniform is (output >> 11) * 2^-53, the
+ * double of Generator.random().
+ */
+typedef unsigned __int128 u128;
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+#define PCG_MULT ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO)
+
+static inline double pcg_uniform(u128 *state, u128 inc)
+{
+    *state = *state * PCG_MULT + inc;
+    const uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    const unsigned rot = (unsigned)(*state >> 122);
+    const uint64_t out = x >> rot | x << (-rot & 63);
+    return (double)(out >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The PCG64 state `delta` steps on, in O(log delta) (numpy's pcg64_advance). */
+static u128 pcg_advance(u128 state, u128 inc, uint64_t delta)
+{
+    u128 mult = PCG_MULT, plus = inc, acc_mult = 1, acc_plus = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    return acc_mult * state + acc_plus;
+}
+
+/*
  * Advance the chain until k reaches max_steps, the freeze fires, the total
- * rate is not positive, the population dies out, the block of uniforms is
- * used up or the rec_cap record slots are full.  Records every epoch that
- * is a multiple of stride.  Returns one of the CHAIN_* codes; on
- * CHAIN_NEED_BLOCK and CHAIN_RECORDS_FULL the state is the one before the
- * next epoch, and a call with a new block or new record arrays goes on.
+ * rate is not positive, the population dies out or the rec_cap record
+ * slots are full.  Records every epoch that is a multiple of stride.  Each
+ * epoch takes the next uniform of the block buf, where one is given, and
+ * returns CHAIN_NEED_BLOCK when its n_buf uniforms are used up.  Without a
+ * block (buf NULL) it steps the PCG64 state in c and counts its uniforms in
+ * blocks of n_buf, as chain._python_loop draws them; when the run ends it
+ * steps the state on to the end of the current block, so that the state is
+ * the generator's after the Python loop.  Returns one of the CHAIN_* codes;
+ * on CHAIN_NEED_BLOCK and CHAIN_RECORDS_FULL the state is the one before
+ * the next epoch, and a call with a new block or new record arrays goes on.
  */
 int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
                   int64_t stride, const double *buf, int64_t n_buf,
@@ -146,6 +191,8 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
     int64_t n = c->n, s = c->s, i = c->i, v = c->v, k = c->k, bi = c->bi;
     double eta = c->eta, inv_eta = c->inv_eta;
     double min_eta = c->min_eta, max_jump = c->max_jump;
+    u128 state = (u128)c->state_hi << 64 | c->state_lo;
+    const u128 inc = (u128)c->inc_hi << 64 | c->inc_lo;
     int64_t n_rec = 0;
     int code = CHAIN_DONE;
 
@@ -165,10 +212,14 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
             break;
         }
         if (bi == n_buf) {
-            code = CHAIN_NEED_BLOCK;
-            break;
+            if (buf) {
+                code = CHAIN_NEED_BLOCK;
+                break;
+            }
+            bi = 0; /* the Python loop draws its next block here */
         }
-        const double x = buf[bi++] * e[7];
+        const double x = (buf ? buf[bi] : pcg_uniform(&state, inc)) * e[7];
+        bi += 1;
 
         /* at S = 0 a rounded phi > 0 leaves the infection and vaccination
            bins a width of about 1e-17: a draw there changes nothing */
@@ -224,10 +275,15 @@ int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
         }
     }
 
+    if (!buf && code != CHAIN_RECORDS_FULL) { /* the rest of the block the run ended in */
+        state = pcg_advance(state, inc, (uint64_t)(n_buf - bi));
+        bi = n_buf;
+    }
     c->n = n, c->s = s, c->i = i, c->v = v, c->k = k, c->bi = bi;
     c->eta = eta, c->inv_eta = inv_eta;
     c->min_eta = min_eta, c->max_jump = max_jump;
     c->n_rec = n_rec;
+    c->state_hi = (uint64_t)(state >> 64), c->state_lo = (uint64_t)state;
     return code;
 }
 
@@ -270,7 +326,9 @@ enum {
     ODE_NO_ROOT,
     ODE_LEFT_SIMPLEX,
     ODE_SINGULAR,
-    ODE_SETTLED
+    ODE_SETTLED,
+    ODE_ZENO,
+    ODE_NO_HOP
 };
 
 /* One segment: its settings, then the solver state carried across calls. */
@@ -668,6 +726,61 @@ static double max_abs(const double v[3])
     return m;
 }
 
+/* ode._outside_simplex: (theta, psi) outside the simplex by more than rounding. */
+static int outside_simplex(const double y[3])
+{
+    return y[0] < -1e-9 || y[1] < -1e-9 || y[0] + y[1] > 1.0 + 1e-9;
+}
+
+/*
+ * ode._hop_across from the event row (sg->t, sg->y), which lies on theta =
+ * gamma: classical RK4 micro-steps on field(), the first of 1e-9 max(1, |t|)
+ * and each next one twice as long, none past t_end, until |theta - gamma| >
+ * 1e-12 or t reaches t_end, at most 64 of them.  Every sum keeps numpy's
+ * order: y + (h/2) k1, then y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Leaves
+ * the end in sg->t and sg->y, projected as ode._project_simplex projects it.
+ * Returns ODE_DEGENERATE where varrho vanishes, ODE_LEFT_SIMPLEX (sg->y
+ * holds the end) or ODE_NO_HOP after 64 steps, else 0.
+ */
+static int hop_across(segment_t *sg, const law_t *w, double t_end)
+{
+    double t = sg->t, y[3] = {sg->y[0], sg->y[1], sg->y[2]};
+    double h = 1e-9 * (fabs(t) > 1.0 ? fabs(t) : 1.0);
+    for (int tries = 0; tries < 64; tries++) {
+        if (fabs(y[0] - sg->gamma) > 1e-12 || t >= t_end) {
+            sg->t = t;
+            if (outside_simplex(y)) {
+                memcpy(sg->y, y, sizeof y);
+                return ODE_LEFT_SIMPLEX;
+            }
+            clip_simplex(y, 1e-300, sg->y);
+            return 0;
+        }
+        h = t_end - t < h ? t_end - t : h;
+        double k1[3], k2[3], k3[3], k4[3], y2[3], y3[3], y4[3];
+        if (field(w, y, k1))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++)
+            y2[j] = y[j] + h / 2 * k1[j];
+        if (field(w, y2, k2))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++)
+            y3[j] = y[j] + h / 2 * k2[j];
+        if (field(w, y3, k3))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++)
+            y4[j] = y[j] + h * k3[j];
+        if (field(w, y4, k4))
+            return ODE_DEGENERATE;
+        for (int j = 0; j < 3; j++)
+            y[j] = y[j] + h / 6 * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]);
+        t += h;
+        h *= 2.0;
+    }
+    sg->t = t;
+    return ODE_NO_HOP;
+}
+
 /*
  * The chunk loop of ode.integrate: segments of 2 time units, doubling up to
  * max_chunk after each one that reaches its bound, t_next = min(t + chunk,
@@ -679,22 +792,24 @@ typedef struct {
     double tol;   /* a row is quiet when every |g| is below tol */
     double chunk;
     int64_t n_segments;
-    int64_t open; /* nonzero: seg is a segment in progress */
-    double t0;    /* the start time of the last segment begun */
-    segment_t seg; /* while no segment is open: the next one's t, y and settings */
-    int64_t n_rec; /* records written by this call */
+    int64_t open;   /* nonzero: seg is a segment in progress */
+    int64_t hopped; /* nonzero: the hop row, seg's t and y, is still to be recorded */
+    int64_t tiny;   /* the short inter-event segments in a row */
+    double t0;      /* the start time of the last segment begun */
+    segment_t seg;  /* while no segment is open: the next one's t, y and settings */
+    int64_t n_rec;  /* records written by this call */
 } loop_t;
 
 /*
  * Run the segments of ode.integrate from (lp->seg.t, lp->seg.y), with the
  * tableau tab (the TAB_* layout above), until the run reaches t_end
- * (ODE_DONE) or settles (ODE_SETTLED), a segment ends at the threshold
- * event short of t_end (ODE_EVENT: the caller hops across and goes on from
- * the new seg.t and seg.y), a step falls below scipy's min_step
- * (ODE_TOO_SMALL), the event has no root (ODE_NO_ROOT), varrho vanishes
- * (ODE_DEGENERATE), a segment ends more than rounding outside the simplex
- * (ODE_LEFT_SIMPLEX, seg.y holds that end) or the rec_cap record rows are
- * full (ODE_RECORDS_FULL, and a call with a new record array goes on).
+ * (ODE_DONE), settles (ODE_SETTLED) or is cut off in the sliding regime
+ * (ODE_ZENO), a step falls below scipy's min_step (ODE_TOO_SMALL), the
+ * event has no root (ODE_NO_ROOT), varrho vanishes (ODE_DEGENERATE), a
+ * segment or a hop ends more than rounding outside the simplex
+ * (ODE_LEFT_SIMPLEX, seg.y holds that end), a hop does not clear the
+ * threshold (ODE_NO_HOP) or the rec_cap record rows are full
+ * (ODE_RECORDS_FULL, and a call with a new record array goes on).
  *
  * Records the start of each segment and each accepted step as a row (t,
  * theta, psi, eta) of rec; at the event the last row of the segment is the
@@ -703,7 +818,11 @@ typedef struct {
  * tol: the field the stepper has there, K[N_STAGES], or one field() call
  * at the event row.  A segment ends at that row, at the event or at
  * t_bound; its end is projected as ode._project_simplex projects it and
- * becomes the next segment's start.
+ * becomes the next segment's start.  A segment that ends at the event short
+ * of t_end is followed by hop_across() and its row, as in
+ * ode._PythonChunks.run; the run is cut off (ODE_ZENO) after that row once
+ * 50 segments in a row have ended at an event less than 1e-3 after they
+ * began, or once 100,000 segments have run.
  */
 int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec_cap,
                       double *rec)
@@ -714,6 +833,25 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
     int code;
 
     for (;;) {
+        if (lp->hopped) {
+            if (n_rec == rec_cap) {
+                code = ODE_RECORDS_FULL;
+                break;
+            }
+            double *row = rec + 4 * n_rec++;
+            row[0] = sg->t;
+            for (int j = 0; j < 3; j++)
+                row[1 + j] = sg->y[j];
+            lp->hopped = 0;
+            /* the switching surface is attracting: orbits spiral into it with
+               geometrically accumulating crossings and then chatter-slide
+               along theta = gamma; once the progress between events stays
+               far below any genuine half-cycle, the run stops there */
+            if (lp->tiny >= 50 || lp->n_segments >= 100000) {
+                code = ODE_ZENO;
+                break;
+            }
+        }
         if (!lp->open) {
             if (!(sg->t < lp->t_end)) {
                 code = ODE_DONE;
@@ -781,21 +919,26 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
         lp->n_segments += 1;
         sg->t = row[0];
         const double *end = row + 1;
-        /* ode._outside_simplex */
-        if (end[0] < -1e-9 || end[1] < -1e-9 || end[0] + end[1] > 1.0 + 1e-9) {
+        if (outside_simplex(end)) {
             for (int j = 0; j < 3; j++)
                 sg->y[j] = end[j];
             code = ODE_LEFT_SIMPLEX;
             break;
         }
         clip_simplex(end, 1e-300, sg->y);
-        if (settled || (event && sg->t < lp->t_end)) {
-            code = settled ? ODE_SETTLED : ODE_EVENT;
+        if (settled) {
+            code = ODE_SETTLED;
             break;
         }
         if (!event) {
             const double doubled = lp->chunk * 2.0;
             lp->chunk = lp->max_chunk < doubled ? lp->max_chunk : doubled;
+        } else if (sg->t < lp->t_end) { /* hop strictly across before re-arming the event */
+            lp->tiny = sg->t - lp->t0 < 1e-3 ? lp->tiny + 1 : 0;
+            code = hop_across(sg, w, lp->t_end);
+            if (code)
+                break;
+            lp->hopped = 1;
         }
     }
     lp->n_rec = n_rec;

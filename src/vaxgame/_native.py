@@ -1,9 +1,12 @@
 """Build-at-first-use loader for the C kernels in ``_native.c``.
 
-The kernels are the chain loop of :func:`vaxgame.chain.simulate`, the
-chunk loop of :func:`vaxgame.ode.integrate` (segment after segment of its
-DOP853 stepper, ending at the first quiet row, with the projection of
-each chunk end; the state :class:`Loop` carries across calls) and the
+The kernels are the chain loop of :func:`vaxgame.chain.simulate`, which
+steps numpy's PCG64 from the state :class:`ChainState` carries (or reads
+the blocks of uniforms of any other generator), the chunk loop of
+:func:`vaxgame.ode.integrate` (segment after segment of its DOP853
+stepper, ending at the first quiet row, with the projection of each chunk
+end, the hop across the threshold and the Zeno cut-off; the state
+:class:`Loop` carries across calls) and the
 field g (which keeps :func:`vaxgame.ode.varrho`'s grouping of the event
 masses, not the chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
 its finite-difference Jacobian, which is exported on its own too, the
@@ -20,10 +23,12 @@ directly; and subnormals, infinities and the rest through
 call takes ``ode._TABLEAU``, the package's one copy of the DOP853
 coefficients; it takes the settle tolerance and the largest chunk from
 :mod:`vaxgame.ode` as well, and the Newton its iterations, tolerance and
-Jacobian step.  The ODE kernels take ctypes arrays, not numpy arrays
-checked on each call: ``ode._TABLEAU_C`` views the tableau once, each run
-allocates its records, and a state or Jacobian is a :data:`State` or
-:data:`Matrix`.
+Jacobian step.  No kernel takes a numpy ``ndpointer``, which ctypes
+checks on each call: the ODE kernels take ctypes arrays
+(``ode._TABLEAU_C`` views the tableau once, each run allocates its
+records, and a state or Jacobian is a :data:`State` or :data:`Matrix`),
+and the others the address of a numpy array whose dtype and layout hold
+by construction.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
@@ -89,7 +94,9 @@ _library = _UNRESOLVED
     ODE_LEFT_SIMPLEX,
     ODE_SINGULAR,
     ODE_SETTLED,
-) = range(9)
+    ODE_ZENO,
+    ODE_NO_HOP,
+) = range(11)
 
 #: Rows per block of :func:`write_rows`; its text buffer holds one block.
 _CSV_BLOCK = 4096
@@ -122,6 +129,7 @@ class ChainState(ctypes.Structure):
         *((name, ctypes.c_double) for name in ("eta", "inv_eta", "min_eta", "max_jump")),
         ("bi", ctypes.c_int64),
         ("n_rec", ctypes.c_int64),
+        *((name, ctypes.c_uint64) for name in ("state_hi", "state_lo", "inc_hi", "inc_lo")),
     ]
 
 
@@ -145,7 +153,7 @@ class Loop(ctypes.Structure):
         *((name, ctypes.c_double) for name in ("t_end", "max_chunk")),
         ("stop", ctypes.c_int64),
         *((name, ctypes.c_double) for name in ("tol", "chunk")),
-        *((name, ctypes.c_int64) for name in ("n_segments", "open")),
+        *((name, ctypes.c_int64) for name in ("n_segments", "open", "hopped", "tiny")),
         ("t0", ctypes.c_double),
         ("seg", Segment),
         ("n_rec", ctypes.c_int64),
@@ -229,7 +237,9 @@ def write_rows(path, header: str, columns, keys=None) -> None:
             size = -1
             if text is not None:
                 key_ptr = None if key is None else key.ctypes.data
-                size = lib.vaxgame_format_rows(len(values), cols, key_ptr, values, text, len(text))
+                size = lib.vaxgame_format_rows(
+                    len(values), cols, key_ptr, values.ctypes.data, text.ctypes.data, len(text)
+                )
             if size >= 0:
                 fh.write(memoryview(text)[:size])
                 continue
@@ -283,8 +293,10 @@ def _build(source: bytes, cache: Path, target: Path) -> None:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    # arrays go in as the address of a numpy array whose dtype and layout
+    # hold by construction, or as a ctypes array: an ndpointer's checks
+    # would cost microseconds per call
+    address = ctypes.c_void_p
     lib.vaxgame_chain.restype = ctypes.c_int
     lib.vaxgame_chain.argtypes = [
         ctypes.POINTER(ChainState),
@@ -292,23 +304,23 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,  # max_steps
         ctypes.c_double,  # delta
         ctypes.c_int64,  # stride
-        doubles,  # block of uniforms
-        ctypes.c_int64,  # its length
+        address,  # the block of uniforms, float64, or None: step the PCG64 state
+        ctypes.c_int64,  # its length, or the Python loop's block length
         ctypes.c_int64,  # length of each record array
-        int64s,  # recorded epochs
-        doubles,  # recorded theta
-        doubles,  # recorded psi
-        doubles,  # recorded eta
+        address,  # recorded epochs, int64
+        address,  # recorded theta, float64
+        address,  # recorded psi, float64
+        address,  # recorded eta, float64
     ]
     lib.vaxgame_edges.restype = None
-    lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, doubles]
+    lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, address]
     lib.vaxgame_draw.restype = None
-    lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, doubles, doubles]
+    lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, address, address]
     lib.vaxgame_certify.restype = ctypes.c_int
     lib.vaxgame_certify.argtypes = [
         ctypes.POINTER(Sample),
         ctypes.POINTER(Law),
-        doubles,  # the offsets, row-major
+        address,  # the offsets, float64, row-major
         ctypes.c_int64,  # their count
         ctypes.c_int64,  # the samples still missing
     ]
@@ -337,8 +349,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,  # rows
         ctypes.c_int64,  # doubles per row
         ctypes.c_void_p,  # the int64 keys, one per row, or None
-        doubles,  # the doubles, row-major
-        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),  # the text
+        address,  # the doubles, float64, row-major
+        address,  # the text, uint8, writeable
         ctypes.c_int64,  # its capacity in bytes
     ]
     return lib

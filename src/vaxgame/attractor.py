@@ -682,7 +682,10 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
         cube_roots = np.empty(attempts)
         bitgen = rng.bit_generator
         with bitgen.lock:
-            lib.vaxgame_draw(bitgen.ctypes.bit_generator, attempts, directions, cube_roots)
+            lib.vaxgame_draw(
+                bitgen.ctypes.bit_generator, attempts, directions.ctypes.data,
+                cube_roots.ctypes.data,
+            )
         # per row the same product as the Python loop's direction.dot(direction)
         squares = (directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
     norms = np.sqrt(squares)[:, None]
@@ -807,8 +810,8 @@ def _tally(params, policy, x_hat, p_form):
         offsets = np.ascontiguousarray(offsets, float)
         if offsets.ndim != 2 or offsets.shape[1] != 3:  # the kernel would read past them
             raise ValueError(f"expected (n, 3) states, got shape {offsets.shape}")
-        if lib.vaxgame_certify(ctypes.byref(sample), ctypes.byref(law), offsets, len(offsets),
-                               missing):
+        if lib.vaxgame_certify(ctypes.byref(sample), ctypes.byref(law), offsets.ctypes.data,
+                               len(offsets), missing):
             raise DegenerateState("varrho vanished")
         return sample.counts[:]
 

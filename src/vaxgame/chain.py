@@ -31,7 +31,8 @@ the first bin whose upper edge exceeds u * varrho for a uniform u.
 :func:`simulate` runs its loop in the C kernel of :mod:`vaxgame._native`
 when that loads, else in :func:`_python_loop`, the reference it is tested
 against; both give the same trajectory and leave the generator in the same
-state.  :func:`step` is one epoch of that loop, for checks of the chain's
+state.  The kernel steps a PCG64 generator itself, uniform by uniform;
+other generators hand it blocks of uniforms.  :func:`step` is one epoch of that loop, for checks of the chain's
 law.
 """
 
@@ -52,6 +53,8 @@ from .params import ModelParams
 from .policy import Policy, accept_fn, accept_prob
 
 _RNG_BLOCK = 1 << 16
+#: a 128-bit PCG64 word is passed to the C kernel as its two 64-bit halves
+_UINT64 = 2**64
 #: the C kernel counts in int64: every count lies in [-_INT64, _INT64)
 _INT64 = 2**63
 
@@ -286,9 +289,12 @@ def simulate(
     (possible only with a delta below the default) raises DegenerateState.
 
     The loop runs in the C kernel of :mod:`vaxgame._native` when it loads,
-    else in :func:`_python_loop`; both read the uniforms of
-    ``gen.random(_RNG_BLOCK)`` blocks, drawn as they are needed, and give
-    the same trajectory and generator state bit for bit.
+    else in :func:`_python_loop`.  The Python loop reads the uniforms of
+    ``gen.random(_RNG_BLOCK)`` blocks, drawn as they are needed; the kernel
+    steps a plain PCG64 generator itself, draws the same uniforms and
+    leaves the generator at the end of the last block, and takes the blocks
+    of any other generator.  Both give the same trajectory and generator
+    state bit for bit.
     """
     gen = _as_rng(rng)
     n0 = initial.n_total
@@ -445,12 +451,15 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
 
 
 def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
-    """:func:`_python_loop` in the C kernel: one call per block of uniforms.
+    """:func:`_python_loop` in the C kernel, which steps numpy's PCG64 itself.
 
-    A call runs at most one epoch per uniform of its block, so it records at
-    most ``len(buf) // stride + 1`` epochs: the record arrays are sized per
-    block, not by ``max_steps``.  The kernel stops before it would write
-    past them, and the next call goes on with new arrays.
+    A plain ``Generator`` over ``PCG64`` lends the kernel its state under the
+    bit generator's lock: the kernel draws each uniform as ``gen.random()``
+    would, counts them in blocks of ``_RNG_BLOCK`` and, at the end, steps the
+    state on to the end of the block the run ended in, where the Python
+    loop leaves it.  Any other generator (a subclass that overrides
+    ``random``, another bit generator) passes its ``gen.random(_RNG_BLOCK)``
+    blocks to the kernel.
     """
     N, k = initial.n_total, initial.step
     I, V = initial.n_inf, initial.n_vacc
@@ -459,30 +468,57 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
         n=N, s=initial.n_susc, i=I, v=V, k=k,
         eta=eta, inv_eta=1.0 / eta, min_eta=eta, max_jump=0.0,
     )
-    law = _native.make_law(params, policy)
-    chunks = [(np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))]
-    buf = gen.random(_RNG_BLOCK)
-    capacity = len(buf) // stride + 1
-    while True:
-        rec = (np.empty(capacity, np.int64), *(np.empty(capacity) for _ in range(3)))
-        code = lib.vaxgame_chain(
-            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride,
-            buf, len(buf), capacity, *rec,
-        )
-        chunks.append(tuple(a[: state.n_rec] for a in rec))
-        if code == _native.CHAIN_NEED_BLOCK:
-            buf = gen.random(_RNG_BLOCK)
-            state.bi = 0
-        elif code != _native.CHAIN_RECORDS_FULL:
-            break
+    run = (lib, state, _native.make_law(params, policy), max_steps, delta, stride)
+    bitgen = gen.bit_generator
+    if type(gen) is np.random.Generator and type(bitgen) is np.random.PCG64:
+        with bitgen.lock:
+            rng = bitgen.state
+            pcg = rng["state"]
+            state.state_hi, state.state_lo = divmod(pcg["state"], _UINT64)
+            state.inc_hi, state.inc_lo = divmod(pcg["inc"], _UINT64)
+            code, chunks = _kernel_calls(*run, None)
+            pcg["state"] = state.state_hi * _UINT64 + state.state_lo
+            bitgen.state = rng
+    else:
+        code, chunks = _kernel_calls(*run, gen)
     if code == _native.CHAIN_DEGENERATE:
         raise DegenerateState("total event rate is zero")
     if code == _native.CHAIN_EXTINCT:
         raise DegenerateState("the population died out")
     freeze_epoch = state.k if code == _native.CHAIN_FROZEN else None
-    records = tuple(np.concatenate(column) for column in zip(*chunks))
+    first = (np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))
+    records = tuple(np.concatenate(column) for column in zip(first, *chunks))
     counts = (state.n, state.s, state.i, state.v, state.k)
     return counts, state.eta, freeze_epoch, state.min_eta, state.max_jump, records
+
+
+def _kernel_calls(lib, state, law, max_steps, delta, stride, gen):
+    """Call ``vaxgame_chain`` until the run ends: its last code and the records of each call.
+
+    With ``gen`` None the kernel steps the PCG64 state in ``state``; else
+    each call takes a ``gen.random(_RNG_BLOCK)`` block.  A call runs at most
+    ``_RNG_BLOCK`` epochs of a block, so it records at most ``_RNG_BLOCK //
+    stride + 1`` of them: the record arrays are sized so, not by
+    ``max_steps``.  The kernel stops before it would write past them, and
+    the next call goes on with new arrays.
+    """
+    blocks = gen is not None
+    buf = np.ascontiguousarray(gen.random(_RNG_BLOCK), np.float64) if blocks else None
+    capacity = _RNG_BLOCK // stride + 1
+    chunks = []
+    while True:
+        rec = (np.empty(capacity, np.int64), *(np.empty(capacity) for _ in range(3)))
+        code = lib.vaxgame_chain(
+            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride,
+            buf.ctypes.data if blocks else None, len(buf) if blocks else _RNG_BLOCK,
+            capacity, *(a.ctypes.data for a in rec),
+        )
+        chunks.append(tuple(a[: state.n_rec] for a in rec))
+        if code == _native.CHAIN_NEED_BLOCK:
+            buf = np.ascontiguousarray(gen.random(_RNG_BLOCK), np.float64)
+            state.bi = 0
+        elif code != _native.CHAIN_RECORDS_FULL:
+            return code, chunks
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,11 @@ the reference it is tested against.  Both give the same bits.  For the
 threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
 discontinuous; crossings are located with a terminal event (scipy's sign
 test, dense interpolant and ``brentq`` root), the integrator hops strictly
-across before re-arming, and the run is cut short once crossings
-accumulate into the sliding regime on the threshold.  No smoothing is
-applied.
+across before re-arming (:func:`_hop_across`, RK4 micro-steps), and the
+run is cut short once crossings accumulate into the sliding regime on the
+threshold.  The hop and that cut-off belong to the chunk loop: the C
+kernel runs them too, and returns only at the end of the run.  No
+smoothing is applied.
 
 :func:`find_equilibrium` runs a damped Newton on g with a finite-difference
 Jacobian, one-sided at the simplex faces, and a 3 x 3 Gaussian
@@ -557,8 +559,8 @@ def _segment_solver(params: ModelParams, policy: Policy, rtol: float, atol: floa
     return python
 
 
-def _raise_for(status: int, t0: float, end) -> None:
-    """The error of a segment from t0 that ended with ``status`` at the state ``end``."""
+def _raise_for(status: int, t0: float, t: float, end) -> None:
+    """The error of a run that ended with ``status`` at (t, end), its last segment begun at t0."""
     if status == _native.ODE_TOO_SMALL:
         raise StepFailure(
             f"integrator failed at t={t0:.6g}: "
@@ -570,6 +572,8 @@ def _raise_for(status: int, t0: float, end) -> None:
         raise DegenerateState("varrho vanished")
     if status == _native.ODE_LEFT_SIMPLEX:
         _project_simplex(end)
+    if status == _native.ODE_NO_HOP:
+        raise StepFailure(f"could not hop across the threshold at t={t:.6g}")
 
 
 class _PythonChunks:
@@ -579,46 +583,62 @@ class _PythonChunks:
     first spans ``_FIRST_CHUNK`` time units, and each one that reaches its
     bound doubles the next, up to ``_MAX_CHUNK``; no segment passes
     ``t_end``.  With ``stop`` set, the segments end at their first quiet
-    row, which settles the run.  The state (chunk, segments) carries over
-    from one call to the next.
+    row, which settles the run.  A segment that ends at the threshold short
+    of ``t_end`` is followed by :func:`_hop_across` and its row, and the
+    run is cut off there once crossings accumulate into the sliding regime.
     """
 
     def __init__(self, params, policy, t_end, rtol, atol, stop):
         self.segment = _segment_solver(params, policy, rtol, atol, stop)
+        self.g = field(params, policy)
+        self.gamma = threshold(policy)
         self.t_end = t_end
         self.chunk = _FIRST_CHUNK
         self.n_segments = 0
-        self.t0 = None  # the start of the last segment
 
     def run(self, t, y, out: list):
-        """Segments from (t, y) until the run settles or reaches t_end, or a
-        segment ends at the threshold short of t_end.
+        """Segments from (t, y) until the run settles, reaches t_end or is cut off.
 
-        Appends the rows of each segment to ``out`` and returns (status, t,
-        y): ODE_EVENT where the caller hops across the threshold and calls
-        again from there, ODE_SETTLED, or else ODE_DONE; y is projected onto
-        the simplex.
+        Appends the rows of each segment, and of each hop, to ``out`` and
+        returns (status, t, y): ODE_SETTLED, ODE_ZENO or ODE_DONE, with y
+        projected onto the simplex.
         """
+        tiny = 0
         while t < self.t_end:
+            t0 = t
             rows, status = self.segment(t, min(t + self.chunk, self.t_end), y)
-            _raise_for(status, t, None)
-            self.t0 = t
+            _raise_for(status, t0, None, None)
             self.n_segments += 1
             out.append(rows)
             t, y = rows[-1, 0], _project_simplex(rows[-1, 1:])
+            if status == _native.ODE_SETTLED:
+                return status, t, y
             if status == _native.ODE_DONE:
                 self.chunk = min(self.chunk * 2.0, _MAX_CHUNK)
-            elif status == _native.ODE_SETTLED or t < self.t_end:
-                return status, t, y
+            elif t < self.t_end:
+                # landed on the threshold; hop strictly across before
+                # re-arming the event, otherwise the restart re-fires at
+                # zero progress
+                tiny = tiny + 1 if t - t0 < 1e-3 else 0
+                t, y = _hop_across(self.g, t, y, self.gamma, self.t_end)
+                out.append(np.array([[t, *y]]))
+                # the switching surface is attracting: orbits spiral into
+                # it with geometrically accumulating crossings and then
+                # chatter-slide along theta = Gamma; once the progress
+                # between events stays far below any genuine half-cycle,
+                # stop the run there
+                if tiny >= 50 or self.n_segments >= 100_000:
+                    return _native.ODE_ZENO, t, y
         return _native.ODE_DONE, t, y
 
 
 class _NativeChunks:
     """:class:`_PythonChunks` in the C kernel of :mod:`vaxgame._native`, with the same bits.
 
-    Each kernel call runs segment after segment and tests the field values
-    its stepper has; it returns at an event, at the end of the run, on an
-    error, or when its ``_SEGMENT_ROWS`` record rows are full.
+    Each kernel call runs segment after segment, hops included, and tests
+    the field values its stepper has; it returns at the end of the run, at
+    the Zeno cut-off, on an error, or when its ``_SEGMENT_ROWS`` record rows
+    are full.
     """
 
     def __init__(self, lib, params, policy, t_end, rtol, atol, stop):
@@ -636,7 +656,6 @@ class _NativeChunks:
         self.rows = np.frombuffer(self.records).reshape(-1, 4)
 
     n_segments = property(lambda self: self.loop.n_segments)
-    t0 = property(lambda self: self.loop.t0)
 
     def run(self, t, y, out: list):
         """:meth:`_PythonChunks.run`."""
@@ -652,7 +671,7 @@ class _NativeChunks:
             if status != _native.ODE_RECORDS_FULL:
                 break
         y = np.array(loop.seg.y)
-        _raise_for(status, loop.t0, y)
+        _raise_for(status, loop.t0, loop.seg.t, y)
         return status, loop.seg.t, y
 
 
@@ -675,9 +694,10 @@ def integrate(
     the stop, cut at that row.  t is capped at 1e6 regardless.  Threshold crossings of a
     threshold-vigilant response (VFC2, or a mutant over one; see
     :func:`vaxgame.policy.threshold`) are located by a terminal event and
-    the solver restarts across them.  The chunks run in the C kernel of
-    :mod:`vaxgame._native` when that loads, else in :class:`_PythonChunks`;
-    both give the same path.
+    the solver restarts across them, cut off once the crossings accumulate
+    into the sliding regime (``zeno_truncated``).  The chunks, hops and
+    cut-off run in the C kernel of :mod:`vaxgame._native` when that loads,
+    else in :class:`_PythonChunks`; both give the same path.
 
     Raises InvalidParams for a horizon that is not positive (NaN included)
     or too small to move the start t, for an ``rtol`` or ``atol`` that is
@@ -701,29 +721,8 @@ def integrate(
     settings = (params, policy, t_end, rtol, atol, stop_at_equilibrium)
     loop = _PythonChunks(*settings) if lib is None else _NativeChunks(lib, *settings)
 
-    g = field(params, policy)
-    gamma = threshold(policy)
     chunks: list[np.ndarray] = []
-    tiny_segments = 0
-    zeno = False
-    while True:
-        status, t, y = loop.run(t, y, chunks)
-        if status != _native.ODE_EVENT:
-            break
-        progress = t - loop.t0
-        # landed on the threshold; hop strictly across before re-arming
-        # the event, otherwise the restart re-fires at zero progress
-        t, y = _hop_across(g, t, y, gamma, t_end)
-        chunks.append(np.array([[t, *y]]))
-        # the switching surface is attracting: orbits spiral into the
-        # centre with geometrically accumulating crossings and then
-        # chatter-slide along theta = Gamma; once inter-event progress
-        # stays far below any genuine half-cycle, stop the run there
-        tiny_segments = tiny_segments + 1 if progress < 1e-3 else 0
-        if tiny_segments >= 50 or loop.n_segments >= 100_000:
-            zeno = True
-            break
-
+    status, t, y = loop.run(t, y, chunks)
     rows = np.concatenate(chunks)
     endpoint = OdeState(theta=y[0], psi=y[1], eta=y[2], t=float(t))
     return OdePath(
@@ -732,12 +731,16 @@ def integrate(
         endpoint=endpoint,
         settled=status == _native.ODE_SETTLED,
         n_segments=loop.n_segments,
-        zeno_truncated=zeno,
+        zeno_truncated=status == _native.ODE_ZENO,
     )
 
 
 def _hop_across(g, t, y, gamma, t_end, clearance: float = 1e-12):
-    """Classical RK4 micro-steps on the field g until theta is strictly clear of the threshold."""
+    """Classical RK4 micro-steps on the field g until theta is strictly clear of the threshold.
+
+    The hop of :class:`_PythonChunks`, and the reference for the C kernel's
+    ``hop_across``.
+    """
     h = 1e-9 * max(1.0, abs(t))
     for _ in range(64):
         if abs(y[0] - gamma) > clearance or t >= t_end:

@@ -42,6 +42,7 @@ from vaxgame.cli import main as cli_main
 from vaxgame.policy import accept_fn, propensity_fn
 
 from rowgen import PARAMS, POLICIES, UNIT
+from test_chain import FixedUniforms
 
 SRC = Path(vaxgame.__file__).resolve().parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -58,17 +59,19 @@ def python_kernels():
     return mock.patch.object(_native, "library", return_value=None)
 
 
-def _chain_run(initial, params, policy, max_steps, delta, stride, seed):
-    gen = np.random.default_rng(seed)
+def _chain_run(initial, params, policy, max_steps, delta, stride, seed,
+               make_gen=np.random.default_rng):
+    """The run of simulate() on ``make_gen(seed)``, and the generator's state after it, by repr."""
+    gen = make_gen(seed)
     try:
         traj = simulate(initial, params, policy, max_steps, delta, stride, gen)
     except DegenerateState as exc:
-        return repr(exc), gen.bit_generator.state
+        return repr(exc), repr(gen.bit_generator.state)
     arrays = (traj.epochs, traj.theta, traj.psi, traj.eta)
     return (
         repr([(a.dtype, a.tolist()) for a in arrays]),
         repr((traj.final, traj.frozen, traj.freeze_epoch, traj.diagnostics, traj.stride)),
-        gen.bit_generator.state,
+        repr(gen.bit_generator.state),
     )
 
 
@@ -131,6 +134,53 @@ def test_native_chain_matches_python(
     assert native == reference
 
 
+def _uint32_first(seed):
+    """A PCG64 generator that holds a buffered 32-bit word: has_uint32 is 1."""
+    gen = np.random.default_rng(seed)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    return gen
+
+
+_FAR = make_initial(40_000, 0.1, 0.01)  # no freeze within 2 * _RNG_BLOCK + 1 epochs
+
+
+@pytest.mark.parametrize(
+    "initial,params,max_steps,delta,stride,make_gen,pcg",
+    [
+        # runs that end one epoch short of, at, and one past a block's end
+        *(
+            (_FAR, _LEFT, m * _RNG_BLOCK + extra, None, 1000, np.random.default_rng, True)
+            for m in (1, 2)
+            for extra in (-1, 0, 1)
+        ),
+        (PopState(40_000, 35_600, 4000, 400, step=37), _LEFT, _RNG_BLOCK + 40, None, 7,
+         np.random.default_rng, True),  # a start step > 0
+        (_FAR, _LEFT, 2 * _RNG_BLOCK + 5, None, 3 * _RNG_BLOCK + 1, np.random.default_rng, True),
+        (PopState(10, 8, 1, 1, step=1000), _LEFT, 5000, None, 1, np.random.default_rng, True),
+        (make_initial(2, 0.0, 0.0), _DYING, 50, 0.1, 7, np.random.default_rng, True),  # dies out
+        (_FAR, _LEFT, _RNG_BLOCK + 3, None, 100, _uint32_first, True),
+        (_FAR, _LEFT, _RNG_BLOCK + 3, None, 100,
+         lambda seed: np.random.Generator(np.random.MT19937(seed)), False),
+        (_FAR, _LEFT, 3000, None, 10, lambda seed: FixedUniforms(0.37), False),
+    ],
+    ids=[
+        "block-1", "block", "block+1", "2blocks-1", "2blocks", "2blocks+1", "start-step",
+        "stride-past-a-block", "frozen-at-once", "extinct", "buffered-uint32", "mt19937",
+        "fixed-uniforms",
+    ],
+)
+def test_kernel_pcg64_matches_python(initial, params, max_steps, delta, stride, make_gen, pcg):
+    # the kernel steps a plain PCG64 generator itself and leaves it where the
+    # Python loop's blocks leave it, has_uint32 and uinteger included; other
+    # generators pass their blocks
+    args = (initial, params, fc(1.0), max_steps, delta, stride, 11, make_gen)
+    with mock.patch.object(chain, "_kernel_calls", wraps=chain._kernel_calls) as calls:
+        native = _chain_run(*args)
+    assert (calls.call_args.args[-1] is None) == pcg
+    with python_kernels():
+        assert _chain_run(*args) == native
+
+
 def test_freeze_and_degenerate_cases_are_reached():
     # the examples above really exercise the freeze and the degenerate rate
     frozen = simulate(make_initial(4, 0.25, 0.0), _LEFT, fc(0.5), max_steps=10_000, stride=1, rng=9)
@@ -164,7 +214,8 @@ def test_chain_kernel_stops_at_full_record_arrays():
     for _ in range(3):
         rec = (np.full(3, -1, np.int64), *(np.empty(3) for _ in range(3)))
         code = lib.vaxgame_chain(
-            ctypes.byref(state), ctypes.byref(law), 100, 0.01, 1, buf, len(buf), 2, *rec
+            ctypes.byref(state), ctypes.byref(law), 100, 0.01, 1, buf.ctypes.data, len(buf), 2,
+            *(a.ctypes.data for a in rec),
         )
         assert code == _native.CHAIN_RECORDS_FULL and state.n_rec == 2
         assert rec[0][2] == -1  # the slot past the capacity stays untouched
@@ -188,7 +239,7 @@ def test_native_response_matches_accept_fn(policy, theta, psi_share):
     # rounded product q * phi, where a change of q shows
     psi = psi_share * (1.0 - theta)
     edges = np.empty(8)
-    _native.library().vaxgame_edges(_native.make_law(_Q_ONLY, policy), theta, psi, edges)
+    _native.library().vaxgame_edges(_native.make_law(_Q_ONLY, policy), theta, psi, edges.ctypes.data)
     assert repr(edges.tolist()) == repr(_reference_edges(_Q_ONLY, policy, theta, psi))
     assert edges[3] == accept_fn(policy)(theta, psi) * (1.0 - theta - psi)
 
@@ -232,7 +283,9 @@ def test_native_edges_match_python_loop(policy, params, theta, psi_share):
     q = accept_fn(policy)(theta, psi)
     assert repr(list(chain.event_edges(params)(theta, psi, q))) == reference
     edges = np.empty(8)
-    _native.library().vaxgame_edges(_native.make_law(params, policy), theta, psi, edges)
+    _native.library().vaxgame_edges(
+        _native.make_law(params, policy), theta, psi, edges.ctypes.data
+    )
     assert repr(edges.tolist()) == reference
 
 
@@ -453,6 +506,44 @@ def test_chunk_loop_settles_as_python(monkeypatch, rows, case):
     monkeypatch.setattr(ode, "_SEGMENT_ROWS", rows)
     assert _ode_run(start, params, policy, 1e4) == _python_settling[case]
     assert _cut_run(params, policy, start) == _python_settling[case]
+
+
+# VFC2 runs with threshold events, each hopped across in the kernel: to the
+# Zeno cut-off, a mutant over VFC2 to its horizon, and the orbit of
+# _QUIET_EVENT, whose field is so slow at its threshold that every hop takes
+# more than one micro-step
+_HOPPING = {
+    "zeno": (OdeState(0.25, 0.1, 0.1), _THRESHOLD, vfc2(6.0, 0.2), 30.0),
+    "mutant": (OdeState(0.25, 0.1, 1.0), _THRESHOLD, mutant(vfc2(6.0, 0.2), p=0.5, eps=0.1), 3.0),
+    "slow-hops": (OdeState(0.2, 0.0, 1.0), _LEFT, _QUIET_EVENT, 40.0),
+}
+_python_hopping = {}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, ode._SEGMENT_ROWS])
+@pytest.mark.parametrize("case", sorted(_HOPPING))
+def test_kernel_hops_and_cuts_off_as_python(monkeypatch, rows, case):
+    # the hop across the threshold and the Zeno count run in the kernel: at
+    # every record buffer its path, segments, cut-off and endpoint are those
+    # of the Python chunk loop
+    start, params, policy, horizon = _HOPPING[case]
+    args = (start, params, policy, horizon)
+    if case not in _python_hopping:
+        with python_kernels():
+            _python_hopping[case] = _ode_run(*args, stop_at_equilibrium=False)
+    monkeypatch.setattr(ode, "_SEGMENT_ROWS", rows)
+    assert _ode_run(*args, stop_at_equilibrium=False) == _python_hopping[case]
+    path = integrate(*args, stop_at_equilibrium=False)
+    assert path.zeno_truncated == (case == "zeno")
+    # a hop row follows its event row, which lies on the threshold, and the
+    # next segment starts at the hop's t; one micro-step moves t by h0
+    t, theta, gamma = path.t, path.states[:, 0], vaxgame.policy.threshold(policy)
+    hops = [
+        i for i in range(1, len(t) - 1) if t[i + 1] == t[i] and abs(theta[i - 1] - gamma) <= 1e-12
+    ]
+    assert hops
+    steps = [(t[i] - t[i - 1]) / (1e-9 * max(1.0, t[i - 1])) for i in hops]
+    assert (min(steps) > 1.5) == (case == "slow-hops")
 
 
 # at loose tolerances the fast decay of theta overshoots below 0 within a step
@@ -767,8 +858,11 @@ def test_row_kernels_reject_mismatched_shapes(tmp_path):
 def test_formatter_declines_a_small_buffer():
     text = np.empty(46, np.uint8)  # a row of one double fits, one of four (21 + 4 * 25) does not
     lib = _native.library()
-    assert lib.vaxgame_format_rows(1, 4, None, np.zeros((1, 4)), text, len(text)) == -1
-    assert lib.vaxgame_format_rows(1, 1, None, np.zeros((1, 1)), text, len(text)) == 2
+    for cols, size in ((4, -1), (1, 2)):
+        values = np.zeros((1, cols))
+        assert lib.vaxgame_format_rows(
+            1, cols, None, values.ctypes.data, text.ctypes.data, len(text)
+        ) == size
 
 
 @pytest.mark.parametrize("config", ["validate_strong_nvdf.cfg", "vfc2_oscillation.cfg"])
@@ -825,7 +919,9 @@ def test_draw_kernel_skips_zero_directions():
         _WORD(lambda _: 0),
     )
     directions, cube_roots = np.empty((2, 3)), np.empty(2)
-    _native.library().vaxgame_draw(ctypes.addressof(bitgen), 2, directions, cube_roots)
+    _native.library().vaxgame_draw(
+        ctypes.addressof(bitgen), 2, directions.ctypes.data, cube_roots.ctypes.data
+    )
     assert len(uniforms) == 1  # no uniform for the zero direction
     assert np.all(np.isnan(directions[0])) and math.isnan(cube_roots[0])
     assert directions[1, 0] > 0.0 and directions[1, 1] == 0.0 and directions[1, 2] > 0.0

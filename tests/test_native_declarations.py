@@ -63,7 +63,7 @@ _STRUCTS = {
     "loop_t": _native.Loop,
     "sample_t": _native.Sample,
 }
-_C_TYPES = {ctypes.c_double: "double", ctypes.c_int64: "int64_t"}
+_C_TYPES = {ctypes.c_double: "double", ctypes.c_int64: "int64_t", ctypes.c_uint64: "uint64_t"}
 
 
 def _c_fields():
@@ -96,6 +96,33 @@ def test_every_struct_is_declared_field_for_field():
     for name, cls in _STRUCTS.items():
         declared = [(field, _ctypes_name(kind)) for field, kind in cls._fields_]
         assert declared == structs[name], name
+
+
+def _pcg64_multiplier():
+    """The 128-bit multiplier of the chain kernel's PCG64 step, read from _native.c."""
+    source = (SRC / "_native.c").read_text()
+    halves = [int(re.search(rf"#define PCG_MULT_{half} (\d+)ULL", source)[1]) for half in ("HI", "LO")]
+    return halves[0] << 64 | halves[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260809])
+def test_kernel_pcg64_step_is_numpys(seed):
+    # the kernel's step and output, transcribed to Python integers: state =
+    # state * M + inc mod 2^128, then the XSL-RR of the new state, and the
+    # uniform (out >> 11) * 2^-53, against numpy's own PCG64 and random()
+    mult = _pcg64_multiplier()
+    pcg = np.random.PCG64(seed).state["state"]
+    state, inc = pcg["state"], pcg["inc"]
+    words, uniforms = [], []
+    for _ in range(1000):
+        state = (state * mult + inc) % 2**128
+        x = ((state >> 64) ^ state) % 2**64
+        rot = state >> 122
+        out = (x >> rot | x << (-rot % 64)) % 2**64
+        words.append(out)
+        uniforms.append((out >> 11) * 2.0**-53)
+    assert words == np.random.PCG64(seed).random_raw(1000).tolist()
+    assert uniforms == np.random.Generator(np.random.PCG64(seed)).random(1000).tolist()
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
