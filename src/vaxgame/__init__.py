@@ -40,6 +40,7 @@ from .chain import (
     make_initial,
     one_step_drift,
     simulate,
+    simulate_replications,
     step,
 )
 from .ess import (

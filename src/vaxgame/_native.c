@@ -1,7 +1,7 @@
 /*
- * C kernels for vaxgame: the jump-chain loop of chain.simulate, which steps
- * numpy's PCG64 itself (or reads blocks of uniforms where it is given
- * them), the chunk loop of ode.integrate (ode._PythonChunks, its DOP853
+ * C kernels for vaxgame: the jump-chain loop of chain.simulate_replications,
+ * which steps the replications of a point in lockstep, each its own numpy
+ * PCG64, the chunk loop of ode.integrate (ode._PythonChunks, its DOP853
  * segments ode._python_segment, its settle test, its projection of each
  * chunk end, the hop across the threshold ode._hop_across and the Zeno
  * cut-off), the damped Newton of ode.find_equilibrium (ode._newton) with
@@ -25,6 +25,9 @@
  * use and falls back to the Python code when it cannot.
  */
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 #include <float.h>
 #include <locale.h>
 #include <math.h>
@@ -37,7 +40,7 @@
 /* Response families, in the order of the keys of vaxgame.policy._RESPONSE. */
 enum { FC, FR, VFC1, VFC2, VFC2_THETA, STATIC };
 
-/* Event law of one simulate() call: the rates and the resolved response. */
+/* Event law of one chain kernel call: the rates and the resolved response. */
 typedef struct {
     double lam, r, nu, b, d, d_e;
     int64_t family; /* a base family above */
@@ -45,25 +48,20 @@ typedef struct {
     double beta, gamma, q, eps, p;
 } law_t;
 
-/* Chain state carried across calls, one call per block of uniforms or per
-   record arrays.  Without a block the kernel steps numpy's PCG64 from
-   (state, inc), each a 128-bit integer as its high and low halves. */
+/* One chain of a vaxgame_chain call, carried from call to call: its counts
+   and diagnostics, numpy's PCG64 as (state, inc), each a 128-bit integer as
+   its high and low halves, and the code it stopped at. */
 typedef struct {
     int64_t n, s, i, v, k;
     double eta, inv_eta, min_eta, max_jump;
     int64_t bi;    /* uniforms taken from the current block */
     int64_t n_rec; /* records written by this call */
+    int64_t until; /* epochs to the next record, set by the kernel */
     uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    int64_t code;  /* CHAIN_RUNS until the chain stops */
 } chain_t;
 
-enum {
-    CHAIN_DONE,
-    CHAIN_FROZEN,
-    CHAIN_NEED_BLOCK,
-    CHAIN_DEGENERATE,
-    CHAIN_EXTINCT,
-    CHAIN_RECORDS_FULL
-};
+enum { CHAIN_RUNS, CHAIN_DONE, CHAIN_FROZEN, CHAIN_DEGENERATE, CHAIN_EXTINCT, CHAIN_RECORDS_FULL };
 
 /* Python's min(cap, x): x when x < cap, else cap (NaN included, so min(inf, nan) is inf). */
 static double capped(double x, double cap) { return x < cap ? x : cap; }
@@ -73,7 +71,7 @@ static double capped(double x, double cap) { return x < cap ? x : cap; }
  * probability q = min(1, q~), INFINITY the propensity q~.  A mutant mixes
  * its base, capped the same way, with its static p.
  */
-static double response(const law_t *w, double theta, double psi, double cap)
+static inline double response(const law_t *w, double theta, double psi, double cap)
 {
     double q;
     switch (w->family) {
@@ -102,7 +100,7 @@ static double response(const law_t *w, double theta, double psi, double cap)
 }
 
 /* The acceptance probability q = min(1, q~), as policy.accept_fn gives it. */
-static double accept(const law_t *w, double theta, double psi)
+static inline double accept(const law_t *w, double theta, double psi)
 {
     return response(w, theta, psi, 1.0);
 }
@@ -129,6 +127,22 @@ static inline void event_edges(const law_t *w, double theta, double psi, double 
     c[7] = c[6] + w->d * phi;
 }
 
+/* The count increments (dS, dI, dV, dN) of each event, in the order of
+   chain.Event: a copy of chain.EVENT_EFFECTS. */
+static const int64_t EVENT_EFFECTS[8][4] = {
+    {-1, +1, 0, 0}, /* infection */
+    {+1, -1, 0, 0}, /* recovery */
+    {0, -1, 0, -1}, /* death of an infected */
+    {-1, 0, +1, 0}, /* vaccination */
+    {0, 0, 0, 0},   /* declined vaccination */
+    {+1, 0, 0, +1}, /* birth */
+    {0, 0, -1, -1}, /* death of a vaccinated */
+    {-1, 0, 0, -1}, /* death of a susceptible */
+};
+enum { NULL_DECISION = 4 };
+/* the events that take a susceptible, as bits of their index */
+#define SUSCEPTIBLE_EVENTS (1u << 0 | 1u << 3 | 1u << 7)
+
 /* event_edges() for the tests, which compare it with chain.event_edges. */
 void vaxgame_edges(const law_t *w, double theta, double psi, double *out)
 {
@@ -146,19 +160,30 @@ typedef unsigned __int128 u128;
 #define PCG_MULT_LO 4865540595714422341ULL
 #define PCG_MULT ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO)
 
-static inline double pcg_uniform(u128 *state, u128 inc)
+static inline double pcg_uniform(chain_t *c)
 {
-    *state = *state * PCG_MULT + inc;
-    const uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
-    const unsigned rot = (unsigned)(*state >> 122);
+    const u128 low = (u128)c->state_lo * PCG_MULT_LO; /* the product in 64-bit halves */
+    const uint64_t lo = (uint64_t)low + c->inc_lo;
+    const uint64_t hi = (uint64_t)(low >> 64) + c->state_hi * PCG_MULT_LO +
+                        c->state_lo * PCG_MULT_HI + c->inc_hi + (lo < c->inc_lo);
+    c->state_hi = hi, c->state_lo = lo;
+    const uint64_t x = hi ^ lo;
+    const unsigned rot = (unsigned)(hi >> 58);
     const uint64_t out = x >> rot | x << (-rot & 63);
     return (double)(out >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* The PCG64 state `delta` steps on, in O(log delta) (numpy's pcg64_advance). */
-static u128 pcg_advance(u128 state, u128 inc, uint64_t delta)
+/* Set chain c's code.  Unless its records are full, its run ended: its PCG64
+   state steps on to the end of the block the run ended in, where the Python
+   loop leaves the generator, in O(log) steps (numpy's pcg64_advance). */
+static void finish(chain_t *c, int code, int64_t n_buf)
 {
-    u128 mult = PCG_MULT, plus = inc, acc_mult = 1, acc_plus = 0;
+    c->code = code;
+    if (code == CHAIN_RECORDS_FULL)
+        return;
+    uint64_t delta = (uint64_t)(n_buf - c->bi);
+    c->bi = n_buf;
+    u128 mult = PCG_MULT, plus = (u128)c->inc_hi << 64 | c->inc_lo, acc_mult = 1, acc_plus = 0;
     for (; delta; delta >>= 1) {
         if (delta & 1) {
             acc_mult *= mult;
@@ -167,124 +192,137 @@ static u128 pcg_advance(u128 state, u128 inc, uint64_t delta)
         plus *= mult + 1;
         mult *= mult;
     }
-    return acc_mult * state + acc_plus;
+    const u128 state = acc_mult * ((u128)c->state_hi << 64 | c->state_lo) + acc_plus;
+    c->state_hi = (uint64_t)(state >> 64), c->state_lo = (uint64_t)state;
 }
 
 /*
- * Advance the chain until k reaches max_steps, the freeze fires, the total
- * rate is not positive, the population dies out or the rec_cap record
- * slots are full.  Records every epoch that is a multiple of stride.  Each
- * epoch takes the next uniform of the block buf, where one is given, and
- * returns CHAIN_NEED_BLOCK when its n_buf uniforms are used up.  Without a
- * block (buf NULL) it steps the PCG64 state in c and counts its uniforms in
- * blocks of n_buf, as chain._python_loop draws them; when the run ends it
- * steps the state on to the end of the current block, so that the state is
- * the generator's after the Python loop.  Returns one of the CHAIN_* codes;
- * on CHAIN_NEED_BLOCK and CHAIN_RECORDS_FULL the state is the one before
- * the next epoch, and a call with a new block or new record arrays goes on.
+ * The one epoch body of vaxgame_chain: CHAIN_RUNS, or the code chain r
+ * stops at: before the epoch at max_steps, the freeze, full records or a
+ * total rate that is not positive, and in it where the population dies
+ * out.  It takes the next uniform u of r's PCG64, counted in blocks of
+ * n_buf as chain._python_loop draws them, and records each k that is a
+ * multiple of stride.  The event is the first bin whose upper edge exceeds
+ * x = u * varrho: in lockstep the first set bit of the x < c_j mask (none
+ * set, NaN included, is the last bin), alone the Python loop's cascade.
  */
-int vaxgame_chain(chain_t *c, const law_t *w, int64_t max_steps, double delta,
-                  int64_t stride, const double *buf, int64_t n_buf,
-                  int64_t rec_cap, int64_t *rec_k, double *rec_theta,
-                  double *rec_psi, double *rec_eta)
+static inline __attribute__((always_inline)) int
+epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t stride,
+      int64_t n_buf, int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta,
+      double *rec_psi, double *rec_eta, int lockstep)
 {
-    int64_t n = c->n, s = c->s, i = c->i, v = c->v, k = c->k, bi = c->bi;
-    double eta = c->eta, inv_eta = c->inv_eta;
-    double min_eta = c->min_eta, max_jump = c->max_jump;
-    u128 state = (u128)c->state_hi << 64 | c->state_lo;
-    const u128 inc = (u128)c->inc_hi << 64 | c->inc_lo;
-    int64_t n_rec = 0;
-    int code = CHAIN_DONE;
+    if (r->k >= max_steps)
+        return CHAIN_DONE;
+    if (r->eta <= delta)
+        return CHAIN_FROZEN;
+    if (r->n_rec == rec_cap)
+        return CHAIN_RECORDS_FULL;
+    double e[8];
+    event_edges(w, (double)r->i / (double)r->n, (double)r->v / (double)r->n, e);
+    if (e[7] <= 0.0)
+        return CHAIN_DEGENERATE;
+    if (r->bi == n_buf)
+        r->bi = 0; /* the Python loop draws its next block here */
+    r->bi += 1;
+    const double x = pcg_uniform(r) * e[7];
 
-    while (k < max_steps) {
-        if (eta <= delta) {
-            code = CHAIN_FROZEN;
-            break;
-        }
-        if (n_rec == rec_cap) {
-            code = CHAIN_RECORDS_FULL;
-            break;
-        }
-        double e[8];
-        event_edges(w, (double)i / (double)n, (double)v / (double)n, e);
-        if (e[7] <= 0.0) {
-            code = CHAIN_DEGENERATE;
-            break;
-        }
-        if (bi == n_buf) {
-            if (buf) {
-                code = CHAIN_NEED_BLOCK;
-                break;
+    /* at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
+       a width of about 1e-17, and a 1-ulp overshoot can pass the last
+       boundary: a draw of an event that takes a susceptible changes nothing */
+    unsigned bin = 7;
+    if (lockstep) { /* the x < c_j bits of j and j + 1, at bits j and j + 1 */
+#ifdef __SSE2__ /* one instruction for two compares: fewer keep more epochs in flight */
+        const __m128d xs = _mm_set1_pd(x);
+#define BELOW(j) ((unsigned)_mm_movemask_pd(_mm_cmplt_pd(xs, _mm_loadu_pd(e + (j)))) << (j))
+#else
+#define BELOW(j) (((unsigned)(x < e[j]) | (unsigned)(x < e[(j) + 1]) << 1) << (j))
+#endif
+        bin = (unsigned)__builtin_ctz(BELOW(0) | BELOW(2) | BELOW(4) | BELOW(6) | 1u << 7);
+    } else if (x < e[0])
+        bin = 0;
+    else if (x < e[1])
+        bin = 1;
+    else if (x < e[2])
+        bin = 2;
+    else if (x < e[3])
+        bin = 3;
+    else if (x < e[4])
+        bin = 4;
+    else if (x < e[5])
+        bin = 5;
+    else if (x < e[6])
+        bin = 6;
+    const unsigned skip = (r->s == 0) & (SUSCEPTIBLE_EVENTS >> bin);
+    const int64_t *d = EVENT_EFFECTS[skip ? NULL_DECISION : bin];
+    r->s += d[0], r->i += d[1], r->v += d[2], r->n += d[3];
+    if (r->n == 0)
+        return CHAIN_EXTINCT;
+
+    r->k += 1;
+    r->eta = (double)r->n / (double)r->k;
+    const double new_inv = 1.0 / r->eta;
+    const double jump = fabs(new_inv - r->inv_eta) * (double)r->k;
+    /* conditional moves: whether eta falls to a new minimum is a coin toss
+       once k passes n */
+    r->max_jump = jump > r->max_jump ? jump : r->max_jump;
+    r->inv_eta = new_inv;
+    r->min_eta = r->eta < r->min_eta ? r->eta : r->min_eta;
+    if (--r->until == 0) {
+        r->until = stride;
+        rec_k[row + r->n_rec] = r->k;
+        rec_theta[row + r->n_rec] = (double)r->i / (double)r->n;
+        rec_psi[row + r->n_rec] = (double)r->v / (double)r->n;
+        rec_eta[row + r->n_rec] = r->eta;
+        r->n_rec += 1;
+    }
+    return CHAIN_RUNS;
+}
+
+#define LOCKSTEP 16 /* the most chains stepped side by side */
+
+/*
+ * Run each chain of c whose code is CHAIN_RUNS or CHAIN_RECORDS_FULL until
+ * it stops, and leave its code and record count in it; chain j records to
+ * rows j * rec_cap on.  Up to LOCKSTEP chains step in turn, one epoch each;
+ * a chain that stops leaves the group, and the last one left runs on alone.
+ * A chain stopped at full records holds the state before its next epoch,
+ * and a call with new record arrays goes on from there.
+ */
+void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_steps,
+                   double delta, int64_t stride, int64_t n_buf, int64_t rec_cap,
+                   int64_t *rec_k, double *rec_theta, double *rec_psi, double *rec_eta)
+{
+    for (int64_t first = 0; first < n_chains; first += LOCKSTEP) {
+        int64_t live[LOCKSTEP];
+        int n_live = 0;
+        for (int64_t j = first; j < n_chains && j < first + LOCKSTEP; j++) {
+            if (c[j].code == CHAIN_RUNS || c[j].code == CHAIN_RECORDS_FULL) {
+                c[j].n_rec = 0, c[j].until = stride - c[j].k % stride;
+                live[n_live++] = j;
             }
-            bi = 0; /* the Python loop draws its next block here */
         }
-        const double x = (buf ? buf[bi] : pcg_uniform(&state, inc)) * e[7];
-        bi += 1;
-
-        /* at S = 0 a rounded phi > 0 leaves the infection and vaccination
-           bins a width of about 1e-17: a draw there changes nothing */
-        if (x < e[0]) {
-            if (s > 0) {
-                s -= 1;
-                i += 1;
+        while (n_live > 1) {
+            for (int a = 0; a < n_live; a++) {
+                const int64_t j = live[a];
+                const int code = epoch(&c[j], w, max_steps, delta, stride, n_buf, rec_cap,
+                                       j * rec_cap, rec_k, rec_theta, rec_psi, rec_eta, 1);
+                if (code != CHAIN_RUNS) {
+                    finish(&c[j], code, n_buf);
+                    live[a--] = live[--n_live]; /* the chain moved here has not stepped yet */
+                }
             }
-        } else if (x < e[1]) {
-            i -= 1;
-            s += 1;
-        } else if (x < e[2]) {
-            i -= 1;
-            n -= 1;
-        } else if (x < e[3]) {
-            if (s > 0) {
-                s -= 1;
-                v += 1;
-            }
-        } else if (x < e[4]) {
-            /* declined vaccination */
-        } else if (x < e[5]) {
-            s += 1;
-            n += 1;
-        } else if (x < e[6]) {
-            v -= 1;
-            n -= 1;
-        } else if (s > 0) { /* guard against a 1-ulp overshoot at the last boundary */
-            s -= 1;
-            n -= 1;
         }
-        if (n == 0) {
-            code = CHAIN_EXTINCT;
-            break;
-        }
-
-        k += 1;
-        eta = (double)n / (double)k;
-        const double new_inv = 1.0 / eta;
-        const double jump = fabs(new_inv - inv_eta) * (double)k;
-        if (jump > max_jump)
-            max_jump = jump;
-        inv_eta = new_inv;
-        if (eta < min_eta)
-            min_eta = eta;
-
-        if (k % stride == 0) {
-            rec_k[n_rec] = k;
-            rec_theta[n_rec] = (double)i / (double)n;
-            rec_psi[n_rec] = (double)v / (double)n;
-            rec_eta[n_rec] = eta;
-            n_rec += 1;
+        if (n_live == 1) {
+            chain_t one = c[live[0]];
+            int code;
+            while ((code = epoch(&one, w, max_steps, delta, stride, n_buf, rec_cap,
+                                 live[0] * rec_cap, rec_k, rec_theta, rec_psi, rec_eta, 0)) ==
+                   CHAIN_RUNS)
+                ;
+            finish(&one, code, n_buf);
+            c[live[0]] = one;
         }
     }
-
-    if (!buf && code != CHAIN_RECORDS_FULL) { /* the rest of the block the run ended in */
-        state = pcg_advance(state, inc, (uint64_t)(n_buf - bi));
-        bi = n_buf;
-    }
-    c->n = n, c->s = s, c->i = i, c->v = v, c->k = k, c->bi = bi;
-    c->eta = eta, c->inv_eta = inv_eta;
-    c->min_eta = min_eta, c->max_jump = max_jump;
-    c->n_rec = n_rec;
-    c->state_hi = (uint64_t)(state >> 64), c->state_lo = (uint64_t)state;
-    return code;
 }
 
 /*
@@ -803,12 +841,12 @@ typedef struct {
 /*
  * Run the segments of ode.integrate from (lp->seg.t, lp->seg.y), with the
  * tableau tab (the TAB_* layout above), until the run reaches t_end
- * (ODE_DONE), settles (ODE_SETTLED) or is cut off in the sliding regime
- * (ODE_ZENO), a step falls below scipy's min_step (ODE_TOO_SMALL), the
- * event has no root (ODE_NO_ROOT), varrho vanishes (ODE_DEGENERATE), a
- * segment or a hop ends more than rounding outside the simplex
- * (ODE_LEFT_SIMPLEX, seg.y holds that end), a hop does not clear the
- * threshold (ODE_NO_HOP) or the rec_cap record rows are full
+ * (ODE_DONE), settles (ODE_SETTLED) or is cut off after 50 event segments
+ * in a row shorter than 1e-3 (ODE_ZENO), a step falls below scipy's
+ * min_step (ODE_TOO_SMALL), the event has no root (ODE_NO_ROOT), varrho
+ * vanishes (ODE_DEGENERATE), a segment or a hop ends more than rounding
+ * outside the simplex (ODE_LEFT_SIMPLEX, seg.y holds that end), a hop does
+ * not clear the threshold (ODE_NO_HOP) or the rec_cap record rows are full
  * (ODE_RECORDS_FULL, and a call with a new record array goes on).
  *
  * Records the start of each segment and each accepted step as a row (t,
@@ -843,10 +881,9 @@ int vaxgame_integrate(loop_t *lp, const law_t *w, const double *tab, int64_t rec
             for (int j = 0; j < 3; j++)
                 row[1 + j] = sg->y[j];
             lp->hopped = 0;
-            /* the switching surface is attracting: orbits spiral into it with
-               geometrically accumulating crossings and then chatter-slide
-               along theta = gamma; once the progress between events stays
-               far below any genuine half-cycle, the run stops there */
+            /* the orbit oscillates fast about the threshold; once the
+               progress between events stays far below any genuine
+               half-cycle, the run stops there */
             if (lp->tiny >= 50 || lp->n_segments >= 100000) {
                 code = ODE_ZENO;
                 break;

@@ -1,8 +1,9 @@
 """Build-at-first-use loader for the C kernels in ``_native.c``.
 
-The kernels are the chain loop of :func:`vaxgame.chain.simulate`, which
-steps numpy's PCG64 from the state :class:`ChainState` carries (or reads
-the blocks of uniforms of any other generator), the chunk loop of
+The kernels are the chain loop of
+:func:`vaxgame.chain.simulate_replications`, which runs one
+:class:`ChainState` per replication, up to 16 side by side, each stepping
+numpy's PCG64 from the state it carries, the chunk loop of
 :func:`vaxgame.ode.integrate` (segment after segment of its DOP853
 stepper, ending at the first quiet row, with the projection of each chunk
 end, the hop across the threshold and the Zeno cut-off; the state
@@ -73,11 +74,11 @@ _NUMPY_DIR = Path(np.__file__).parent
 _UNRESOLVED = object()
 _library = _UNRESOLVED
 
-# chain kernel return codes, as in _native.c
+# the code of a chain of the chain kernel, as in _native.c
 (
+    CHAIN_RUNS,
     CHAIN_DONE,
     CHAIN_FROZEN,
-    CHAIN_NEED_BLOCK,
     CHAIN_DEGENERATE,
     CHAIN_EXTINCT,
     CHAIN_RECORDS_FULL,
@@ -122,14 +123,14 @@ class Law(ctypes.Structure):
 
 
 class ChainState(ctypes.Structure):
-    """Chain state carried from one kernel call to the next (``chain_t``)."""
+    """One chain of the chain kernel, carried from one call to the next (``chain_t``)."""
 
     _fields_ = [
         *((name, ctypes.c_int64) for name in ("n", "s", "i", "v", "k")),
         *((name, ctypes.c_double) for name in ("eta", "inv_eta", "min_eta", "max_jump")),
-        ("bi", ctypes.c_int64),
-        ("n_rec", ctypes.c_int64),
+        *((name, ctypes.c_int64) for name in ("bi", "n_rec", "until")),
         *((name, ctypes.c_uint64) for name in ("state_hi", "state_lo", "inc_hi", "inc_lo")),
+        ("code", ctypes.c_int64),
     ]
 
 
@@ -297,16 +298,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     # hold by construction, or as a ctypes array: an ndpointer's checks
     # would cost microseconds per call
     address = ctypes.c_void_p
-    lib.vaxgame_chain.restype = ctypes.c_int
+    lib.vaxgame_chain.restype = None
     lib.vaxgame_chain.argtypes = [
-        ctypes.POINTER(ChainState),
+        ctypes.POINTER(ChainState),  # the chains, a ChainState array
+        ctypes.c_int64,  # their number
         ctypes.POINTER(Law),
         ctypes.c_int64,  # max_steps
         ctypes.c_double,  # delta
         ctypes.c_int64,  # stride
-        address,  # the block of uniforms, float64, or None: step the PCG64 state
-        ctypes.c_int64,  # its length, or the Python loop's block length
-        ctypes.c_int64,  # length of each record array
+        ctypes.c_int64,  # the Python loop's block of uniforms
+        ctypes.c_int64,  # the record rows of each chain
         address,  # recorded epochs, int64
         address,  # recorded theta, float64
         address,  # recorded psi, float64

@@ -28,16 +28,18 @@ masses and varrho, as the cumulative bin edges of one epoch.
 :func:`event_distribution` reads the bin widths from it, and :func:`step`
 and the Python loop :func:`_python_loop` sample an event by the same rule:
 the first bin whose upper edge exceeds u * varrho for a uniform u.
-:func:`simulate` runs its loop in the C kernel of :mod:`vaxgame._native`
-when that loads, else in :func:`_python_loop`, the reference it is tested
-against; both give the same trajectory and leave the generator in the same
-state.  The kernel steps a PCG64 generator itself, uniform by uniform;
-other generators hand it blocks of uniforms.  :func:`step` is one epoch of that loop, for checks of the chain's
-law.
+:func:`simulate_replications` runs one chain per generator (:func:`simulate`
+is its one-generator case): those of plain PCG64 generators in one call of
+the C kernel of :mod:`vaxgame._native`, stepped in lockstep, when that
+loads, else in :func:`_python_loop`, the reference the kernel is tested
+against.  Both give the same trajectory and leave the generator in the
+same state.  :func:`step` is one epoch of that loop, for checks of the
+chain's law.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import operator
@@ -48,11 +50,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _native
-from .errors import DegenerateState, DomainError, FrozenTrajectory, InvalidParams
+from .errors import DegenerateState, DomainError, FrozenTrajectory, InvalidParams, VaxGameError
 from .params import ModelParams
 from .policy import Policy, accept_fn, accept_prob
 
 _RNG_BLOCK = 1 << 16
+#: the record rows the C kernel gets per chain; a longer run goes on in another call
+_MAX_RECORDS = 1 << 16
 #: a 128-bit PCG64 word is passed to the C kernel as its two 64-bit halves
 _UINT64 = 2**64
 #: the C kernel counts in int64: every count lies in [-_INT64, _INT64)
@@ -288,15 +292,34 @@ def simulate(
     reach) must fit in a signed 64-bit integer.  A population that dies out
     (possible only with a delta below the default) raises DegenerateState.
 
-    The loop runs in the C kernel of :mod:`vaxgame._native` when it loads,
-    else in :func:`_python_loop`.  The Python loop reads the uniforms of
-    ``gen.random(_RNG_BLOCK)`` blocks, drawn as they are needed; the kernel
-    steps a plain PCG64 generator itself, draws the same uniforms and
-    leaves the generator at the end of the last block, and takes the blocks
-    of any other generator.  Both give the same trajectory and generator
-    state bit for bit.
+    The one-generator case of :func:`simulate_replications`.  The Python
+    loop reads ``gen.random(_RNG_BLOCK)`` blocks as they are needed; the
+    kernel steps a plain PCG64 itself, draws the same uniforms and leaves
+    the generator at the end of the last block, with the same bits.
     """
-    gen = _as_rng(rng)
+    (result,) = simulate_replications(initial, params, policy, max_steps, delta, stride, [rng])
+    if isinstance(result, VaxGameError):
+        raise result
+    return result
+
+
+def simulate_replications(
+    initial: PopState,
+    params: ModelParams,
+    policy: Policy,
+    max_steps: int,
+    delta: Optional[float] = None,
+    stride: int = 1000,
+    rngs: Sequence[RngLike] = (None,),
+) -> list[Union[Trajectory, VaxGameError]]:
+    """:func:`simulate` on each generator of ``rngs``: its Trajectory or its VaxGameError, in order.
+
+    A bad argument raises for all, and so does a generator given twice.  The
+    plain ``Generator``s over ``PCG64`` run in one call of the C kernel, side
+    by side; any other runs :func:`_python_loop`.  Each result and generator
+    state is that of :func:`simulate` on the generator alone.
+    """
+    gens = [_as_rng(rng) for rng in rngs]
     n0 = initial.n_total
     if n0 < 2:
         raise InvalidParams("initial population must have at least 2 individuals")
@@ -317,12 +340,29 @@ def simulate(
         raise InvalidParams(
             "max_steps, stride, the initial step and N(0) + max_steps must fit in 64 bits"
         )
+    if len({id(gen.bit_generator) for gen in gens}) < len(gens):
+        raise InvalidParams("each replication needs a generator of its own")
 
     lib = _native.library()
-    if lib is None:
-        run = _python_loop(initial, params, policy, max_steps, delta, stride, gen)
-    else:
-        run = _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen)
+    plain = (np.random.Generator, np.random.PCG64)
+    native = [lib is not None and (type(gen), type(gen.bit_generator)) == plain for gen in gens]
+    settings = (initial, params, policy, max_steps, delta, stride)
+    kernel_gens = [gen for gen, in_kernel in zip(gens, native) if in_kernel]
+    runs = iter(_native_loop(lib, *settings, kernel_gens) if kernel_gens else ())
+    results: list[Union[Trajectory, VaxGameError]] = []
+    for gen, in_kernel in zip(gens, native):
+        try:
+            run = next(runs) if in_kernel else _python_loop(*settings, gen)
+        except DegenerateState as exc:  # raised by the Python loop
+            run = exc
+        if not isinstance(run, VaxGameError):
+            run = _trajectory(initial, delta, stride, run)
+        results.append(run)
+    return results
+
+
+def _trajectory(initial: PopState, delta: float, stride: int, run) -> Trajectory:
+    """The Trajectory of a run of :func:`_python_loop` or :func:`_native_loop`."""
     (N, S, I, V, k), eta, freeze_epoch, min_eta, max_jump, records = run
     if records[0][-1] != k:  # the final epoch, off the stride
         records = [np.append(column, x) for column, x in zip(records, (k, I / N, V / N, eta))]
@@ -336,7 +376,7 @@ def simulate(
         min_eta=min_eta,
         max_inv_eta_jump_ratio=max_jump,
         n_steps=k - initial.step,
-        n0=n0,
+        n0=initial.n_total,
         delta=delta,
     )
     return Trajectory(
@@ -450,75 +490,57 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
     return (N, S, I, V, k), eta, freeze_epoch, min_eta, max_jump, (ks, ths, pss, ets)
 
 
-def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gen):
-    """:func:`_python_loop` in the C kernel, which steps numpy's PCG64 itself.
+def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gens):
+    """:func:`_python_loop` on each of ``gens`` (plain PCG64 generators) in the C kernel.
 
-    A plain ``Generator`` over ``PCG64`` lends the kernel its state under the
-    bit generator's lock: the kernel draws each uniform as ``gen.random()``
-    would, counts them in blocks of ``_RNG_BLOCK`` and, at the end, steps the
-    state on to the end of the block the run ended in, where the Python
-    loop leaves it.  Any other generator (a subclass that overrides
-    ``random``, another bit generator) passes its ``gen.random(_RNG_BLOCK)``
-    blocks to the kernel.
+    Each generator lends the kernel its state under its lock, and is left
+    where the Python loop's blocks leave it.  The records hold the whole run,
+    up to ``_MAX_RECORDS`` rows per chain; a chain that fills them goes on
+    in the next call.  Returns each run as the Python loop does, or the
+    DegenerateState it raises.
     """
     N, k = initial.n_total, initial.step
     I, V = initial.n_inf, initial.n_vacc
     eta = N / k if k >= 1 else float(N)
-    state = _native.ChainState(
-        n=N, s=initial.n_susc, i=I, v=V, k=k,
-        eta=eta, inv_eta=1.0 / eta, min_eta=eta, max_jump=0.0,
-    )
-    run = (lib, state, _native.make_law(params, policy), max_steps, delta, stride)
-    bitgen = gen.bit_generator
-    if type(gen) is np.random.Generator and type(bitgen) is np.random.PCG64:
-        with bitgen.lock:
-            rng = bitgen.state
-            pcg = rng["state"]
-            state.state_hi, state.state_lo = divmod(pcg["state"], _UINT64)
-            state.inc_hi, state.inc_lo = divmod(pcg["inc"], _UINT64)
-            code, chunks = _kernel_calls(*run, None)
-            pcg["state"] = state.state_hi * _UINT64 + state.state_lo
-            bitgen.state = rng
-    else:
-        code, chunks = _kernel_calls(*run, gen)
-    if code == _native.CHAIN_DEGENERATE:
-        raise DegenerateState("total event rate is zero")
-    if code == _native.CHAIN_EXTINCT:
-        raise DegenerateState("the population died out")
-    freeze_epoch = state.k if code == _native.CHAIN_FROZEN else None
+    law = _native.make_law(params, policy)
+    chains = (_native.ChainState * len(gens))()
+    shape = (len(gens), min(max(max_steps - k, 0) // stride + 1, _MAX_RECORDS))
     first = (np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))
-    records = tuple(np.concatenate(column) for column in zip(first, *chunks))
-    counts = (state.n, state.s, state.i, state.v, state.k)
-    return counts, state.eta, freeze_epoch, state.min_eta, state.max_jump, records
-
-
-def _kernel_calls(lib, state, law, max_steps, delta, stride, gen):
-    """Call ``vaxgame_chain`` until the run ends: its last code and the records of each call.
-
-    With ``gen`` None the kernel steps the PCG64 state in ``state``; else
-    each call takes a ``gen.random(_RNG_BLOCK)`` block.  A call runs at most
-    ``_RNG_BLOCK`` epochs of a block, so it records at most ``_RNG_BLOCK //
-    stride + 1`` of them: the record arrays are sized so, not by
-    ``max_steps``.  The kernel stops before it would write past them, and
-    the next call goes on with new arrays.
-    """
-    blocks = gen is not None
-    buf = np.ascontiguousarray(gen.random(_RNG_BLOCK), np.float64) if blocks else None
-    capacity = _RNG_BLOCK // stride + 1
-    chunks = []
-    while True:
-        rec = (np.empty(capacity, np.int64), *(np.empty(capacity) for _ in range(3)))
-        code = lib.vaxgame_chain(
-            ctypes.byref(state), ctypes.byref(law), max_steps, delta, stride,
-            buf.ctypes.data if blocks else None, len(buf) if blocks else _RNG_BLOCK,
-            capacity, *(a.ctypes.data for a in rec),
+    chunks = [[first] for _ in gens]
+    with contextlib.ExitStack() as locks:
+        for lock in {id(gen.bit_generator.lock): gen.bit_generator.lock for gen in gens}.values():
+            locks.enter_context(lock)
+        states = [gen.bit_generator.state for gen in gens]
+        for c, rng in zip(chains, states):
+            c.n, c.s, c.i, c.v, c.k = N, initial.n_susc, I, V, k
+            c.eta, c.inv_eta, c.min_eta = eta, 1.0 / eta, eta
+            c.state_hi, c.state_lo = divmod(rng["state"]["state"], _UINT64)
+            c.inc_hi, c.inc_lo = divmod(rng["state"]["inc"], _UINT64)
+        todo = range(len(gens))
+        while todo:
+            rec = (np.empty(shape, np.int64), *(np.empty(shape) for _ in range(3)))
+            lib.vaxgame_chain(
+                chains, len(gens), ctypes.byref(law), max_steps, delta, stride, _RNG_BLOCK,
+                shape[1], *(a.ctypes.data for a in rec),
+            )
+            for j in todo:
+                chunks[j].append(tuple(a[j, : chains[j].n_rec] for a in rec))
+            todo = [j for j in todo if chains[j].code == _native.CHAIN_RECORDS_FULL]
+        for gen, c, rng in zip(gens, chains, states):
+            rng["state"]["state"] = c.state_hi * _UINT64 + c.state_lo
+            gen.bit_generator.state = rng
+    return [
+        DegenerateState(_KERNEL_ERRORS[c.code]) if c.code in _KERNEL_ERRORS else (
+            (c.n, c.s, c.i, c.v, c.k), c.eta, c.k if c.code == _native.CHAIN_FROZEN else None,
+            c.min_eta, c.max_jump, tuple(np.concatenate(column) for column in zip(*chunk)),
         )
-        chunks.append(tuple(a[: state.n_rec] for a in rec))
-        if code == _native.CHAIN_NEED_BLOCK:
-            buf = np.ascontiguousarray(gen.random(_RNG_BLOCK), np.float64)
-            state.bi = 0
-        elif code != _native.CHAIN_RECORDS_FULL:
-            return code, chunks
+        for c, chunk in zip(chains, chunks)
+    ]
+
+
+#: the chain kernel's stops at which :func:`_python_loop` raises DegenerateState
+_KERNEL_ERRORS = {_native.CHAIN_DEGENERATE: "total event rate is zero",
+                  _native.CHAIN_EXTINCT: "the population died out"}
 
 
 @dataclass(frozen=True)
@@ -539,7 +561,7 @@ def estimate_limit(traj: Trajectory, tail_fraction: float = 0.2) -> LimitEstimat
     if not 0.0 < tail_fraction < 1.0:
         raise InvalidParams("tail_fraction must lie in (0, 1)")
     if len(traj) == 0:
-        raise ValueError("trajectory is empty")
+        raise InvalidParams("trajectory is empty")
     if traj.frozen:
         raise FrozenTrajectory(
             f"trajectory froze at epoch {traj.freeze_epoch}; no stationary tail"
@@ -572,7 +594,7 @@ def one_step_drift(
     (b - d - d_e*theta)/varrho - eta exactly.
     """
     if k < 1:
-        raise ValueError("drift recursion requires k >= 1")
+        raise InvalidParams("drift recursion requires k >= 1")
     dist = event_distribution(state, params, policy)
     eps_k = 1.0 / (k + 1)
     drift = np.zeros(3)

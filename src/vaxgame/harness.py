@@ -279,20 +279,17 @@ def _run_mc(
     try:
         if exp.mc.replications < 1:
             raise InvalidParams(f"replications must be at least 1, got {exp.mc.replications}")
-        for rep in range(exp.mc.replications):
-            seq = np.random.SeedSequence(
-                entropy=master_seed, spawn_key=(point_index, rep)
-            )
-            rng = np.random.Generator(np.random.PCG64(seq))
-            initial = chain.make_initial(exp.mc.n0, exp.theta0, exp.psi0)
-            traj = chain.simulate(
-                initial,
-                params,
-                policy,
-                max_steps=exp.mc.resolved_max_steps,
-                stride=exp.mc.stride,
-                rng=rng,
-            )
+        rngs = [  # default_rng(SeedSequence) is Generator(PCG64(SeedSequence))
+            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_index, rep)))
+            for rep in range(exp.mc.replications)
+        ]
+        initial = chain.make_initial(exp.mc.n0, exp.theta0, exp.psi0)
+        runs = chain.simulate_replications(
+            initial, params, policy, exp.mc.resolved_max_steps, None, exp.mc.stride, rngs
+        )
+        for rep, traj in enumerate(runs):
+            if isinstance(traj, VaxGameError):
+                raise traj
             name = f"traj_{exp.id}_s{master_seed}_p{point_index}_r{rep}.csv"
             chain.write_trajectory_csv(traj, exp.output_dir / name)
             crossings = None

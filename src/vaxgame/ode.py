@@ -38,10 +38,11 @@ threshold-vigilant policy the indicator 1{theta > Gamma} makes the field
 discontinuous; crossings are located with a terminal event (scipy's sign
 test, dense interpolant and ``brentq`` root), the integrator hops strictly
 across before re-arming (:func:`_hop_across`, RK4 micro-steps), and the
-run is cut short once crossings accumulate into the sliding regime on the
-threshold.  The hop and that cut-off belong to the chunk loop: the C
-kernel runs them too, and returns only at the end of the run.  No
-smoothing is applied.
+run is cut off once 50 segments in a row end at an event less than 1e-3
+after they began (on ``configs/vfc2_oscillation.cfg``, a fast, slowly
+decaying oscillation about (0.2, 0.3)).  The hop and that cut-off belong
+to the chunk loop: the C kernel runs them too, and returns only at the end
+of the run.  No smoothing is applied.
 
 :func:`find_equilibrium` runs a damped Newton on g with a finite-difference
 Jacobian, one-sided at the simplex faces, and a 3 x 3 Gaussian
@@ -188,7 +189,7 @@ class OdePath:
     endpoint: OdeState
     settled: bool  # ended at its first quiet row: after a step, or an event row, max|g| < tol
     n_segments: int = 1
-    zeno_truncated: bool = False  # threshold crossings accumulated; run cut short
+    zeno_truncated: bool = False  # cut off: 50 event segments in a row shorter than 1e-3
 
 
 def _clip_simplex(y: np.ndarray, eta_floor: float) -> np.ndarray:
@@ -585,7 +586,7 @@ class _PythonChunks:
     ``t_end``.  With ``stop`` set, the segments end at their first quiet
     row, which settles the run.  A segment that ends at the threshold short
     of ``t_end`` is followed by :func:`_hop_across` and its row, and the
-    run is cut off there once crossings accumulate into the sliding regime.
+    run is cut off once 50 segments in a row end at an event < 1e-3 after they began.
     """
 
     def __init__(self, params, policy, t_end, rtol, atol, stop):
@@ -622,11 +623,9 @@ class _PythonChunks:
                 tiny = tiny + 1 if t - t0 < 1e-3 else 0
                 t, y = _hop_across(self.g, t, y, self.gamma, self.t_end)
                 out.append(np.array([[t, *y]]))
-                # the switching surface is attracting: orbits spiral into
-                # it with geometrically accumulating crossings and then
-                # chatter-slide along theta = Gamma; once the progress
-                # between events stays far below any genuine half-cycle,
-                # stop the run there
+                # the orbit oscillates fast about the threshold; once the
+                # progress between events stays far below any genuine
+                # half-cycle, stop the run there
                 if tiny >= 50 or self.n_segments >= 100_000:
                     return _native.ODE_ZENO, t, y
         return _native.ODE_DONE, t, y
@@ -694,10 +693,12 @@ def integrate(
     the stop, cut at that row.  t is capped at 1e6 regardless.  Threshold crossings of a
     threshold-vigilant response (VFC2, or a mutant over one; see
     :func:`vaxgame.policy.threshold`) are located by a terminal event and
-    the solver restarts across them, cut off once the crossings accumulate
-    into the sliding regime (``zeno_truncated``).  The chunks, hops and
-    cut-off run in the C kernel of :mod:`vaxgame._native` when that loads,
-    else in :class:`_PythonChunks`; both give the same path.
+    the solver restarts across them, cut off (``zeno_truncated``) once 50
+    segments in a row end at an event less than 1e-3 after they began (on
+    ``vfc2_oscillation.cfg``, a fast, slowly decaying oscillation about
+    (0.2, 0.3)).  The chunks, hops and cut-off run in the C kernel of
+    :mod:`vaxgame._native` when that loads, else in :class:`_PythonChunks`;
+    both give the same path.
 
     Raises InvalidParams for a horizon that is not positive (NaN included)
     or too small to move the start t, for an ``rtol`` or ``atol`` that is
@@ -801,12 +802,12 @@ def _fd_jacobian(g, y, rel_step: float = _REL_STEP) -> np.ndarray:
 def field_jacobian(params: ModelParams, policy: Policy, y) -> np.ndarray:
     """:func:`_fd_jacobian` of g at y, in the C kernel of :mod:`vaxgame._native` where it loads.
 
-    Both give the same bits.  Raises ValueError unless y has three
+    Both give the same bits.  Raises InvalidParams unless y has three
     components, and DegenerateState where varrho vanishes at a stencil point.
     """
     y = np.array(y, dtype=float)
     if y.shape != (3,):
-        raise ValueError(f"expected a state of 3 components, got shape {y.shape}")
+        raise InvalidParams(f"expected a state of 3 components, got shape {y.shape}")
     lib = _native.library()
     if lib is None:
         return _fd_jacobian(field(params, policy), y)

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +23,7 @@ from vaxgame import (
     mutant,
     one_step_drift,
     simulate,
+    simulate_replications,
     static,
     step,
     vfc1,
@@ -27,7 +31,7 @@ from vaxgame import (
 )
 from vaxgame import _native, chain
 from vaxgame.chain import EVENT_EFFECTS, write_trajectory_csv
-from vaxgame.errors import FrozenTrajectory, InvalidParams
+from vaxgame.errors import FrozenTrajectory, InvalidParams, VaxGameError
 from vaxgame.ode import OdeState, rhs
 from vaxgame.policy import accept_fn, propensity_fn
 
@@ -111,17 +115,58 @@ class FixedUniforms(np.random.Generator):
         return np.full(() if size is None else size, self.u)
 
 
+#: numpy's PCG64 multiplier: the state steps as state * M + inc mod 2^128
+PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def pcg64_drawing(u):
+    """A Generator over PCG64 whose next random() is u, a multiple of 2^-53 in [0, 1).
+
+    random() is (out >> 11) * 2^-53 for the XSL-RR output out of the next
+    state.  A next state whose high half is 0 (rotation 0) outputs its low
+    half, so the next state is u * 2^64 and the state before it is
+    (next - inc) * M^-1 mod 2^128.
+    """
+    word = u * 2**53
+    if not (0 <= word < 2**53 and word == int(word)):
+        raise ValueError(f"no random() gives {u!r}")
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    state = (int(word) << 11) - inc
+    bitgen = np.random.PCG64()
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state * pow(PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)
+
+
 def one_epoch(state, policy, u, params=None):
-    """The state after one epoch of simulate() driven by the uniform u."""
-    traj = simulate(state, params or hand_params(), policy, max_steps=state.step + 1,
-                    stride=1, rng=FixedUniforms(u))
-    return traj.final
+    """The state after one epoch of simulate() driven by the uniform u.
+
+    The chain runs alone and, as the same, as both chains of a lockstep
+    pair: where the kernel loads, through its cascade and its branch-free
+    bin pick.  All three must agree.
+    """
+    args = (state, params or hand_params(), policy, state.step + 1, None, 1)
+    final = simulate(*args, rng=pcg64_drawing(u)).final
+    pair = simulate_replications(*args, [pcg64_drawing(u), pcg64_drawing(u)])
+    assert [traj.final for traj in pair] == [final, final]
+    return final
 
 
 def bin_middle(state, policy, event):
     """A uniform in the middle of the event's bin at the state's fractions."""
     cum = np.cumsum(event_distribution(state.fractions(), hand_params(), policy).probs)
-    return (cum[event] + (cum[event - 1] if event > 0 else 0.0)) / 2
+    return math.floor((cum[event] + (cum[event - 1] if event > 0 else 0.0)) / 2 * 2**53) / 2**53
+
+
+def test_pcg64_drawing_draws_u():
+    for u in (0.0, 2.0**-53, 0.37, 1.0 - 2.0**-53):
+        assert pcg64_drawing(u).random() == u
+    with pytest.raises(ValueError):
+        pcg64_drawing(6e-17)
 
 
 def counts(state):
@@ -261,6 +306,14 @@ def test_estimate_limit_two_sample_mean():
     assert est.theta == pytest.approx(np.mean(traj.theta[-2:]))
 
 
+def test_bad_limit_and_drift_inputs_raise_typed_errors():
+    traj = simulate(make_initial(100, 0.2, 0.0), hand_params(), fc(0.0), max_steps=10, stride=5, rng=0)
+    with pytest.raises(VaxGameError, match="trajectory is empty"):
+        estimate_limit(dataclasses.replace(traj, epochs=traj.epochs[:0]))
+    with pytest.raises(VaxGameError, match="k >= 1"):
+        one_step_drift(FractionState(0.2, 0.1, 1.0), 0, hand_params(), fc(1.0))
+
+
 def test_count_crossings():
     assert count_crossings([0.1, 0.3, 0.1, 0.3, 0.1], 0.2) == 4
     assert count_crossings([0.1, 0.2, 0.3], 0.2) == 1  # exact hits are ignored
@@ -290,7 +343,8 @@ def test_sample_event_boundaries():
     policy=POLICIES,
     n_total=st.integers(3, 40),
     shares=st.tuples(UNIT, UNIT),
-    u=st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True)),
+    # the uniforms random() gives: the multiples of 2^-53 in [0, 1)
+    u=st.one_of(st.just(1.0 - 2.0**-53), st.integers(0, 2**53 - 1).map(lambda m: m * 2.0**-53)),
 )
 # S = 0 with a rounded phi > 0: a draw past the last edge but one must not
 # remove a susceptible
@@ -314,8 +368,9 @@ def test_step_is_one_epoch_of_simulate(params, policy, n_total, shares, u):
     [
         # the infection bin [0, lam*theta*phi), with phi = 5.55e-17 at S = 0
         (ModelParams(lam=1.0, r=0.0, nu=0.0, b=1.0, d=0.0), fc(0.0), 0.0, Event.INFECTION),
-        # the vaccination bin of width q*nu*phi just above it
-        (ModelParams(lam=1.0, r=0.0, nu=1.0, b=1.0, d=0.0), static(1.0), 6e-17, Event.VACCINATION),
+        # the vaccination bin of width q*nu*phi just above it, at the
+        # smallest positive uniform
+        (ModelParams(lam=1.0, r=0.0, nu=2.0, b=1.0, d=0.0), static(1.0), 2.0**-53, Event.VACCINATION),
     ],
 )
 def test_rounded_bins_at_no_susceptible_change_nothing(loop, params, policy, u, event):
@@ -328,6 +383,23 @@ def test_rounded_bins_at_no_susceptible_change_nothing(loop, params, policy, u, 
         final = one_epoch(state, policy, u, params)
     assert counts(final) == counts(state) and final.step == 2
     stepped, drawn = step(state, params, policy, FixedUniforms(u))
+    assert drawn is Event.NULL_DECISION and counts(stepped) == counts(state)
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python"])
+def test_overshoot_past_the_last_edge_at_no_susceptible_changes_nothing(loop):
+    # at theta = 1/3, psi = 2/3 phi rounds to 1.1e-16, and with deaths the
+    # only events the largest uniform lands past c7, in the susceptible-death
+    # bin (rates outside ModelParams' domain, which needs b > d)
+    params = SimpleNamespace(lam=0.0, r=0.0, nu=0.0, b=0.0, d=3.0, d_e=0.0)
+    state, u = PopState(3, 0, 1, 2, step=1), 1.0 - 2.0**-53
+    *edges, varrho = chain.event_edges(params)(1 / 3, 2 / 3, 0.0)
+    assert edges[-1] <= u * varrho
+    kernels = mock.patch.object(_native, "library", return_value=None) if loop == "python" else nullcontext()
+    with kernels:
+        final = one_epoch(state, static(0.0), u, params)
+    assert counts(final) == counts(state) and final.step == 2
+    stepped, drawn = step(state, params, static(0.0), FixedUniforms(u))
     assert drawn is Event.NULL_DECISION and counts(stepped) == counts(state)
 
 

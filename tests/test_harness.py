@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vaxgame import Family, Layer, _native, harness
+from vaxgame import Family, Layer, _native, chain, harness
 from vaxgame.cli import main as cli_main
 from vaxgame.config import load_experiment, parse_grid
-from vaxgame.errors import ConfigError
+from vaxgame.errors import ConfigError, DegenerateState
 from vaxgame.harness import apply_sweep, run
 
 CONFIG_TEXT = """
@@ -469,6 +469,36 @@ def test_parallel_matches_serial(tmp_path):
     run(exp, threads=2, master_seed=11)
     parallel = (exp.output_dir / "summary_demo.csv").read_bytes()
     assert serial == parallel
+
+
+def test_a_failed_replication_ends_its_point(tmp_path, monkeypatch):
+    # the replications of a point run side by side, but the point records
+    # them in order and stops at the first that failed, as runs one after
+    # another would: replication 0's file and McRep, then the error
+    text = CONFIG_TEXT.replace("layers = closed_form, ode", "layers = closed_form, monte_carlo")
+    text = text.replace("replications = 2", "replications = 3")
+    exp = load_experiment(write_config(tmp_path, text))
+    whole = run(exp, master_seed=4)
+    first = {p.name: p.read_bytes() for p in exp.output_dir.glob("traj_*_r0.csv")}
+    assert len(first) == 3  # one per point
+    for p in exp.output_dir.glob("traj_*"):
+        p.unlink()
+    replications = chain.simulate_replications
+
+    def second_fails(*args):
+        results = replications(*args)
+        results[1] = DegenerateState("the population died out")
+        return results
+
+    monkeypatch.setattr(chain, "simulate_replications", second_fails)
+    records = run(exp, master_seed=4)
+    assert {p.name: p.read_bytes() for p in exp.output_dir.glob("traj_*")} == first
+    for record, reference in zip(records, whole):
+        assert record.mc_res == harness.McResult(
+            reps=reference.mc_res.reps[:1], error="DegenerateState: the population died out"
+        )
+    rows = read_rows(exp.output_dir / "summary_demo.csv")
+    assert [row["mc_reps"] for row in rows] == ["1"] * 3
 
 
 def test_mc_agreement_small_population(tmp_path):

@@ -59,20 +59,27 @@ def python_kernels():
     return mock.patch.object(_native, "library", return_value=None)
 
 
-def _chain_run(initial, params, policy, max_steps, delta, stride, seed,
-               make_gen=np.random.default_rng):
-    """The run of simulate() on ``make_gen(seed)``, and the generator's state after it, by repr."""
-    gen = make_gen(seed)
-    try:
-        traj = simulate(initial, params, policy, max_steps, delta, stride, gen)
-    except DegenerateState as exc:
-        return repr(exc), repr(gen.bit_generator.state)
-    arrays = (traj.epochs, traj.theta, traj.psi, traj.eta)
+def _outcome(result, gen):
+    """A chain's trajectory or error, and its generator's state after it, by repr."""
+    if isinstance(result, Exception):
+        return repr(result), repr(gen.bit_generator.state)
+    arrays = (result.epochs, result.theta, result.psi, result.eta)
     return (
         repr([(a.dtype, a.tolist()) for a in arrays]),
-        repr((traj.final, traj.frozen, traj.freeze_epoch, traj.diagnostics, traj.stride)),
+        repr((result.final, result.frozen, result.freeze_epoch, result.diagnostics, result.stride)),
         repr(gen.bit_generator.state),
     )
+
+
+def _chain_run(initial, params, policy, max_steps, delta, stride, seed,
+               make_gen=np.random.default_rng):
+    """The run of simulate() on ``make_gen(seed)`` and the generator's state after it: :func:`_outcome`."""
+    gen = make_gen(seed)
+    try:
+        result = simulate(initial, params, policy, max_steps, delta, stride, gen)
+    except DegenerateState as exc:
+        result = exc
+    return _outcome(result, gen)
 
 
 _LEFT = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
@@ -134,6 +141,40 @@ def test_native_chain_matches_python(
     assert native == reference
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    policy=POLICIES,
+    params=_PARAMS,
+    n0=st.integers(2, 400),
+    theta0=UNIT,
+    psi_share=UNIT,
+    n_steps=st.integers(0, 3000),
+    delta=st.none() | st.floats(1e-3, 1.0),
+    stride=st.integers(1, 50),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True),
+)
+# frozen at epochs 13 and 25, dead at two others, done at 100
+@example(fc(0.5), _DYING, 2, 0.0, 0.0, 100, 0.1, 7, [0, 1, 2, 3, 4])
+@example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 5000, None, 3, [5, 6])
+def test_lockstep_chains_match_python_one_by_one(
+    policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds
+):
+    # the chains of one kernel call, each against its own forced-Python run:
+    # trajectory, diagnostics or error, and generator state
+    initial = make_initial(n0, theta0, psi_share * (1.0 - theta0))
+    args = (initial, params, policy, n_steps, delta, stride)
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    lockstep = [_outcome(r, gen) for r, gen in zip(chain.simulate_replications(*args, gens), gens)]
+    with python_kernels():
+        assert lockstep == [_chain_run(*args, seed) for seed in seeds]
+
+
+def test_replications_share_no_generator():
+    gen = np.random.default_rng(1)
+    with pytest.raises(InvalidParams, match="generator of its own"):
+        chain.simulate_replications(make_initial(100, 0.2, 0.1), _LEFT, fc(1.0), 10, None, 1, [gen, gen])
+
+
 def _uint32_first(seed):
     """A PCG64 generator that holds a buffered 32-bit word: has_uint32 is 1."""
     gen = np.random.default_rng(seed)
@@ -171,12 +212,12 @@ _FAR = make_initial(40_000, 0.1, 0.01)  # no freeze within 2 * _RNG_BLOCK + 1 ep
 )
 def test_kernel_pcg64_matches_python(initial, params, max_steps, delta, stride, make_gen, pcg):
     # the kernel steps a plain PCG64 generator itself and leaves it where the
-    # Python loop's blocks leave it, has_uint32 and uinteger included; other
-    # generators pass their blocks
+    # Python loop's blocks leave it, has_uint32 and uinteger included; any
+    # other generator runs the Python loop
     args = (initial, params, fc(1.0), max_steps, delta, stride, 11, make_gen)
-    with mock.patch.object(chain, "_kernel_calls", wraps=chain._kernel_calls) as calls:
+    with mock.patch.object(chain, "_python_loop", wraps=chain._python_loop) as loop:
         native = _chain_run(*args)
-    assert (calls.call_args.args[-1] is None) == pcg
+    assert loop.called != pcg
     with python_kernels():
         assert _chain_run(*args) == native
 
@@ -204,23 +245,28 @@ def test_counts_beyond_int64_are_invalid(max_steps, stride):
 
 
 def test_chain_kernel_stops_at_full_record_arrays():
-    # stride 1 and two record slots: the kernel returns after two epochs,
-    # and a call with new arrays goes on from there
+    # stride 1 and two record rows per chain: each chain stops after two
+    # epochs, and a call with new arrays goes on from there; chain j writes
+    # rows 2j and 2j + 1 only
     lib = _native.library()
-    state = _native.ChainState(n=100, s=70, i=20, v=10, eta=100.0, inv_eta=0.01, min_eta=100.0)
+    chains = (_native.ChainState * 2)()
+    for c, seed in zip(chains, (0, 1)):
+        c.n, c.s, c.i, c.v, c.eta, c.inv_eta, c.min_eta = 100, 70, 20, 10, 100.0, 0.01, 100.0
+        pcg = np.random.PCG64(seed).state["state"]
+        c.state_hi, c.state_lo = divmod(pcg["state"], 2**64)
+        c.inc_hi, c.inc_lo = divmod(pcg["inc"], 2**64)
     law = _native.make_law(_LEFT, fc(1.0))
-    buf = np.random.default_rng(0).random(10)
     epochs = []
     for _ in range(3):
-        rec = (np.full(3, -1, np.int64), *(np.empty(3) for _ in range(3)))
-        code = lib.vaxgame_chain(
-            ctypes.byref(state), ctypes.byref(law), 100, 0.01, 1, buf.ctypes.data, len(buf), 2,
-            *(a.ctypes.data for a in rec),
+        rec = (np.full(5, -1, np.int64), *(np.empty(5) for _ in range(3)))
+        lib.vaxgame_chain(
+            chains, 2, ctypes.byref(law), 100, 0.01, 1, _RNG_BLOCK, 2, *(a.ctypes.data for a in rec)
         )
-        assert code == _native.CHAIN_RECORDS_FULL and state.n_rec == 2
-        assert rec[0][2] == -1  # the slot past the capacity stays untouched
-        epochs += rec[0][:2].tolist()
-    assert epochs == [1, 2, 3, 4, 5, 6] and state.k == 6 and state.bi == 6
+        assert [(c.code, c.n_rec) for c in chains] == [(_native.CHAIN_RECORDS_FULL, 2)] * 2
+        assert rec[0][4] == -1  # the row past the chains' rows stays untouched
+        epochs.append(rec[0][:4].tolist())
+    assert epochs == [[1, 2, 1, 2], [3, 4, 3, 4], [5, 6, 5, 6]]
+    assert [(c.k, c.bi) for c in chains] == [(6, 6), (6, 6)]
 
 
 _Q_ONLY = SimpleNamespace(lam=0.0, r=0.0, nu=1.0, b=0.0, d=0.0, d_e=0.0)
@@ -544,6 +590,28 @@ def test_kernel_hops_and_cuts_off_as_python(monkeypatch, rows, case):
     assert hops
     steps = [(t[i] - t[i - 1]) / (1e-9 * max(1.0, t[i - 1])) for i in hops]
     assert (min(steps) > 1.5) == (case == "slow-hops")
+
+
+def test_long_hop_through_a_large_field_matches_python():
+    # with eta at 1e11, theta leaves the threshold at about 1e-12 per unit of
+    # time while g_eta is about -eta: the hop takes about 30 micro-steps,
+    # the last ones long enough that h * g moves eta by a good part of
+    # itself, so that the grouping of the RK4 sum reaches the last bit of y
+    start, policy = OdeState(0.2 + 1e-12, 0.5, 1e11), vfc2(6.0, 0.2)
+    hops = []
+
+    def spy(g, t, y, gamma, t_end, clearance=1e-12):
+        t_after, y_after = hop(g, t, y, gamma, t_end, clearance)
+        hops.append((t_after - t, g(y)))
+        return t_after, y_after
+
+    hop = ode._hop_across
+    with python_kernels(), mock.patch.object(ode, "_hop_across", spy):
+        python = _ode_run(start, _THRESHOLD, policy, 2.0, stop_at_equilibrium=False)
+    ((span, g),) = hops
+    assert span > 2**20 * 1e-9 and abs(g[2]) > 1e10  # about 20 doublings of h0 = 1e-9 * max(1, t)
+    assert _ode_run(start, _THRESHOLD, policy, 2.0, stop_at_equilibrium=False) == python
+    assert _ode_run(start, _THRESHOLD, policy, 2.0, stop_at_equilibrium=False) == python
 
 
 # at loose tolerances the fast decay of theta overshoots below 0 within a step

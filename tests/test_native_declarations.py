@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import vaxgame
-from vaxgame import _native
+from vaxgame import _native, chain
+from vaxgame.chain import EVENT_EFFECTS, Event
 
 SRC = Path(vaxgame.__file__).resolve().parent
 
@@ -123,6 +124,19 @@ def test_kernel_pcg64_step_is_numpys(seed):
         uniforms.append((out >> 11) * 2.0**-53)
     assert words == np.random.PCG64(seed).random_raw(1000).tolist()
     assert uniforms == np.random.Generator(np.random.PCG64(seed)).random(1000).tolist()
+
+
+def test_kernel_event_effects_are_the_chains():
+    # the lockstep pick applies each event through the kernel's own table:
+    # its rows, the events it skips at S = 0 and the event it skips to are
+    # chain.EVENT_EFFECTS, chain._SUSCEPTIBLE_EVENTS and the null decision
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_native.c").read_text(), flags=re.S)
+    table = re.search(r"EVENT_EFFECTS\[8\]\[4\] = \{(.*?)\};", source, re.S)[1]
+    rows = [tuple(map(int, row.split(","))) for row in re.findall(r"\{([^{}]*)\}", table)]
+    assert rows == [EVENT_EFFECTS[event] for event in Event]
+    guarded = re.search(r"#define SUSCEPTIBLE_EVENTS \((.*?)\)\n", source)[1]
+    assert {int(bit) for bit in re.findall(r"1u << (\d+)", guarded)} == set(chain._SUSCEPTIBLE_EVENTS)
+    assert int(re.search(r"NULL_DECISION = (\d+)", source)[1]) == Event.NULL_DECISION
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")

@@ -27,7 +27,13 @@ from vaxgame import (
     vfc2,
 )
 from vaxgame import _native, ode
-from vaxgame.errors import DegenerateState, DomainError, IndicatorNonstationary, InvalidParams
+from vaxgame.errors import (
+    DegenerateState,
+    DomainError,
+    IndicatorNonstationary,
+    InvalidParams,
+    VaxGameError,
+)
 from vaxgame.ode import field, field_rows
 from vaxgame.policy import threshold
 
@@ -500,3 +506,10 @@ def test_python_segment_is_scipys_dop853_summed_in_order(monkeypatch, policy, pa
     assert status == (_native.ODE_EVENT if sol.status == 1 else _native.ODE_DONE)
     assert repr(np.column_stack((sol.t, sol.y.T)).tolist()) == repr([list(r) for r in rows])
 
+
+
+@pytest.mark.parametrize("y", [[0.2, 0.1], [[0.2, 0.1, 1.0]], 0.5])
+def test_field_jacobian_rejects_a_state_of_the_wrong_shape(y):
+    params = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1)
+    with pytest.raises(VaxGameError, match="3 components"):
+        ode.field_jacobian(params, fc(1.0), y)
