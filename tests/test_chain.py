@@ -147,11 +147,14 @@ def one_epoch(state, policy, u, params=None):
 
     The chain runs alone and, as the same, as both chains of a lockstep
     pair: where the kernel loads, through its cascade and its branch-free
-    bin pick.  All three must agree.
+    bin pick.  All three must agree.  A u that no PCG64 gives (no multiple
+    of 2^-53) comes from FixedUniforms, which runs the Python loop even
+    where the kernel loads.
     """
     args = (state, params or hand_params(), policy, state.step + 1, None, 1)
-    final = simulate(*args, rng=pcg64_drawing(u)).final
-    pair = simulate_replications(*args, [pcg64_drawing(u), pcg64_drawing(u)])
+    drawing = pcg64_drawing if (u * 2**53).is_integer() else FixedUniforms
+    final = simulate(*args, rng=drawing(u)).final
+    pair = simulate_replications(*args, [drawing(u), drawing(u)])
     assert [traj.final for traj in pair] == [final, final]
     return final
 
@@ -368,8 +371,10 @@ def test_step_is_one_epoch_of_simulate(params, policy, n_total, shares, u):
     [
         # the infection bin [0, lam*theta*phi), with phi = 5.55e-17 at S = 0
         (ModelParams(lam=1.0, r=0.0, nu=0.0, b=1.0, d=0.0), fc(0.0), 0.0, Event.INFECTION),
-        # the vaccination bin of width q*nu*phi just above it, at the
-        # smallest positive uniform
+        # the vaccination bin of width q*nu*phi just above it; 6e-17 is no
+        # uniform a PCG64 gives, so this case runs the Python loop only
+        (ModelParams(lam=1.0, r=0.0, nu=1.0, b=1.0, d=0.0), static(1.0), 6e-17, Event.VACCINATION),
+        # the same bin, wider, at the smallest positive uniform: the kernel's case
         (ModelParams(lam=1.0, r=0.0, nu=2.0, b=1.0, d=0.0), static(1.0), 2.0**-53, Event.VACCINATION),
     ],
 )
