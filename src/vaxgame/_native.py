@@ -83,6 +83,7 @@ _library = _UNRESOLVED
     CHAIN_EXTINCT,
     CHAIN_RECORDS_FULL,
 ) = range(6)
+LOCKSTEP = 16  # the most chains the chain kernel steps side by side, as in _native.c
 
 # ODE kernel return codes, as in _native.c
 (

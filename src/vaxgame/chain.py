@@ -508,8 +508,8 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gens):
     first = (np.array([k]), np.array([I / N]), np.array([V / N]), np.array([eta]))
     chunks = [[first] for _ in gens]
     with contextlib.ExitStack() as locks:
-        for lock in {id(gen.bit_generator.lock): gen.bit_generator.lock for gen in gens}.values():
-            locks.enter_context(lock)
+        for gen in gens:
+            locks.enter_context(gen.bit_generator.lock)
         states = [gen.bit_generator.state for gen in gens]
         for c, rng in zip(chains, states):
             c.n, c.s, c.i, c.v, c.k = N, initial.n_susc, I, V, k

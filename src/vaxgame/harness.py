@@ -279,41 +279,34 @@ def _run_mc(
     try:
         if exp.mc.replications < 1:
             raise InvalidParams(f"replications must be at least 1, got {exp.mc.replications}")
-        rngs = [  # default_rng(SeedSequence) is Generator(PCG64(SeedSequence))
-            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_index, rep)))
-            for rep in range(exp.mc.replications)
-        ]
         initial = chain.make_initial(exp.mc.n0, exp.theta0, exp.psi0)
-        runs = chain.simulate_replications(
-            initial, params, policy, exp.mc.resolved_max_steps, None, exp.mc.stride, rngs
-        )
-        for rep, traj in enumerate(runs):
-            if isinstance(traj, VaxGameError):
-                raise traj
-            name = f"traj_{exp.id}_s{master_seed}_p{point_index}_r{rep}.csv"
-            chain.write_trajectory_csv(traj, exp.output_dir / name)
-            crossings = None
-            if traj.frozen:
-                reps.append(
-                    McRep(math.nan, math.nan, math.nan, math.nan, None, True)
-                )
-                continue
-            est = chain.estimate_limit(traj, exp.mc.tail_fraction)
-            if policy.family is Family.VFC2:
-                n_tail = max(1, int(len(traj) * exp.mc.tail_fraction))
-                crossings = chain.count_crossings(
-                    traj.theta[-n_tail:], policy.gamma
-                )
-            reps.append(
-                McRep(
-                    theta=est.theta,
-                    psi=est.psi,
-                    theta_sd=est.theta_sd,
-                    psi_sd=est.psi_sd,
-                    crossings=crossings,
-                    frozen=False,
-                )
+        # the kernel's width at a time: the records and trajectories of at
+        # most that many runs are held at once, and none runs after the first
+        # that failed
+        for first in range(0, exp.mc.replications, _native.LOCKSTEP):
+            group = range(first, min(first + _native.LOCKSTEP, exp.mc.replications))
+            rngs = [  # default_rng(SeedSequence) is Generator(PCG64(SeedSequence))
+                np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_index, rep)))
+                for rep in group
+            ]
+            runs = chain.simulate_replications(
+                initial, params, policy, exp.mc.resolved_max_steps, None, exp.mc.stride, rngs
             )
+            for rep, traj in zip(group, runs):
+                if isinstance(traj, VaxGameError):
+                    raise traj
+                name = f"traj_{exp.id}_s{master_seed}_p{point_index}_r{rep}.csv"
+                chain.write_trajectory_csv(traj, exp.output_dir / name)
+                if traj.frozen:
+                    reps.append(McRep(math.nan, math.nan, math.nan, math.nan, None, True))
+                    continue
+                est = chain.estimate_limit(traj, exp.mc.tail_fraction)
+                crossings = None
+                if policy.family is Family.VFC2:
+                    n_tail = max(1, int(len(traj) * exp.mc.tail_fraction))
+                    crossings = chain.count_crossings(traj.theta[-n_tail:], policy.gamma)
+                reps.append(McRep(est.theta, est.psi, est.theta_sd, est.psi_sd, crossings, False))
+            del runs, traj  # before the next group runs
         return McResult(reps=tuple(reps))
     except VaxGameError as exc:
         return McResult(reps=tuple(reps), error=_describe(exc))

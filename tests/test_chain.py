@@ -346,8 +346,13 @@ def test_sample_event_boundaries():
     policy=POLICIES,
     n_total=st.integers(3, 40),
     shares=st.tuples(UNIT, UNIT),
-    # the uniforms random() gives: the multiples of 2^-53 in [0, 1)
-    u=st.one_of(st.just(1.0 - 2.0**-53), st.integers(0, 2**53 - 1).map(lambda m: m * 2.0**-53)),
+    # the multiples of 2^-53 that random() gives pin the kernel's bins; any
+    # other float in [0, 1) drives the Python loop
+    u=st.one_of(
+        st.just(1.0 - 2.0**-53),
+        st.integers(0, 2**53 - 1).map(lambda m: m * 2.0**-53),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
 )
 # S = 0 with a rounded phi > 0: a draw past the last edge but one must not
 # remove a susceptible

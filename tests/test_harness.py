@@ -484,14 +484,19 @@ def test_a_failed_replication_ends_its_point(tmp_path, monkeypatch):
     for p in exp.output_dir.glob("traj_*"):
         p.unlink()
     replications = chain.simulate_replications
+    widths = []
 
     def second_fails(*args):
+        widths.append(len(args[-1]))
         results = replications(*args)
         results[1] = DegenerateState("the population died out")
         return results
 
+    # in groups of two, the third replication of a point never runs
+    monkeypatch.setattr(_native, "LOCKSTEP", 2)
     monkeypatch.setattr(chain, "simulate_replications", second_fails)
     records = run(exp, master_seed=4)
+    assert widths == [2] * 3
     assert {p.name: p.read_bytes() for p in exp.output_dir.glob("traj_*")} == first
     for record, reference in zip(records, whole):
         assert record.mc_res == harness.McResult(
@@ -499,6 +504,33 @@ def test_a_failed_replication_ends_its_point(tmp_path, monkeypatch):
         )
     rows = read_rows(exp.output_dir / "summary_demo.csv")
     assert [row["mc_reps"] for row in rows] == ["1"] * 3
+
+
+def test_replications_run_in_groups_of_the_kernels_width(tmp_path, monkeypatch):
+    # a point with one replication more than the kernel steps side by side
+    # runs two groups, and writes what one replication at a time writes
+    width = _native.LOCKSTEP
+    text = CONFIG_TEXT.replace("layers = closed_form, ode", "layers = closed_form, monte_carlo")
+    text = text.replace("replications = 2", f"replications = {width + 1}")
+    text = text.replace("max_steps = 40000", "max_steps = 4000")
+    exp = load_experiment(write_config(tmp_path, text))
+    replications = chain.simulate_replications
+    widths = []
+
+    def spy(*args):
+        widths.append(len(args[-1]))
+        return replications(*args)
+
+    monkeypatch.setattr(chain, "simulate_replications", spy)
+    outputs = []
+    for group in (width, 1):
+        monkeypatch.setattr(_native, "LOCKSTEP", group)
+        records = run(exp, master_seed=6)
+        files = {p.name: p.read_bytes() for p in exp.output_dir.glob("*.csv")}
+        outputs.append((files, [record.mc_res for record in records]))
+    assert widths == [width, 1] * 3 + [1] * (width + 1) * 3
+    assert len([name for name in outputs[0][0] if name.startswith("traj_")]) == (width + 1) * 3
+    assert outputs[0] == outputs[1]
 
 
 def test_mc_agreement_small_population(tmp_path):

@@ -4,6 +4,7 @@ import ctypes
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -159,6 +160,10 @@ def test_native_chain_matches_python(
 def test_lockstep_chains_match_python_one_by_one(
     policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds
 ):
+    _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds)
+
+
+def _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds):
     # the chains of one kernel call, each against its own forced-Python run:
     # trajectory, diagnostics or error, and generator state
     initial = make_initial(n0, theta0, psi_share * (1.0 - theta0))
@@ -167,6 +172,24 @@ def test_lockstep_chains_match_python_one_by_one(
     lockstep = [_outcome(r, gen) for r, gen in zip(chain.simulate_replications(*args, gens), gens)]
     with python_kernels():
         assert lockstep == [_chain_run(*args, seed) for seed in seeds]
+
+
+@pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
+def test_lockstep_chains_match_python_without_sse2(tmp_path, monkeypatch):
+    # where __SSE2__ is not defined the x < c_j mask comes from scalar
+    # compares: a library built so runs the lockstep cases above, and 17
+    # chains, one past the kernel's width
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, "-U__SSE2__"))
+    monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
+    assert _native.library() is not None
+    assert len(list((tmp_path / "vaxgame").glob("_native-*.so"))) == 1
+    for case in (
+        (fc(0.5), _DYING, 2, 0.0, 0.0, 100, 0.1, 7, [0, 1, 2, 3, 4]),
+        (vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 5000, None, 3, [5, 6]),
+        (mutant(fr(9.0), p=0.1, eps=0.3), _LEFT, 60, 0.2, 0.5, 3000, None, 5, list(range(17))),
+    ):
+        _assert_lockstep_matches_python(*case)
 
 
 def test_replications_share_no_generator():

@@ -139,6 +139,12 @@ def test_kernel_event_effects_are_the_chains():
     assert int(re.search(r"NULL_DECISION = (\d+)", source)[1]) == Event.NULL_DECISION
 
 
+def test_lockstep_width_is_the_kernels():
+    # harness._run_mc hands the kernel its replications in groups this wide
+    source = (SRC / "_native.c").read_text()
+    assert int(re.search(r"#define LOCKSTEP (\d+)", source)[1]) == _native.LOCKSTEP
+
+
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
 def test_native_source_compiles_without_warnings(tmp_path):
     # the library's own flags plus every warning as an error: the 128-bit
