@@ -1,7 +1,8 @@
 /*
  * C kernels for vaxgame: the jump-chain loop of chain.simulate_replications,
- * which steps the replications of a point in lockstep, each its own numpy
- * PCG64, the chunk loop of ode.integrate (ode._PythonChunks, its DOP853
+ * which steps the replications of a point side by side as the lanes of
+ * AVX2 vectors, each its own numpy PCG64, the chunk loop of ode.integrate
+ * (ode._PythonChunks, its DOP853
  * segments ode._python_segment, its settle test, its projection of each
  * chunk end, the hop across the threshold ode._hop_across and the Zeno
  * cut-off), the damped Newton of ode.find_equilibrium (ode._newton) with
@@ -25,9 +26,6 @@
  * use and falls back to the Python code when it cannot.
  */
 
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 #include <float.h>
 #include <locale.h>
 #include <math.h>
@@ -36,6 +34,15 @@
 #include <string.h>
 
 #include "numpy/random/distributions.h"
+
+/* Where the compiler targets x86 (__SSE2__), the chain kernel steps four
+   chains to an AVX2 vector on a CPU that has AVX2, asked at run time: the
+   library is built with no -m flag and loads on any x86-64. */
+#ifdef __SSE2__
+#include <immintrin.h>
+#define CHAIN_LANES 4
+#define AVX2 __attribute__((target("avx2")))
+#endif
 
 /* Response families, in the order of the keys of vaxgame.policy._RESPONSE. */
 enum { FC, FR, VFC1, VFC2, VFC2_THETA, STATIC };
@@ -67,65 +74,74 @@ enum { CHAIN_RUNS, CHAIN_DONE, CHAIN_FROZEN, CHAIN_DEGENERATE, CHAIN_EXTINCT, CH
 static double capped(double x, double cap) { return x < cap ? x : cap; }
 
 /*
- * The response of policy._RESPONSE capped at cap: 1 gives the acceptance
- * probability q = min(1, q~), INFINITY the propensity q~.  A mutant mixes
- * its base, capped the same way, with its static p.
+ * The response and the bin edges, written once for a double and once for
+ * a vector whose every lane is computed as the double is.  MIN(x, cap) is
+ * capped(), ABOVE(theta, gamma, x) is x where theta > gamma and 0.0
+ * elsewhere, and SPLAT(x) is x in every lane.
+ *
+ * response##S is the response of policy._RESPONSE capped at cap: 1 gives
+ * the acceptance probability q = min(1, q~), INFINITY the propensity q~.
+ * A mutant mixes its base, capped the same way, with its static p.
+ *
+ * event_edges##S gives the bin edges of one epoch at (theta, psi): the
+ * cumulative event masses c1..c7, in the order of chain.Event, and their
+ * total varrho in c[7].  A copy of chain.event_edges, with its grouping of
+ * every sum.
  */
-static inline double response(const law_t *w, double theta, double psi, double cap)
-{
-    double q;
-    switch (w->family) {
-    case FC:
-        q = capped(w->beta * psi, cap);
-        break;
-    case FR:
-        q = capped(w->beta * psi * (1.0 - psi), cap);
-        break;
-    case VFC1:
-        q = capped(w->beta * theta * psi, cap);
-        break;
-    case VFC2:
-        q = theta > w->gamma ? capped(w->beta * psi, cap) : 0.0;
-        break;
-    case VFC2_THETA:
-        q = theta > w->gamma ? capped(w->beta * theta, cap) : 0.0;
-        break;
-    default: /* STATIC */
-        q = w->q;
-        break;
+#define DEFINE_LAW(T, S, ATTR, MIN, ABOVE, SPLAT)                                          \
+    static inline ATTR T response##S(const law_t *w, T theta, T psi, double cap)          \
+    {                                                                                      \
+        T q;                                                                               \
+        switch (w->family) {                                                               \
+        case FC:                                                                           \
+            q = MIN(w->beta * psi, cap);                                                   \
+            break;                                                                         \
+        case FR:                                                                           \
+            q = MIN(w->beta * psi * (1.0 - psi), cap);                                     \
+            break;                                                                         \
+        case VFC1:                                                                         \
+            q = MIN(w->beta * theta * psi, cap);                                           \
+            break;                                                                         \
+        case VFC2:                                                                         \
+            q = ABOVE(theta, w->gamma, MIN(w->beta * psi, cap));                           \
+            break;                                                                         \
+        case VFC2_THETA:                                                                   \
+            q = ABOVE(theta, w->gamma, MIN(w->beta * theta, cap));                         \
+            break;                                                                         \
+        default: /* STATIC */                                                              \
+            q = SPLAT(w->q);                                                               \
+            break;                                                                         \
+        }                                                                                  \
+        if (w->mutant)                                                                     \
+            q = (1.0 - w->eps) * q + w->eps * w->p;                                        \
+        return q;                                                                          \
+    }                                                                                      \
+                                                                                           \
+    static inline ATTR void event_edges##S(const law_t *w, T theta, T psi, T c[8])        \
+    {                                                                                      \
+        const T phi = 1.0 - theta - psi;                                                   \
+        const T q = response##S(w, theta, psi, 1.0);                                       \
+        const T t_inf = w->lam * theta * phi;                                              \
+        const T t_dec = w->nu * phi;                                                       \
+        const T t_vac = q * t_dec;                                                         \
+        c[0] = t_inf;                                                                      \
+        c[1] = c[0] + w->r * theta;                                                        \
+        c[2] = c[1] + (w->d + w->d_e) * theta;                                             \
+        c[3] = c[2] + t_vac;                                                               \
+        c[4] = c[3] + (t_dec - t_vac);                                                     \
+        c[5] = c[4] + w->b;                                                                \
+        c[6] = c[5] + w->d * psi;                                                          \
+        c[7] = c[6] + w->d * phi;                                                          \
     }
-    if (w->mutant)
-        q = (1.0 - w->eps) * q + w->eps * w->p;
-    return q;
-}
 
-/* The acceptance probability q = min(1, q~), as policy.accept_fn gives it. */
-static inline double accept(const law_t *w, double theta, double psi)
-{
-    return response(w, theta, psi, 1.0);
-}
-
-/*
- * The bin edges of one epoch at (theta, psi): the cumulative event masses
- * c1..c7, in the order of chain.Event, and their total varrho in c[7].
- * A copy of chain.event_edges, with its grouping of every sum.
- */
-static inline void event_edges(const law_t *w, double theta, double psi, double c[8])
-{
-    const double phi = 1.0 - theta - psi;
-    const double q = accept(w, theta, psi);
-    const double t_inf = w->lam * theta * phi;
-    const double t_dec = w->nu * phi;
-    const double t_vac = q * t_dec;
-    c[0] = t_inf;
-    c[1] = c[0] + w->r * theta;
-    c[2] = c[1] + (w->d + w->d_e) * theta;
-    c[3] = c[2] + t_vac;
-    c[4] = c[3] + (t_dec - t_vac);
-    c[5] = c[4] + w->b;
-    c[6] = c[5] + w->d * psi;
-    c[7] = c[6] + w->d * phi;
-}
+#define ABOVE(theta, gamma, x) ((theta) > (gamma) ? (x) : 0.0)
+#define SAME(x) (x)
+DEFINE_LAW(double, , , capped, ABOVE, SAME)
+#ifdef CHAIN_LANES /* minpd is capped(): its first operand where it is below the second */
+#define MIN_V(x, cap) _mm256_min_pd(x, _mm256_set1_pd(cap))
+#define ABOVE_V(theta, gamma, x) _mm256_and_pd(_mm256_cmp_pd(theta, _mm256_set1_pd(gamma), _CMP_GT_OQ), x)
+DEFINE_LAW(__m256d, _v, AVX2, MIN_V, ABOVE_V, _mm256_set1_pd)
+#endif
 
 /* The count increments (dS, dI, dV, dN) of each event, in the order of
    chain.Event: a copy of chain.EVENT_EFFECTS. */
@@ -160,17 +176,27 @@ typedef unsigned __int128 u128;
 #define PCG_MULT_LO 4865540595714422341ULL
 #define PCG_MULT ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO)
 
-static inline double pcg_uniform(chain_t *c)
+static inline double pcg_uniform(uint64_t *state_hi, uint64_t *state_lo, uint64_t inc_hi,
+                                 uint64_t inc_lo)
 {
-    const u128 low = (u128)c->state_lo * PCG_MULT_LO; /* the product in 64-bit halves */
-    const uint64_t lo = (uint64_t)low + c->inc_lo;
-    const uint64_t hi = (uint64_t)(low >> 64) + c->state_hi * PCG_MULT_LO +
-                        c->state_lo * PCG_MULT_HI + c->inc_hi + (lo < c->inc_lo);
-    c->state_hi = hi, c->state_lo = lo;
+    const u128 low = (u128)*state_lo * PCG_MULT_LO; /* the product in 64-bit halves */
+    const uint64_t lo = (uint64_t)low + inc_lo;
+    const uint64_t hi = (uint64_t)(low >> 64) + *state_hi * PCG_MULT_LO +
+                        *state_lo * PCG_MULT_HI + inc_hi + (lo < inc_lo);
+    *state_hi = hi, *state_lo = lo;
     const uint64_t x = hi ^ lo;
     const unsigned rot = (unsigned)(hi >> 58);
     const uint64_t out = x >> rot | x << (-rot & 63);
     return (double)(out >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The next uniform of chain c, counted in blocks of n_buf as chain._python_loop draws them. */
+static inline double draw(chain_t *c, int64_t n_buf)
+{
+    if (c->bi == n_buf)
+        c->bi = 0; /* the Python loop draws its next block here */
+    c->bi += 1;
+    return pcg_uniform(&c->state_hi, &c->state_lo, c->inc_hi, c->inc_lo);
 }
 
 /* Set chain c's code.  Unless its records are full, its run ended: its PCG64
@@ -197,19 +223,17 @@ static void finish(chain_t *c, int code, int64_t n_buf)
 }
 
 /*
- * The one epoch body of vaxgame_chain: CHAIN_RUNS, or the code chain r
- * stops at: before the epoch at max_steps, the freeze, full records or a
- * total rate that is not positive, and in it where the population dies
- * out.  It takes the next uniform u of r's PCG64, counted in blocks of
- * n_buf as chain._python_loop draws them, and records each k that is a
- * multiple of stride.  The event is the first bin whose upper edge exceeds
- * x = u * varrho: in lockstep the first set bit of the x < c_j mask (none
- * set, NaN included, is the last bin), alone the Python loop's cascade.
+ * One epoch of chain r, as chain._python_loop steps it: CHAIN_RUNS, or the
+ * code r stops at: before the epoch at max_steps, the freeze, full records
+ * or a total rate that is not positive, and in it where the population
+ * dies out.  It takes the next uniform u of r's PCG64, and records each k
+ * that is a multiple of stride.  The event is the first bin whose upper
+ * edge exceeds x = u * varrho, found by the Python loop's cascade.
  */
 static inline __attribute__((always_inline)) int
 epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t stride,
       int64_t n_buf, int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta,
-      double *rec_psi, double *rec_eta, int lockstep)
+      double *rec_psi, double *rec_eta)
 {
     if (r->k >= max_steps)
         return CHAIN_DONE;
@@ -221,24 +245,13 @@ epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t strid
     event_edges(w, (double)r->i / (double)r->n, (double)r->v / (double)r->n, e);
     if (e[7] <= 0.0)
         return CHAIN_DEGENERATE;
-    if (r->bi == n_buf)
-        r->bi = 0; /* the Python loop draws its next block here */
-    r->bi += 1;
-    const double x = pcg_uniform(r) * e[7];
+    const double x = draw(r, n_buf) * e[7];
 
     /* at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
        a width of about 1e-17, and a 1-ulp overshoot can pass the last
        boundary: a draw of an event that takes a susceptible changes nothing */
     unsigned bin = 7;
-    if (lockstep) { /* the x < c_j bits of j and j + 1, at bits j and j + 1 */
-#ifdef __SSE2__ /* one instruction for two compares: fewer keep more epochs in flight */
-        const __m128d xs = _mm_set1_pd(x);
-#define BELOW(j) ((unsigned)_mm_movemask_pd(_mm_cmplt_pd(xs, _mm_loadu_pd(e + (j)))) << (j))
-#else
-#define BELOW(j) (((unsigned)(x < e[j]) | (unsigned)(x < e[(j) + 1]) << 1) << (j))
-#endif
-        bin = (unsigned)__builtin_ctz(BELOW(0) | BELOW(2) | BELOW(4) | BELOW(6) | 1u << 7);
-    } else if (x < e[0])
+    if (x < e[0])
         bin = 0;
     else if (x < e[1])
         bin = 1;
@@ -278,20 +291,183 @@ epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t strid
     return CHAIN_RUNS;
 }
 
+#define CHAIN_ARGS(row) w, max_steps, delta, stride, n_buf, rec_cap, row, rec_k, rec_theta, rec_psi, rec_eta
+
+/* Run chain r alone until it stops, out of line so that the loop keeps the
+   chain in registers. */
+static __attribute__((noinline)) void
+run_alone(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t stride,
+          int64_t n_buf, int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta,
+          double *rec_psi, double *rec_eta)
+{
+    chain_t one = *r;
+    int code;
+    while ((code = epoch(&one, CHAIN_ARGS(row))) == CHAIN_RUNS)
+        ;
+    finish(&one, code, n_buf);
+    *r = one;
+}
+
 #define LOCKSTEP 16 /* the most chains stepped side by side */
+
+#ifdef CHAIN_LANES
+/* The chains that step side by side, lane a for the a-th: its counts and
+   k as doubles, exact, for chain.simulate_replications keeps each below
+   2^53, and its PCG64.  A lane steps while k is below its limit: the k of
+   its chain's next record, max_steps, or k itself where the chain's
+   records are full. */
+typedef struct {
+    double n[LOCKSTEP], s[LOCKSTEP], i[LOCKSTEP], v[LOCKSTEP], k[LOCKSTEP], limit[LOCKSTEP];
+    double eta[LOCKSTEP], inv_eta[LOCKSTEP], min_eta[LOCKSTEP], max_jump[LOCKSTEP];
+    uint64_t state_hi[LOCKSTEP], state_lo[LOCKSTEP], inc_hi[LOCKSTEP], inc_lo[LOCKSTEP];
+} lanes_t;
+
+static void lane_load(lanes_t *L, int a, const chain_t *r, int64_t max_steps, int64_t rec_cap)
+{
+    L->n[a] = (double)r->n, L->s[a] = (double)r->s, L->i[a] = (double)r->i, L->v[a] = (double)r->v;
+    L->k[a] = (double)r->k;
+    L->eta[a] = r->eta, L->inv_eta[a] = r->inv_eta;
+    L->min_eta[a] = r->min_eta, L->max_jump[a] = r->max_jump;
+    L->state_hi[a] = r->state_hi, L->state_lo[a] = r->state_lo;
+    L->inc_hi[a] = r->inc_hi, L->inc_lo[a] = r->inc_lo;
+    int64_t room = 0;
+    if (r->n_rec < rec_cap && r->k < max_steps)
+        room = r->until - 1 < max_steps - r->k ? r->until - 1 : max_steps - r->k;
+    L->limit[a] = (double)(r->k + room);
+}
+
+/* Chain r from lane a, which drew one uniform per epoch: its block index
+   and its countdown to the next record move on by as many. */
+static void lane_store(const lanes_t *L, int a, chain_t *r, int64_t n_buf)
+{
+    const int64_t k = (int64_t)L->k[a], draws = k - r->k;
+    if (draws > 0)
+        r->bi = (r->bi + draws - 1) % n_buf + 1, r->until -= draws;
+    r->n = (int64_t)L->n[a], r->s = (int64_t)L->s[a], r->i = (int64_t)L->i[a], r->v = (int64_t)L->v[a];
+    r->k = k;
+    r->eta = L->eta[a], r->inv_eta = L->inv_eta[a];
+    r->min_eta = L->min_eta[a], r->max_jump = L->max_jump[a];
+    r->state_hi = L->state_hi[a], r->state_lo = L->state_lo[a];
+}
+
+/* The count change at bits sh of code, its 2-bit code being the change + 1,
+   as a double: 2^52 + code - (2^52 + 1). */
+static inline AVX2 __m256d change(int64_t code, __m256i sh)
+{
+    const __m256i bits = _mm256_srlv_epi64(_mm256_set1_epi64x(code), sh) & 3;
+    return _mm256_castsi256_pd(bits | _mm256_castpd_si256(_mm256_set1_pd(0x1p52))) - (0x1p52 + 1);
+}
+
+/*
+ * Step chains c[live[0..n_live)] side by side until at most one runs, and
+ * return how many run on (that one in live[0]).  At an epoch where a lane
+ * of a vector could stop or record, nothing in the vector has changed yet:
+ * each of its chains takes that epoch from epoch() instead, and one that
+ * stops leaves the lanes.  Otherwise each lane draws from its own PCG64,
+ * its bin is 7 plus the sum of the prefix-ORed x < c_j masks (the first
+ * set bit; none set, NaN included, is the last bin), and its count changes
+ * are read from a 2-bit code per bin.
+ */
+static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
+                          int64_t max_steps, double delta, int64_t stride, int64_t n_buf,
+                          int64_t rec_cap, int64_t *rec_k, double *rec_theta, double *rec_psi,
+                          double *rec_eta)
+{
+    /* the code words of dS, dI, dV and dN: the codes of bin b at bits 2b, and
+       at bits 16 + 2b those where S = 0, where the events that take a
+       susceptible are the null decision */
+    int64_t code[4] = {0};
+    for (int b = 0; b < 16; b++) {
+        const int e = b >= 8 && (SUSCEPTIBLE_EVENTS >> (b - 8) & 1) ? NULL_DECISION : b % 8;
+        for (int j = 0; j < 4; j++)
+            code[j] |= (EVENT_EFFECTS[e][j] + 1) << 2 * b;
+    }
+    lanes_t L;
+    memset(&L, 0, sizeof L); /* the lanes past the last chain too */
+    for (int a = 0; a < n_live; a++)
+        lane_load(&L, a, &c[live[a]], max_steps, rec_cap);
+    while (n_live > 1) {
+        int stopped = 0;
+        for (int first = 0; first < n_live; first += CHAIN_LANES) {
+            const int here = n_live - first < CHAIN_LANES ? n_live - first : CHAIN_LANES;
+            __m256d n = _mm256_loadu_pd(L.n + first), s = _mm256_loadu_pd(L.s + first);
+            __m256d i = _mm256_loadu_pd(L.i + first), v = _mm256_loadu_pd(L.v + first);
+            __m256d k = _mm256_loadu_pd(L.k + first), e[8];
+            event_edges_v(w, i / n, v / n, e);
+            const __m256d rare = _mm256_or_pd(
+                _mm256_or_pd(_mm256_cmp_pd(k, _mm256_loadu_pd(L.limit + first), _CMP_GE_OQ),
+                             _mm256_cmp_pd(_mm256_loadu_pd(L.eta + first), _mm256_set1_pd(delta), _CMP_LE_OQ)),
+                _mm256_or_pd(_mm256_cmp_pd(n, _mm256_set1_pd(2.0), _CMP_LT_OQ), /* may die out */
+                             _mm256_cmp_pd(e[7], _mm256_setzero_pd(), _CMP_LE_OQ)));
+            if (_mm256_movemask_pd(rare) & ((1 << here) - 1)) {
+                for (int a = first; a < first + here; a++) {
+                    chain_t *r = &c[live[a]];
+                    lane_store(&L, a, r, n_buf);
+                    const int code = epoch(r, CHAIN_ARGS(live[a] * rec_cap));
+                    if (code == CHAIN_RUNS)
+                        lane_load(&L, a, r, max_steps, rec_cap);
+                    else
+                        finish(r, code, n_buf), live[a] = -1, stopped = 1;
+                }
+                continue;
+            }
+            /* the lanes past the last chain draw too, unread */
+#define DRAW(a) pcg_uniform(L.state_hi + first + (a), L.state_lo + first + (a), \
+                            L.inc_hi[first + (a)], L.inc_lo[first + (a)])
+            const __m256d x = _mm256_setr_pd(DRAW(0), DRAW(1), DRAW(2), DRAW(3)) * e[7];
+            __m256i below = _mm256_setzero_si256(), sum = below;
+#pragma GCC unroll 7
+            for (int b = 0; b < 7; b++) {
+                below |= _mm256_castpd_si256(_mm256_cmp_pd(x, e[b], _CMP_LT_OQ));
+                sum += below;
+            }
+            const __m256d no_s = _mm256_cmp_pd(s, _mm256_setzero_pd(), _CMP_EQ_OQ);
+            const __m256i sh = (sum + 7) * 2 + (_mm256_castpd_si256(no_s) & 16);
+            s += change(code[0], sh), i += change(code[1], sh);
+            v += change(code[2], sh), n += change(code[3], sh);
+            k += 1.0;
+            const __m256d eta = n / k, new_inv = 1.0 / eta;
+            const __m256d jump =
+                _mm256_andnot_pd(_mm256_set1_pd(-0.0), new_inv - _mm256_loadu_pd(L.inv_eta + first)) * k;
+            _mm256_storeu_pd(L.max_jump + first, _mm256_max_pd(jump, _mm256_loadu_pd(L.max_jump + first)));
+            _mm256_storeu_pd(L.min_eta + first, _mm256_min_pd(eta, _mm256_loadu_pd(L.min_eta + first)));
+            _mm256_storeu_pd(L.inv_eta + first, new_inv), _mm256_storeu_pd(L.eta + first, eta);
+            _mm256_storeu_pd(L.n + first, n), _mm256_storeu_pd(L.s + first, s);
+            _mm256_storeu_pd(L.i + first, i), _mm256_storeu_pd(L.v + first, v);
+            _mm256_storeu_pd(L.k + first, k);
+        }
+        if (stopped) { /* the chains that run on, packed into the first lanes */
+            int m = 0;
+            for (int a = 0; a < n_live; a++)
+                if (live[a] >= 0)
+                    lane_store(&L, a, &c[live[a]], n_buf), live[m++] = live[a];
+            n_live = m;
+            for (int a = 0; a < n_live && n_live > 1; a++)
+                lane_load(&L, a, &c[live[a]], max_steps, rec_cap);
+        }
+    }
+    return n_live;
+}
+#endif
 
 /*
  * Run each chain of c whose code is CHAIN_RUNS or CHAIN_RECORDS_FULL until
  * it stops, and leave its code and record count in it; chain j records to
- * rows j * rec_cap on.  Up to LOCKSTEP chains step in turn, one epoch each;
- * a chain that stops leaves the group, and the last one left runs on alone.
- * A chain stopped at full records holds the state before its next epoch,
- * and a call with new record arrays goes on from there.
+ * rows j * rec_cap on.  Up to LOCKSTEP chains step side by side in the
+ * lanes, where the CPU has them; a chain that stops leaves them, and the
+ * last one left runs on alone.  Without the lanes the chains run alone,
+ * one after another.  A chain stopped at full records holds the state
+ * before its next epoch, and a call with new record arrays goes on from
+ * there.
  */
 void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_steps,
                    double delta, int64_t stride, int64_t n_buf, int64_t rec_cap,
                    int64_t *rec_k, double *rec_theta, double *rec_psi, double *rec_eta)
 {
+#ifdef CHAIN_LANES
+    __builtin_cpu_init();
+    const int lanes = __builtin_cpu_supports("avx2");
+#endif
     for (int64_t first = 0; first < n_chains; first += LOCKSTEP) {
         int64_t live[LOCKSTEP];
         int n_live = 0;
@@ -301,27 +477,13 @@ void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_ste
                 live[n_live++] = j;
             }
         }
-        while (n_live > 1) {
-            for (int a = 0; a < n_live; a++) {
-                const int64_t j = live[a];
-                const int code = epoch(&c[j], w, max_steps, delta, stride, n_buf, rec_cap,
-                                       j * rec_cap, rec_k, rec_theta, rec_psi, rec_eta, 1);
-                if (code != CHAIN_RUNS) {
-                    finish(&c[j], code, n_buf);
-                    live[a--] = live[--n_live]; /* the chain moved here has not stepped yet */
-                }
-            }
-        }
-        if (n_live == 1) {
-            chain_t one = c[live[0]];
-            int code;
-            while ((code = epoch(&one, w, max_steps, delta, stride, n_buf, rec_cap,
-                                 live[0] * rec_cap, rec_k, rec_theta, rec_psi, rec_eta, 0)) ==
-                   CHAIN_RUNS)
-                ;
-            finish(&one, code, n_buf);
-            c[live[0]] = one;
-        }
+#ifdef CHAIN_LANES
+        if (lanes && n_live > 1)
+            n_live = run_lanes(c, live, n_live, w, max_steps, delta, stride, n_buf, rec_cap, rec_k,
+                               rec_theta, rec_psi, rec_eta);
+#endif
+        for (int a = 0; a < n_live; a++)
+            run_alone(&c[live[a]], CHAIN_ARGS(live[a] * rec_cap));
     }
 }
 
@@ -391,8 +553,8 @@ typedef struct {
 
 /*
  * g at y, as ode.field computes it: project onto the simplex, floor eta,
- * ode.varrho's grouping of the total mass, and accept() for q.  Zero at
- * eta <= 0.  Returns ODE_DEGENERATE where varrho is not positive, else 0.
+ * ode.varrho's grouping of the total mass, and response() capped at 1 for
+ * q.  Zero at eta <= 0.  Returns ODE_DEGENERATE where varrho is not positive, else 0.
  */
 static int field(const law_t *w, const double y[3], double g[3])
 {
@@ -417,7 +579,7 @@ static int field(const law_t *w, const double y[3], double g[3])
                              + w->nu * phi + w->r * theta;
     if (rho_total <= 0.0)
         return ODE_DEGENERATE;
-    const double q = accept(w, theta + 0.0, psi + 0.0);
+    const double q = response(w, theta + 0.0, psi + 0.0, 1.0);
     const double scale = 1.0 / (eta * rho_total);
     const double net_birth = w->b - w->d_e * theta;
     g[0] = theta * scale * (phi * w->lam - w->r - w->d_e - net_birth);

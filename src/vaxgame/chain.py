@@ -61,6 +61,9 @@ _MAX_RECORDS = 1 << 16
 _UINT64 = 2**64
 #: the C kernel counts in int64: every count lies in [-_INT64, _INT64)
 _INT64 = 2**63
+#: every integer below 2**53 is a double: k and N(k) stay below it, so that
+#: the kernel's ratios N/k, I/N and V/N are Python's, each rounded once
+_EXACT = 2**53
 
 RngLike = Union[np.random.Generator, int, None]
 
@@ -287,9 +290,10 @@ def simulate(
 
     delta defaults to 2/(N(0)-1).  Fractions are recorded every ``stride``
     epochs plus at the final epoch.  The run is deterministic for a fixed
-    integer seed.  ``max_steps`` and ``stride`` are integers, and they, the
-    initial step and N(0) + max_steps (the largest population the run can
-    reach) must fit in a signed 64-bit integer.  A population that dies out
+    integer seed.  ``max_steps`` and ``stride`` are integers; ``stride``
+    must fit in a signed 64-bit integer, and ``max_steps``, the initial step
+    and N(0) + max_steps (the largest population the run can reach) must
+    lie below 2**53, where every count is a double.  A population that dies out
     (possible only with a delta below the default) raises DegenerateState.
 
     The one-generator case of :func:`simulate_replications`.  The Python
@@ -340,6 +344,8 @@ def simulate_replications(
         raise InvalidParams(
             "max_steps, stride, the initial step and N(0) + max_steps must fit in 64 bits"
         )
+    if not all(x < _EXACT for x in (max_steps, initial.step, reach)):
+        raise InvalidParams("max_steps, the initial step and N(0) + max_steps must be below 2**53")
     if len({id(gen.bit_generator) for gen in gens}) < len(gens):
         raise InvalidParams("each replication needs a generator of its own")
 

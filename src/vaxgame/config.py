@@ -53,7 +53,9 @@ Accepted keys; any other key, or any other section, is a ConfigError:
                   beta and gamma only where the policy, or a MUTANT's
                   base, reads them), values (required)
     [mc]          n0, max_steps, replications, seed, stride, tail_fraction
-                  (n0, max_steps and stride must fit in 64 bits)
+                  (n0 and stride must fit in 64 bits, max_steps must lie
+                  below 2**53; the monte_carlo layer records an n0 whose
+                  N(0) + max_steps reaches 2**53 as its error)
     [ode]         horizon, rtol, atol, eta0 (eta0 > 0; the ode layer
                   records any other start eta as its error)
 
@@ -74,7 +76,7 @@ import math
 from pathlib import Path
 from typing import Optional
 
-from .chain import _INT64
+from .chain import _EXACT, _INT64
 from .errors import ConfigError, DomainError, InvalidParams
 from .ess import CostParams
 from .harness import Experiment, Layer, McSettings, OdeSettings, SweepSpec, apply_sweep
@@ -107,6 +109,14 @@ def _parse_int64(section, key, raw: str) -> int:
     return value
 
 
+def _parse_count(section, key, raw: str) -> int:
+    """An epoch count of the chain: below 2**53, where it is a double."""
+    value = _parse_int64(section, key, raw)
+    if value >= _EXACT:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not below 2**53")
+    return value
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -121,7 +131,7 @@ def _parse_bool(section, key, raw: str) -> bool:
 
 _MC_KEYS = {
     "n0": _parse_int64,
-    "max_steps": _parse_int64,
+    "max_steps": _parse_count,
     "replications": _parse_int,
     "seed": _parse_int,
     "stride": _parse_int64,

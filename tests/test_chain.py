@@ -145,13 +145,14 @@ def pcg64_drawing(u):
 def one_epoch(state, policy, u, params=None):
     """The state after one epoch of simulate() driven by the uniform u.
 
-    The chain runs alone and, as the same, as both chains of a lockstep
-    pair: where the kernel loads, through its cascade and its branch-free
-    bin pick.  All three must agree.  A u that no PCG64 gives (no multiple
-    of 2^-53) comes from FixedUniforms, which runs the Python loop even
-    where the kernel loads.
+    The chain runs alone and, as the same, as both chains of a pair: where
+    the kernel loads, through its cascade and through its lanes' bin pick
+    (the stride lies past the epoch, which no lane then leaves to the
+    scalar code).  All three must agree.  A u that no PCG64 gives (no
+    multiple of 2^-53) comes from FixedUniforms, which runs the Python loop
+    even where the kernel loads.
     """
-    args = (state, params or hand_params(), policy, state.step + 1, None, 1)
+    args = (state, params or hand_params(), policy, state.step + 1, None, state.step + 2)
     drawing = pcg64_drawing if (u * 2**53).is_integer() else FixedUniforms
     final = simulate(*args, rng=drawing(u)).final
     pair = simulate_replications(*args, [drawing(u), drawing(u)])
@@ -394,6 +395,24 @@ def test_rounded_bins_at_no_susceptible_change_nothing(loop, params, policy, u, 
     assert counts(final) == counts(state) and final.step == 2
     stepped, drawn = step(state, params, policy, FixedUniforms(u))
     assert drawn is Event.NULL_DECISION and counts(stepped) == counts(state)
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python"])
+def test_a_draw_takes_the_first_edge_above_it_where_a_later_edge_is_lower(loop):
+    # at theta = 3/13, psi = 10/13 phi rounds to -1.1e-16, so the
+    # vaccination mass q*nu*phi is negative and c4 < c3: a draw in [c4, c3)
+    # lies below c3 and c5 but not below c4, and its bin is c3's, the death
+    # of an infected, as in the Python loop's cascade
+    params = ModelParams(lam=1.0, r=1.0, nu=1.0, b=1.0, d=0.5)
+    state, u = PopState(13, 0, 3, 10, step=1), 1801439850948198 / 2**53
+    *edges, varrho = chain.event_edges(params)(3 / 13, 10 / 13, 1.0)
+    assert edges[3] <= u * varrho < edges[2]
+    kernels = mock.patch.object(_native, "library", return_value=None) if loop == "python" else nullcontext()
+    with kernels:
+        final = one_epoch(state, static(1.0), u, params)
+    assert counts(final) == (12, 0, 2, 10) and final.step == 2
+    stepped, drawn = step(state, params, static(1.0), FixedUniforms(u))
+    assert drawn is Event.DEATH_INFECTED and counts(stepped) == counts(final)
 
 
 @pytest.mark.parametrize("loop", ["kernel", "python"])

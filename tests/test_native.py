@@ -152,15 +152,25 @@ def test_native_chain_matches_python(
     n_steps=st.integers(0, 3000),
     delta=st.none() | st.floats(1e-3, 1.0),
     stride=st.integers(1, 50),
-    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True),
+    # up to a vector of four lanes, four full vectors, and a second group
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=17, unique=True),
+    records=st.sampled_from([chain._MAX_RECORDS, 3]),
 )
 # frozen at epochs 13 and 25, dead at two others, done at 100
-@example(fc(0.5), _DYING, 2, 0.0, 0.0, 100, 0.1, 7, [0, 1, 2, 3, 4])
-@example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 5000, None, 3, [5, 6])
+@example(fc(0.5), _DYING, 2, 0.0, 0.0, 100, 0.1, 7, [0, 1, 2, 3, 4], chain._MAX_RECORDS)
+@example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 5000, None, 3, [5, 6], chain._MAX_RECORDS)
+# no event to draw at the first epoch, which no lane may take: a lane that
+# took it would step on to max_steps before a record epoch
+@example(fc(0.5), _DEAD, 50, 0.0, 0.0, 10, None, 50, [0, 1, 2], chain._MAX_RECORDS)
+# stride 1: every epoch records, so every epoch of the lanes is epoch()'s
+@example(fr(2.0), _LEFT, 300, 0.2, 0.1, 2000, None, 1, list(range(7)), chain._MAX_RECORDS)
+# three records a call: the lanes stop at full records and go on in the next call
+@example(mutant(vfc1(9.0), p=0.1, eps=0.3), _LEFT, 300, 0.2, 0.5, 3000, None, 50, list(range(9)), 3)
 def test_lockstep_chains_match_python_one_by_one(
-    policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds
+    policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds, records
 ):
-    _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds)
+    with mock.patch.object(chain, "_MAX_RECORDS", records):
+        _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds)
 
 
 def _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_steps, delta, stride, seeds):
@@ -175,10 +185,10 @@ def _assert_lockstep_matches_python(policy, params, n0, theta0, psi_share, n_ste
 
 
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
-def test_lockstep_chains_match_python_without_sse2(tmp_path, monkeypatch):
-    # where __SSE2__ is not defined the x < c_j mask comes from scalar
-    # compares: a library built so runs the lockstep cases above, and 17
-    # chains, one past the kernel's width
+def test_chains_run_one_by_one_without_sse2(tmp_path, monkeypatch):
+    # where __SSE2__ is not defined there are no lanes, and the chains of a
+    # call run one after another: a library built so runs the lockstep cases
+    # above, and 17 chains, one past the kernel's width
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, "-U__SSE2__"))
     monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
@@ -190,6 +200,27 @@ def test_lockstep_chains_match_python_without_sse2(tmp_path, monkeypatch):
         (mutant(fr(9.0), p=0.1, eps=0.3), _LEFT, 60, 0.2, 0.5, 3000, None, 5, list(range(17))),
     ):
         _assert_lockstep_matches_python(*case)
+
+
+def test_counts_stay_below_2_53():
+    # below 2**53 every count is a double and N/k is Python's correctly
+    # rounded ratio: four chains in the lanes end one epoch short of it as
+    # the Python loop ends them.  At k = 2**53 + 1 the C ratio of the
+    # rounded doubles would differ from Python's in the last bit, so both
+    # paths refuse such a run
+    top = 2**53 - 1
+    initial = PopState(10**9, 6 * 10**8, 3 * 10**8, 10**8, step=top - 300)
+    args = (initial, _LEFT, fc(3.0), top, 1e-30, 7)
+    gens = [np.random.default_rng(seed) for seed in range(4)]
+    lanes = [_outcome(r, gen) for r, gen in zip(chain.simulate_replications(*args, gens), gens)]
+    with python_kernels():
+        assert lanes == [_chain_run(*args, seed) for seed in range(4)]
+    # k past 2**53, max_steps at it, and N(0) + max_steps at it
+    for step, max_steps in ((2**53 + 1, 2**53 + 201), (0, 2**53), (0, 2**53 - 10)):
+        late = PopState(10**9, 10**9, 0, 0, step=step)
+        for kernels in (python_kernels, nullcontext):
+            with kernels(), pytest.raises(InvalidParams, match="below 2\\*\\*53"):
+                simulate(late, _LEFT, fc(1.0), max_steps, 1e-30, rng=1)
 
 
 def test_replications_share_no_generator():
@@ -290,6 +321,27 @@ def test_chain_kernel_stops_at_full_record_arrays():
         epochs.append(rec[0][:4].tolist())
     assert epochs == [[1, 2, 1, 2], [3, 4, 3, 4], [5, 6, 5, 6]]
     assert [(c.k, c.bi) for c in chains] == [(6, 6), (6, 6)]
+
+
+def test_lanes_stop_at_full_records_before_the_next_epoch():
+    # stride 5 and one record row per chain: the lanes leave each chain to
+    # epoch() at its record epoch, and it stops at k = 5, before the next
+    # epoch, as a chain stepped alone does
+    lib = _native.library()
+    law = _native.make_law(_LEFT, fc(1.0))
+    for n_chains in (1, 3):
+        chains = (_native.ChainState * n_chains)()
+        for c, seed in zip(chains, range(n_chains)):
+            c.n, c.s, c.i, c.v, c.eta, c.inv_eta, c.min_eta = 100, 70, 20, 10, 100.0, 0.01, 100.0
+            pcg = np.random.PCG64(seed).state["state"]
+            c.state_hi, c.state_lo = divmod(pcg["state"], 2**64)
+            c.inc_hi, c.inc_lo = divmod(pcg["inc"], 2**64)
+        rec = (np.empty(n_chains, np.int64), *(np.empty(n_chains) for _ in range(3)))
+        lib.vaxgame_chain(
+            chains, n_chains, ctypes.byref(law), 100, 0.01, 5, _RNG_BLOCK, 1, *(a.ctypes.data for a in rec)
+        )
+        assert [(c.code, c.k, c.n_rec, c.bi) for c in chains] == [(_native.CHAIN_RECORDS_FULL, 5, 1, 5)] * n_chains
+        assert rec[0].tolist() == [5] * n_chains
 
 
 _Q_ONLY = SimpleNamespace(lam=0.0, r=0.0, nu=1.0, b=0.0, d=0.0, d_e=0.0)

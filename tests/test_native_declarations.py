@@ -89,11 +89,21 @@ def _ctypes_name(kind):
     return c_names[kind] if issubclass(kind, ctypes.Structure) else _C_TYPES[kind]
 
 
+# the structs that stay inside _native.c: no export takes one
+_KERNEL_PRIVATE_STRUCTS = {"lanes_t"}
+
+
 def test_every_struct_is_declared_field_for_field():
     # ctypes lays a Structure out from its _fields_ alone: a field the C
-    # struct gained, lost or moved shifts every field after it, silently
+    # struct gained, lost or moved shifts every field after it, silently.
+    # A struct private to the kernels crosses no export, so needs no ctypes twin
     structs = _c_fields()
-    assert set(structs) == set(_STRUCTS)
+    assert set(structs) == set(_STRUCTS) | _KERNEL_PRIVATE_STRUCTS
+    source = (SRC / "_native.c").read_text()
+    signatures = re.findall(r"^(?!static)[a-z][\w ]*?\bvaxgame_\w+\((.*?)\)", source, re.M | re.S)
+    assert signatures and not any(
+        name in signature for signature in signatures for name in _KERNEL_PRIVATE_STRUCTS
+    )
     for name, cls in _STRUCTS.items():
         declared = [(field, _ctypes_name(kind)) for field, kind in cls._fields_]
         assert declared == structs[name], name
@@ -127,7 +137,8 @@ def test_kernel_pcg64_step_is_numpys(seed):
 
 
 def test_kernel_event_effects_are_the_chains():
-    # the lockstep pick applies each event through the kernel's own table:
+    # the kernel applies each event through its own table, and the lanes
+    # through code words built from it:
     # its rows, the events it skips at S = 0 and the event it skips to are
     # chain.EVENT_EFFECTS, chain._SUSCEPTIBLE_EVENTS and the null decision
     source = re.sub(r"/\*.*?\*/", "", (SRC / "_native.c").read_text(), flags=re.S)
@@ -145,14 +156,22 @@ def test_lockstep_width_is_the_kernels():
     assert int(re.search(r"#define LOCKSTEP (\d+)", source)[1]) == _native.LOCKSTEP
 
 
+def test_library_is_built_for_any_cpu_of_its_kind():
+    # the cached library must load on any x86-64: the chain kernel asks the
+    # CPU for AVX2 at run time, and no -m or -march flag targets the builder's
+    assert not [flag for flag in _native._FLAGS if flag.startswith("-m")]
+
+
 @pytest.mark.skipif(shutil.which(_native._COMPILER) is None, reason="no C compiler")
-def test_native_source_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("extra", [(), ("-U__SSE2__",)], ids=["lanes", "without-lanes"])
+def test_native_source_compiles_without_warnings(tmp_path, extra):
     # the library's own flags plus every warning as an error: the 128-bit
     # shifts and the signed/unsigned mixes of the formatter are where a
-    # new warning would hide
+    # new warning would hide; and so without __SSE2__, where the chain
+    # kernel has no lanes
     build = subprocess.run(
         [
-            _native._COMPILER, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+            _native._COMPILER, *_native._FLAGS, *extra, "-Wall", "-Wextra", "-Werror",
             "-I", sysconfig.get_paths()["include"],
             "-I", np.get_include(),
             "-c", str(SRC / "_native.c"),
