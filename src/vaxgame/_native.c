@@ -35,13 +35,13 @@
 
 #include "numpy/random/distributions.h"
 
-/* Where the compiler targets x86 (__SSE2__), the chain kernel steps four
-   chains to an AVX2 vector on a CPU that has AVX2, asked at run time: the
-   library is built with no -m flag and loads on any x86-64. */
+/* The chain kernel's lanes, four chains to an AVX2 vector, where the compiler
+   targets x86; the CPU is asked for AVX2 at run time, and no -m flag is set. */
 #ifdef __SSE2__
 #include <immintrin.h>
 #define CHAIN_LANES 4
 #define AVX2 __attribute__((target("avx2")))
+typedef int64_t mask_t __attribute__((vector_size(32))); /* a lane compare: -1 where true */
 #endif
 
 /* Response families, in the order of the keys of vaxgame.policy._RESPONSE. */
@@ -77,61 +77,44 @@ static double capped(double x, double cap) { return x < cap ? x : cap; }
  * The response and the bin edges, written once for a double and once for
  * a vector whose every lane is computed as the double is.  MIN(x, cap) is
  * capped(), ABOVE(theta, gamma, x) is x where theta > gamma and 0.0
- * elsewhere, and SPLAT(x) is x in every lane.
- *
- * response##S is the response of policy._RESPONSE capped at cap: 1 gives
- * the acceptance probability q = min(1, q~), INFINITY the propensity q~.
- * A mutant mixes its base, capped the same way, with its static p.
- *
- * event_edges##S gives the bin edges of one epoch at (theta, psi): the
- * cumulative event masses c1..c7, in the order of chain.Event, and their
- * total varrho in c[7].  A copy of chain.event_edges, with its grouping of
- * every sum.
+ * elsewhere, and SPLAT(x) is x in every lane.  response##S is the response
+ * of policy._RESPONSE capped at cap: 1 gives the acceptance probability
+ * q = min(1, q~), INFINITY the propensity q~; a mutant mixes its base,
+ * capped the same way, with its static p.  event_edges##S gives the bin
+ * edges of one epoch at (theta, psi): the cumulative event masses c1..c7,
+ * in the order of chain.Event, and their total varrho in c[7], a copy of
+ * chain.event_edges with its grouping of every sum.
  */
-#define DEFINE_LAW(T, S, ATTR, MIN, ABOVE, SPLAT)                                          \
-    static inline ATTR T response##S(const law_t *w, T theta, T psi, double cap)          \
-    {                                                                                      \
-        T q;                                                                               \
-        switch (w->family) {                                                               \
-        case FC:                                                                           \
-            q = MIN(w->beta * psi, cap);                                                   \
-            break;                                                                         \
-        case FR:                                                                           \
-            q = MIN(w->beta * psi * (1.0 - psi), cap);                                     \
-            break;                                                                         \
-        case VFC1:                                                                         \
-            q = MIN(w->beta * theta * psi, cap);                                           \
-            break;                                                                         \
-        case VFC2:                                                                         \
-            q = ABOVE(theta, w->gamma, MIN(w->beta * psi, cap));                           \
-            break;                                                                         \
-        case VFC2_THETA:                                                                   \
-            q = ABOVE(theta, w->gamma, MIN(w->beta * theta, cap));                         \
-            break;                                                                         \
-        default: /* STATIC */                                                              \
-            q = SPLAT(w->q);                                                               \
-            break;                                                                         \
-        }                                                                                  \
-        if (w->mutant)                                                                     \
-            q = (1.0 - w->eps) * q + w->eps * w->p;                                        \
-        return q;                                                                          \
-    }                                                                                      \
-                                                                                           \
-    static inline ATTR void event_edges##S(const law_t *w, T theta, T psi, T c[8])        \
-    {                                                                                      \
-        const T phi = 1.0 - theta - psi;                                                   \
-        const T q = response##S(w, theta, psi, 1.0);                                       \
-        const T t_inf = w->lam * theta * phi;                                              \
-        const T t_dec = w->nu * phi;                                                       \
-        const T t_vac = q * t_dec;                                                         \
-        c[0] = t_inf;                                                                      \
-        c[1] = c[0] + w->r * theta;                                                        \
-        c[2] = c[1] + (w->d + w->d_e) * theta;                                             \
-        c[3] = c[2] + t_vac;                                                               \
-        c[4] = c[3] + (t_dec - t_vac);                                                     \
-        c[5] = c[4] + w->b;                                                                \
-        c[6] = c[5] + w->d * psi;                                                          \
-        c[7] = c[6] + w->d * phi;                                                          \
+#define DEFINE_LAW(T, S, ATTR, MIN, ABOVE, SPLAT)                                      \
+    static inline ATTR T response##S(const law_t *w, T theta, T psi, double cap)       \
+    {                                                                                  \
+        T q;                                                                           \
+        switch (w->family) {                                                           \
+        case FC: q = MIN(w->beta * psi, cap); break;                                   \
+        case FR: q = MIN(w->beta * psi * (1.0 - psi), cap); break;                     \
+        case VFC1: q = MIN(w->beta * theta * psi, cap); break;                         \
+        case VFC2: q = ABOVE(theta, w->gamma, MIN(w->beta * psi, cap)); break;         \
+        case VFC2_THETA: q = ABOVE(theta, w->gamma, MIN(w->beta * theta, cap)); break; \
+        default: q = SPLAT(w->q); /* STATIC */                                         \
+        }                                                                              \
+        if (w->mutant)                                                                 \
+            q = (1.0 - w->eps) * q + w->eps * w->p;                                    \
+        return q;                                                                      \
+    }                                                                                  \
+                                                                                       \
+    static inline ATTR void event_edges##S(const law_t *w, T theta, T psi, T c[8])     \
+    {                                                                                  \
+        const T phi = 1.0 - theta - psi;                                               \
+        const T t_dec = w->nu * phi;                                                   \
+        const T t_vac = response##S(w, theta, psi, 1.0) * t_dec;                       \
+        c[0] = w->lam * theta * phi;                                                   \
+        c[1] = c[0] + w->r * theta;                                                    \
+        c[2] = c[1] + (w->d + w->d_e) * theta;                                         \
+        c[3] = c[2] + t_vac;                                                           \
+        c[4] = c[3] + (t_dec - t_vac);                                                 \
+        c[5] = c[4] + w->b;                                                            \
+        c[6] = c[5] + w->d * psi;                                                      \
+        c[7] = c[6] + w->d * phi;                                                      \
     }
 
 #define ABOVE(theta, gamma, x) ((theta) > (gamma) ? (x) : 0.0)
@@ -389,17 +372,13 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
     while (n_live > 1) {
         int stopped = 0;
         for (int first = 0; first < n_live; first += CHAIN_LANES) {
-            const int here = n_live - first < CHAIN_LANES ? n_live - first : CHAIN_LANES;
-            __m256d n = _mm256_loadu_pd(L.n + first), s = _mm256_loadu_pd(L.s + first);
-            __m256d i = _mm256_loadu_pd(L.i + first), v = _mm256_loadu_pd(L.v + first);
-            __m256d k = _mm256_loadu_pd(L.k + first), e[8];
+#define LANES(field) (*(__m256d_u *)(L.field + first))
+            __m256d n = LANES(n), i = LANES(i), v = LANES(v), k = LANES(k), e[8];
             event_edges_v(w, i / n, v / n, e);
-            const __m256d rare = _mm256_or_pd(
-                _mm256_or_pd(_mm256_cmp_pd(k, _mm256_loadu_pd(L.limit + first), _CMP_GE_OQ),
-                             _mm256_cmp_pd(_mm256_loadu_pd(L.eta + first), _mm256_set1_pd(delta), _CMP_LE_OQ)),
-                _mm256_or_pd(_mm256_cmp_pd(n, _mm256_set1_pd(2.0), _CMP_LT_OQ), /* may die out */
-                             _mm256_cmp_pd(e[7], _mm256_setzero_pd(), _CMP_LE_OQ)));
-            if (_mm256_movemask_pd(rare) & ((1 << here) - 1)) {
+            /* n < 2: the population may die out */
+            const mask_t rare = (k >= LANES(limit)) | (LANES(eta) <= delta) | (n < 2.0) | (e[7] <= 0.0);
+            const int here = n_live - first < CHAIN_LANES ? n_live - first : CHAIN_LANES;
+            if (_mm256_movemask_pd((__m256d)rare) & ((1 << here) - 1)) {
                 for (int a = first; a < first + here; a++) {
                     chain_t *r = &c[live[a]];
                     lane_store(&L, a, r, n_buf);
@@ -415,26 +394,21 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
 #define DRAW(a) pcg_uniform(L.state_hi + first + (a), L.state_lo + first + (a), \
                             L.inc_hi[first + (a)], L.inc_lo[first + (a)])
             const __m256d x = _mm256_setr_pd(DRAW(0), DRAW(1), DRAW(2), DRAW(3)) * e[7];
-            __m256i below = _mm256_setzero_si256(), sum = below;
-#pragma GCC unroll 7
-            for (int b = 0; b < 7; b++) {
-                below |= _mm256_castpd_si256(_mm256_cmp_pd(x, e[b], _CMP_LT_OQ));
-                sum += below;
-            }
-            const __m256d no_s = _mm256_cmp_pd(s, _mm256_setzero_pd(), _CMP_EQ_OQ);
-            const __m256i sh = (sum + 7) * 2 + (_mm256_castpd_si256(no_s) & 16);
+            __m256d s = LANES(s);
+            mask_t below = x < e[0], sum = below;
+#pragma GCC unroll 6
+            for (int b = 1; b < 7; b++)
+                below |= x < e[b], sum += below;
+            const __m256i sh = (__m256i)((sum + 7) * 2 + ((s == 0.0) & 16)); /* S = 0: bits 16 on */
             s += change(code[0], sh), i += change(code[1], sh);
             v += change(code[2], sh), n += change(code[3], sh);
             k += 1.0;
             const __m256d eta = n / k, new_inv = 1.0 / eta;
-            const __m256d jump =
-                _mm256_andnot_pd(_mm256_set1_pd(-0.0), new_inv - _mm256_loadu_pd(L.inv_eta + first)) * k;
-            _mm256_storeu_pd(L.max_jump + first, _mm256_max_pd(jump, _mm256_loadu_pd(L.max_jump + first)));
-            _mm256_storeu_pd(L.min_eta + first, _mm256_min_pd(eta, _mm256_loadu_pd(L.min_eta + first)));
-            _mm256_storeu_pd(L.inv_eta + first, new_inv), _mm256_storeu_pd(L.eta + first, eta);
-            _mm256_storeu_pd(L.n + first, n), _mm256_storeu_pd(L.s + first, s);
-            _mm256_storeu_pd(L.i + first, i), _mm256_storeu_pd(L.v + first, v);
-            _mm256_storeu_pd(L.k + first, k);
+            const __m256d jump = _mm256_andnot_pd(_mm256_set1_pd(-0.0), new_inv - LANES(inv_eta)) * k;
+            LANES(max_jump) = _mm256_max_pd(jump, LANES(max_jump)); /* maxpd and minpd are the ?: of epoch() */
+            LANES(min_eta) = _mm256_min_pd(eta, LANES(min_eta));
+            LANES(inv_eta) = new_inv, LANES(eta) = eta;
+            LANES(n) = n, LANES(s) = s, LANES(i) = i, LANES(v) = v, LANES(k) = k;
         }
         if (stopped) { /* the chains that run on, packed into the first lanes */
             int m = 0;

@@ -2,7 +2,8 @@
 
 The kernels are the chain loop of
 :func:`vaxgame.chain.simulate_replications`, which runs one
-:class:`ChainState` per replication, up to 16 side by side, each stepping
+:class:`ChainState` per replication, up to 16 side by side as the lanes of
+AVX2 vectors (a lone chain runs the Python loop's cascade), each stepping
 numpy's PCG64 from the state it carries, the chunk loop of
 :func:`vaxgame.ode.integrate` (segment after segment of its DOP853
 stepper, ending at the first quiet row, with the projection of each chunk
@@ -44,11 +45,14 @@ The flags are ``-O2 -ffp-contract=off``: no fused multiply-add and no
 replaces.  The one exception is the sample pass: it sums its forms in index
 order, while numpy's ``@`` in the Python pass may go through a BLAS that
 fuses or reorders the products, so the forms can differ in the last bit and
-their sign counts only where a form is within rounding of 0.  The draw
-kernel links numpy's ``libnpyrandom`` and draws from the caller's bit
-generator.  Where the library cannot be built or loaded (no compiler, an
-unwritable cache), :func:`library` returns None and the callers run their
-Python code, which gives the same results.
+their sign counts only where a form is within rounding of 0.  No ``-m``
+flag targets the building CPU, so the cached library loads on any CPU of
+its kind: the chain kernel asks the CPU for AVX2 when it runs, and without
+it, or where the compiler does not target x86, runs the chains of a call
+one after another.  The draw kernel links numpy's ``libnpyrandom`` and
+draws from the caller's bit generator.  Where the library cannot be built
+or loaded (no compiler, an unwritable cache), :func:`library` returns None
+and the callers run their Python code, which gives the same results.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ and the Python loop :func:`_python_loop` sample an event by the same rule:
 the first bin whose upper edge exceeds u * varrho for a uniform u.
 :func:`simulate_replications` runs one chain per generator (:func:`simulate`
 is its one-generator case): those of plain PCG64 generators in one call of
-the C kernel of :mod:`vaxgame._native`, stepped in lockstep, when that
+the C kernel of :mod:`vaxgame._native`, side by side, when that
 loads, else in :func:`_python_loop`, the reference the kernel is tested
 against.  Both give the same trajectory and leave the generator in the
 same state.  :func:`step` is one epoch of that loop, for checks of the
