@@ -382,11 +382,11 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
                 for (int a = first; a < first + here; a++) {
                     chain_t *r = &c[live[a]];
                     lane_store(&L, a, r, n_buf);
-                    const int code = epoch(r, CHAIN_ARGS(live[a] * rec_cap));
-                    if (code == CHAIN_RUNS)
+                    const int stop = epoch(r, CHAIN_ARGS(live[a] * rec_cap));
+                    if (stop == CHAIN_RUNS)
                         lane_load(&L, a, r, max_steps, rec_cap);
                     else
-                        finish(r, code, n_buf), live[a] = -1, stopped = 1;
+                        finish(r, stop, n_buf), live[a] = -1, stopped = 1;
                 }
                 continue;
             }

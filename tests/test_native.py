@@ -159,6 +159,8 @@ def test_native_chain_matches_python(
 # frozen at epochs 13 and 25, dead at two others, done at 100
 @example(fc(0.5), _DYING, 2, 0.0, 0.0, 100, 0.1, 7, [0, 1, 2, 3, 4], chain._MAX_RECORDS)
 @example(vfc2(6.0, 0.2), _LEFT, 400, 0.3, 0.1, 5000, None, 3, [5, 6], chain._MAX_RECORDS)
+# VFC2 starting on its threshold (theta = 80/400 = gamma), where q is 0
+@example(vfc2(6.0, 0.2), _LEFT, 400, 0.2, 0.1, 200, None, 7, list(range(8)), chain._MAX_RECORDS)
 # no event to draw at the first epoch, which no lane may take: a lane that
 # took it would step on to max_steps before a record epoch
 @example(fc(0.5), _DEAD, 50, 0.0, 0.0, 10, None, 50, [0, 1, 2], chain._MAX_RECORDS)
