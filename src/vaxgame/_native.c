@@ -7,14 +7,12 @@
  * chunk end, the hop across the threshold ode._hop_across and the Zeno
  * cut-off), the damped Newton of ode.find_equilibrium (ode._newton) with
  * its finite-difference Jacobian (ode._fd_jacobian, also exported for the
- * certificates' eigenvalues), the certificate draws of
- * attractor._draw_offsets (one row per attempt, NaN for an all-zero
- * direction), the certificate's pass over its samples, which counts five
- * numbers per round (attractor._numpy_tally), and the %.17g row formatter
- * of the path and trajectory CSVs, which writes Python's bytes from exact
- * integer arithmetic.
+ * certificates' eigenvalues), the certificate's pass over its samples,
+ * which counts five numbers per round (attractor._numpy_tally), and the
+ * %.17g row formatter of the path and trajectory CSVs, which writes
+ * Python's bytes from exact integer arithmetic.
  *
- * The others are transcriptions of the Python code they replace and must
+ * The kernels are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
  * fused multiply-add) and never with -ffast-math.  The sample pass sums its
@@ -22,8 +20,10 @@
  * that fuses or reorders the products: its forms can differ in the last
  * bit, and the counts of their signs only where a form is within rounding
  * of 0.  The ODE field keeps ode.varrho's grouping of the event masses,
- * not the chain's event_edges.  vaxgame._native builds this file at first
- * use and falls back to the Python code when it cannot.
+ * not the chain's event_edges.  The file is plain C: it includes only the
+ * headers of the C library and the compiler, so gcc and libm build it, with
+ * no Python or numpy headers.  vaxgame._native builds it at first use and
+ * falls back to the Python code when it cannot.
  */
 
 #include <float.h>
@@ -32,8 +32,6 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-
-#include "numpy/random/distributions.h"
 
 /* The chain kernel's lanes, four chains to an AVX2 vector, where the compiler
    targets x86; the CPU is asked for AVX2 at run time, and no -m flag is set. */
@@ -458,28 +456,6 @@ void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_ste
 #endif
         for (int a = 0; a < n_live; a++)
             run_alone(&c[live[a]], CHAIN_ARGS(live[a] * rec_cap));
-    }
-}
-
-/*
- * The draws of `attempts` certificate attempts, one row each: a normal
- * direction (three normal(0, 1) draws) and then, unless every square of it
- * is 0.0, a uniform whose cube root scales the radius.  Writes the
- * directions (row-major, three per row) and cube roots; an all-zero
- * direction draws no uniform and writes a row of NaN, which no sample pass
- * keeps.  The caller holds the bit generator's lock.
- */
-void vaxgame_draw(bitgen_t *bitgen, int64_t attempts, double *directions, double *cube_roots)
-{
-    for (int64_t a = 0; a < attempts; a++) {
-        double *dir = directions + 3 * a;
-        for (int j = 0; j < 3; j++)
-            dir[j] = random_normal(bitgen, 0.0, 1.0);
-        if (dir[0] * dir[0] == 0.0 && dir[1] * dir[1] == 0.0 && dir[2] * dir[2] == 0.0) {
-            dir[0] = dir[1] = dir[2] = cube_roots[a] = NAN;
-            continue;
-        }
-        cube_roots[a] = pow(random_standard_uniform(bitgen), 1.0 / 3.0);
     }
 }
 

@@ -12,10 +12,8 @@ end, the hop across the threshold and the Zeno cut-off; the state
 field g (which keeps :func:`vaxgame.ode.varrho`'s grouping of the event
 masses, not the chain's), the damped Newton of :func:`vaxgame.ode.find_equilibrium` with
 its finite-difference Jacobian, which is exported on its own too, the
-certificate draws of :func:`vaxgame.attractor._draw_offsets` (one row per
-attempt, a row of NaN for an all-zero direction), the certificate's pass
-over its samples (feasibility, g, the signs of its two quadratic forms and
-the side tests: five counts per round of
+certificate's pass over its samples (feasibility, g, the signs of its two
+quadratic forms and the side tests: five counts per round of
 :func:`vaxgame.attractor._sample_lyapunov`), and the ``%.17g`` formatter of
 the path and trajectory CSVs, which :func:`write_rows` drives.  The
 formatter writes a double with 10^-16 <= |x| < 2^127 in 128-bit integer
@@ -34,10 +32,11 @@ by construction.
 
 :func:`library` compiles the packaged C source with the installed ``gcc``
 the first time a kernel is needed in a process, never at ``import vaxgame``,
-and loads it through :mod:`ctypes`.  The shared object goes to a per-user
-cache, ``$XDG_CACHE_HOME/vaxgame`` or else ``~/.cache/vaxgame``, under a name
-keyed by a hash of the source, the compiler flags and the numpy version, so
-later processes load it without compiling.  It is written to a temporary file
+and loads it through :mod:`ctypes`.  The source is plain C: the build needs
+``gcc`` and libm, and no Python or numpy headers.  The shared object goes to
+a per-user cache, ``$XDG_CACHE_HOME/vaxgame`` or else ``~/.cache/vaxgame``,
+under a name keyed by a hash of the source and the compiler flags, so later
+processes load it without compiling.  It is written to a temporary file
 and then renamed into place, because process-pool workers can race to build.
 
 The flags are ``-O2 -ffp-contract=off``: no fused multiply-add and no
@@ -49,10 +48,9 @@ their sign counts only where a form is within rounding of 0.  No ``-m``
 flag targets the building CPU, so the cached library loads on any CPU of
 its kind: the chain kernel asks the CPU for AVX2 when it runs, and without
 it, or where the compiler does not target x86, runs the chains of a call
-one after another.  The draw kernel links numpy's ``libnpyrandom`` and
-draws from the caller's bit generator.  Where the library cannot be built
-or loaded (no compiler, an unwritable cache), :func:`library` returns None
-and the callers run their Python code, which gives the same results.
+one after another.  Where the library cannot be built or loaded (no
+compiler, an unwritable cache), :func:`library` returns None and the
+callers run their Python code, which gives the same results.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ import ctypes
 import hashlib
 import os
 import subprocess
-import sysconfig
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -74,7 +71,6 @@ from .policy import _RESPONSE, Family, Policy, _response_key
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_NUMPY_DIR = Path(np.__file__).parent
 _UNRESOLVED = object()
 _library = _UNRESOLVED
 
@@ -106,6 +102,10 @@ LOCKSTEP = 16  # the most chains the chain kernel steps side by side, as in _nat
 
 #: Rows per block of :func:`write_rows`; its text buffer holds one block.
 _CSV_BLOCK = 4096
+#: The longest key and double of a formatted row, each with its separator,
+#: as KEY_BYTES and DOUBLE_BYTES in _native.c
+_KEY_BYTES = 21  # "-9223372036854775808,"
+_DOUBLE_BYTES = 25  # "-2.2250738585072014e-308" and its separator
 
 #: base family codes of _native.c, in the order of policy._RESPONSE
 _FAMILY_CODES = {key: code for code, key in enumerate(_RESPONSE)}
@@ -232,8 +232,8 @@ def write_rows(path, header: str, columns, keys=None) -> None:
     cols = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     line = ("%d," if keys is not None else "") + ",".join(["%.17g"] * cols) + "\n"
     lib = library()
-    # ROW_BYTES of _native.c: the longest key and doubles, with their separators
-    text = None if lib is None else np.empty(min(n, _CSV_BLOCK) * (21 + 25 * cols), np.uint8)
+    row_bytes = _KEY_BYTES + _DOUBLE_BYTES * cols  # ROW_BYTES of _native.c
+    text = None if lib is None else np.empty(min(n, _CSV_BLOCK) * row_bytes, np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for start in range(0, n, _CSV_BLOCK):
@@ -264,7 +264,6 @@ def _load(cache: Path) -> ctypes.CDLL:
     source = resources.files(__package__).joinpath("_native.c").read_bytes()
     key = hashlib.sha256(source)
     key.update(" ".join(_FLAGS).encode())
-    key.update(np.__version__.encode())
     target = cache / f"_native-{key.hexdigest()[:16]}.so"
     if not target.is_file():
         _build(source, cache, target)
@@ -277,17 +276,7 @@ def _build(source: bytes, cache: Path, target: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [
-                _COMPILER,
-                *_FLAGS,
-                "-I", sysconfig.get_paths()["include"],
-                "-I", np.get_include(),
-                "-x", "c", "-",
-                "-o", tmp,
-                "-L", str(_NUMPY_DIR / "random" / "lib"),
-                "-lnpyrandom",
-                "-lm",
-            ],
+            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
             input=source,
             check=True,
             capture_output=True,
@@ -320,8 +309,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.vaxgame_edges.restype = None
     lib.vaxgame_edges.argtypes = [ctypes.POINTER(Law), ctypes.c_double, ctypes.c_double, address]
-    lib.vaxgame_draw.restype = None
-    lib.vaxgame_draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, address, address]
     lib.vaxgame_certify.restype = ctypes.c_int
     lib.vaxgame_certify.argtypes = [
         ctypes.POINTER(Sample),

@@ -49,15 +49,16 @@ linear system of its Kronecker form).  The derivative of plain
 squared Euclidean distance is *not* a valid surrogate here: stable
 coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
-The ball samples come from the C draw kernel of :mod:`vaxgame._native` when
-it loads, else from a Python loop; both draw the same stream, one offset
-row per attempt (a row of NaN, never feasible, where the direction is all
-zero).  The draws of a (seed, radius) are kept and extended on demand
-(:class:`_Draws`), a few such streams per process.  Each round of samples
-is counted in one pass of that kernel (feasibility, the field, the signs of
-both forms and the side tests: five counts), else in numpy by
-:func:`_numpy_tally`, the reference it is tested against; both give the
-same counts.
+The ball samples are drawn in Python, one offset row per attempt (a row
+of NaN, never feasible, where the direction is all zero), at 2.4-5 us an
+attempt.  The draws of a (seed, radius) are kept and extended on demand
+(:class:`_Draws`), a few such streams per process, so each stream is drawn
+once per process: the certificates after the first of a (seed, radius)
+read the kept rows and draw nothing.  Each round of samples is counted in
+one pass of the C kernel of :mod:`vaxgame._native` where it loads
+(feasibility, the field, the signs of both forms and the side tests: five
+counts), else in numpy by :func:`_numpy_tally`, the reference it is tested
+against; both give the same counts.
 """
 
 from __future__ import annotations
@@ -669,31 +670,8 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
 
     Each attempt draws a normal direction and then a uniform radius, in that
     order, and gives one row; an all-zero direction draws no radius and
-    gives a row of NaN, which no sample is taken from.  The draws come from
-    the C kernel of :mod:`vaxgame._native` when it loads, else from
-    :func:`_python_draws`; both leave the same offsets and the same
-    generator state.
+    gives a row of NaN, which no sample is taken from.
     """
-    lib = _native.library()
-    if lib is None:
-        directions, squares, cube_roots = _python_draws(rng, attempts)
-    else:
-        directions = np.empty((attempts, 3))
-        cube_roots = np.empty(attempts)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            lib.vaxgame_draw(
-                bitgen.ctypes.bit_generator, attempts, directions.ctypes.data,
-                cube_roots.ctypes.data,
-            )
-        # per row the same product as the Python loop's direction.dot(direction)
-        squares = (directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
-    norms = np.sqrt(squares)[:, None]
-    return directions / norms * radius * cube_roots[:, None]
-
-
-def _python_draws(rng: np.random.Generator, attempts: int):
-    """The attempt loop in Python: directions, their squares and cube roots, NaN where all zero."""
     directions = np.full((attempts, 3), np.nan)
     squares = np.full(attempts, np.nan)
     cube_roots = np.full(attempts, np.nan)
@@ -703,7 +681,7 @@ def _python_draws(rng: np.random.Generator, attempts: int):
         if square != 0.0:
             directions[a], squares[a] = direction, square
             cube_roots[a] = rng.random() ** (1.0 / 3.0)
-    return directions, squares, cube_roots
+    return directions / np.sqrt(squares)[:, None] * radius * cube_roots[:, None]
 
 
 class _Draws:
@@ -735,9 +713,11 @@ _draw_cache_lock = threading.Lock()
 def _draws(seed: int, radius: float, budget: int) -> _Draws:
     """The kept :class:`_Draws` of (seed, radius) where ``budget`` attempts fit the cache.
 
-    At most ``_DRAW_CACHE_STREAMS`` streams are kept, the least recently
-    used dropped first; a budget above ``_DRAW_CACHE_ATTEMPTS`` gets a
-    stream of its own.
+    The attempts are drawn in Python at 2.4-5 us each, so a stream is
+    drawn once per process and read by every later certificate of its
+    (seed, radius).  At most ``_DRAW_CACHE_STREAMS`` streams are kept, the
+    least recently used dropped first; a budget above
+    ``_DRAW_CACHE_ATTEMPTS`` gets a stream of its own.
     """
     if budget > _DRAW_CACHE_ATTEMPTS:
         return _Draws(seed, radius)

@@ -606,7 +606,7 @@ def write_ess_csv(records: list[RunRecord], path) -> None:
 
 #: the layers that run a C kernel: the chain loop and the trajectory CSV
 #: formatter (monte_carlo); the ODE chunk loop and the path CSV formatter
-#: (ode); the certificate's Jacobian, draws and sample pass (stability)
+#: (ode); the certificate's Jacobian and sample pass (stability)
 _KERNEL_LAYERS = frozenset({Layer.MONTE_CARLO, Layer.ODE, Layer.STABILITY})
 
 

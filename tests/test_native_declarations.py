@@ -10,7 +10,6 @@ import ctypes
 import re
 import shutil
 import subprocess
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 import vaxgame
 from vaxgame import _native, chain
 from vaxgame.chain import EVENT_EFFECTS, Event
+from vaxgame.policy import _RESPONSE, Family
 
 SRC = Path(vaxgame.__file__).resolve().parent
 
@@ -38,7 +38,7 @@ def test_every_exported_kernel_is_declared():
         attr: set(re.findall(rf"lib\.(vaxgame_\w+)\.{attr} =", declare))
         for attr in ("argtypes", "restype")
     }
-    assert {"vaxgame_draw", "vaxgame_certify", "vaxgame_format_rows", "vaxgame_chain"} <= exported
+    assert {"vaxgame_certify", "vaxgame_format_rows", "vaxgame_chain"} <= exported
     assert declared["argtypes"] == exported
     assert declared["restype"] == exported
 
@@ -156,6 +156,43 @@ def test_lockstep_width_is_the_kernels():
     assert int(re.search(r"#define LOCKSTEP (\d+)", source)[1]) == _native.LOCKSTEP
 
 
+def _enum(first):
+    """The members of the enum of _native.c whose first member is ``first``, in order."""
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_native.c").read_text(), flags=re.S)
+    body = re.search(rf"enum \{{\s*({first}\b.*?)\}}", source, re.S)[1]
+    return [member.strip() for member in body.split(",") if member.strip()]
+
+
+@pytest.mark.parametrize("first", ["CHAIN_RUNS", "ODE_DONE"])
+def test_return_codes_are_the_kernels(first):
+    # the chain and ODE codes of _native.py are numbered by range(): each
+    # name must sit at its place in the kernel's enum, and none be missing
+    prefix = first.split("_")[0] + "_"
+    declared = {name: getattr(_native, name) for name in dir(_native) if name.startswith(prefix)}
+    assert declared == {name: code for code, name in enumerate(_enum(first))}
+
+
+def test_family_codes_are_the_kernels():
+    # _native._FAMILY_CODES numbers the families in the key order of
+    # policy._RESPONSE, which the kernel's family enum must follow
+    names = [
+        key.name if isinstance(key, Family) else key.replace("-", "_").upper() for key in _RESPONSE
+    ]
+    assert _enum("FC") == names
+
+
+def test_row_bytes_are_the_formatters():
+    # write_rows sizes the formatter's text buffer by these bounds: a buffer
+    # below the kernel's ROW_BYTES per row makes it decline every block
+    source = (SRC / "_native.c").read_text()
+    defined = {
+        name: int(re.search(rf"#define {name} (\d+)", source)[1])
+        for name in ("KEY_BYTES", "DOUBLE_BYTES")
+    }
+    assert defined == {"KEY_BYTES": _native._KEY_BYTES, "DOUBLE_BYTES": _native._DOUBLE_BYTES}
+    assert "#define ROW_BYTES(cols) (KEY_BYTES + (cols) * DOUBLE_BYTES)" in source
+
+
 def test_library_is_built_for_any_cpu_of_its_kind():
     # the cached library must load on any x86-64: the chain kernel asks the
     # CPU for AVX2 at run time, and no -m or -march flag targets the builder's
@@ -163,11 +200,10 @@ def test_library_is_built_for_any_cpu_of_its_kind():
 
 
 def _compile_with_every_warning(tmp_path, *extra):
+    # no -I: the source is plain C, and a Python or numpy header fails the build
     return subprocess.run(
         [
             _native._COMPILER, *_native._FLAGS, *extra, "-Wall", "-Wextra", "-Werror",
-            "-I", sysconfig.get_paths()["include"],
-            "-I", np.get_include(),
             "-c", str(SRC / "_native.c"),
             "-o", str(tmp_path / "_native.o"),
         ],
