@@ -1,7 +1,8 @@
 /*
  * C kernels for vaxgame: the jump-chain loop of chain.simulate_replications,
  * which steps the replications of a point side by side as the lanes of
- * AVX2 vectors, each its own numpy PCG64, the chunk loop of ode.integrate
+ * AVX2 vectors, each its own numpy PCG64, and leaves each PCG64 right
+ * after the last uniform its run used, the chunk loop of ode.integrate
  * (ode._PythonChunks, its DOP853
  * segments ode._python_segment, its settle test, its projection of each
  * chunk end, the hop across the threshold ode._hop_across and the Zeno
@@ -59,7 +60,6 @@ typedef struct {
 typedef struct {
     int64_t n, s, i, v, k;
     double eta, inv_eta, min_eta, max_jump;
-    int64_t bi;    /* uniforms taken from the current block */
     int64_t n_rec; /* records written by this call */
     int64_t until; /* epochs to the next record, set by the kernel */
     uint64_t state_hi, state_lo, inc_hi, inc_lo;
@@ -148,14 +148,13 @@ void vaxgame_edges(const law_t *w, double theta, double psi, double *out)
 
 /*
  * numpy's PCG64, pcg_setseq_128_xsl_rr_64: the 128-bit state steps as
- * state * PCG_MULT + inc, and each output is the XSL-RR of the new state,
- * rotr64(hi ^ lo, state >> 122).  A uniform is (output >> 11) * 2^-53, the
- * double of Generator.random().
+ * state * M + inc, M being PCG_MULT_HI * 2^64 + PCG_MULT_LO, and each
+ * output is the XSL-RR of the new state, rotr64(hi ^ lo, state >> 122).
+ * A uniform is (output >> 11) * 2^-53, the double of Generator.random().
  */
 typedef unsigned __int128 u128;
 #define PCG_MULT_HI 2549297995355413924ULL
 #define PCG_MULT_LO 4865540595714422341ULL
-#define PCG_MULT ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO)
 
 static inline double pcg_uniform(uint64_t *state_hi, uint64_t *state_lo, uint64_t inc_hi,
                                  uint64_t inc_lo)
@@ -171,50 +170,20 @@ static inline double pcg_uniform(uint64_t *state_hi, uint64_t *state_lo, uint64_
     return (double)(out >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* The next uniform of chain c, counted in blocks of n_buf as chain._python_loop draws them. */
-static inline double draw(chain_t *c, int64_t n_buf)
-{
-    if (c->bi == n_buf)
-        c->bi = 0; /* the Python loop draws its next block here */
-    c->bi += 1;
-    return pcg_uniform(&c->state_hi, &c->state_lo, c->inc_hi, c->inc_lo);
-}
-
-/* Set chain c's code.  Unless its records are full, its run ended: its PCG64
-   state steps on to the end of the block the run ended in, where the Python
-   loop leaves the generator, in O(log) steps (numpy's pcg64_advance). */
-static void finish(chain_t *c, int code, int64_t n_buf)
-{
-    c->code = code;
-    if (code == CHAIN_RECORDS_FULL)
-        return;
-    uint64_t delta = (uint64_t)(n_buf - c->bi);
-    c->bi = n_buf;
-    u128 mult = PCG_MULT, plus = (u128)c->inc_hi << 64 | c->inc_lo, acc_mult = 1, acc_plus = 0;
-    for (; delta; delta >>= 1) {
-        if (delta & 1) {
-            acc_mult *= mult;
-            acc_plus = acc_plus * mult + plus;
-        }
-        plus *= mult + 1;
-        mult *= mult;
-    }
-    const u128 state = acc_mult * ((u128)c->state_hi << 64 | c->state_lo) + acc_plus;
-    c->state_hi = (uint64_t)(state >> 64), c->state_lo = (uint64_t)state;
-}
-
 /*
  * One epoch of chain r, as chain._python_loop steps it: CHAIN_RUNS, or the
  * code r stops at: before the epoch at max_steps, the freeze, full records
  * or a total rate that is not positive, and in it where the population
  * dies out.  It takes the next uniform u of r's PCG64, and records each k
- * that is a multiple of stride.  The event is the first bin whose upper
- * edge exceeds x = u * varrho, found by the Python loop's cascade.
+ * that is a multiple of stride.  A stop before the epoch takes no uniform,
+ * so a chain's PCG64 stops right after the last uniform its run used.  The
+ * event is the first bin whose upper edge exceeds x = u * varrho, found by
+ * the Python loop's cascade.
  */
 static inline __attribute__((always_inline)) int
 epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t stride,
-      int64_t n_buf, int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta,
-      double *rec_psi, double *rec_eta)
+      int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta, double *rec_psi,
+      double *rec_eta)
 {
     if (r->k >= max_steps)
         return CHAIN_DONE;
@@ -226,7 +195,7 @@ epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t strid
     event_edges(w, (double)r->i / (double)r->n, (double)r->v / (double)r->n, e);
     if (e[7] <= 0.0)
         return CHAIN_DEGENERATE;
-    const double x = draw(r, n_buf) * e[7];
+    const double x = pcg_uniform(&r->state_hi, &r->state_lo, r->inc_hi, r->inc_lo) * e[7];
 
     /* at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
        a width of about 1e-17, and a 1-ulp overshoot can pass the last
@@ -272,20 +241,20 @@ epoch(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t strid
     return CHAIN_RUNS;
 }
 
-#define CHAIN_ARGS(row) w, max_steps, delta, stride, n_buf, rec_cap, row, rec_k, rec_theta, rec_psi, rec_eta
+#define CHAIN_ARGS(row) w, max_steps, delta, stride, rec_cap, row, rec_k, rec_theta, rec_psi, rec_eta
 
 /* Run chain r alone until it stops, out of line so that the loop keeps the
    chain in registers. */
 static __attribute__((noinline)) void
 run_alone(chain_t *r, const law_t *w, int64_t max_steps, double delta, int64_t stride,
-          int64_t n_buf, int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta,
-          double *rec_psi, double *rec_eta)
+          int64_t rec_cap, int64_t row, int64_t *rec_k, double *rec_theta, double *rec_psi,
+          double *rec_eta)
 {
     chain_t one = *r;
     int code;
     while ((code = epoch(&one, CHAIN_ARGS(row))) == CHAIN_RUNS)
         ;
-    finish(&one, code, n_buf);
+    one.code = code;
     *r = one;
 }
 
@@ -317,13 +286,12 @@ static void lane_load(lanes_t *L, int a, const chain_t *r, int64_t max_steps, in
     L->limit[a] = (double)(r->k + room);
 }
 
-/* Chain r from lane a, which drew one uniform per epoch: its block index
-   and its countdown to the next record move on by as many. */
-static void lane_store(const lanes_t *L, int a, chain_t *r, int64_t n_buf)
+/* Chain r from lane a: its countdown to the next record moves on by the
+   epochs the lane stepped. */
+static void lane_store(const lanes_t *L, int a, chain_t *r)
 {
-    const int64_t k = (int64_t)L->k[a], draws = k - r->k;
-    if (draws > 0)
-        r->bi = (r->bi + draws - 1) % n_buf + 1, r->until -= draws;
+    const int64_t k = (int64_t)L->k[a];
+    r->until -= k - r->k;
     r->n = (int64_t)L->n[a], r->s = (int64_t)L->s[a], r->i = (int64_t)L->i[a], r->v = (int64_t)L->v[a];
     r->k = k;
     r->eta = L->eta[a], r->inv_eta = L->inv_eta[a];
@@ -350,9 +318,8 @@ static inline AVX2 __m256d change(int64_t code, __m256i sh)
  * are read from a 2-bit code per bin.
  */
 static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
-                          int64_t max_steps, double delta, int64_t stride, int64_t n_buf,
-                          int64_t rec_cap, int64_t *rec_k, double *rec_theta, double *rec_psi,
-                          double *rec_eta)
+                          int64_t max_steps, double delta, int64_t stride, int64_t rec_cap,
+                          int64_t *rec_k, double *rec_theta, double *rec_psi, double *rec_eta)
 {
     /* the code words of dS, dI, dV and dN: the codes of bin b at bits 2b, and
        at bits 16 + 2b those where S = 0, where the events that take a
@@ -379,12 +346,12 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
             if (_mm256_movemask_pd((__m256d)rare) & ((1 << here) - 1)) {
                 for (int a = first; a < first + here; a++) {
                     chain_t *r = &c[live[a]];
-                    lane_store(&L, a, r, n_buf);
+                    lane_store(&L, a, r);
                     const int stop = epoch(r, CHAIN_ARGS(live[a] * rec_cap));
                     if (stop == CHAIN_RUNS)
                         lane_load(&L, a, r, max_steps, rec_cap);
                     else
-                        finish(r, stop, n_buf), live[a] = -1, stopped = 1;
+                        r->code = stop, live[a] = -1, stopped = 1;
                 }
                 continue;
             }
@@ -412,7 +379,7 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
             int m = 0;
             for (int a = 0; a < n_live; a++)
                 if (live[a] >= 0)
-                    lane_store(&L, a, &c[live[a]], n_buf), live[m++] = live[a];
+                    lane_store(&L, a, &c[live[a]]), live[m++] = live[a];
             n_live = m;
             for (int a = 0; a < n_live && n_live > 1; a++)
                 lane_load(&L, a, &c[live[a]], max_steps, rec_cap);
@@ -433,8 +400,8 @@ static AVX2 int run_lanes(chain_t *c, int64_t *live, int n_live, const law_t *w,
  * there.
  */
 void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_steps,
-                   double delta, int64_t stride, int64_t n_buf, int64_t rec_cap,
-                   int64_t *rec_k, double *rec_theta, double *rec_psi, double *rec_eta)
+                   double delta, int64_t stride, int64_t rec_cap, int64_t *rec_k,
+                   double *rec_theta, double *rec_psi, double *rec_eta)
 {
 #ifdef CHAIN_LANES
     __builtin_cpu_init();
@@ -451,7 +418,7 @@ void vaxgame_chain(chain_t *c, int64_t n_chains, const law_t *w, int64_t max_ste
         }
 #ifdef CHAIN_LANES
         if (lanes && n_live > 1)
-            n_live = run_lanes(c, live, n_live, w, max_steps, delta, stride, n_buf, rec_cap, rec_k,
+            n_live = run_lanes(c, live, n_live, w, max_steps, delta, stride, rec_cap, rec_k,
                                rec_theta, rec_psi, rec_eta);
 #endif
         for (int a = 0; a < n_live; a++)

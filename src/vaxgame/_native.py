@@ -133,7 +133,7 @@ class ChainState(ctypes.Structure):
     _fields_ = [
         *((name, ctypes.c_int64) for name in ("n", "s", "i", "v", "k")),
         *((name, ctypes.c_double) for name in ("eta", "inv_eta", "min_eta", "max_jump")),
-        *((name, ctypes.c_int64) for name in ("bi", "n_rec", "until")),
+        *((name, ctypes.c_int64) for name in ("n_rec", "until")),
         *((name, ctypes.c_uint64) for name in ("state_hi", "state_lo", "inc_hi", "inc_lo")),
         ("code", ctypes.c_int64),
     ]
@@ -300,7 +300,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,  # max_steps
         ctypes.c_double,  # delta
         ctypes.c_int64,  # stride
-        ctypes.c_int64,  # the Python loop's block of uniforms
         ctypes.c_int64,  # the record rows of each chain
         address,  # recorded epochs, int64
         address,  # recorded theta, float64

@@ -446,8 +446,9 @@ def _deadly_row(spec, params, ratios, policy) -> tuple[float, float, str]:
 def closed_form(params: ModelParams, policy: Policy) -> Attractor:
     """Dispatch (family, rho, mu, beta) onto the equilibrium catalogue.
 
-    Raises MarginalRegime on any dispatch boundary and RegimeMismatch when a
-    conjectured (deadly) formula fails its field re-verification.
+    Raises MarginalRegime on any dispatch boundary, RegimeMismatch when a
+    conjectured (deadly) formula fails its field re-verification, and
+    DegenerateState where its arithmetic divides by zero or overflows.
     """
     ratios = derive_ratios(params)
     _guard(ratios.rho, 1.0, "rho vs 1")
@@ -462,20 +463,23 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
         raise RegimeMismatch(f"no closed-form catalogue for family {fam}")
     deadly = params.d_e > 0.0
     proven = True
-    if deadly:
-        if fam not in _DEADLY_FAMILIES:
-            raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-        theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy)
-    elif fam is Family.VFC1:
-        theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, policy.beta)
-    else:
-        theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, policy.beta)
-    label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
-    attr = _make(theta, psi, params, row, label, conjectured=deadly, proven=proven)
-    if deadly:
-        ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
-        if not ok:
-            raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
+    try:  # admissible rates at the ends of the double range can divide by 0 or overflow
+        if deadly:
+            if fam not in _DEADLY_FAMILIES:
+                raise RegimeMismatch("deadly catalogue covers FC and FR families only")
+            theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy)
+        elif fam is Family.VFC1:
+            theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, policy.beta)
+        else:
+            theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, policy.beta)
+        label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
+        attr = _make(theta, psi, params, row, label, conjectured=deadly, proven=proven)
+        if deadly:
+            ok, detail = verify_attractor(attr, params, policy, tol=CONJECTURE_RESIDUAL_TOL)
+            if not ok:
+                raise RegimeMismatch(f"conjectured point failed field verification: {detail}")
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DegenerateState(f"closed form left the double range: {exc}") from exc
     return attr
 
 

@@ -32,9 +32,9 @@ the first bin whose upper edge exceeds u * varrho for a uniform u.
 is its one-generator case): those of plain PCG64 generators in one call of
 the C kernel of :mod:`vaxgame._native`, side by side, when that
 loads, else in :func:`_python_loop`, the reference the kernel is tested
-against.  Both give the same trajectory and leave the generator in the
-same state.  :func:`step` is one epoch of that loop, for checks of the
-chain's law.
+against.  Both give the same trajectory, and both leave the generator
+right after the last uniform the run used.  :func:`step` is one epoch of
+that loop, for checks of the chain's law.
 """
 
 from __future__ import annotations
@@ -296,10 +296,11 @@ def simulate(
     lie below 2**53, where every count is a double.  A population that dies out
     (possible only with a delta below the default) raises DegenerateState.
 
-    The one-generator case of :func:`simulate_replications`.  The Python
-    loop reads ``gen.random(_RNG_BLOCK)`` blocks as they are needed; the
-    kernel steps a plain PCG64 itself, draws the same uniforms and leaves
-    the generator at the end of the last block, with the same bits.
+    The one-generator case of :func:`simulate_replications`.  The run draws
+    one uniform per epoch, and leaves the generator right after the last
+    one it used, as ``gen.random(n)`` for its n epochs would, also where it
+    raises.  The kernel steps a plain PCG64 itself and draws the same
+    uniforms.
     """
     (result,) = simulate_replications(initial, params, policy, max_steps, delta, stride, [rng])
     if isinstance(result, VaxGameError):
@@ -321,7 +322,8 @@ def simulate_replications(
     A bad argument raises for all, and so does a generator given twice.  The
     plain ``Generator``s over ``PCG64`` run in one call of the C kernel, side
     by side; any other runs :func:`_python_loop`.  Each result and generator
-    state is that of :func:`simulate` on the generator alone.
+    state is that of :func:`simulate` on the generator alone: each generator
+    is left right after the last uniform its run used.
     """
     gens = [_as_rng(rng) for rng in rngs]
     n0 = initial.n_total
@@ -404,6 +406,10 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
     Returns the final counts (N, S, I, V, k), the final eta, the freeze epoch
     (None if the chain did not freeze), min eta, the largest scaled jump of
     1/eta, and the records (epochs, theta, psi, eta) from the initial epoch on.
+    It draws its uniforms ``_RNG_BLOCK`` at a time, for speed.  When the run
+    ends, by a raise too, it sets the generator back to its state before the
+    last block and draws again the uniforms it used of it, which is exact
+    for every bit generator.
     """
     edges = event_edges(params)
     qfun = accept_fn(policy)
@@ -426,72 +432,75 @@ def _python_loop(initial, params, policy, max_steps, delta, stride, gen):
 
     freeze_epoch: Optional[int] = None
 
-    # the uniforms as Python floats: indexing a list is cheaper than an array
-    buf = gen.random(_RNG_BLOCK).tolist()
-    bi = 0
+    # the uniforms as Python floats (indexing a list is cheaper than an
+    # array), and the generator's state before their block
+    saved, buf, bi = gen.bit_generator.state, gen.random(_RNG_BLOCK).tolist(), 0
 
-    while k < max_steps:
-        if eta <= delta:
-            freeze_epoch = k
-            break
+    try:
+        while k < max_steps:
+            if eta <= delta:
+                freeze_epoch = k
+                break
 
-        theta = I / N
-        psi = V / N
-        c1, c2, c3, c4, c5, c6, c7, varrho = edges(theta, psi, qfun(theta, psi))
-        if varrho <= 0.0:
-            raise DegenerateState("total event rate is zero")
+            theta = I / N
+            psi = V / N
+            c1, c2, c3, c4, c5, c6, c7, varrho = edges(theta, psi, qfun(theta, psi))
+            if varrho <= 0.0:
+                raise DegenerateState("total event rate is zero")
 
-        if bi == _RNG_BLOCK:
-            buf = gen.random(_RNG_BLOCK).tolist()
-            bi = 0
-        x = buf[bi] * varrho
-        bi += 1
+            if bi == _RNG_BLOCK:
+                saved, buf, bi = gen.bit_generator.state, gen.random(_RNG_BLOCK).tolist(), 0
+            x = buf[bi] * varrho
+            bi += 1
 
-        # at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
-        # a width of about 1e-17: a draw there changes nothing
-        if x < c1:
-            if S > 0:
+            # at S = 0 a rounded phi > 0 leaves the infection and vaccination bins
+            # a width of about 1e-17: a draw there changes nothing
+            if x < c1:
+                if S > 0:
+                    S -= 1
+                    I += 1
+            elif x < c2:
+                I -= 1
+                S += 1
+            elif x < c3:
+                I -= 1
+                N -= 1
+            elif x < c4:
+                if S > 0:
+                    S -= 1
+                    V += 1
+            elif x < c5:
+                pass
+            elif x < c6:
+                S += 1
+                N += 1
+            elif x < c7:
+                V -= 1
+                N -= 1
+            elif S > 0:  # guard against a 1-ulp overshoot at the last boundary
                 S -= 1
-                I += 1
-        elif x < c2:
-            I -= 1
-            S += 1
-        elif x < c3:
-            I -= 1
-            N -= 1
-        elif x < c4:
-            if S > 0:
-                S -= 1
-                V += 1
-        elif x < c5:
-            pass
-        elif x < c6:
-            S += 1
-            N += 1
-        elif x < c7:
-            V -= 1
-            N -= 1
-        elif S > 0:  # guard against a 1-ulp overshoot at the last boundary
-            S -= 1
-            N -= 1
-        if N == 0:
-            raise DegenerateState("the population died out")
+                N -= 1
+            if N == 0:
+                raise DegenerateState("the population died out")
 
-        k += 1
-        eta = N / k
-        new_inv = 1.0 / eta
-        jump = abs(new_inv - inv_eta) * k  # eps_{k-1} = 1/k after the increment
-        if jump > max_jump:
-            max_jump = jump
-        inv_eta = new_inv
-        if eta < min_eta:
-            min_eta = eta
+            k += 1
+            eta = N / k
+            new_inv = 1.0 / eta
+            jump = abs(new_inv - inv_eta) * k  # eps_{k-1} = 1/k after the increment
+            if jump > max_jump:
+                max_jump = jump
+            inv_eta = new_inv
+            if eta < min_eta:
+                min_eta = eta
 
-        if k % stride == 0:
-            ks.append(k)
-            ths.append(I / N)
-            pss.append(V / N)
-            ets.append(eta)
+            if k % stride == 0:
+                ks.append(k)
+                ths.append(I / N)
+                pss.append(V / N)
+                ets.append(eta)
+    finally:  # leave the generator right after the last uniform used
+        gen.bit_generator.state = saved
+        gen.random(bi)
 
     return (N, S, I, V, k), eta, freeze_epoch, min_eta, max_jump, (ks, ths, pss, ets)
 
@@ -500,10 +509,10 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gens):
     """:func:`_python_loop` on each of ``gens`` (plain PCG64 generators) in the C kernel.
 
     Each generator lends the kernel its state under its lock, and is left
-    where the Python loop's blocks leave it.  The records hold the whole run,
-    up to ``_MAX_RECORDS`` rows per chain; a chain that fills them goes on
-    in the next call.  Returns each run as the Python loop does, or the
-    DegenerateState it raises.
+    right after the last uniform its run used, as the Python loop leaves it.
+    The records hold the whole run, up to ``_MAX_RECORDS`` rows per chain; a
+    chain that fills them goes on in the next call.  Returns each run as the
+    Python loop does, or the DegenerateState it raises.
     """
     N, k = initial.n_total, initial.step
     I, V = initial.n_inf, initial.n_vacc
@@ -526,8 +535,8 @@ def _native_loop(lib, initial, params, policy, max_steps, delta, stride, gens):
         while todo:
             rec = (np.empty(shape, np.int64), *(np.empty(shape) for _ in range(3)))
             lib.vaxgame_chain(
-                chains, len(gens), ctypes.byref(law), max_steps, delta, stride, _RNG_BLOCK,
-                shape[1], *(a.ctypes.data for a in rec),
+                chains, len(gens), ctypes.byref(law), max_steps, delta, stride, shape[1],
+                *(a.ctypes.data for a in rec),
             )
             for j in todo:
                 chunks[j].append(tuple(a[j, : chains[j].n_rec] for a in rec))

@@ -113,6 +113,23 @@ def test_marginal_regimes_raise(left_params):
         closed_form(marginal_rho, fc(0.5))
 
 
+@pytest.mark.parametrize(
+    "params,policy",
+    [
+        (ModelParams(lam=1e-300, r=1.188, nu=1e-300, b=0.322, d=0, d_e=1e-300), fc(1e300)),
+        (ModelParams(lam=1e300, r=1e-300, nu=1e300, b=5e-324, d=0), fc(0)),
+        (ModelParams(lam=1e300, r=0, nu=1e-300, b=1e-300, d=0), vfc1(0)),
+        (ModelParams(lam=1e300, r=1.188, nu=0.904, b=0.322, d=0.1), fr(1e300)),  # overflows
+        (ModelParams(lam=1e300, r=0, nu=1e300, b=5e-324, d=0), fr(0)),
+    ],
+)
+def test_rates_at_the_ends_of_the_double_range_are_degenerate(params, policy):
+    # admissible rates whose formulas divide by zero or overflow raise a
+    # typed error, which the harness records, not a bare ArithmeticError
+    with pytest.raises(DegenerateState, match="closed form left the double range"):
+        closed_form(params, policy)
+
+
 def test_vfc2_has_no_point_catalogue(left_params):
     from vaxgame import vfc2
 

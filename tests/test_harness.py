@@ -275,6 +275,15 @@ def test_bad_layer_input_is_recorded(tmp_path, old, new, column, error):
     assert row["cf_error"] == ""
 
 
+def test_closed_form_out_of_the_double_range_is_recorded(tmp_path):
+    text = ONE_POINT.replace("lambda = 8.549", "lambda = 1e300").replace(
+        "family = FC\nbeta = 0.5", "family = FR\nbeta = 1e300"
+    ).replace("layers = closed_form, ode, monte_carlo", "layers = closed_form")
+    assert cli_main(["run", str(write_config(tmp_path, text))]) == 0
+    (row,) = read_rows(tmp_path / "out" / "summary_demo.csv")
+    assert row["cf_error"].startswith("DegenerateState: closed form left the double range")
+
+
 @pytest.mark.parametrize(
     "old,new,error",
     [

@@ -268,14 +268,65 @@ _FAR = make_initial(40_000, 0.1, 0.01)  # no freeze within 2 * _RNG_BLOCK + 1 ep
 )
 def test_kernel_pcg64_matches_python(initial, params, max_steps, delta, stride, make_gen, pcg):
     # the kernel steps a plain PCG64 generator itself and leaves it where the
-    # Python loop's blocks leave it, has_uint32 and uinteger included; any
-    # other generator runs the Python loop
+    # Python loop leaves it, right after the last uniform used, has_uint32
+    # and uinteger included; any other generator runs the Python loop
     args = (initial, params, fc(1.0), max_steps, delta, stride, 11, make_gen)
     with mock.patch.object(chain, "_python_loop", wraps=chain._python_loop) as loop:
         native = _chain_run(*args)
     assert loop.called != pcg
     with python_kernels():
         assert _chain_run(*args) == native
+
+
+# the generators of the contract test below and the kernels each runs with;
+# each is made from seed 8, on which the extinct run dies out with all four
+_GENERATORS = {
+    "pcg64": (np.random.default_rng, nullcontext),  # the kernel
+    "python": (np.random.default_rng, python_kernels),
+    "buffered-uint32": (_uint32_first, nullcontext),
+    "mt19937": (lambda seed: np.random.Generator(np.random.MT19937(seed)), nullcontext),
+}
+# the runs of the contract test: (initial, params, policy, max_steps, delta, stride)
+_STOPS = {
+    **{
+        name: (_FAR, _LEFT, fc(1.0), _RNG_BLOCK + extra, None, 1000)
+        for name, extra in (("block-1", -1), ("block", 0), ("block+1", 1))
+    },
+    "frozen": (make_initial(4, 0.25, 0.0), _LEFT, fc(0.5), 10_000, None, 1),
+    "extinct": (make_initial(2, 0.0, 0.0), _DYING, fc(0.5), 50, 0.1, 7),
+    "zero-rate": (make_initial(50, 0.0, 0.0), _DEAD, fc(0.5), 10, None, 1),
+}
+
+
+@pytest.mark.parametrize("generator", list(_GENERATORS))
+@pytest.mark.parametrize("stop", list(_STOPS))
+def test_a_run_leaves_its_generator_after_the_uniforms_it_used(stop, generator):
+    # a run draws one uniform per epoch and leaves its generator as a fresh
+    # one after random(used), where the block of the Python loop ends or not
+    make_gen, kernels = _GENERATORS[generator]
+    initial, params, policy, max_steps, delta, stride = _STOPS[stop]
+
+    def run(max_steps):
+        gen = make_gen(8)
+        with kernels():
+            try:
+                return gen, simulate(initial, params, policy, max_steps, delta, stride, gen)
+            except DegenerateState as exc:
+                return gen, exc
+
+    gen, result = run(max_steps)
+    if stop in ("extinct", "zero-rate"):
+        assert isinstance(result, DegenerateState)
+        # the first epoch that raises: a population dies out after its
+        # epoch's uniform, and a zero total rate stops before it
+        last = next(m for m in range(1, max_steps + 1) if isinstance(run(m)[1], DegenerateState))
+        used = last if stop == "extinct" else last - 1
+    else:
+        assert result.frozen == (stop == "frozen")
+        used = result.final.step - initial.step
+    fresh = make_gen(8)
+    fresh.random(used)
+    assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)  # MT19937's is an array
 
 
 def test_freeze_and_degenerate_cases_are_reached():
@@ -316,13 +367,13 @@ def test_chain_kernel_stops_at_full_record_arrays():
     for _ in range(3):
         rec = (np.full(5, -1, np.int64), *(np.empty(5) for _ in range(3)))
         lib.vaxgame_chain(
-            chains, 2, ctypes.byref(law), 100, 0.01, 1, _RNG_BLOCK, 2, *(a.ctypes.data for a in rec)
+            chains, 2, ctypes.byref(law), 100, 0.01, 1, 2, *(a.ctypes.data for a in rec)
         )
         assert [(c.code, c.n_rec) for c in chains] == [(_native.CHAIN_RECORDS_FULL, 2)] * 2
         assert rec[0][4] == -1  # the row past the chains' rows stays untouched
         epochs.append(rec[0][:4].tolist())
     assert epochs == [[1, 2, 1, 2], [3, 4, 3, 4], [5, 6, 5, 6]]
-    assert [(c.k, c.bi) for c in chains] == [(6, 6), (6, 6)]
+    assert [c.k for c in chains] == [6, 6]
 
 
 def test_lanes_stop_at_full_records_before_the_next_epoch():
@@ -340,9 +391,9 @@ def test_lanes_stop_at_full_records_before_the_next_epoch():
             c.inc_hi, c.inc_lo = divmod(pcg["inc"], 2**64)
         rec = (np.empty(n_chains, np.int64), *(np.empty(n_chains) for _ in range(3)))
         lib.vaxgame_chain(
-            chains, n_chains, ctypes.byref(law), 100, 0.01, 5, _RNG_BLOCK, 1, *(a.ctypes.data for a in rec)
+            chains, n_chains, ctypes.byref(law), 100, 0.01, 5, 1, *(a.ctypes.data for a in rec)
         )
-        assert [(c.code, c.k, c.n_rec, c.bi) for c in chains] == [(_native.CHAIN_RECORDS_FULL, 5, 1, 5)] * n_chains
+        assert [(c.code, c.k, c.n_rec) for c in chains] == [(_native.CHAIN_RECORDS_FULL, 5, 1)] * n_chains
         assert rec[0].tolist() == [5] * n_chains
 
 
@@ -1064,7 +1115,7 @@ def _draws(seed, sizes, radius):
     radius=st.floats(1e-6, 0.5),
 )
 @example(seed=0, sizes=[0, 1, 199, 300], radius=1e-3)
-@example(seed=7, sizes=[200_000], radius=0.1)
+@example(seed=7, sizes=[100_000, 100_000], radius=0.1)
 def test_native_draws_match_python(seed, sizes, radius):
     # _Draws extends a stream piece by piece: the pieces give the rows, bit
     # for bit, and the generator state of one call over their sum

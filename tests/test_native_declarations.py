@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,48 @@ def test_every_struct_is_declared_field_for_field():
     for name, cls in _STRUCTS.items():
         declared = [(field, _ctypes_name(kind)) for field, kind in cls._fields_]
         assert declared == structs[name], name
+
+
+class _Recorder:
+    """A stand-in library: each function ``_native._declare`` declares, as a namespace."""
+
+    def __getattr__(self, name):
+        function = SimpleNamespace()
+        setattr(self, name, function)
+        return function
+
+
+def _kind(ctype):
+    """A ctypes type as the C kind it passes: a pointer, an integer or a double."""
+    if ctype is ctypes.c_double:
+        return "double"
+    if ctype is ctypes.c_int64:
+        return "integer"
+    # a ctypes array argument is passed as the address of its first element
+    pointers = (ctypes._Pointer, ctypes.Array)
+    assert ctype is ctypes.c_void_p or issubclass(ctype, pointers), ctype
+    return "pointer"
+
+
+def _c_kind(parameter):
+    """A C parameter as the kind it passes: an array parameter is a pointer."""
+    if "*" in parameter or "[" in parameter:
+        return "pointer"
+    return {"double": "double", "int64_t": "integer"}[parameter.split()[-2]]
+
+
+def test_every_export_takes_the_declared_arguments():
+    # ctypes passes an argument past the end of argtypes on unchecked, and
+    # reads each declared one as its declaration says: an export whose C
+    # parameters differ in number or kind from its argtypes reads garbage,
+    # or crashes the process, instead of failing a test
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_native.c").read_text(), flags=re.S)
+    prototypes = re.findall(r"^(?!static)[a-z][\w ]*?\b(vaxgame_\w+)\((.*?)\)", source, re.M | re.S)
+    lib = _native._declare(_Recorder())
+    assert {name for name, _ in prototypes} == _exports()
+    for name, parameters in prototypes:
+        declared = [_kind(ctype) for ctype in getattr(lib, name).argtypes]
+        assert [_c_kind(p.strip()) for p in parameters.split(",")] == declared, name
 
 
 def _pcg64_multiplier():
