@@ -16,15 +16,12 @@
  * The kernels are transcriptions of the Python code they replace and must
  * stay bit-exact with it: every floating-point expression keeps the Python
  * operation order, and the library is built with -ffp-contract=off (no
- * fused multiply-add) and never with -ffast-math.  The sample pass sums its
- * two quadratic forms in index order, where numpy's @ may go through a BLAS
- * that fuses or reorders the products: its forms can differ in the last
- * bit, and the counts of their signs only where a form is within rounding
- * of 0.  The ODE field keeps ode.varrho's grouping of the event masses,
- * not the chain's event_edges.  The file is plain C: it includes only the
- * headers of the C library and the compiler, so gcc and libm build it, with
- * no Python or numpy headers.  vaxgame._native builds it at first use and
- * falls back to the Python code when it cannot.
+ * fused multiply-add) and never with -ffast-math.  The ODE field keeps
+ * ode.varrho's grouping of the event masses, not the chain's event_edges.
+ * The file is plain C: it includes only the headers of the C library and
+ * the compiler, so gcc and libm build it, with no Python or numpy headers.
+ * vaxgame._native builds it at first use and falls back to the Python code
+ * when it cannot.
  */
 
 #include <float.h>

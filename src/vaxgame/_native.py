@@ -41,16 +41,12 @@ and then renamed into place, because process-pool workers can race to build.
 
 The flags are ``-O2 -ffp-contract=off``: no fused multiply-add and no
 ``-ffast-math``, so that every kernel is bit-exact with the Python code it
-replaces.  The one exception is the sample pass: it sums its forms in index
-order, while numpy's ``@`` in the Python pass may go through a BLAS that
-fuses or reorders the products, so the forms can differ in the last bit and
-their sign counts only where a form is within rounding of 0.  No ``-m``
-flag targets the building CPU, so the cached library loads on any CPU of
-its kind: the chain kernel asks the CPU for AVX2 when it runs, and without
-it, or where the compiler does not target x86, runs the chains of a call
-one after another.  Where the library cannot be built or loaded (no
-compiler, an unwritable cache), :func:`library` returns None and the
-callers run their Python code, which gives the same results.
+replaces.  No ``-m`` flag targets the building CPU, so the cached library
+loads on any CPU of its kind: the chain kernel asks the CPU for AVX2 when
+it runs, and without it, or where the compiler does not target x86, runs
+the chains of a call one after another.  Where the library cannot be built
+or loaded (no compiler, an unwritable cache), :func:`library` returns None
+and the callers run their Python code, which gives the same results.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ For each vaccination family the mean-field ODE settles, depending on the
 load ratios (rho, mu) and the behaviour parameter beta, onto one of a small
 set of points:
 
-  * the no-vaccination endemic level  (1 - 1/rho, 0)          [NVDF]
+  * the no-vaccination endemic level  (1 - 1/rho_e, 0), 1 - 1/rho at d_e = 0  [NVDF]
   * a vaccinated disease-free state   (0, psi_hat)
   * a mixed interior state with both infection and vaccination
   * the co-existence point (theta_E, psi_E) reached whenever the acceptance
@@ -14,15 +14,16 @@ set of points:
 Every dispatch condition below is the exact inequality that makes the
 returned point a zero of the field with inward-pointing transverse drift;
 parameters within relative tolerance of a dispatch boundary raise
-MarginalRegime rather than silently picking a side.
+MarginalRegime rather than silently picking a side.  FC and FR, with and
+without excess deaths, walk one guard sequence: ``_row`` over the table
+``_CATALOGUE``, keyed by (family, d_e > 0).  VFC1 has guards of its own.
 
 With excess deaths (d_e > 0) the corresponding formulas are conjectural:
 they solve the field exactly but their attractor status is certified
 numerically, never assumed.  Deadly outputs are therefore flagged
 ``conjectured`` and re-verified against the field residual before being
-returned.  Note the deadly no-vaccination level is 1 - 1/rho_e, and the
-deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*; both follow from
-setting the field to zero.
+returned.  The deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*,
+which follows from setting the field to zero.
 
 Each returned point names its catalogue row in ``table_row`` (the
 ``regime_row`` column of the atlas), labelled ``<family>[-deadly]/<row>``.
@@ -70,7 +71,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -146,6 +147,18 @@ def _guard(value: float, pivot: float, what: str) -> None:
         raise MarginalRegime(f"{what}: {value!r} sits on the boundary {pivot!r}")
 
 
+def nvdf_point(params: ModelParams) -> tuple[float, float]:
+    """The no-vaccination endemic level (1 - 1/rho_e, 0), exact for d_e >= 0.
+
+    Where d_e = 0 it is (1 - 1/rho, 0) bit for bit: lam - 0.0 and (r + b) + 0.0
+    round to lam and r + b.
+    """
+    ratios = derive_ratios(params)
+    if ratios.rho <= 1.0:
+        raise RegimeMismatch("no endemic level: rho <= 1")
+    return (1.0 - 1.0 / ratios.rho_e, 0.0)
+
+
 def coexistence_point(params: ModelParams) -> tuple[float, float]:
     """The saturated-acceptance equilibrium (1 - 1/rho - 1/(mu*rho), 1/(mu*rho)).
 
@@ -207,59 +220,31 @@ def _make(
 
 
 # --------------------------------------------------------------------------
-# dispatch, non-deadly (d_e = 0)
+# rows without excess deaths (d_e = 0)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
-    """What distinguishes FC's catalogue from FR's.
-
-    ``disease_free`` maps (mu, beta) to the disease-free row's psi and the
-    operands of its clamp test ``value < pivot``.
-    """
-
-    disease_free: Callable[[float, float], tuple[float, float, float]]
-    mid_band: bool  # mu*rho <= beta < rho^2*mu has rows of its own
+def _nvdf_row(params, ratios, policy) -> tuple[float, float, str]:
+    return (*nvdf_point(params), "nvdf")
 
 
 def _fr_disease_free(mu: float, beta: float) -> tuple[float, float, float]:
     return 1.0 - math.sqrt(mu / beta), math.sqrt(mu * beta) - mu, 1.0
 
 
-_FAMILIES = {
-    Family.FC: _Family(
-        # acceptance at the candidate is beta - mu, tested as beta vs mu + 1
-        disease_free=lambda mu, beta: (1.0 - mu / beta, beta, mu + 1.0),
-        mid_band=False,
-    ),
-    Family.FR: _Family(disease_free=_fr_disease_free, mid_band=True),
-}
+def _fr_band_row(params, ratios, policy) -> tuple[float, float, str]:
+    """FR's candidate with infection and vaccination co-existing, clamp off."""
+    rho, mu, beta = ratios.rho, ratios.mu, policy.beta
+    q_int = mu * rho - (mu * rho) ** 2 / beta
+    _guard(q_int, 1.0, "interior acceptance vs clamp")
+    if q_int < 1.0:
+        return mu * rho / beta - 1.0 / rho, 1.0 - mu * rho / beta, "interior"
+    return (*coexistence_point(params), "coexistence")
 
 
-def _row(spec: _Family, params, rho, mu, beta) -> tuple[float, float, str]:
-    """Non-deadly (theta, psi, row) of an FC or FR policy under its family's entry."""
-    if rho > 1.0:
-        _guard(beta, mu * rho, "beta vs mu*rho")
-        if beta < mu * rho:
-            return 1.0 - 1.0 / rho, 0.0, "nvdf"
-        if spec.mid_band:
-            _guard(beta, rho * rho * mu, "beta vs rho^2*mu")
-            if beta < rho * rho * mu:
-                # candidate with infection and vaccination co-existing, clamp off
-                q_int = mu * rho - (mu * rho) ** 2 / beta
-                _guard(q_int, 1.0, "interior acceptance vs clamp")
-                if q_int < 1.0:
-                    return mu * rho / beta - 1.0 / rho, 1.0 - mu * rho / beta, "interior"
-                return (*coexistence_point(params), "coexistence")
-    else:
-        _guard(beta, mu, "beta vs mu")
-        if beta < mu:
-            return 0.0, 0.0, "origin"
-    psi, value, pivot = spec.disease_free(mu, beta)
-    _guard(value, pivot, "disease-free acceptance vs clamp")
-    if value < pivot:
-        return 0.0, psi, "disease-free"
+def _saturated(params, ratios) -> tuple[float, float, str]:
+    """Pick between the saturated disease-free point and the co-existence point."""
+    rho, mu = ratios.rho, ratios.mu
     _guard(mu * rho, mu + 1.0, "mu*rho vs mu+1")
     if mu * rho < mu + 1.0:
         return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
@@ -273,18 +258,19 @@ def _vfc1_row(params, rho, mu, beta) -> tuple[float, float, str, bool]:
         return 0.0, 0.0, "origin", True
     pivot = mu * rho * rho / (rho - 1.0)
     _guard(beta, pivot, "beta vs mu*rho^2/(rho-1)")
+    level, _ = nvdf_point(params)
     if beta < pivot:
-        return 1.0 - 1.0 / rho, 0.0, "nvdf", True
+        return level, 0.0, "nvdf", True
     q_int = mu * rho - mu - (mu * rho) ** 2 / beta
     _guard(q_int, 1.0, "interior acceptance vs clamp")
     if q_int < 1.0:
         proven = beta <= 2.0 * mu * rho * rho
-        return mu * rho / beta, 1.0 - 1.0 / rho - mu * rho / beta, "interior", proven
+        return mu * rho / beta, level - mu * rho / beta, "interior", proven
     return (*coexistence_point(params), "coexistence", True)
 
 
 # --------------------------------------------------------------------------
-# dispatch, deadly (d_e > 0) -- conjectural, always residual-verified
+# rows with excess deaths (d_e > 0) -- conjectural, always residual-verified
 # --------------------------------------------------------------------------
 
 
@@ -365,33 +351,6 @@ def _deadly_fr_interior_point(
     raise RegimeMismatch("no admissible root of the deadly interior quadratic")
 
 
-@dataclass(frozen=True)
-class _DeadlyFamily(_Family):
-    """A family's deadly catalogue: its :class:`_Family` entry and interior point.
-
-    The interior row's clamp test reads the row policy's
-    :func:`policy.propensity_fn`, which is bare and unchecked: an interior
-    point off the simplex must reach ``_make`` and its RegimeMismatch, not
-    the DomainError of :func:`policy.propensity`.
-    """
-
-    interior_point: Callable[[ModelParams, Ratios, float], tuple[float, float]]
-
-
-_DEADLY_FAMILIES = {
-    Family.FC: _DeadlyFamily(
-        disease_free=lambda mu, beta: (1.0 - mu / beta, beta - mu, 1.0),
-        mid_band=False,
-        interior_point=_deadly_fc_interior_point,
-    ),
-    Family.FR: _DeadlyFamily(
-        disease_free=_fr_disease_free,
-        mid_band=True,
-        interior_point=_deadly_fr_interior_point,
-    ),
-}
-
-
 def _deadly_saturated(params, ratios) -> tuple[float, float, str]:
     """Pick between the saturated disease-free point and the deadly coexistence."""
     theta, psi = deadly_coexistence_exact(params)
@@ -403,8 +362,13 @@ def _deadly_saturated(params, ratios) -> tuple[float, float, str]:
     return 0.0, 1.0 / (mu + 1.0), "disease-free-saturated"
 
 
-def _deadly_interior_row(spec, params, ratios, policy) -> tuple[float, float, str]:
-    theta, psi = spec.interior_point(params, ratios, policy.beta)
+def _deadly_interior_row(interior_point, params, ratios, policy) -> tuple[float, float, str]:
+    """The deadly interior point, or the saturated row past its clamp.
+
+    The clamp test reads the bare :func:`policy.propensity_fn`: a point off the
+    simplex must reach ``_make``'s RegimeMismatch, not a DomainError.
+    """
+    theta, psi = interior_point(params, ratios, policy.beta)
     q_tilde = propensity_fn(policy)(theta, psi)
     _guard(q_tilde, 1.0, "deadly interior acceptance vs clamp")
     if q_tilde < 1.0:
@@ -412,35 +376,63 @@ def _deadly_interior_row(spec, params, ratios, policy) -> tuple[float, float, st
     return _deadly_saturated(params, ratios)
 
 
-def _deadly_row(spec, params, ratios, policy) -> tuple[float, float, str]:
-    """Deadly (theta, psi, row) of the row policy under its family's entry."""
+def _deadly_endemic_row(interior_point, params, ratios, policy) -> tuple[float, float, str]:
+    """The deadly no-vaccination level where it is stable, else the interior row."""
+    margin = _nvdf_deadly_stable(params, ratios, policy.beta)
+    _guard(margin, 0.0, "deadly nvdf transverse margin")
+    if margin > 0.0:
+        return _nvdf_row(params, ratios, policy)
+    return _deadly_interior_row(interior_point, params, ratios, policy)
+
+
+# --------------------------------------------------------------------------
+# dispatch and public entry points
+# --------------------------------------------------------------------------
+
+
+#: (disease_free, endemic, band, saturated) of each (family, d_e > 0), walked by
+#: :func:`_row`.  ``disease_free`` maps (mu, beta) to the disease-free row's psi
+#: and the operands of its clamp test ``value < pivot``; the rows give (theta,
+#: psi, row) below beta = mu*rho, in mu*rho <= beta < rho^2*mu (None: no rows
+#: of its own) and past the disease-free clamp.
+_CATALOGUE = {
+    # FC's acceptance at its disease-free candidate is beta - mu, tested as beta vs mu + 1
+    (Family.FC, False): (
+        lambda mu, beta: (1.0 - mu / beta, beta, mu + 1.0), _nvdf_row, None, _saturated
+    ),
+    (Family.FR, False): (_fr_disease_free, _nvdf_row, _fr_band_row, _saturated),
+    (Family.FC, True): (
+        lambda mu, beta: (1.0 - mu / beta, beta - mu, 1.0),
+        partial(_deadly_endemic_row, _deadly_fc_interior_point), None, _deadly_saturated,
+    ),
+    (Family.FR, True): (
+        _fr_disease_free, partial(_deadly_endemic_row, _deadly_fr_interior_point),
+        partial(_deadly_interior_row, _deadly_fr_interior_point), _deadly_saturated,
+    ),
+}
+
+
+def _row(entry, params, ratios, policy) -> tuple[float, float, str]:
+    """(theta, psi, row) of an FC or FR policy under its :data:`_CATALOGUE` entry."""
+    disease_free, endemic, band, saturated = entry
     rho, mu, beta = ratios.rho, ratios.mu, policy.beta
     if rho > 1.0:
         _guard(beta, mu * rho, "beta vs mu*rho")
         if beta < mu * rho:
-            margin = _nvdf_deadly_stable(params, ratios, beta)
-            _guard(margin, 0.0, "deadly nvdf transverse margin")
-            if margin > 0.0:
-                return 1.0 - 1.0 / ratios.rho_e, 0.0, "nvdf"
-            return _deadly_interior_row(spec, params, ratios, policy)
-        if spec.mid_band:
+            return endemic(params, ratios, policy)
+        if band is not None:
             _guard(beta, rho * rho * mu, "beta vs rho^2*mu")
             if beta < rho * rho * mu:
-                return _deadly_interior_row(spec, params, ratios, policy)
+                return band(params, ratios, policy)
     else:
         _guard(beta, mu, "beta vs mu")
         if beta < mu:
             return 0.0, 0.0, "origin"
-    psi, value, pivot = spec.disease_free(mu, beta)
+    psi, value, pivot = disease_free(mu, beta)
     _guard(value, pivot, "disease-free acceptance vs clamp")
     if value < pivot:
         return 0.0, psi, "disease-free"
-    return _deadly_saturated(params, ratios)
-
-
-# --------------------------------------------------------------------------
-# public entry points
-# --------------------------------------------------------------------------
+    return saturated(params, ratios)
 
 
 def closed_form(params: ModelParams, policy: Policy) -> Attractor:
@@ -462,16 +454,14 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
     if fam not in (Family.FC, Family.FR, Family.VFC1):
         raise RegimeMismatch(f"no closed-form catalogue for family {fam}")
     deadly = params.d_e > 0.0
+    if fam is Family.VFC1 and deadly:
+        raise RegimeMismatch("deadly catalogue covers FC and FR families only")
     proven = True
     try:  # admissible rates at the ends of the double range can divide by 0 or overflow
-        if deadly:
-            if fam not in _DEADLY_FAMILIES:
-                raise RegimeMismatch("deadly catalogue covers FC and FR families only")
-            theta, psi, row = _deadly_row(_DEADLY_FAMILIES[fam], params, ratios, policy)
-        elif fam is Family.VFC1:
+        if fam is Family.VFC1:
             theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, policy.beta)
         else:
-            theta, psi, row = _row(_FAMILIES[fam], params, ratios.rho, ratios.mu, policy.beta)
+            theta, psi, row = _row(_CATALOGUE[fam, deadly], params, ratios, policy)
         label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
         attr = _make(theta, psi, params, row, label, conjectured=deadly, proven=proven)
         if deadly:
@@ -816,11 +806,11 @@ def _numpy_tally(params, policy, x_hat, p_form):
                 (x[:, 0] >= 0.0) & (x[:, 1] >= 0.0) & (x[:, 0] + x[:, 1] <= 1.0) & (x[:, 2] > 0.0)
             )
         x = x[np.flatnonzero(feasible)[:missing]]
-        z = x - x_hat
-        gx = g_rows(x)
-        # per row the same matrix-vector product and dot as z @ (p_form @ gx)
-        lyap = (z[:, None, :] @ (p_form @ gx[:, :, None]))[:, 0, 0]
-        eucl = (z[:, None, :] @ gx[:, :, None])[:, 0, 0]
+        z, g = (x - x_hat).T, g_rows(x).T
+        # each sum elementwise in index order, as the C pass forms it, not by a BLAS
+        pg = [p_form[j, 0] * g[0] + p_form[j, 1] * g[1] + p_form[j, 2] * g[2] for j in range(3)]
+        lyap = z[0] * pg[0] + z[1] * pg[1] + z[2] * pg[2]
+        eucl = z[0] * g[0] + z[1] * g[1] + z[2] * g[2]
         side = [q_tilde(theta, psi) > 1.0 for theta, psi, _ in x.tolist()]
         crossed = 0 if gamma is None else (x[:, 0] > gamma) != (x_hat[0] > gamma)
         return [

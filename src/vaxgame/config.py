@@ -53,9 +53,9 @@ Accepted keys; any other key, or any other section, is a ConfigError:
                   beta and gamma only where the policy, or a MUTANT's
                   base, reads them), values (required)
     [mc]          n0, max_steps, replications, seed, stride, tail_fraction
-                  (n0 and stride must fit in 64 bits, max_steps must lie
-                  below 2**53; the monte_carlo layer records an n0 whose
-                  N(0) + max_steps reaches 2**53 as its error)
+                  (n0 and stride must fit in 64 bits; max_steps and
+                  n0 + max_steps, max_steps 50 * n0 by default, must lie
+                  below 2**53)
     [ode]         horizon, rtol, atol, eta0 (eta0 > 0; the ode layer
                   records any other start eta as its error)
 
@@ -363,6 +363,11 @@ def _load_experiment(path: Path) -> Experiment:
         for value in sweep.values:  # every point must be admissible, like the base values
             apply_sweep(params, policy, variable, value)
 
+    mc = McSettings(**_parse_keys(parser, "mc", _MC_KEYS))
+    if mc.n0 + mc.resolved_max_steps >= _EXACT:  # the chain's counts are doubles
+        raise ConfigError(
+            f"[mc] n0 + max_steps = {mc.n0 + mc.resolved_max_steps} is not below 2**53"
+        )
     return Experiment(
         id=exp_id,
         params=params,
@@ -370,7 +375,7 @@ def _load_experiment(path: Path) -> Experiment:
         costs=costs,
         sweep=sweep,
         layers=frozenset(layers),
-        mc=McSettings(**_parse_keys(parser, "mc", _MC_KEYS)),
+        mc=mc,
         ode=OdeSettings(**_parse_keys(parser, "ode", _ODE_KEYS)),
         **_parse_keys(parser, "experiment", _START_KEYS),
         output_dir=Path(exp_section.get("output_dir", "out")),

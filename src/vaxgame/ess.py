@@ -47,7 +47,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .attractor import REGIME_TOL, _eta_at, coexistence_point, deadly_coexistence_exact
+from .attractor import (
+    REGIME_TOL, _eta_at, coexistence_point, deadly_coexistence_exact, nvdf_point
+)
 from .errors import EquilibriumNotFound, InvalidParams, RegimeMismatch
 from .ode import OdeState, find_equilibrium
 from .params import ModelParams, Ratios, derive_ratios
@@ -119,14 +121,6 @@ def utility(
     """Anticipated cost of vaccinating with probability q at equilibrium."""
     vaccination, infection = _anticipated_costs(theta_hat, psi_hat, params, costs)
     return q * vaccination + (1.0 - q) * infection
-
-
-def nvdf_point(params: ModelParams) -> tuple[float, float]:
-    """No-vaccination endemic level; uses rho_e so the deadly case is exact."""
-    ratios = derive_ratios(params)
-    if ratios.rho <= 1.0:
-        raise RegimeMismatch("no endemic level: rho <= 1")
-    return (1.0 - 1.0 / ratios.rho_e, 0.0)
 
 
 def h_m(params: ModelParams, costs: CostParams) -> float:
