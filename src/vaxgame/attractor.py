@@ -4,19 +4,26 @@ For each vaccination family the mean-field ODE settles, depending on the
 load ratios (rho, mu) and the behaviour parameter beta, onto one of a small
 set of points:
 
-  * the no-vaccination endemic level  (1 - 1/rho_e, 0), 1 - 1/rho at d_e = 0  [NVDF]
+  * the no-vaccination endemic level  (1 - 1/rho_e, 0)  [NVDF]
   * a vaccinated disease-free state   (0, psi_hat)
   * a mixed interior state with both infection and vaccination
   * the co-existence point (theta_E, psi_E) reached whenever the acceptance
     probability saturates at 1
   * the origin (0, 0) when the disease is self-eradicating.
 
+The no-vaccination level has one definition, :attr:`Ratios.nvdf_level`
+(1 - 1/rho_e, which is 1 - 1/rho bit for bit at d_e = 0); every row, the
+co-existence points, the VFC2 reachability test here and in
+:func:`vaxgame.ode.find_equilibrium`, and :mod:`vaxgame.ess` read it.
+
 Every dispatch condition below is the exact inequality that makes the
 returned point a zero of the field with inward-pointing transverse drift;
 parameters within relative tolerance of a dispatch boundary raise
-MarginalRegime rather than silently picking a side.  FC and FR, with and
-without excess deaths, walk one guard sequence: ``_row`` over the table
-``_CATALOGUE``, keyed by (family, d_e > 0).  VFC1 has guards of its own.
+MarginalRegime rather than silently picking a side.  That tolerance is
+applied in one place, :func:`_near`, which ``_guard`` here and the ESS
+verdict's Marginal cases read.  FC and FR, with and without excess deaths,
+walk one guard sequence: ``_row`` over the table ``_CATALOGUE``, keyed by
+(family, d_e > 0).  VFC1 has guards of its own.
 
 With excess deaths (d_e > 0) the corresponding formulas are conjectural:
 they solve the field exactly but their attractor status is certified
@@ -24,6 +31,10 @@ numerically, never assumed.  Deadly outputs are therefore flagged
 ``conjectured`` and re-verified against the field residual before being
 returned.  The deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*,
 which follows from setting the field to zero.
+
+The threshold-vigilant family (VFC2) has no point attractor: its limit
+set circles the sliding-mode point on theta = Gamma, which
+:func:`vfc2_limit_set` gives for every d_e >= 0.
 
 Each returned point names its catalogue row in ``table_row`` (the
 ``regime_row`` column of the atlas), labelled ``<family>[-deadly]/<row>``.
@@ -137,46 +148,49 @@ def _eta_at(theta: float, psi: float, params: ModelParams) -> float:
     return (params.b - params.d - params.d_e * theta) / varrho(theta, psi, params)
 
 
-def _guard(value: float, pivot: float, what: str) -> None:
-    """Raise MarginalRegime when ``value`` is within REGIME_TOL (relative) of ``pivot``."""
+def _near(value: float, pivot: float) -> bool:
+    """Whether ``value`` is within REGIME_TOL (relative) of ``pivot``: on a regime boundary."""
     if math.isinf(value) or math.isinf(pivot):
-        near = value == pivot
-    else:
-        near = abs(value - pivot) <= REGIME_TOL * max(1.0, abs(value), abs(pivot))
-    if near:
+        return value == pivot
+    return abs(value - pivot) <= REGIME_TOL * max(1.0, abs(value), abs(pivot))
+
+
+def _guard(value: float, pivot: float, what: str) -> None:
+    """Raise MarginalRegime when ``value`` is :func:`_near` ``pivot``."""
+    if _near(value, pivot):
         raise MarginalRegime(f"{what}: {value!r} sits on the boundary {pivot!r}")
 
 
 def nvdf_point(params: ModelParams) -> tuple[float, float]:
-    """The no-vaccination endemic level (1 - 1/rho_e, 0), exact for d_e >= 0.
-
-    Where d_e = 0 it is (1 - 1/rho, 0) bit for bit: lam - 0.0 and (r + b) + 0.0
-    round to lam and r + b.
-    """
+    """The no-vaccination endemic level (:attr:`Ratios.nvdf_level`, 0)."""
     ratios = derive_ratios(params)
     if ratios.rho <= 1.0:
         raise RegimeMismatch("no endemic level: rho <= 1")
-    return (1.0 - 1.0 / ratios.rho_e, 0.0)
+    return (ratios.nvdf_level, 0.0)
 
 
 def coexistence_point(params: ModelParams) -> tuple[float, float]:
-    """The saturated-acceptance equilibrium (1 - 1/rho - 1/(mu*rho), 1/(mu*rho)).
+    """The saturated-acceptance equilibrium (1 - 1/rho - 1/(mu*rho), 1/(mu*rho)), d_e = 0.
 
     Exists (theta_E > 0) iff mu*rho > mu + 1.  With nu = 0 the point
     degenerates continuously to the no-vaccination level (1 - 1/rho, 0).
+    Raises RegimeMismatch where d_e > 0: the point is no zero of the field
+    there, and :func:`deadly_coexistence_exact` takes its place.
     """
+    if params.d_e > 0.0:
+        raise RegimeMismatch("requires d_e = 0")
     ratios = derive_ratios(params)
     rho, mu = ratios.rho, ratios.mu
     if math.isinf(mu):
         if rho <= 1.0:
             raise NoCoexistence("rho <= 1 with no vaccination available")
-        return (1.0 - 1.0 / rho, 0.0)
+        return (ratios.nvdf_level, 0.0)
     if mu * rho <= mu + 1.0:
         raise NoCoexistence(
             f"mu*rho = {mu * rho!r} <= mu+1 = {mu + 1.0!r}: theta_E would not be positive"
         )
     psi_e = 1.0 / (mu * rho)
-    theta_e = 1.0 - 1.0 / rho - psi_e
+    theta_e = ratios.nvdf_level - psi_e
     return (theta_e, psi_e)
 
 
@@ -225,7 +239,7 @@ def _make(
 
 
 def _nvdf_row(params, ratios, policy) -> tuple[float, float, str]:
-    return (*nvdf_point(params), "nvdf")
+    return ratios.nvdf_level, 0.0, "nvdf"
 
 
 def _fr_disease_free(mu: float, beta: float) -> tuple[float, float, float]:
@@ -251,14 +265,15 @@ def _saturated(params, ratios) -> tuple[float, float, str]:
     return (*coexistence_point(params), "coexistence")
 
 
-def _vfc1_row(params, rho, mu, beta) -> tuple[float, float, str, bool]:
+def _vfc1_row(params, ratios, beta) -> tuple[float, float, str, bool]:
     """Non-deadly (theta, psi, row, proven) of a VFC1 policy."""
+    rho, mu = ratios.rho, ratios.mu
     if rho <= 1.0:
         # vigilance needs infection; the origin absorbs for every beta
         return 0.0, 0.0, "origin", True
     pivot = mu * rho * rho / (rho - 1.0)
     _guard(beta, pivot, "beta vs mu*rho^2/(rho-1)")
-    level, _ = nvdf_point(params)
+    level = ratios.nvdf_level
     if beta < pivot:
         return level, 0.0, "nvdf", True
     q_int = mu * rho - mu - (mu * rho) ** 2 / beta
@@ -310,8 +325,7 @@ def deadly_coexistence_exact(params: ModelParams) -> tuple[float, float]:
     # a square plus a product of non-negative rates: never negative
     disc = b_coef * b_coef + 4.0 * p.lam * p.d_e * p.nu * (p.r + p.b)
     psi = (-b_coef + math.sqrt(disc)) / (2.0 * p.lam * p.d_e)
-    rho_e = derive_ratios(p).rho_e
-    theta = 1.0 - 1.0 / rho_e - p.lam * psi / (p.lam - p.d_e)
+    theta = derive_ratios(p).nvdf_level - p.lam * psi / (p.lam - p.d_e)
     return (theta, psi)
 
 
@@ -345,7 +359,7 @@ def _deadly_fr_interior_point(
     p = params
     for x in (x_lo, x_hi):
         psi = 1.0 - x
-        theta = 1.0 - 1.0 / ratios.rho_e - p.lam * psi / (p.lam - p.d_e)
+        theta = ratios.nvdf_level - p.lam * psi / (p.lam - p.d_e)
         if 0.0 < psi < 1.0 and 0.0 < theta and theta + psi < 1.0:
             return theta, psi
     raise RegimeMismatch("no admissible root of the deadly interior quadratic")
@@ -459,7 +473,7 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
     proven = True
     try:  # admissible rates at the ends of the double range can divide by 0 or overflow
         if fam is Family.VFC1:
-            theta, psi, row, proven = _vfc1_row(params, ratios.rho, ratios.mu, policy.beta)
+            theta, psi, row, proven = _vfc1_row(params, ratios, policy.beta)
         else:
             theta, psi, row = _row(_CATALOGUE[fam, deadly], params, ratios, policy)
         label = f"{fam.value.lower()}{'-deadly' if deadly else ''}/{row}"
@@ -475,7 +489,11 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
 
 @dataclass(frozen=True)
 class Vfc2Prediction:
-    """Predicted oscillation centre of the threshold-vigilant limit set."""
+    """Predicted oscillation centre of the threshold-vigilant limit set.
+
+    The centre is the sliding-mode point on theta = Gamma (see
+    :func:`vfc2_limit_set`); ``degenerate_fc`` marks Gamma = 0.
+    """
 
     center_theta: float
     center_psi: float
@@ -483,24 +501,32 @@ class Vfc2Prediction:
 
 
 def vfc2_limit_set(params: ModelParams, gamma: float) -> Vfc2Prediction:
-    """Centre (Gamma, 1 - 1/rho - Gamma): the susceptible share pins at 1/rho.
+    """Centre (Gamma, psi) of the threshold-vigilant limit set, exact for d_e >= 0.
 
-    The band width around the centre is an observable of the simulation,
-    not a prediction.  Gamma at or above the no-vaccination endemic level
-    leaves the threshold unreachable.
+    The orbit slides along theta = Gamma (Filippov's sliding mode), where
+    g_theta of :mod:`vaxgame.ode` vanishes: phi*lam - r - d_e - (b - d_e*Gamma)
+    = 0 gives the susceptible share phi = (r + b + d_e*(1 - Gamma))/lam, so
+
+        psi = 1 - Gamma - phi = 1 - 1/rho - Gamma + d_e*Gamma/lam.
+
+    Both VFC2 variants share that sliding condition and so the centre.  At
+    d_e = 0 the last term is +0.0 and psi is 1 - 1/rho - Gamma bit for bit.
+    Up to rounding, psi > 0 exactly when Gamma < :attr:`Ratios.nvdf_level`,
+    the no-vaccination endemic level: a threshold is reachable where rho > 1
+    and Gamma is below that level, the rule
+    :func:`vaxgame.ode.find_equilibrium` reads too, and RegimeMismatch is
+    raised elsewhere.  The band width around the centre is an observable of
+    the simulation, not a prediction.
     """
     ratios = derive_ratios(params)
-    rho = ratios.rho
-    if rho <= 1.0:
+    if ratios.rho <= 1.0:
         raise RegimeMismatch("limit set requires an endemic load factor")
-    nvdf = 1.0 - 1.0 / rho
-    if gamma >= nvdf:
+    if gamma >= ratios.nvdf_level:
         raise RegimeMismatch(
-            f"threshold {gamma!r} is unreachable: no-vaccination level is {nvdf!r}"
+            f"threshold {gamma!r} is unreachable: no-vaccination level is {ratios.nvdf_level!r}"
         )
-    if gamma == 0.0:
-        return Vfc2Prediction(center_theta=0.0, center_psi=nvdf, degenerate_fc=True)
-    return Vfc2Prediction(center_theta=gamma, center_psi=nvdf - gamma)
+    psi = 1.0 - 1.0 / ratios.rho - gamma + params.d_e * gamma / params.lam
+    return Vfc2Prediction(center_theta=gamma, center_psi=psi, degenerate_fc=gamma == 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,9 @@ at its own equilibrium is the unique static best response there, and stays
 so under small static-mutant invasions.
 
 :func:`classify_ess` walks one case split and stops at the first case that
-applies; a quantity within tolerance of its boundary makes the verdict
-Marginal.  The no-vaccination level is (1 - 1/rho_e, 0), exact for d_e >= 0.
+applies; a quantity within tolerance of its boundary (the catalogue's own
+test, :func:`vaxgame.attractor._near`) makes the verdict Marginal.  The
+no-vaccination level is (1 - 1/rho_e, 0), :attr:`Ratios.nvdf_level`.
 
   1. rho vs 1.  Below 1 the disease eradicates itself and the origin is a
      non-vaccinating ESS for every policy.
@@ -47,9 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .attractor import (
-    REGIME_TOL, _eta_at, coexistence_point, deadly_coexistence_exact, nvdf_point
-)
+from .attractor import _eta_at, _near, coexistence_point, deadly_coexistence_exact, nvdf_point
 from .errors import EquilibriumNotFound, InvalidParams, RegimeMismatch
 from .ode import OdeState, find_equilibrium
 from .params import ModelParams, Ratios, derive_ratios
@@ -191,7 +190,7 @@ def _saturated_case(
     if params.d_e > 0.0:
         eq = deadly_es_equilibrium(params, costs)
         theta_e, psi_e = eq.theta_exact, eq.psi_exact
-        if abs(theta_e) <= REGIME_TOL:
+        if _near(theta_e, 0.0):
             detail = "deadly saturated equilibrium on the theta = 0 boundary"
             return VerdictKind.MARGINAL, (theta_e, psi_e), math.nan, detail
         if eq.no_ess or theta_e < 0.0:
@@ -199,10 +198,9 @@ def _saturated_case(
             return VerdictKind.NO_ESS, nvdf, hm, detail
         h_e = eq.h_exact
     else:
-        band = REGIME_TOL * (mu + 1.0)
-        if abs(mu * ratios.rho - (mu + 1.0)) <= band:
+        if _near(mu * ratios.rho, mu + 1.0):
             return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
-        if mu * ratios.rho <= mu + 1.0 + band:
+        if mu * ratios.rho < mu + 1.0:
             return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
         theta_e, psi_e = coexistence_point(params)
         h_e = h_value(theta_e, psi_e, params, costs)
@@ -243,14 +241,14 @@ def classify_ess(
         raise RegimeMismatch(f"ESS classification covers FC/FR/VFC1, got {family}")
     ratios = derive_ratios(params)
     hm = None
-    if abs(ratios.rho - 1.0) <= REGIME_TOL:
+    if _near(ratios.rho, 1.0):
         case = VerdictKind.MARGINAL, (0.0, 0.0), math.nan, "rho on the endemic boundary"
     elif ratios.rho < 1.0:
         detail = "self-eradicating disease; origin is stable for every policy"
         h0 = h_value(0.0, 0.0, params, costs)
         case = VerdictKind.NON_VACCINATING_ESS, (0.0, 0.0), h0, detail
     else:
-        nvdf = nvdf_point(params)
+        nvdf = (ratios.nvdf_level, 0.0)
         hm = h_value(*nvdf, params, costs)
         case = _endemic_case(params, ratios, costs, nvdf, hm)
     kind, point, h, detail = case
@@ -297,7 +295,7 @@ def deadly_es_equilibrium(params: ModelParams, costs: CostParams) -> DeadlyEsEqu
     mu, rho_e = ratios.mu, ratios.rho_e
     correction = p.d_e * (p.r + p.d_e - p.lam - p.nu) / (mu * p.lam * p.nu)
     o_factor = 1.0 / (1.0 + correction)
-    theta_approx = 1.0 - 1.0 / rho_e - o_factor / (mu * rho_e)
+    theta_approx = ratios.nvdf_level - o_factor / (mu * rho_e)
     psi_approx = (o_factor / (mu * rho_e)) * (p.lam - p.d_e) / p.lam
     no_ess = mu + o_factor >= mu * rho_e
 

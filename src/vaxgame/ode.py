@@ -832,14 +832,16 @@ def find_equilibrium(
     that is not positive, and DomainError for guess fractions more than
     rounding level (1e-9) outside the simplex, as :func:`integrate` does for
     its start.  Raises IndicatorNonstationary for a threshold-vigilant
-    policy whose threshold is dynamically reachable (Gamma below the
-    no-vaccination endemic level): the limit object there is a switching
-    limit set around the threshold, not a zero of either one-sided field.
+    policy whose threshold is dynamically reachable (rho > 1 and Gamma
+    below the no-vaccination endemic level :attr:`Ratios.nvdf_level`, the
+    rule of :func:`vaxgame.attractor.vfc2_limit_set`): the limit object
+    there is a switching limit set around the threshold, not a zero of
+    either one-sided field.
     """
     _require_state("guess", guess)
     if policy.family is Family.VFC2:
-        rho = derive_ratios(params).rho
-        if rho > 1.0 and policy.gamma < 1.0 - 1.0 / rho:
+        ratios = derive_ratios(params)
+        if ratios.rho > 1.0 and policy.gamma < ratios.nvdf_level:
             raise IndicatorNonstationary(
                 "threshold policy with reachable Gamma has no fixed point"
             )

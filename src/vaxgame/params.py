@@ -73,12 +73,23 @@ def validate(params: ModelParams) -> None:
 class Ratios:
     """Dimensionless load ratios derived from :class:`ModelParams`.
 
-    ``mu`` is ``inf`` when ``nu = 0``.
+    ``mu`` is ``inf`` when ``nu = 0``.  :attr:`nvdf_level` is the one
+    definition of the no-vaccination endemic level that every layer reads.
     """
 
     rho: float
     mu: float
     rho_e: float
+
+    @property
+    def nvdf_level(self) -> float:
+        """theta of the no-vaccination endemic level (1 - 1/rho_e, 0), exact for d_e >= 0.
+
+        Where d_e = 0 it is 1 - 1/rho bit for bit: lam - 0.0 and (r + b) + 0.0
+        round to lam and r + b, so rho_e and rho are the same double.  It is
+        positive exactly where rho > 1, up to rounding.
+        """
+        return 1.0 - 1.0 / self.rho_e
 
 
 def derive_ratios(params: ModelParams) -> Ratios:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rowgen import PARAMS, POLICIES, ROW_SAMPLERS
@@ -18,6 +18,7 @@ from vaxgame import (
     AttractorKind,
     Family,
     ModelParams,
+    OdeState,
     Policy,
     certify_stability,
     closed_form,
@@ -25,6 +26,7 @@ from vaxgame import (
     deadly_coexistence_exact,
     fc,
     fr,
+    integrate,
     mutant,
     static,
     verify_attractor,
@@ -123,6 +125,12 @@ def _deadly(lam):
     return ModelParams(lam=lam, r=0.5, nu=2.0, b=1.0, d=0.1, d_e=0.5)
 
 
+_WINDOW_EDGE = ModelParams(
+    lam=7.556402457320558, r=2.1423884508336077, nu=0.3598932457614841,
+    b=2.7790762692348485, d=0.5488167116373418, d_e=1.768571188069958,
+)
+
+
 @pytest.mark.parametrize(
     "params,policy,message",
     [
@@ -152,9 +160,15 @@ def _deadly(lam):
         (_deadly(8.0), fr(4.017246485591669),
          "deadly interior acceptance vs clamp: 0.9999999999999999 sits on the boundary 1.0"),
         # past the clamp at mu*rho = mu + 1 the deadly theta_E is 0 as well,
-        # and its guard comes first: the deadly "mu*rho vs mu+1" is not reached
+        # and its guard comes first
         (_deadly(6.0), fc(3.0), "deadly coexistence theta_E vs 0: 0.0 sits on the boundary 0.0"),
         (_deadly(6.0), fr(20.0), "deadly coexistence theta_E vs 0: 0.0 sits on the boundary 0.0"),
+        # just outside the theta_E window (theta_E = -1.17e-9) the deadly
+        # "mu*rho vs mu+1" is reached, and mu*rho is still within its own window
+        (_WINDOW_EDGE, fc(21.44389232347886),
+         "mu*rho vs mu+1: 8.721946157596506 sits on the boundary 8.721946165882354"),
+        (_WINDOW_EDGE, fr(21.44389232347886),
+         "mu*rho vs mu+1: 8.721946157596506 sits on the boundary 8.721946165882354"),
     ],
 )
 def test_every_catalogue_guard_raises(params, policy, message):
@@ -214,6 +228,14 @@ def test_coexistence_no_vaccine_limit():
     theta_e, psi_e = coexistence_point(params)
     assert psi_e == 0.0
     assert theta_e == pytest.approx(1.0 - 1.5 / 4.0)
+
+
+@pytest.mark.parametrize("nu", [2.0, 0.0])
+def test_coexistence_point_requires_no_excess_deaths(nu):
+    # its formula is no zero of the deadly field; deadly_coexistence_exact is
+    params = ModelParams(lam=8.0, r=0.5, nu=nu, b=1.0, d=0.1, d_e=0.5)
+    with pytest.raises(RegimeMismatch, match="requires d_e = 0"):
+        coexistence_point(params)
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +379,45 @@ def test_vfc2_limit_set_degenerate_gamma():
     assert pred.degenerate_fc
 
 
+@pytest.mark.parametrize("d_e,psi", [(0.1, 0.28), (0.3, 0.24)])
+def test_vfc2_centre_with_excess_deaths_is_where_the_ode_slides(d_e, psi):
+    # g_theta = 0 on theta = Gamma: psi = 1 - 1/rho - Gamma + d_e*Gamma/lam;
+    # without the last term the centre would read 0.275 and 0.225
+    params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.5, d_e=d_e)
+    pred = vfc2_limit_set(params, 0.2)
+    assert (pred.center_theta, pred.center_psi) == pytest.approx((0.2, psi), abs=1e-15)
+    path = integrate(
+        OdeState(0.3, 0.1, 1.0), params, vfc2(6.0, 0.2), horizon=50.0,
+        rtol=1e-9, atol=1e-11, stop_at_equilibrium=False,
+    )
+    t = path.t
+    tail = t >= 0.5 * (t[0] + t[-1])
+    tail_psi = np.trapezoid(path.states[tail, 1], t[tail]) / (t[-1] - t[tail][0])
+    assert tail_psi == pytest.approx(psi, abs=1e-3)
+
+
+def test_vfc2_threshold_below_the_deadly_level_is_reachable():
+    # 1 - 1/rho = 0.75 but the no-vaccination level 1 - 1/rho_e is 0.8
+    params = ModelParams(lam=8.0, r=0.5, nu=2.0, b=1.0, d=0.1, d_e=0.5)
+    pred = vfc2_limit_set(params, 0.77)
+    assert (pred.center_theta, pred.center_psi) == pytest.approx((0.77, 0.028125), abs=1e-15)
+    with pytest.raises(RegimeMismatch, match="no-vaccination level is 0.8$"):
+        vfc2_limit_set(params, 0.8)
+
+
+@given(params=PARAMS, share=st.floats(0.0, 1.0, exclude_max=True))
+@example(params=ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.5), share=0.0)
+def test_vfc2_centre_without_excess_deaths_keeps_its_bits(params, share):
+    params = ModelParams(lam=params.lam, r=params.r, nu=params.nu, b=params.b, d=params.d)
+    rho = params.lam / (params.r + params.b)
+    assume(rho > 1.0)
+    gamma = share * (1.0 - 1.0 / rho)
+    pred = vfc2_limit_set(params, gamma)
+    assert pred.center_theta == gamma
+    assert pred.center_psi == 1.0 - 1.0 / rho - gamma
+    assert pred.degenerate_fc is (gamma == 0.0)
+
+
 # --------------------------------------------------------------------------
 # residual and regime properties over random draws
 # --------------------------------------------------------------------------
@@ -381,7 +442,6 @@ def test_catalogue_agrees_with_generic_integration():
     # random draws across families (deadly included): whenever the
     # integrator settles within the horizon, its endpoint must be the
     # catalogue point
-    from vaxgame import OdeState, integrate
     from vaxgame.errors import ComplexRoot
 
     rng = np.random.default_rng(321)

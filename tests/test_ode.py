@@ -309,6 +309,14 @@ def test_find_equilibrium_rejects_reachable_threshold():
         find_equilibrium(OdeState(0.3, 0.2, 0.1), params, vfc2(6.0, 0.2))
 
 
+def test_find_equilibrium_rejects_a_threshold_below_the_deadly_level():
+    # Gamma above 1 - 1/rho = 0.75 and below the no-vaccination level
+    # 1 - 1/rho_e = 0.8: the ODE circles (0.77, 0.028125)
+    params = ModelParams(lam=8.0, r=0.5, nu=2.0, b=1.0, d=0.1, d_e=0.5)
+    with pytest.raises(IndicatorNonstationary):
+        find_equilibrium(OdeState(0.5, 0.1, 1.0), params, vfc2(6.0, 0.77))
+
+
 def test_find_equilibrium_unreachable_threshold_is_fine():
     # Gamma above the endemic level: vigilance never triggers
     params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8)
