@@ -63,10 +63,11 @@ coexistence points routinely have strongly non-normal Jacobians whose
 distance-to-attractor grows transiently in a fat cone of directions.
 The ball samples are drawn in Python, one offset row per attempt (a row
 of NaN, never feasible, where the direction is all zero), at 2.4-5 us an
-attempt.  The draws of a (seed, radius) are kept and extended on demand
-(:class:`_Draws`), a few such streams per process, so each stream is drawn
-once per process: the certificates after the first of a (seed, radius)
-read the kept rows and draw nothing.  Each round of samples is counted in
+attempt.  Every certificate reads one seed-0 stream per radius its retries
+try, kept and extended on demand (:class:`_Draws`): at most three streams
+of at most 50 * ``_N_SAMPLES`` attempts each, drawn once per process, so
+the certificates after the first read the kept rows and draw nothing.
+Each round of samples is counted in
 one pass of the C kernel of :mod:`vaxgame._native` where it loads
 (feasibility, the field, the signs of both forms and the side tests: five
 counts), else in numpy by :func:`_numpy_tally`, the reference it is tested
@@ -77,9 +78,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -90,12 +89,11 @@ from . import _native
 from .errors import (
     ComplexRoot,
     DegenerateState,
-    InvalidParams,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
 )
-from .ode import OdeState, field, field_jacobian, field_rows, varrho
+from .ode import _VARRHO_NOT_POSITIVE, field, field_jacobian, field_rows, varrho
 from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, propensity_fn, threshold
 
@@ -105,13 +103,11 @@ REGIME_TOL = 1e-9
 #: Residual gate for re-verifying conjectural (deadly) rows.
 CONJECTURE_RESIDUAL_TOL = 1e-8
 
-#: Smallest ball radius the certificate's sampling retries at.
+#: The ball radius the certificate's sampling starts at, the feasible
+#: samples it takes at each radius, and the smallest radius it retries at.
+_RADIUS = 1e-3
+_N_SAMPLES = 1000
 _MIN_RADIUS = 1e-6
-
-#: The (seed, radius) streams of certificate draws kept, and the largest
-#: attempt budget whose draws are kept; a larger one draws afresh.
-_DRAW_CACHE_STREAMS = 4
-_DRAW_CACHE_ATTEMPTS = 1 << 16
 
 _EYE = np.eye(3)
 _MINUS_VEC_EYE = -_EYE.ravel()
@@ -139,9 +135,6 @@ class Attractor:
 
     def point(self) -> tuple[float, float]:
         return (self.theta_hat, self.psi_hat)
-
-    def ode_state(self) -> OdeState:
-        return OdeState(self.theta_hat, self.psi_hat, self.eta_hat)
 
 
 def _eta_at(theta: float, psi: float, params: ModelParams) -> float:
@@ -592,19 +585,15 @@ class StabilityCertificate:
 
 
 def certify_stability(
-    attr: Attractor,
-    params: ModelParams,
-    policy: Policy,
-    radius: float = 1e-3,
-    n_samples: int = 1000,
-    seed: int = 0,
+    attr: Attractor, params: ModelParams, policy: Policy
 ) -> StabilityCertificate:
     """Numeric local-stability certificate at a point attractor.
 
     (a) eigenvalues of the finite-difference Jacobian (one-sided at faces);
-    (b) sampling of the quadratic Lyapunov form from J'P + PJ = -I over a
-    radius-``radius`` ball intersected with the simplex: the certificate
-    passes when the form decreases along the field at >= 99% of samples.
+    (b) sampling of the quadratic Lyapunov form from J'P + PJ = -I at
+    ``_N_SAMPLES`` points of a radius-``_RADIUS`` ball intersected with the
+    simplex: the certificate passes when the form decreases along the field
+    at >= 99% of samples.
 
     The Jacobian takes the scalar field.  The samples are counted round by
     round in one pass of the C kernel where it loads, else by
@@ -620,17 +609,7 @@ def certify_stability(
     radius because its escape cone is a property of the linearisation.
     Clamp boundaries or thresholds inside the ball mark the certificate
     one-sided (``on_discontinuity``).
-
-    Raises InvalidParams unless ``radius`` is finite and positive,
-    ``n_samples`` an integer of at least 1 and ``seed`` an integer of at
-    least 0.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise InvalidParams(f"radius must be finite and positive, got {radius!r}")
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
-        raise InvalidParams(f"n_samples must be an integer of at least 1, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidParams(f"seed must be an integer of at least 0, got {seed!r}")
     if attr.kind is AttractorKind.LIMIT_SET:
         raise RegimeMismatch("limit sets carry no point certificate")
     x_hat = np.array([attr.theta_hat, attr.psi_hat, attr.eta_hat])
@@ -655,9 +634,9 @@ def certify_stability(
         except np.linalg.LinAlgError:
             pass  # no usable form: sample the Euclidean one
 
-    r = radius
+    r = _RADIUS
     while True:
-        result = _sample_lyapunov(params, policy, x_hat, p_form, r, n_samples, seed)
+        result = _sample_lyapunov(params, policy, x_hat, p_form, r, _N_SAMPLES)
         lyap_frac = result[0]
         if lyap_frac >= 0.99 or marginal or eig_max >= 0.0 or r <= _MIN_RADIUS * 10.0:
             break
@@ -705,14 +684,14 @@ def _draw_offsets(rng: np.random.Generator, attempts: int, radius: float) -> np.
 
 
 class _Draws:
-    """The offsets of the attempt stream of :func:`_draw_offsets` for one (seed, radius).
+    """The offsets of the seed-0 attempt stream of :func:`_draw_offsets` at ``radius``.
 
     Attempts are drawn on demand and kept, one offset row each.  A lock
     keeps the drawing of one stream to one thread at a time.
     """
 
-    def __init__(self, seed: int, radius: float):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, radius: float):
+        self.rng = np.random.default_rng(0)
         self.radius = radius
         self.offsets = np.empty((0, 3))
         self.lock = threading.Lock()
@@ -726,31 +705,11 @@ class _Draws:
             return self.offsets[start:stop]
 
 
-_draw_cache: OrderedDict[tuple[int, float], _Draws] = OrderedDict()
-_draw_cache_lock = threading.Lock()
+#: The kept stream of each radius the certificates have tried.
+_draws: dict[float, _Draws] = {}
 
 
-def _draws(seed: int, radius: float, budget: int) -> _Draws:
-    """The kept :class:`_Draws` of (seed, radius) where ``budget`` attempts fit the cache.
-
-    The attempts are drawn in Python at 2.4-5 us each, so a stream is
-    drawn once per process and read by every later certificate of its
-    (seed, radius).  At most ``_DRAW_CACHE_STREAMS`` streams are kept, the
-    least recently used dropped first; a budget above
-    ``_DRAW_CACHE_ATTEMPTS`` gets a stream of its own.
-    """
-    if budget > _DRAW_CACHE_ATTEMPTS:
-        return _Draws(seed, radius)
-    key = (int(seed), float(radius))
-    with _draw_cache_lock:
-        draws = _draw_cache.pop(key, None) or _Draws(seed, radius)
-        _draw_cache[key] = draws
-        while len(_draw_cache) > _DRAW_CACHE_STREAMS:
-            _draw_cache.popitem(last=False)
-    return draws
-
-
-def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
+def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples):
     """Pass fractions of the form ``p_form`` and the Euclidean one over feasible ball samples.
 
     Samples are the first ``n_samples`` feasible points of the attempt
@@ -758,12 +717,14 @@ def _sample_lyapunov(params, policy, x_hat, p_form, radius, n_samples, seed):
     Attempts are taken in rounds sized from the feasible share seen so far,
     attempt a being row a of the offsets; draws past the last sample taken
     are not used, so the samples do not depend on the round sizes.  The
-    draws of a (seed, radius) are kept across calls (:func:`_draws`).  The
-    five counts of each round (:func:`_tally`) are summed.
+    draws of a radius are kept across calls (``_draws``); ``setdefault``
+    keeps one stream per radius where threads race, and a stream that
+    loses has drawn nothing.  The five counts of each round
+    (:func:`_tally`) are summed.
     """
     tally = _tally(params, policy, x_hat, p_form)
     budget = 50 * n_samples
-    draws = _draws(seed, radius, budget)
+    draws = _draws.get(radius) or _draws.setdefault(radius, _Draws(radius))
     counts = [0] * 5
     attempts = 0
     while counts[0] < n_samples and attempts < budget:
@@ -788,8 +749,8 @@ def _tally(params, policy, x_hat, p_form):
     threshold from x_hat.
 
     One pass of the C kernel of :mod:`vaxgame._native` where that loads,
-    else :func:`_numpy_tally`.  Raises DegenerateState where varrho vanishes
-    at a kept x, and ValueError for shapes the kernel would read past.
+    else :func:`_numpy_tally`.  Raises DegenerateState where varrho is not
+    positive at a kept x, and ValueError for shapes the kernel would read past.
     """
     x_hat = np.asarray(x_hat, float)
     p_form = np.asarray(p_form, float)
@@ -812,7 +773,7 @@ def _tally(params, policy, x_hat, p_form):
             raise ValueError(f"expected (n, 3) states, got shape {offsets.shape}")
         if lib.vaxgame_certify(ctypes.byref(sample), ctypes.byref(law), offsets.ctypes.data,
                                len(offsets), missing):
-            raise DegenerateState("varrho vanished")
+            raise DegenerateState(_VARRHO_NOT_POSITIVE)
         return sample.counts[:]
 
     return native

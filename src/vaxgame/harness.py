@@ -27,7 +27,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -349,18 +348,20 @@ _MIN_CROSSINGS = 10
 def _agrees(
     cf: ClosedFormResult,
     point: tuple[float, float],
-    tail_theta: float,
+    tail: tuple[float, float],
     crossings: Optional[int],
     tol: float,
 ) -> bool:
     """One layer's result against the closed form.
 
-    A limit set needs ``tail_theta`` within its band and enough threshold
-    crossings; a point needs theta and psi of ``point`` both within ``tol``.
+    A limit set needs theta and psi of ``tail`` both within its band around
+    the centre and enough threshold crossings; a point needs theta and psi
+    of ``point`` both within ``tol``.
     """
     if cf.limit_set is not None:
         return (
-            abs(tail_theta - cf.limit_set.center_theta) <= _LIMIT_BAND
+            abs(tail[0] - cf.limit_set.center_theta) <= _LIMIT_BAND
+            and abs(tail[1] - cf.limit_set.center_psi) <= _LIMIT_BAND
             and (crossings or 0) >= _MIN_CROSSINGS
         )
     theta_hat, psi_hat = cf.attractor.point()
@@ -373,10 +374,16 @@ def cross_validate(record: RunRecord) -> dict:
     ode_ok = mc_ok = None  # None: not comparable
     if cf.point is not None and not math.isnan(ode_res.theta):  # NaN also on an ODE error
         ode_ok = _agrees(
-            cf, (ode_res.theta, ode_res.psi), ode_res.tail_theta, ode_res.crossings, _TOL_ODE
+            cf,
+            (ode_res.theta, ode_res.psi),
+            (ode_res.tail_theta, ode_res.tail_psi),
+            ode_res.crossings,
+            _TOL_ODE,
         )
     if cf.point is not None and record.mc_res.error is None and live:
-        mc_ok = all(_agrees(cf, (r.theta, r.psi), r.theta, r.crossings, _TOL_MC) for r in live)
+        mc_ok = all(
+            _agrees(cf, (r.theta, r.psi), (r.theta, r.psi), r.crossings, _TOL_MC) for r in live
+        )
     return {
         name: "not-comparable" if ok is None else "agree" if ok else "disagree"
         for name, ok in (("ode_vs_closed_form", ode_ok), ("mc_vs_closed_form", mc_ok))
@@ -450,6 +457,8 @@ def run(
     indices = range(len(values))
     workers = min(threads, len(values), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 11-19 ms: only where a pool starts
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(point, values, indices))
     else:
@@ -568,8 +577,6 @@ _ESS_FIELDS = (
 )
 
 SUMMARY_COLUMNS = [name for name, _ in _SUMMARY_FIELDS]
-ATLAS_COLUMNS = [name for name, _ in _ATLAS_FIELDS]
-ESS_COLUMNS = [name for name, _ in _ESS_FIELDS]
 
 
 def _fmt(value) -> str:

@@ -91,6 +91,10 @@ _MAX_NEWTON = 60
 #: Relative step of the finite-difference Jacobian.
 _REL_STEP = 1e-7
 
+#: The message of the DegenerateState raised where the total event mass
+#: varrho is zero or negative (a rounded phi below 0 can make it negative).
+_VARRHO_NOT_POSITIVE = "varrho is not positive"
+
 
 @dataclass(frozen=True)
 class OdeState:
@@ -140,7 +144,7 @@ def _scalar_field(params: ModelParams, policy: Policy):
         eta = max(eta, 1e-12)
         rho_total = varrho(theta, psi, params)
         if rho_total <= 0.0:
-            raise DegenerateState("varrho vanished")
+            raise DegenerateState(_VARRHO_NOT_POSITIVE)
         # + 0.0 maps -0.0 to 0.0, as the fraction check of accept_prob does
         q = accept(theta + 0.0, psi + 0.0)
         phi = 1.0 - theta - psi
@@ -167,9 +171,9 @@ def field(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndar
 def field_rows(params: ModelParams, policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
     """The row form of :func:`field`: (n, 3) states in, (n, 3) components out.
 
-    Row i equals ``g(ys[i])`` bit for bit, and a row whose varrho vanished
-    raises DegenerateState as g does, unless its eta is at most 0 (its row
-    is 0): a loop over :func:`_scalar_field`.
+    Row i equals ``g(ys[i])`` bit for bit, and a row whose varrho is not
+    positive raises DegenerateState as g does, unless its eta is at most 0
+    (its row is 0): a loop over :func:`_scalar_field`.
     """
     g3 = _scalar_field(params, policy)
     return lambda ys: np.array([g3(*y) for y in ys.tolist()]).reshape(-1, 3)
@@ -570,7 +574,7 @@ def _raise_for(status: int, t0: float, t: float, end) -> None:
     if status == _native.ODE_NO_ROOT:
         raise StepFailure(f"threshold event without a bracketed root after t={t0:.6g}")
     if status == _native.ODE_DEGENERATE:
-        raise DegenerateState("varrho vanished")
+        raise DegenerateState(_VARRHO_NOT_POSITIVE)
     if status == _native.ODE_LEFT_SIMPLEX:
         _project_simplex(end)
     if status == _native.ODE_NO_HOP:
@@ -803,7 +807,8 @@ def field_jacobian(params: ModelParams, policy: Policy, y) -> np.ndarray:
     """:func:`_fd_jacobian` of g at y, in the C kernel of :mod:`vaxgame._native` where it loads.
 
     Both give the same bits.  Raises InvalidParams unless y has three
-    components, and DegenerateState where varrho vanishes at a stencil point.
+    components, and DegenerateState where varrho is not positive at a
+    stencil point.
     """
     y = np.array(y, dtype=float)
     if y.shape != (3,):
@@ -814,7 +819,7 @@ def field_jacobian(params: ModelParams, policy: Policy, y) -> np.ndarray:
     jac = _native.Matrix()
     law = _native.make_law(params, policy)
     if lib.vaxgame_jacobian(ctypes.byref(law), _native.State(*y), _REL_STEP, jac):
-        raise DegenerateState("varrho vanished")
+        raise DegenerateState(_VARRHO_NOT_POSITIVE)
     return np.frombuffer(jac).reshape(3, 3)
 
 
@@ -895,7 +900,7 @@ def _newton_solver(params: ModelParams, policy: Policy):
             ctypes.byref(start_res),
         )
         if code == _native.ODE_DEGENERATE:
-            raise DegenerateState("varrho vanished")
+            raise DegenerateState(_VARRHO_NOT_POSITIVE)
         if code == _native.ODE_SINGULAR:
             return _newton(field(params, policy), y)
         return np.frombuffer(out), res.value, start_res.value

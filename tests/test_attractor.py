@@ -1,9 +1,7 @@
 import math
 import sys
 import threading
-import warnings
 import zlib
-from collections import OrderedDict
 from contextlib import nullcontext
 from unittest import mock
 
@@ -38,7 +36,6 @@ from vaxgame import _native, attractor
 from vaxgame.attractor import DeadlyQuadratic, _eta_at, _sample_lyapunov
 from vaxgame.errors import (
     DegenerateState,
-    InvalidParams,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
@@ -564,10 +561,10 @@ def test_certificate_of_nan_eta_is_degenerate(left_params):
                 certify_stability(bad, left_params, fc(3.0))
 
 
-def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples, seed):
+def _reference_sample(attr, policy, g, x_hat, p_form, radius, n_samples):
     """The per-sample loop the batched pass replaced: one scalar field call per sample."""
     q_tilde = propensity_fn(policy)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     kept = lyap_neg = eucl_neg = attempts = 0
     on_disc = False
     q_sign_ref = None
@@ -627,6 +624,12 @@ _DEADLY_PARAMS = ModelParams(lam=8.549, r=1.188, nu=0.904, b=0.322, d=0.1, d_e=0
     ],
 )
 def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_samples):
+    def certificate():
+        monkeypatch.setattr(attractor, "_RADIUS", radius)
+        monkeypatch.setattr(attractor, "_N_SAMPLES", n_samples)
+        monkeypatch.setattr(attractor, "_draws", {})
+        return certify_stability(att, params, policy)
+
     if case == "retry":
         att, params, policy = closed_form(_RETRY_PARAMS, vfc1(4.5)), _RETRY_PARAMS, vfc1(4.5)
     elif case.endswith("-deadly"):
@@ -634,20 +637,19 @@ def test_certificate_matches_scalar_sampling(monkeypatch, case, radius, n_sample
         att, params = closed_form(_DEADLY_PARAMS, policy), _DEADLY_PARAMS
     else:
         att, params, policy = _row_case(case)
-    batched = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+    batched = certificate()
     if case == "retry":
         assert batched.radius_used < 1e-4
     g = field(params, policy)
-    monkeypatch.setattr(
-        attractor,
-        "_sample_lyapunov",
-        lambda prm, pol, *rest: _reference_sample(att, pol, g, *rest),
-    )
-    reference = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+
+    def reference_sample(prm, pol, *rest):
+        return _reference_sample(att, pol, g, *rest)
+
+    with mock.patch.object(attractor, "_sample_lyapunov", reference_sample):
+        reference = certificate()
     assert repr(batched) == repr(reference)
-    monkeypatch.undo()
     with python_kernels():
-        python = certify_stability(att, params, policy, radius=radius, n_samples=n_samples)
+        python = certificate()
     assert repr(python) == repr(reference)
 
 
@@ -679,22 +681,21 @@ _POINTS = st.one_of(
     params=st.sampled_from([ModelParams(4.0, 1.0, 2.0, 1.0, 0.8), _DEADLY_PARAMS]),
     radius=st.sampled_from([1e-3, 0.05, 0.3]),
     n_samples=st.sampled_from([1, 2, 37, 300]),
-    seed=st.integers(0, 3),
     lyapunov=st.booleans(),
 )
-def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_samples, seed,
-                                             lyapunov):
+def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_samples, lyapunov):
     theta, psi = point
     att = Attractor(theta, psi, _eta_at(theta, psi, params), AttractorKind.INTERIOR, "x", False)
     x_hat = np.array([theta, psi, att.eta_hat])
     p_form = np.eye(3)
     if lyapunov:
         p_form = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
-    args = (x_hat, p_form, radius, n_samples, seed)
-    batched = _sample_lyapunov(params, policy, *args)
-    assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
-    with python_kernels():
-        assert repr(_sample_lyapunov(params, policy, *args)) == repr(batched)
+    args = (x_hat, p_form, radius, n_samples)
+    with mock.patch.dict(attractor._draws):  # drop the streams of radii no certificate tries
+        batched = _sample_lyapunov(params, policy, *args)
+        assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
+        with python_kernels():
+            assert repr(_sample_lyapunov(params, policy, *args)) == repr(batched)
 
 
 @pytest.mark.parametrize(
@@ -705,10 +706,11 @@ def test_sample_lyapunov_matches_scalar_loop(policy, point, params, radius, n_sa
         (vfc2(4.0, 0.3, theta_variant=True), (0.3, 0.2)),
     ],
 )
-def test_sample_lyapunov_flags_discontinuity(policy, point):
+def test_sample_lyapunov_flags_discontinuity(monkeypatch, policy, point):
+    monkeypatch.setattr(attractor, "_draws", {})
     params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
     att = Attractor(*point, _eta_at(*point, params), AttractorKind.INTERIOR, "x", False)
-    args = (np.array([*point, att.eta_hat]), np.eye(3), 1e-2, 200, 0)
+    args = (np.array([*point, att.eta_hat]), np.eye(3), 1e-2, 200)
     batched = _sample_lyapunov(params, policy, *args)
     assert batched[2] is True
     assert repr(batched) == repr(_reference_sample(att, policy, field(params, policy), *args))
@@ -795,12 +797,11 @@ def test_certify_pass_skips_the_attempts_the_stream_skips(monkeypatch):
     monkeypatch.setattr(attractor, "_draw_offsets", offsets)
     params = ModelParams(4.0, 1.0, 2.0, 1.0, 0.8)
     x_hat = np.array([0.02, 0.3, _eta_at(0.02, 0.3, params)])
-    args = (params, vfc2(4.0, 0.02), x_hat, _FORM, 0.05, 300, 5)
-    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    args = (params, vfc2(4.0, 0.02), x_hat, _FORM, 0.05, 300)
+    monkeypatch.setattr(attractor, "_draws", {})
     native = _sample_lyapunov(*args)
-    draws = attractor._draw_cache[(5, 0.05)]
-    assert np.isnan(draws.offsets).any()  # some attempt had an all-zero direction
-    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
+    assert np.isnan(attractor._draws[0.05].offsets).any()  # an attempt had an all-zero direction
+    monkeypatch.setattr(attractor, "_draws", {})
     with python_kernels():
         assert repr(_sample_lyapunov(*args)) == repr(native)
     assert native[3] == 300 and native[2] is True
@@ -824,42 +825,17 @@ def test_kronecker_system_matches_np_kron(entries):
     assert repr(built.tolist()) == repr(expected.tolist())
 
 
-@pytest.mark.parametrize(
-    "kwargs,match",
-    [
-        # nan, 0 and -5 raised "no feasible samples"; 0 and -1e-3 gave a
-        # certificate at that radius; inf warned; -1 was numpy's ValueError
-        ({"radius": math.nan}, "radius must be finite and positive"),
-        ({"radius": math.inf}, "radius must be finite and positive"),
-        ({"radius": 0.0}, "radius must be finite and positive"),
-        ({"radius": -1e-3}, "radius must be finite and positive"),
-        ({"n_samples": 0}, "n_samples must be an integer of at least 1"),
-        ({"n_samples": -5}, "n_samples must be an integer of at least 1"),
-        ({"n_samples": 2.5}, "n_samples must be an integer of at least 1"),
-        ({"seed": -1}, "seed must be an integer of at least 0"),
-        ({"seed": 0.5}, "seed must be an integer of at least 0"),
-    ],
-)
-def test_certify_stability_rejects_bad_arguments(left_params, kwargs, match):
-    att = closed_form(left_params, fc(3.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidParams, match=match):
-            certify_stability(att, left_params, fc(3.0), **kwargs)
-
-
 @pytest.mark.parametrize("row_id", ["fc/coexistence", "fr/disease-free", "fc/origin"])
 def test_cached_draws_give_the_fresh_certificate(monkeypatch, row_id):
     att, params, policy = _row_case(row_id)
-    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
-    fresh = repr(certify_stability(att, params, policy, n_samples=500, seed=11))
-    assert (11, 1e-3) in attractor._draw_cache
-    assert repr(certify_stability(att, params, policy, n_samples=500, seed=11)) == fresh
-    # a budget above the cache's bound draws its own stream
-    monkeypatch.setattr(attractor, "_DRAW_CACHE_ATTEMPTS", 100)
-    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
-    assert repr(certify_stability(att, params, policy, n_samples=500, seed=11)) == fresh
-    assert not attractor._draw_cache
+    monkeypatch.setattr(attractor, "_draws", {})
+    fresh = repr(certify_stability(att, params, policy))
+    assert list(attractor._draws) == [1e-3]
+    assert repr(certify_stability(att, params, policy)) == fresh
+    # a stream already drawn past every attempt the certificate reads
+    monkeypatch.setattr(attractor, "_draws", {1e-3: attractor._Draws(1e-3)})
+    attractor._draws[1e-3].between(0, 50 * attractor._N_SAMPLES)
+    assert repr(certify_stability(att, params, policy)) == fresh
 
 
 def test_cached_draws_skip_the_attempts_the_stream_skips(monkeypatch):
@@ -872,29 +848,43 @@ def test_cached_draws_skip_the_attempts_the_stream_skips(monkeypatch):
         return rows
 
     monkeypatch.setattr(attractor, "_draw_offsets", offsets)
-    expected = offsets(np.random.default_rng(5), 400, 0.1)
+    expected = offsets(np.random.default_rng(0), 400, 0.1)
     assert np.isnan(expected).any()
-    draws = attractor._Draws(5, 0.1)
+    draws = attractor._Draws(0.1)
     for start, stop in [(0, 7), (7, 7), (7, 100), (3, 50), (100, 400), (0, 400)]:
         assert np.array_equal(draws.between(start, stop), expected[start:stop], equal_nan=True)
 
 
-def test_draw_cache_keeps_a_bounded_number_of_streams(monkeypatch, left_params):
-    monkeypatch.setattr(attractor, "_draw_cache", OrderedDict())
-    att = closed_form(left_params, fc(3.0))
-    for seed in range(attractor._DRAW_CACHE_STREAMS + 3):
-        certify_stability(att, left_params, fc(3.0), n_samples=50, seed=seed)
-    assert list(attractor._draw_cache) == [
-        (seed, 1e-3)
-        for seed in range(3, attractor._DRAW_CACHE_STREAMS + 3)
-    ]
+def test_draw_cache_keeps_a_bounded_number_of_streams(monkeypatch):
+    # certificates over every row of the catalogue keep streams of the retry
+    # ladder's radii only, none longer than one certificate's budget
+    monkeypatch.setattr(attractor, "_draws", {})
+    for row_id in sorted(ROW_SAMPLERS):
+        for seed in range(3):
+            certify_stability(*_row_case(row_id, seed))
+    assert 1e-3 in attractor._draws and set(attractor._draws) <= {1e-3, 1e-3 / 10, 1e-3 / 10 / 10}
+    assert all(len(d.offsets) <= 50 * attractor._N_SAMPLES for d in attractor._draws.values())
+
+
+def test_retry_certificate_keeps_a_stream_per_radius(monkeypatch):
+    # the two-retry case draws at 1e-3, 1e-4 and 1e-5; certifying it again
+    # reads the kept streams, draws nothing and gives the same certificate
+    monkeypatch.setattr(attractor, "_draws", {})
+    att = closed_form(_RETRY_PARAMS, vfc1(4.5))
+    first = certify_stability(att, _RETRY_PARAMS, vfc1(4.5))
+    assert first.radius_used == 1e-3 / 10 / 10
+    assert list(attractor._draws) == [1e-3, 1e-3 / 10, 1e-3 / 10 / 10]
+    lengths = [len(d.offsets) for d in attractor._draws.values()]
+    assert all(lengths)
+    assert repr(certify_stability(att, _RETRY_PARAMS, vfc1(4.5))) == repr(first)
+    assert [len(d.offsets) for d in attractor._draws.values()] == lengths
 
 
 def test_draw_stream_is_shared_safely_between_threads():
     # threads extending one stream at once must each see the stream's
     # offsets: an extension lost or drawn twice would shift them
-    reference = attractor._draw_offsets(np.random.default_rng(9), 4000, 1e-3)
-    draws = attractor._Draws(9, 1e-3)
+    reference = attractor._draw_offsets(np.random.default_rng(0), 4000, 1e-3)
+    draws = attractor._Draws(1e-3)
     results, errors = [], []
 
     def take(step):

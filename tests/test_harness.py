@@ -1,7 +1,11 @@
+import concurrent.futures
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +13,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vaxgame import Family, Layer, _native, chain, harness
+import vaxgame
+from vaxgame import Family, Layer, ModelParams, _native, chain, harness, vfc2, vfc2_limit_set
 from vaxgame.cli import main as cli_main
 from vaxgame.config import load_experiment, parse_grid
 from vaxgame.errors import ConfigError, DegenerateState
@@ -582,6 +587,23 @@ def test_vfc2_record_uses_limit_set(tmp_path):
     assert record.cross["ode_vs_closed_form"] == "agree"
 
 
+def test_limit_set_needs_the_tail_psi_in_its_band():
+    # tails 0.0012 from the centre in psi, as the ODE's on vfc2_oscillation.cfg:
+    # they agree with it, and disagree with a centre whose psi is 0.1 off
+    params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8)
+    centre = vfc2_limit_set(params, 0.2)
+    theta, psi = centre.center_theta, centre.center_psi + 0.0012
+    record = harness.RunRecord(None, None, params, vfc2(6.0, 0.2))
+    record.ode_res = harness.OdeResult(theta, psi, 1.0, False, theta, psi, crossings=400)
+    record.mc_res = harness.McResult(reps=(harness.McRep(theta, psi, 0.01, 0.01, 400, False),))
+    for shift, verdict in ((0.0, "agree"), (0.1, "disagree"), (-0.1, "disagree")):
+        moved = dataclasses.replace(centre, center_psi=centre.center_psi + shift)
+        record.cf = harness.ClosedFormResult(limit_set=moved)
+        assert harness.cross_validate(record) == {
+            "ode_vs_closed_form": verdict, "mc_vs_closed_form": verdict
+        }
+
+
 def test_cli_run_atlas_ess_validate(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli_main(["run", str(cfg)]) == 0
@@ -667,11 +689,23 @@ def test_pool_size_is_capped(tmp_path, monkeypatch, threads, cpus, workers):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     records = run(load_experiment(write_config(tmp_path)), threads=threads)
     assert len(records) == 3
     assert sizes == ([] if workers is None else [workers])
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules cost 11-19 ms of every start: only a pool imports them
+    code = (
+        "import sys, vaxgame;"
+        " print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vaxgame.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_cli_config_error(tmp_path, capsys):

@@ -594,7 +594,7 @@ _VANISHING = ModelParams(lam=1e-300, r=0.0, nu=1.0, b=1e-300, d=0.0)
 
 def test_native_field_reports_a_vanishing_varrho():
     y = np.array([0.7, 0.95, 1.0])
-    with pytest.raises(DegenerateState, match="varrho vanished"):
+    with pytest.raises(DegenerateState, match="varrho is not positive"):
         ode.field(_VANISHING, fc(1.0))(y)
     code, g = _c_field(_VANISHING, fc(1.0), y)
     assert code == _native.ODE_DEGENERATE and all(map(math.isnan, g))  # field() wrote no g
@@ -750,7 +750,7 @@ _OVERSHOOT = ModelParams(lam=2.4, r=36.75, nu=0.245, b=36.34, d=10.2)
     "params,start,error",
     [
         (_OVERSHOOT, OdeState(0.42, 0.48, 0.5), "state left the simplex: array([-3.19345730e-04"),
-        (_VANISHING, OdeState(0.7, 0.3, 1.0), "varrho vanished"),
+        (_VANISHING, OdeState(0.7, 0.3, 1.0), "varrho is not positive"),
     ],
 )
 def test_chunk_loop_errors_as_python(params, start, error):
@@ -869,9 +869,9 @@ def test_native_jacobian_matches_fd_jacobian(policy, params, theta, psi_share, e
 
 def test_jacobian_kernel_reports_a_vanishing_varrho():
     y = np.array([0.7, 0.95, 1.0])  # projected back onto theta + psi = 1, where phi < 0
-    with pytest.raises(DegenerateState, match="varrho vanished"):
+    with pytest.raises(DegenerateState, match="varrho is not positive"):
         ode._fd_jacobian(ode.field(_VANISHING, fc(1.0)), y)
-    with pytest.raises(DegenerateState, match="varrho vanished"):
+    with pytest.raises(DegenerateState, match="varrho is not positive"):
         ode.field_jacobian(_VANISHING, fc(1.0), y)
     with pytest.raises(ValueError, match="expected a state of 3 components"):
         ode.field_jacobian(_LEFT, fc(1.0), y[:2])
