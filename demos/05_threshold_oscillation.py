@@ -2,8 +2,10 @@
 
 Agents who only vaccinate while the infected share exceeds a threshold
 drive the system around (Gamma, 1 - 1/rho - Gamma) instead of onto a
-point.  The mean-field orbit spirals into that centre through a burst of
-threshold crossings (the integrator reports the accumulation and stops);
+point.  That centre is a two-fold point of the switching surface
+theta = Gamma: the mean-field orbit crosses the surface, never slides along
+it, and spirals into the centre through a burst of threshold crossings (the
+integrator reports the accumulation and stops);
 the stochastic population keeps oscillating around it indefinitely.
 """
 
@@ -35,7 +37,7 @@ def main() -> None:
     )
     crossings = count_crossings(path.states[:, 0], GAMMA)
     print(
-        f"mean field: {crossings} crossings before the sliding point, "
+        f"mean field: {crossings} crossings before the two-fold centre, "
         f"truncated at t = {path.endpoint.t:.2f} "
         f"(zeno = {path.zeno_truncated}), endpoint "
         f"({path.endpoint.theta:.4f}, {path.endpoint.psi:.4f})"

@@ -13,7 +13,7 @@ set of points:
 
 The no-vaccination level has one definition, :attr:`Ratios.nvdf_level`
 (1 - 1/rho_e, which is 1 - 1/rho bit for bit at d_e = 0); every row, the
-co-existence points, the VFC2 reachability test here and in
+co-existence points, the VFC2 reachability rule of ``vfc2_limit_set`` and
 :func:`vaxgame.ode.find_equilibrium`, and :mod:`vaxgame.ess` read it.
 
 Every dispatch condition below is the exact inequality that makes the
@@ -23,7 +23,8 @@ MarginalRegime rather than silently picking a side.  That tolerance is
 applied in one place, :func:`_near`, which ``_guard`` here and the ESS
 verdict's Marginal cases read.  FC and FR, with and without excess deaths,
 walk one guard sequence: ``_row`` over the table ``_CATALOGUE``, keyed by
-(family, d_e > 0).  VFC1 has guards of its own.
+(family, d_e > 0), then the ESS verdict's saturated row ``_SATURATED``.
+VFC1 has guards of its own.
 
 With excess deaths (d_e > 0) the corresponding formulas are conjectural:
 they solve the field exactly but their attractor status is certified
@@ -32,8 +33,8 @@ numerically, never assumed.  Deadly outputs are therefore flagged
 returned.  The deadly interior uses 1/rho = (r+b+d_e)/lam inside theta*,
 which follows from setting the field to zero.
 
-The threshold-vigilant family (VFC2) has no point attractor: its limit
-set circles the sliding-mode point on theta = Gamma, which
+The threshold-vigilant family (VFC2) has no point attractor: its orbit
+crosses theta = Gamma and circles the two-fold point there, which
 :func:`vfc2_limit_set` gives for every d_e >= 0.
 
 Each returned point names its catalogue row in ``table_row`` (the
@@ -152,14 +153,6 @@ def _guard(value: float, pivot: float, what: str) -> None:
     """Raise MarginalRegime when ``value`` is :func:`_near` ``pivot``."""
     if _near(value, pivot):
         raise MarginalRegime(f"{what}: {value!r} sits on the boundary {pivot!r}")
-
-
-def nvdf_point(params: ModelParams) -> tuple[float, float]:
-    """The no-vaccination endemic level (:attr:`Ratios.nvdf_level`, 0)."""
-    ratios = derive_ratios(params)
-    if ratios.rho <= 1.0:
-        raise RegimeMismatch("no endemic level: rho <= 1")
-    return (ratios.nvdf_level, 0.0)
 
 
 def coexistence_point(params: ModelParams) -> tuple[float, float]:
@@ -397,31 +390,33 @@ def _deadly_endemic_row(interior_point, params, ratios, policy) -> tuple[float, 
 # --------------------------------------------------------------------------
 
 
-#: (disease_free, endemic, band, saturated) of each (family, d_e > 0), walked by
+#: The saturated row, keyed by d_e > 0: FC and FR past their clamp, and the
+#: saturated candidate of :func:`vaxgame.ess.classify_ess`.
+_SATURATED = {False: _saturated, True: _deadly_saturated}
+
+#: (disease_free, endemic, band) of each (family, d_e > 0), walked by
 #: :func:`_row`.  ``disease_free`` maps (mu, beta) to the disease-free row's psi
 #: and the operands of its clamp test ``value < pivot``; the rows give (theta,
-#: psi, row) below beta = mu*rho, in mu*rho <= beta < rho^2*mu (None: no rows
-#: of its own) and past the disease-free clamp.
+#: psi, row) below beta = mu*rho and in mu*rho <= beta < rho^2*mu (None: no
+#: rows of its own).  Past the disease-free clamp :data:`_SATURATED` decides.
 _CATALOGUE = {
     # FC's acceptance at its disease-free candidate is beta - mu, tested as beta vs mu + 1
-    (Family.FC, False): (
-        lambda mu, beta: (1.0 - mu / beta, beta, mu + 1.0), _nvdf_row, None, _saturated
-    ),
-    (Family.FR, False): (_fr_disease_free, _nvdf_row, _fr_band_row, _saturated),
+    (Family.FC, False): (lambda mu, beta: (1.0 - mu / beta, beta, mu + 1.0), _nvdf_row, None),
+    (Family.FR, False): (_fr_disease_free, _nvdf_row, _fr_band_row),
     (Family.FC, True): (
         lambda mu, beta: (1.0 - mu / beta, beta - mu, 1.0),
-        partial(_deadly_endemic_row, _deadly_fc_interior_point), None, _deadly_saturated,
+        partial(_deadly_endemic_row, _deadly_fc_interior_point), None,
     ),
     (Family.FR, True): (
         _fr_disease_free, partial(_deadly_endemic_row, _deadly_fr_interior_point),
-        partial(_deadly_interior_row, _deadly_fr_interior_point), _deadly_saturated,
+        partial(_deadly_interior_row, _deadly_fr_interior_point),
     ),
 }
 
 
 def _row(entry, params, ratios, policy) -> tuple[float, float, str]:
     """(theta, psi, row) of an FC or FR policy under its :data:`_CATALOGUE` entry."""
-    disease_free, endemic, band, saturated = entry
+    disease_free, endemic, band = entry
     rho, mu, beta = ratios.rho, ratios.mu, policy.beta
     if rho > 1.0:
         _guard(beta, mu * rho, "beta vs mu*rho")
@@ -439,7 +434,7 @@ def _row(entry, params, ratios, policy) -> tuple[float, float, str]:
     _guard(value, pivot, "disease-free acceptance vs clamp")
     if value < pivot:
         return 0.0, psi, "disease-free"
-    return saturated(params, ratios)
+    return _SATURATED[params.d_e > 0.0](params, ratios)
 
 
 def closed_form(params: ModelParams, policy: Policy) -> Attractor:
@@ -484,7 +479,7 @@ def closed_form(params: ModelParams, policy: Policy) -> Attractor:
 class Vfc2Prediction:
     """Predicted oscillation centre of the threshold-vigilant limit set.
 
-    The centre is the sliding-mode point on theta = Gamma (see
+    The centre is the two-fold point on theta = Gamma (see
     :func:`vfc2_limit_set`); ``degenerate_fc`` marks Gamma = 0.
     """
 
@@ -496,27 +491,26 @@ class Vfc2Prediction:
 def vfc2_limit_set(params: ModelParams, gamma: float) -> Vfc2Prediction:
     """Centre (Gamma, psi) of the threshold-vigilant limit set, exact for d_e >= 0.
 
-    The orbit slides along theta = Gamma (Filippov's sliding mode), where
-    g_theta of :mod:`vaxgame.ode` vanishes: phi*lam - r - d_e - (b - d_e*Gamma)
-    = 0 gives the susceptible share phi = (r + b + d_e*(1 - Gamma))/lam, so
+    The centre is a two-fold point: g_theta of :mod:`vaxgame.ode` is
+    continuous across theta = Gamma (only g_psi jumps), so orbits cross the
+    surface, with no sliding segment, and both one-sided fields are tangent
+    to it where g_theta vanishes: phi*lam - r - d_e - (b - d_e*Gamma) = 0
+    gives the susceptible share phi = (r + b + d_e*(1 - Gamma))/lam, so
 
         psi = 1 - Gamma - phi = 1 - 1/rho - Gamma + d_e*Gamma/lam.
 
-    Both VFC2 variants share that sliding condition and so the centre.  At
-    d_e = 0 the last term is +0.0 and psi is 1 - 1/rho - Gamma bit for bit.
-    Up to rounding, psi > 0 exactly when Gamma < :attr:`Ratios.nvdf_level`,
-    the no-vaccination endemic level: a threshold is reachable where rho > 1
-    and Gamma is below that level, the rule
-    :func:`vaxgame.ode.find_equilibrium` reads too, and RegimeMismatch is
-    raised elsewhere.  The band width around the centre is an observable of
-    the simulation, not a prediction.
+    Both VFC2 variants share that tangency and so the centre.  At d_e = 0
+    the last term is +0.0 and psi is 1 - 1/rho - Gamma bit for bit.  Up to
+    rounding, psi > 0 exactly when Gamma < :attr:`Ratios.nvdf_level`.
+    RegimeMismatch is raised unless :meth:`Ratios.threshold_reachable`
+    holds, the rule :func:`vaxgame.ode.find_equilibrium` reads too.  The
+    band width around the centre is an observable of the simulation.
     """
     ratios = derive_ratios(params)
-    if ratios.rho <= 1.0:
-        raise RegimeMismatch("limit set requires an endemic load factor")
-    if gamma >= ratios.nvdf_level:
+    if not ratios.threshold_reachable(gamma):
         raise RegimeMismatch(
-            f"threshold {gamma!r} is unreachable: no-vaccination level is {ratios.nvdf_level!r}"
+            f"threshold {gamma!r} is unreachable: rho is {ratios.rho!r}, "
+            f"no-vaccination level is {ratios.nvdf_level!r}"
         )
     psi = 1.0 - 1.0 / ratios.rho - gamma + params.d_e * gamma / params.lam
     return Vfc2Prediction(center_theta=gamma, center_psi=psi, degenerate_fc=gamma == 0.0)

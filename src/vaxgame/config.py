@@ -144,11 +144,21 @@ _ODE_KEYS = {
     "eta0": _parse_float,
 }
 _START_KEYS = {"theta0": _parse_float, "psi0": _parse_float}
+#: the [policy] keys each family reads besides ``family``; a MUTANT also
+#: reads the keys of its base, and any other key is a ConfigError
+_POLICY_KEYS = {
+    Family.FC: ("beta",),
+    Family.FR: ("beta",),
+    Family.VFC1: ("beta",),
+    Family.VFC2: ("beta", "gamma", "theta_variant"),
+    Family.STATIC: ("q",),
+    Family.MUTANT: ("base", "p", "eps"),
+}
 #: the sections and the keys each accepts; anything else is a ConfigError
 _SECTION_KEYS = {
     "experiment": ("id", "layers", "output_dir", *_START_KEYS),
     "params": _PARAM_KEYS,
-    "policy": ("family", "beta", "gamma", "theta_variant", "q", "base", "p", "eps"),
+    "policy": ("family", *dict.fromkeys(k for keys in _POLICY_KEYS.values() for k in keys)),
     "costs": ("c_v1", "c_v2", "c_v2_bar", "c_I1", "c_I2"),
     "sweep": ("variable", "values"),
     "mc": _MC_KEYS,
@@ -197,18 +207,6 @@ def parse_grid(raw: str) -> list[float]:
     if not values:
         raise ConfigError("grid has no values")
     return values
-
-
-#: the [policy] keys each family reads besides ``family``; a MUTANT also
-#: reads the keys of its base, and any other key is a ConfigError
-_POLICY_KEYS = {
-    Family.FC: ("beta",),
-    Family.FR: ("beta",),
-    Family.VFC1: ("beta",),
-    Family.VFC2: ("beta", "gamma", "theta_variant"),
-    Family.STATIC: ("q",),
-    Family.MUTANT: ("base", "p", "eps"),
-}
 
 
 def _parse_family(raw: str) -> Family:

@@ -13,8 +13,9 @@ vaccination probability q is linear in q,
   u(q) = q * h + infection cost,
   h(theta_hat, psi_hat) = vaccination cost - infection cost,
 
-so the static best response is always {1} (h < 0), {0} (h > 0) or the whole
-interval (h = 0, reported Indifferent).  A dynamic policy is evolutionary
+so the static best response (:func:`_best_response`, the one reader of the
+sign of h) is {1} (h < 0), {0} (h > 0) or, for h = 0, the whole interval
+(Indifferent, a Marginal verdict).  A dynamic policy is evolutionary
 stable against static mutations when the acceptance probability it induces
 at its own equilibrium is the unique static best response there, and stays
 so under small static-mutant invasions.
@@ -28,11 +29,11 @@ no-vaccination level is (1 - 1/rho_e, 0), :attr:`Ratios.nvdf_level`.
      non-vaccinating ESS for every policy.
   2. h_m, h at the no-vaccination level.  Positive: never vaccinating is the
      ESS there.
-  3. h_m < 0 leaves saturated acceptance as the only candidate.  Its point
-     (theta_E, psi_E) must exist: never without a vaccine (nu = 0, so
-     mu = inf); without excess deaths mu*rho > mu + 1 (the co-existence
-     point); with d_e > 0 the deadly quadratic root with theta_E > 0 and
-     mu + o < mu*rho_e.  Otherwise no ESS exists.
+  3. h_m < 0 leaves saturated acceptance as the only candidate, at the
+     catalogue's saturated row (:data:`vaxgame.attractor._SATURATED`): the
+     co-existence point (theta_E, psi_E), the exact root with d_e > 0, where
+     theta_E > 0.  At the saturated disease-free point, or with no vaccine
+     (nu = 0), no ESS exists; on a guard of that row the verdict is Marginal.
   4. h(theta_E, psi_E) < 0: saturated acceptance is the vaccinating ESS,
      reached once the family parameter pushes the raw propensity strictly
      above 1 there (beta* = 1 / per-unit-beta propensity).  h > 0: no ESS.
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .attractor import _eta_at, _near, coexistence_point, deadly_coexistence_exact, nvdf_point
-from .errors import EquilibriumNotFound, InvalidParams, RegimeMismatch
+from .attractor import _SATURATED, _eta_at, _near, deadly_coexistence_exact
+from .errors import EquilibriumNotFound, InvalidParams, MarginalRegime, RegimeMismatch
 from .ode import OdeState, find_equilibrium
 from .params import ModelParams, Ratios, derive_ratios
 from .policy import Family, Policy, accept_prob, mutant, propensity
@@ -123,9 +124,14 @@ def utility(
 
 
 def h_m(params: ModelParams, costs: CostParams) -> float:
-    """h at the no-vaccination endemic level (the maximum over the family)."""
-    theta_n, psi_n = nvdf_point(params)
-    return h_value(theta_n, psi_n, params, costs)
+    """h at the no-vaccination endemic level (the maximum over the family); rho > 1 only.
+
+    Raises RegimeMismatch where rho <= 1, which has no endemic level.
+    """
+    ratios = derive_ratios(params)
+    if ratios.rho <= 1.0:
+        raise RegimeMismatch("no endemic level: rho <= 1")
+    return h_value(ratios.nvdf_level, 0.0, params, costs)
 
 
 class BestResponse(Enum):
@@ -134,17 +140,21 @@ class BestResponse(Enum):
     INDIFFERENT = "indifferent"
 
 
-def static_best_response(
-    point: tuple[float, float], params: ModelParams, costs: CostParams
-) -> BestResponse:
-    """argmin over static q of the linear utility at (theta, psi): {0}, {1} or the interval."""
-    h = h_value(*point, params, costs)
+def _best_response(h: float, costs: CostParams) -> BestResponse:
+    """The static best response at cost gap h: {1}, {0} or, for h within tolerance, the interval."""
     tol = costs.indifference_tol
     if h < -tol:
         return BestResponse.ALWAYS
     if h > tol:
         return BestResponse.NEVER
     return BestResponse.INDIFFERENT
+
+
+def static_best_response(
+    point: tuple[float, float], params: ModelParams, costs: CostParams
+) -> BestResponse:
+    """argmin over static q of the linear utility at (theta, psi): {0}, {1} or the interval."""
+    return _best_response(h_value(*point, params, costs), costs)
 
 
 class VerdictKind(Enum):
@@ -179,51 +189,49 @@ def _beta_star_threshold(
 #: What one case of the split decides: (kind, equilibrium, h, detail).
 _Case = tuple[VerdictKind, tuple[float, float], float, str]
 
+#: (kind, detail) by the static best response at the no-vaccination level;
+#: where it is {1}, the saturated point is the candidate.
+_AT_NVDF = {
+    BestResponse.NEVER: (
+        VerdictKind.NON_VACCINATING_ESS,
+        "never vaccinating is the unique best response at the endemic level",
+    ),
+    BestResponse.INDIFFERENT: (
+        VerdictKind.MARGINAL, "h at the no-vaccination level is on its sign boundary"
+    ),
+}
+#: (kind, detail) by the static best response at the catalogue's co-existence point.
+_AT_SATURATED = {
+    BestResponse.ALWAYS: (
+        VerdictKind.VACCINATING_ESS, "saturated acceptance is the unique best response"
+    ),
+    BestResponse.NEVER: (VerdictKind.NO_ESS, "h >= 0 at the saturated equilibrium"),
+    BestResponse.INDIFFERENT: (
+        VerdictKind.MARGINAL, "h at the saturated equilibrium is on its sign boundary"
+    ),
+}
 
-def _saturated_case(
-    params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
-) -> _Case:
-    """The case of saturated acceptance, the only candidate once h_m < 0."""
-    mu, no_coexistence = ratios.mu, "mu*rho <= mu+1: co-existence point does not exist"
-    if math.isinf(mu):  # nu = 0: no vaccine, so nothing to saturate
+
+def _endemic_case(params: ModelParams, ratios: Ratios, costs: CostParams, hm: float) -> _Case:
+    """The case for an endemic disease (rho > 1): the no-vaccination level, else saturation."""
+    nvdf = (ratios.nvdf_level, 0.0)
+    response = _best_response(hm, costs)
+    if response is not BestResponse.ALWAYS:
+        kind, detail = _AT_NVDF[response]
+        return kind, nvdf, hm, detail
+    no_coexistence = "mu*rho <= mu+1: co-existence point does not exist"
+    # nu = 0: no vaccine, so nothing to saturate (the row's guard would read inf vs inf)
+    if math.isinf(ratios.mu):
         return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
-    if params.d_e > 0.0:
-        eq = deadly_es_equilibrium(params, costs)
-        theta_e, psi_e = eq.theta_exact, eq.psi_exact
-        if _near(theta_e, 0.0):
-            detail = "deadly saturated equilibrium on the theta = 0 boundary"
-            return VerdictKind.MARGINAL, (theta_e, psi_e), math.nan, detail
-        if eq.no_ess or theta_e < 0.0:
-            detail = "mu + o >= mu*rho_e: saturated infection share not positive"
-            return VerdictKind.NO_ESS, nvdf, hm, detail
-        h_e = eq.h_exact
-    else:
-        if _near(mu * ratios.rho, mu + 1.0):
-            return VerdictKind.MARGINAL, nvdf, hm, "mu*rho on the mu+1 boundary"
-        if mu * ratios.rho < mu + 1.0:
-            return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
-        theta_e, psi_e = coexistence_point(params)
-        h_e = h_value(theta_e, psi_e, params, costs)
-    if abs(h_e) <= costs.indifference_tol:
-        detail = "h at the saturated equilibrium is on its sign boundary"
-        return VerdictKind.MARGINAL, (theta_e, psi_e), h_e, detail
-    if h_e < 0.0:
-        detail = "saturated acceptance is the unique best response"
-        return VerdictKind.VACCINATING_ESS, (theta_e, psi_e), h_e, detail
-    return VerdictKind.NO_ESS, (theta_e, psi_e), h_e, "h >= 0 at the saturated equilibrium"
-
-
-def _endemic_case(
-    params: ModelParams, ratios: Ratios, costs: CostParams, nvdf: tuple[float, float], hm: float
-) -> _Case:
-    """The case for an endemic disease (rho > 1), split on the sign of h_m."""
-    if abs(hm) <= costs.indifference_tol:
-        detail = "h at the no-vaccination level is on its sign boundary"
-        return VerdictKind.MARGINAL, nvdf, hm, detail
-    if hm > 0.0:
-        detail = "never vaccinating is the unique best response at the endemic level"
-        return VerdictKind.NON_VACCINATING_ESS, nvdf, hm, detail
-    return _saturated_case(params, ratios, costs, nvdf, hm)
+    try:
+        theta_e, psi_e, row = _SATURATED[params.d_e > 0.0](params, ratios)
+    except MarginalRegime as exc:
+        return VerdictKind.MARGINAL, nvdf, hm, str(exc)
+    if row != "coexistence":
+        return VerdictKind.NO_ESS, nvdf, hm, no_coexistence
+    h_e = h_value(theta_e, psi_e, params, costs)
+    kind, detail = _AT_SATURATED[_best_response(h_e, costs)]
+    return kind, (theta_e, psi_e), h_e, detail
 
 
 def classify_ess(
@@ -248,19 +256,16 @@ def classify_ess(
         h0 = h_value(0.0, 0.0, params, costs)
         case = VerdictKind.NON_VACCINATING_ESS, (0.0, 0.0), h0, detail
     else:
-        nvdf = (ratios.nvdf_level, 0.0)
-        hm = h_value(*nvdf, params, costs)
-        case = _endemic_case(params, ratios, costs, nvdf, hm)
+        hm = h_m(params, costs)
+        case = _endemic_case(params, ratios, costs, hm)
     kind, point, h, detail = case
-    beta_star = None
-    if kind is VerdictKind.VACCINATING_ESS:
-        beta_star = _beta_star_threshold(family, *point)
+    vaccinating = kind is VerdictKind.VACCINATING_ESS
     return EssVerdict(
         kind=kind,
         equilibrium=point,
         h_value=h,
         h_m=hm,
-        beta_star_threshold=beta_star,
+        beta_star_threshold=_beta_star_threshold(family, *point) if vaccinating else None,
         conjectured=params.d_e > 0.0,
         detail=detail,
     )
@@ -272,7 +277,9 @@ class DeadlyEsEquilibrium:
 
     ``(theta_exact, psi_exact)`` from the quadratic; ``(theta_approx,
     psi_approx)`` from the small-d_e expansion with its o-factor; ``no_ess``
-    set when mu + o >= mu*rho_e (the infection share loses positivity).
+    set when mu + o >= mu*rho_e (the approximate infection share loses
+    positivity).  :func:`classify_ess` reads neither the approximation nor
+    ``no_ess``: its saturated point is the catalogue's exact root.
     """
 
     theta_exact: float
@@ -389,18 +396,8 @@ def mutation_stability(
                 )
             th_e, ps_e = result.state.theta, result.state.psi
             h_e = h_value(th_e, ps_e, params, costs)
-            br = static_best_response((th_e, ps_e), params, costs)
-            probes.append(
-                MutationProbe(
-                    p=p,
-                    eps=eps,
-                    theta=th_e,
-                    psi=ps_e,
-                    h=h_e,
-                    best_response=br,
-                    ok=br is target,
-                )
-            )
+            br = _best_response(h_e, costs)
+            probes.append(MutationProbe(p, eps, th_e, ps_e, h_e, br, ok=br is target))
     return MutationReport(
         incumbent_q=q_star, base_point=(theta0, psi0), probes=tuple(probes)
     )

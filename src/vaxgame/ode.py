@@ -837,16 +837,15 @@ def find_equilibrium(
     that is not positive, and DomainError for guess fractions more than
     rounding level (1e-9) outside the simplex, as :func:`integrate` does for
     its start.  Raises IndicatorNonstationary for a threshold-vigilant
-    policy whose threshold is dynamically reachable (rho > 1 and Gamma
-    below the no-vaccination endemic level :attr:`Ratios.nvdf_level`, the
-    rule of :func:`vaxgame.attractor.vfc2_limit_set`): the limit object
+    policy whose threshold is dynamically reachable
+    (:meth:`Ratios.threshold_reachable`, the rule
+    :func:`vaxgame.attractor.vfc2_limit_set` reads too): the limit object
     there is a switching limit set around the threshold, not a zero of
     either one-sided field.
     """
     _require_state("guess", guess)
     if policy.family is Family.VFC2:
-        ratios = derive_ratios(params)
-        if ratios.rho > 1.0 and policy.gamma < ratios.nvdf_level:
+        if derive_ratios(params).threshold_reachable(policy.gamma):
             raise IndicatorNonstationary(
                 "threshold policy with reachable Gamma has no fixed point"
             )

@@ -74,7 +74,8 @@ class Ratios:
     """Dimensionless load ratios derived from :class:`ModelParams`.
 
     ``mu`` is ``inf`` when ``nu = 0``.  :attr:`nvdf_level` is the one
-    definition of the no-vaccination endemic level that every layer reads.
+    definition of the no-vaccination endemic level that every layer reads,
+    and :meth:`threshold_reachable` the one VFC2 reachability rule.
     """
 
     rho: float
@@ -90,6 +91,10 @@ class Ratios:
         positive exactly where rho > 1, up to rounding.
         """
         return 1.0 - 1.0 / self.rho_e
+
+    def threshold_reachable(self, gamma: float) -> bool:
+        """Whether an orbit reaches the VFC2 threshold Gamma: rho > 1 and Gamma < nvdf_level."""
+        return self.rho > 1.0 and gamma < self.nvdf_level
 
 
 def derive_ratios(params: ModelParams) -> Ratios:

@@ -36,11 +36,13 @@ from vaxgame import _native, attractor
 from vaxgame.attractor import DeadlyQuadratic, _eta_at, _sample_lyapunov
 from vaxgame.errors import (
     DegenerateState,
+    IndicatorNonstationary,
     MarginalRegime,
     NoCoexistence,
     RegimeMismatch,
 )
-from vaxgame.ode import field, field_rows
+from vaxgame.ode import field, field_rows, find_equilibrium
+from vaxgame.params import derive_ratios
 from vaxgame.policy import propensity_fn
 
 
@@ -370,6 +372,31 @@ def test_vfc2_limit_set_unreachable_threshold():
         vfc2_limit_set(ModelParams(lam=1.0, r=1.0, nu=1.0, b=0.5, d=0.1), 0.1)
 
 
+_VFC2_GRID_PARAMS = [
+    ModelParams(lam=1.0, r=1.0, nu=1.0, b=0.5, d=0.1),  # rho < 1
+    ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8),  # level 0.5
+    ModelParams(lam=8.0, r=0.5, nu=2.0, b=1.0, d=0.1, d_e=0.5),  # level 0.8, 1 - 1/rho 0.75
+]
+
+
+@pytest.mark.parametrize("params", _VFC2_GRID_PARAMS)
+def test_vfc2_limit_set_or_find_equilibrium_raises_never_both(params):
+    # one reachability rule: a centre exists exactly where no fixed point does
+    level = derive_ratios(params).nvdf_level
+    grid = (0.0, 0.2, 0.5, 0.75, 0.77, 0.8, 0.9, level, math.nextafter(level, 0.0))
+    for gamma in (g for g in grid if 0.0 <= g <= 1.0):  # a VFC2 Gamma lies in [0, 1]
+        raised = []
+        try:
+            vfc2_limit_set(params, gamma)
+        except RegimeMismatch:
+            raised.append("limit set")
+        try:
+            find_equilibrium(OdeState(0.3, 0.2, 1.0), params, vfc2(6.0, gamma))
+        except IndicatorNonstationary:
+            raised.append("fixed point")
+        assert len(raised) == 1, (gamma, raised)
+
+
 def test_vfc2_limit_set_degenerate_gamma():
     params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.5)
     pred = vfc2_limit_set(params, 0.0)
@@ -377,7 +404,7 @@ def test_vfc2_limit_set_degenerate_gamma():
 
 
 @pytest.mark.parametrize("d_e,psi", [(0.1, 0.28), (0.3, 0.24)])
-def test_vfc2_centre_with_excess_deaths_is_where_the_ode_slides(d_e, psi):
+def test_vfc2_centre_with_excess_deaths_is_the_two_fold_point(d_e, psi):
     # g_theta = 0 on theta = Gamma: psi = 1 - 1/rho - Gamma + d_e*Gamma/lam;
     # without the last term the centre would read 0.275 and 0.225
     params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.5, d_e=d_e)

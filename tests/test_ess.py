@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from rowgen import PARAMS
 from vaxgame import (
     BestResponse,
     CostParams,
@@ -28,7 +29,9 @@ from vaxgame import (
     static_best_response,
     utility,
 )
+from vaxgame.attractor import _SATURATED
 from vaxgame.errors import MarginalRegime, RegimeMismatch
+from vaxgame.params import derive_ratios
 
 
 def ratios(p):
@@ -145,6 +148,12 @@ def test_static_best_response_signs(right_params):
         static_best_response((0.244, 0.0), right_params, balanced)
         is BestResponse.INDIFFERENT
     )
+    # a gap within half the indifference tolerance either side is no best response
+    half_tol = 0.5e-9 * (p_i * 10.0 + 1.0)
+    for gap in (-half_tol, half_tol):
+        near = CostParams(c_v1=p_i * 10.0 + gap, c_v2=0.0, c_v2_bar=0.0, c_I1=10.0)
+        assert h_value(0.244, 0.0, right_params, near) == pytest.approx(gap, rel=1e-3)
+        assert static_best_response((0.244, 0.0), right_params, near) is BestResponse.INDIFFERENT
 
 
 def test_classify_non_vaccinating_at_endemic_level(right_params, costs_for):
@@ -271,8 +280,18 @@ def _fixed(params, costs=None):
     return lambda: (params, costs or scare_costs())
 
 
+def _guard_message(what, operands):
+    """The detail of a catalogue guard on (value, pivot) = operands(params)."""
+    def detail(p):
+        value, pivot = operands(p)
+        return f"{what}: {value!r} sits on the boundary {pivot!r}"
+
+    return detail
+
+
 # (exit, inputs, kind, equilibrium, h: NaN or h at the named point, h_m set,
-#  beta* set, detail); points are "origin", "nvdf" or "saturated"
+#  beta* set, detail: a string or a function of the params); points are
+#  "origin", "nvdf" or "saturated"
 _BRANCHES = [
     ("rho-marginal", _fixed(ModelParams(lam=2.0, r=1.0, nu=1.0, b=1.0, d=0.1)),
      VerdictKind.MARGINAL, "origin", "nan", False, False,
@@ -293,14 +312,16 @@ _BRANCHES = [
      VerdictKind.NON_VACCINATING_ESS, "nvdf", "nvdf", True, False,
      "never vaccinating is the unique best response at the endemic level"),
     ("deadly-theta-zero", _deadly_theta_zero,
-     VerdictKind.MARGINAL, "saturated", "nan", True, False,
-     "deadly saturated equilibrium on the theta = 0 boundary"),
+     VerdictKind.MARGINAL, "nvdf", "nvdf", True, False,
+     _guard_message("deadly coexistence theta_E vs 0",
+                    lambda p: (deadly_coexistence_exact(p)[0], 0.0))),
     ("deadly-no-coexistence", _fixed(ModelParams(nu=5.0, d_e=0.02, **_LEFT)),
      VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
-     "mu + o >= mu*rho_e: saturated infection share not positive"),
+     "mu*rho <= mu+1: co-existence point does not exist"),
     ("mu-rho-marginal", _mu_rho_marginal,
      VerdictKind.MARGINAL, "nvdf", "nvdf", True, False,
-     "mu*rho on the mu+1 boundary"),
+     _guard_message("mu*rho vs mu+1",
+                    lambda p: (ratios(p)[1] * ratios(p)[0], ratios(p)[1] + 1.0))),
     ("mu-rho-below", _fixed(ModelParams(lam=1.749, r=1.0002, nu=0.404, b=0.322, d=0.1)),
      VerdictKind.NO_ESS, "nvdf", "nvdf", True, False,
      "mu*rho <= mu+1: co-existence point does not exist"),
@@ -337,7 +358,7 @@ def test_classify_ess_branch_table(make, kind, where, h_at, has_h_m, has_beta_st
         points["saturated"] = _saturated(params)
     verdict = classify_ess(Family.FC, params, costs)
     assert verdict.kind is kind
-    assert verdict.detail == detail
+    assert verdict.detail == (detail(params) if callable(detail) else detail)
     assert verdict.equilibrium == points[where]
     if h_at == "nan":
         assert math.isnan(verdict.h_value)
@@ -406,6 +427,55 @@ def test_deadly_equilibrium_small_excess_accuracy(left_params, costs_for):
 def test_deadly_requires_excess_deaths(left_params, costs_for):
     with pytest.raises(RegimeMismatch):
         deadly_es_equilibrium(left_params, costs_for(left_params))
+
+
+#: Deadly rates where the small-d_e approximation reads mu + o >= mu*rho_e
+#: (``no_ess``) while the exact saturated root has theta_E > 0 and h < 0.
+_EXACT_ROOT_ESS = ModelParams(
+    lam=6.690133240866248, r=1.5774467022710263, nu=0.2906401644549624,
+    b=0.10527757921791231, d=0.07918859424194172, d_e=0.011177548997343084,
+)
+
+
+@pytest.mark.parametrize("family", [Family.FC, Family.FR, Family.VFC1])
+def test_deadly_verdict_reads_the_exact_saturated_root(family):
+    costs = CostParams(0.3, 0.2, 1.0, 3.0, 1.0)
+    assert deadly_es_equilibrium(_EXACT_ROOT_ESS, costs).no_ess
+    row = closed_form(_EXACT_ROOT_ESS, fc(1e3))
+    assert row.table_row == "fc-deadly/coexistence"
+    verdict = classify_ess(family, _EXACT_ROOT_ESS, costs)
+    assert verdict.kind is VerdictKind.VACCINATING_ESS
+    assert verdict.equilibrium == row.point()
+    assert verdict.h_value == h_value(*row.point(), _EXACT_ROOT_ESS, costs) < 0.0
+    report = mutation_stability(
+        family, 2.0 * verdict.beta_star_threshold, _EXACT_ROOT_ESS, costs
+    )
+    assert report.incumbent_q == 1.0
+    assert report.passed, report.violations
+
+
+_COSTS = st.builds(
+    CostParams, st.floats(0.0, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0),
+    st.floats(0.0, 50.0), st.floats(0.0, 10.0),
+)
+
+
+# nu = 0 at the origin reads p_I = 0/0 as 0, with a warning
+@pytest.mark.filterwarnings(r"ignore:lam\*theta \+ nu = 0:RuntimeWarning")
+@given(params=PARAMS, costs=_COSTS, family=st.sampled_from([Family.FC, Family.FR, Family.VFC1]))
+def test_saturated_verdict_is_the_catalogue_row(params, costs, family):
+    # the only points a verdict names are the origin, the no-vaccination
+    # level and the catalogue's saturated co-existence point, bit for bit
+    ratios = derive_ratios(params)
+    verdict = classify_ess(family, params, costs)
+    if verdict.kind is not VerdictKind.VACCINATING_ESS and verdict.equilibrium in (
+        (0.0, 0.0), (ratios.nvdf_level, 0.0)
+    ):
+        return
+    theta, psi, row = _SATURATED[params.d_e > 0.0](params, ratios)
+    assert row == "coexistence"
+    assert verdict.equilibrium == (theta, psi)
+    assert verdict.h_value == h_value(theta, psi, params, costs)
 
 
 def test_deadly_verdict_conjectured(costs_for):

@@ -340,7 +340,7 @@ def test_mutant_over_vfc2_arms_the_threshold_event():
     assert np.array_equal(paths[1].states, paths[0].states)
 
 
-def test_vfc2_integration_oscillates_then_slides():
+def test_vfc2_integration_crossings_accumulate_at_the_two_fold_centre():
     params = ModelParams(lam=4.0, r=1.0, nu=2.0, b=1.0, d=0.8)
     pol = vfc2(6.0, 0.2)
     path = integrate(
@@ -348,7 +348,8 @@ def test_vfc2_integration_oscillates_then_slides():
         rtol=1e-9, atol=1e-11,
     )
     assert path.zeno_truncated
-    # crossings accumulate toward the sliding centre (Gamma, 1-1/rho-Gamma)
+    # crossings accumulate toward the two-fold centre (Gamma, 1-1/rho-Gamma):
+    # the orbit crosses theta = Gamma each time, it never slides along it
     from vaxgame import count_crossings
 
     assert count_crossings(path.states[:, 0], 0.2) >= 10
